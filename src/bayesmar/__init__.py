@@ -8,24 +8,20 @@ harnesses, plus a CLI (``bayesmar --help``).
 """
 
 from .core import (
+    GAUSSIAN_MODEL,
+    LAPLACE_MODEL,
     Coefficients,
     DegenerateDataError,
     ErrorFamily,
+    ErrorModel,
     PosteriorDraws,
-    ScaleParam,
     TimeSeries,
-    asymmetric_laplace_logpdf,
     diff1,
-    gaussian_logpdf,
     lag_design,
-    laplace_logpdf,
-    log_likelihood,
-    log_marginal_posterior_beta,
-    sum_abs_residuals,
-    undiff1,
 )
 from .forecast import (
     ForecastResult,
+    MethodSpec,
     bma_forecast,
     credible_interval,
     fit_and_forecast,
@@ -36,7 +32,6 @@ from .forecast import (
 from .harness import (
     BacktestReport,
     BacktestSpec,
-    MethodSpec,
     OrderStudyReport,
     MseStudyReport,
     SimStudyConfig,
@@ -47,7 +42,7 @@ from .harness import (
 )
 from .mcmc import McmcConfig, posterior_mean, run_mh, tune_step
 from .mle_fit import MleFit, fit_l1, fit_ols
-from .order_select import OrderEnsemble, bic, bma_weights, build_ensemble
+from .order_select import OrderEnsemble, bma_weights, build_ensemble
 from .scoring import (
     MetricTable,
     crps_laplace_closed,

@@ -22,6 +22,7 @@ from .core import DegenerateDataError, ErrorFamily, TimeSeries, diff1
 from .forecast import (
     SCALE_DIFFERENCED,
     SCALE_LEVEL,
+    MethodSpec,
     fit_and_forecast,
     forecast_levels,
     forecast_to_json,
@@ -29,7 +30,6 @@ from .forecast import (
 )
 from .harness import (
     BacktestSpec,
-    MethodSpec,
     SimStudyConfig,
     run_backtest,
     run_mse_study,
@@ -69,9 +69,9 @@ def read_series_csv(path: str | Path) -> TimeSeries:
     Accepted layouts: header ``period,value`` with one labeled observation per
     row, header ``value`` with one column, or a headerless single numeric
     column.  Rows are parsed in order; any missing or non-numeric value fails
-    with its 1-based row number.
+    with its 1-based row number.  A leading UTF-8 byte-order mark is skipped.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise CsvParseError("empty file")
@@ -105,10 +105,6 @@ def read_series_csv(path: str | Path) -> TimeSeries:
     if not values:
         raise CsvParseError("no data rows")
     return TimeSeries(np.array(values), labels=tuple(labels) if labeled else None)
-
-
-def _family(name: str) -> ErrorFamily:
-    return ErrorFamily(name)
 
 
 def _echo(ns: argparse.Namespace, keys: tuple[str, ...]) -> dict:
@@ -168,7 +164,7 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
     out = _out_dir(ns)
     config = McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn, initial_step=ns.step, seed=ns.seed)
     trace = out / "trace.csv" if ns.trace else None
-    draws = run_mh(series, ns.order, _family(ns.family), config, trace_path=trace)
+    draws = run_mh(series, ns.order, ErrorFamily(ns.family), config, trace_path=trace)
     mean = posterior_mean(draws)
     payload = {
         "config": _echo(ns, ("input", "order", "family", "diff", "n_total", "n_burn", "step")),
@@ -196,7 +192,7 @@ def _cmd_forecast(ns: argparse.Namespace) -> int:
     config = McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn, seed=ns.seed)
     pipe = fit_and_forecast(
         work,
-        _family(ns.family),
+        ErrorFamily(ns.family),
         ns.horizon,
         ns.order_rule,
         ns.max_order,
@@ -232,7 +228,7 @@ def _cmd_select_order(ns: argparse.Namespace) -> int:
     if ns.diff:
         series = diff1(series)
     out = _out_dir(ns)
-    ensemble = build_ensemble(series, ns.max_order, _family(ns.family))
+    ensemble = build_ensemble(series, ns.max_order, ErrorFamily(ns.family))
     header = (
         f"config: {json.dumps(_echo(ns, ('input', 'family', 'max_order', 'diff')), sort_keys=True)}",
         f"map_order: {ensemble.map_order}",
@@ -279,7 +275,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     families = (
         [ErrorFamily.LAPLACE, ErrorFamily.GAUSSIAN]
         if ns.error == "both"
-        else [_family(ns.error)]
+        else [ErrorFamily(ns.error)]
     )
     out = _out_dir(ns)
     echo = json.dumps(

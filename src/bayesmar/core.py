@@ -1,4 +1,4 @@
-"""Domain types and probability kernels for median autoregression.
+"""Domain types and the error-family kernels of median autoregression.
 
 A median autoregression of order p (MAR(p)) keeps the usual AR recursion
 
@@ -7,10 +7,16 @@ A median autoregression of order p (MAR(p)) keeps the usual AR recursion
 but draws the error from a Laplace distribution centered at zero, so the
 conditional *median* of y_t is the linear predictor.  The Laplace scale is
 parametrized so that the error density is (1/(4 tau)) exp(-|x| / (2 tau)),
-i.e. a standard Laplace with scale b = 2 tau.
+i.e. a standard Laplace with scale b = 2 tau.  The Gaussian family is the
+mean AR model with standard deviation sigma in the same scale slot.
 
-Everything in this module is a pure function of its inputs; the dataclasses
-are frozen and can be shared freely across threads or processes.
+Each family's formulas live in one ``ErrorModel`` (``LAPLACE_MODEL``,
+``GAUSSIAN_MODEL``, or ``family.model``): the sampler, the BIC, the point
+fits and the path and series noise all call it.
+
+Everything in this module is a pure function of its inputs (random draws
+advance only the generator passed in); the dataclasses are frozen and the
+models stateless, so both can be shared freely across threads or processes.
 
 Time indices follow the time-series convention: a series of length T is
 indexed t = 1..T, and ``start`` arguments name the first 1-based index that
@@ -20,6 +26,7 @@ contributes a residual term.
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -29,19 +36,14 @@ import numpy as np
 __all__ = [
     "DegenerateDataError",
     "ErrorFamily",
+    "ErrorModel",
+    "LAPLACE_MODEL",
+    "GAUSSIAN_MODEL",
     "TimeSeries",
     "Coefficients",
-    "ScaleParam",
     "PosteriorDraws",
-    "laplace_logpdf",
-    "asymmetric_laplace_logpdf",
-    "gaussian_logpdf",
     "lag_design",
-    "sum_abs_residuals",
-    "log_likelihood",
-    "log_marginal_posterior_beta",
     "diff1",
-    "undiff1",
     "as_seed_tuple",
 ]
 
@@ -56,18 +58,17 @@ class ErrorFamily(str, Enum):
     LAPLACE = "laplace"
     GAUSSIAN = "gaussian"
 
+    @property
+    def model(self) -> ErrorModel:
+        """This family's kernel: ``LAPLACE_MODEL`` or ``GAUSSIAN_MODEL``."""
+        return _MODELS[self]
+
 
 def as_seed_tuple(seed: int | Sequence[int]) -> tuple[int, ...]:
     """Normalize a seed (int or sequence of ints) to a tuple for composition."""
     if isinstance(seed, (int, np.integer)):
         return (int(seed),)
     return tuple(int(s) for s in seed)
-
-
-def _frozen_array(obj, values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -126,17 +127,6 @@ class Coefficients:
 
 
 @dataclass(frozen=True)
-class ScaleParam:
-    """Laplace scale tau (error scale b = 2*tau); carries sigma for Gaussians."""
-
-    tau: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"scale must be finite and positive, got {self.tau}")
-
-
-@dataclass(frozen=True)
 class PosteriorDraws:
     """Retained joint (beta, tau) MCMC samples plus sampler diagnostics."""
 
@@ -172,35 +162,6 @@ class PosteriorDraws:
         return self.n_total - self.n_burn
 
 
-def laplace_logpdf(x: float, tau: float) -> float:
-    """log of the Laplace(0, 2*tau) density: -log(4 tau) - |x| / (2 tau)."""
-    if not (tau > 0 and math.isfinite(tau)):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    return -math.log(4.0 * tau) - abs(x) / (2.0 * tau)
-
-
-def asymmetric_laplace_logpdf(x: float, mu: float, tau: float, theta: float) -> float:
-    """log density of AL(mu, tau, theta).
-
-    The density is theta(1-theta)/tau * exp(-(x-mu)(theta - 1[x<mu])/tau);
-    at theta = 0.5 and mu = 0 it coincides with the Laplace(0, 2*tau') density
-    for tau' = tau/2.
-    """
-    if not (tau > 0 and math.isfinite(tau)):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    indicator = 1.0 if x < mu else 0.0
-    return math.log(theta * (1.0 - theta) / tau) - (x - mu) * (theta - indicator) / tau
-
-
-def gaussian_logpdf(x: float, sigma: float) -> float:
-    """log of the N(0, sigma^2) density at x."""
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    return -0.5 * math.log(2.0 * math.pi * sigma * sigma) - (x * x) / (2.0 * sigma * sigma)
-
-
 def lag_design(values: np.ndarray, order: int, start: int) -> tuple[np.ndarray, np.ndarray]:
     """Build the AR design for rows t = start..T (1-based).
 
@@ -224,44 +185,6 @@ def lag_design(values: np.ndarray, order: int, start: int) -> tuple[np.ndarray, 
     return np.column_stack(cols), targets
 
 
-def sum_abs_residuals(y: TimeSeries, coeff: Coefficients, start: int) -> float:
-    """Half-absolute residual sum S(beta) = sum_{t=start..T} |y_t - y'_{t-1} beta| / 2."""
-    X, targets = lag_design(y.values, coeff.order, start)
-    resid = targets - X @ coeff.beta
-    return 0.5 * float(np.abs(resid).sum())
-
-
-def log_likelihood(
-    y: TimeSeries,
-    coeff: Coefficients,
-    scale: ScaleParam,
-    family: ErrorFamily,
-    start: int,
-) -> float:
-    """Joint log likelihood of observations t = start..T under the AR recursion."""
-    X, targets = lag_design(y.values, coeff.order, start)
-    resid = targets - X @ coeff.beta
-    n = resid.size
-    if family is ErrorFamily.LAPLACE:
-        return -n * math.log(4.0 * scale.tau) - float(np.abs(resid).sum()) / (2.0 * scale.tau)
-    var = scale.tau * scale.tau
-    return -0.5 * n * math.log(2.0 * math.pi * var) - float((resid * resid).sum()) / (2.0 * var)
-
-
-def log_marginal_posterior_beta(y: TimeSeries, coeff: Coefficients, start: int) -> float:
-    """Marginal log posterior of beta with the Laplace scale integrated out.
-
-    Equals -n * log(S(beta)) with n = T - start + 1 residual terms, up to an
-    additive constant fixed at zero.  Returns +inf when S(beta) = 0: the
-    posterior is improper there and callers must treat the data as degenerate.
-    """
-    s = sum_abs_residuals(y, coeff, start)
-    n = len(y) - start + 1
-    if s == 0.0:
-        return math.inf
-    return -n * math.log(s)
-
-
 def diff1(y: TimeSeries) -> TimeSeries:
     """Lag-1 differences (y_2 - y_1, ..., y_T - y_{T-1}); length T - 1."""
     if len(y) < 2:
@@ -270,6 +193,103 @@ def diff1(y: TimeSeries) -> TimeSeries:
     return TimeSeries(values=np.diff(y.values), labels=labels)
 
 
-def undiff1(deltas: Sequence[float], last_level: float) -> np.ndarray:
-    """Re-integrate change forecasts: out_h = last_level + sum_{i<=h} delta_i."""
-    return last_level + np.cumsum(np.asarray(deltas, dtype=float))
+class ErrorModel(ABC):
+    """The formulas of one error law, over AR residuals r_t = y_t - x_t' beta.
+
+    The scale (Laplace tau, Gaussian sigma) meets the n residuals only through
+    the family's residual objective: S = sum |r_t| / 2 for Laplace and
+    RSS = sum r_t^2 for Gaussian.  Integrating the scale out under the prior
+    1/tau (Laplace) or 1/sigma^2 (Gaussian) leaves the marginal posterior
+    objective(beta)^(-k n), with k = 1 for Laplace and k = 1/2 for Gaussian.
+    """
+
+    family: ErrorFamily
+    k: float
+    #: Standard noise scale (Laplace b, Gaussian sd) per unit of the scale.
+    noise_per_scale: float
+
+    def log_marginal(self, objective: float, n: int) -> float:
+        """Log marginal posterior of beta, -k n log(objective), up to a zero constant.
+
+        A zero objective is a perfect fit, where the posterior is improper.
+        """
+        if objective <= 0.0:
+            raise DegenerateDataError(
+                "zero residual objective: data admit a perfect fit and the posterior is improper"
+            )
+        return (-self.k * n) * math.log(objective)
+
+    @abstractmethod
+    def objective(self, resid: np.ndarray) -> np.ndarray:
+        """Residual objective over the last axis of ``resid`` (S or RSS)."""
+
+    @abstractmethod
+    def draw_scale(self, rng: np.random.Generator, objectives: np.ndarray, n: int) -> np.ndarray:
+        """One exact draw of the scale given beta per objective, from its inverse-gamma law."""
+
+    @abstractmethod
+    def bic(self, n: int, order: int, scale: float, objective: float) -> float:
+        """(order + 2) log n - 2 log L of n residuals with this objective, at ``scale``."""
+
+    @abstractmethod
+    def point_scale(self, objective: float, n: int) -> float:
+        """Closed-form scale estimate of a point fit whose n residuals attain ``objective``."""
+
+    @abstractmethod
+    def noise(self, rng: np.random.Generator, loc, b, size=None) -> np.ndarray:
+        """Errors around ``loc`` with standard scale ``b`` (Laplace b, Gaussian sd)."""
+
+
+class _LaplaceModel(ErrorModel):
+    family = ErrorFamily.LAPLACE
+    k = 1.0
+    noise_per_scale = 2.0
+
+    def objective(self, resid):
+        return 0.5 * np.abs(resid).sum(axis=-1)
+
+    def draw_scale(self, rng, objectives, n):
+        # tau | beta ~ InvGamma(shape n, rate S(beta))
+        return objectives / rng.gamma(shape=float(n), scale=1.0, size=objectives.size)
+
+    def bic(self, n, order, scale, objective):
+        # likelihood (4 tau)^(-n) exp(-S / tau)
+        return (order + 2) * math.log(n) + 2.0 * n * math.log(4.0 * scale) + 2.0 * objective / scale
+
+    def point_scale(self, objective, n):
+        # S / (n + 1); the literal likelihood maximizer would divide by n
+        return objective / (n + 1)
+
+    def noise(self, rng, loc, b, size=None):
+        return rng.laplace(loc, b, size)
+
+
+class _GaussianModel(ErrorModel):
+    family = ErrorFamily.GAUSSIAN
+    k = 0.5
+    noise_per_scale = 1.0
+
+    def objective(self, resid):
+        return np.vecdot(resid, resid)
+
+    def draw_scale(self, rng, objectives, n):
+        # sigma^2 | beta ~ InvGamma(shape n / 2, rate RSS(beta) / 2)
+        return np.sqrt(0.5 * objectives / rng.gamma(shape=0.5 * n, scale=1.0, size=objectives.size))
+
+    def bic(self, n, order, scale, objective):
+        return (
+            (order + 2) * math.log(n)
+            + n * math.log(2.0 * math.pi * scale * scale)
+            + objective / (scale * scale)
+        )
+
+    def point_scale(self, objective, n):
+        return math.sqrt(objective / n)
+
+    def noise(self, rng, loc, b, size=None):
+        return rng.normal(loc, b, size)
+
+
+LAPLACE_MODEL: ErrorModel = _LaplaceModel()
+GAUSSIAN_MODEL: ErrorModel = _GaussianModel()
+_MODELS = {model.family: model for model in (LAPLACE_MODEL, GAUSSIAN_MODEL)}

@@ -6,6 +6,11 @@ predictor, appended to the lag window, and the recursion continues to the
 requested horizon.  Point forecasts and equal-tailed intervals are read off
 the per-horizon sample columns; mixing across orders keeps the path-matrix
 representation by resampling pooled paths with the model weights.
+
+``forecast_family`` is the one order planner: for the methods of one error
+family it builds the order ensemble once, samples the union of the orders the
+methods need, and assembles the BMA, MAP and fixed-order forecasts.  Both
+``fit_and_forecast`` (one method) and the backtest call it.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ __all__ = [
     "bma_forecast",
     "forecast_levels",
     "per_order_forecasts",
+    "MethodSpec",
+    "forecast_family",
     "fit_and_forecast",
     "PipelineForecast",
     "forecast_to_json",
@@ -79,9 +86,9 @@ def sample_paths(
     """One simulated future path per retained draw; returns (n_paths, horizon).
 
     Paths iterate the AR recursion forward from the last observed lags, feeding
-    each sampled value back in as a lag.  Laplace scales are 2 * tau (the
-    standard Laplace scale matching the error density); Gaussian scales are
-    sigma.  ``thin`` keeps every thin-th draw.
+    each sampled value back in as a lag.  The noise is the family's
+    ``ErrorModel.noise`` with standard scale 2 * tau (Laplace) or sigma
+    (Gaussian).  ``thin`` keeps every thin-th draw.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -91,7 +98,8 @@ def sample_paths(
     if len(y) < p:
         raise ValueError(f"series shorter than order {p}")
     beta = draws.beta_draws[::thin]
-    tau = draws.tau_draws[::thin]
+    model = family.model
+    b = model.noise_per_scale * draws.tau_draws[::thin]
     m = beta.shape[0]
     rng = np.random.default_rng(as_seed_tuple(seed))
 
@@ -100,10 +108,7 @@ def sample_paths(
     paths = np.empty((m, horizon))
     for h in range(horizon):
         location = beta[:, 0] + np.einsum("ij,ij->i", beta[:, 1:], lags)
-        if family is ErrorFamily.LAPLACE:
-            draws_h = rng.laplace(location, 2.0 * tau)
-        else:
-            draws_h = rng.normal(location, tau)
+        draws_h = model.noise(rng, location, b)
         paths[:, h] = draws_h
         if p > 1:
             lags = np.column_stack([draws_h, lags[:, :-1]])
@@ -262,6 +267,36 @@ def per_order_forecasts(
     return results
 
 
+_FAMILY_LABEL = {ErrorFamily.LAPLACE: "BayesMAR", ErrorFamily.GAUSSIAN: "BayesAR"}
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """One forecaster: an error family plus an order rule.
+
+    ``order_rule`` is "bma" (mix all orders 1..max_order by BIC weight),
+    "map" (forecast the minimum-BIC order only), or "fixed" (no selection,
+    use ``fixed_order``).
+    """
+
+    family: ErrorFamily
+    order_rule: str
+    fixed_order: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.order_rule not in ("bma", "map", "fixed"):
+            raise ValueError(f"unknown order_rule {self.order_rule!r}")
+        if self.order_rule == "fixed" and (self.fixed_order is None or self.fixed_order < 1):
+            raise ValueError("fixed order rule requires a positive fixed_order")
+
+    @property
+    def name(self) -> str:
+        base = _FAMILY_LABEL[self.family]
+        if self.order_rule == "fixed":
+            return f"{base}-p{self.fixed_order}"
+        return f"{base}-{self.order_rule.upper()}"
+
+
 @dataclass(frozen=True)
 class PipelineForecast:
     """Forecast produced by the order-selection pipeline, with its ensemble."""
@@ -269,6 +304,58 @@ class PipelineForecast:
     result: ForecastResult
     ensemble: OrderEnsemble | None
     per_order: Mapping[int, ForecastResult]
+
+
+def forecast_family(
+    y: TimeSeries,
+    methods: Sequence[MethodSpec],
+    horizon: int,
+    max_order: int,
+    config: McmcConfig,
+    seed_base: tuple[int, ...],
+    interval_level: float = 0.95,
+    scale_note: str = SCALE_LEVEL,
+    statistic: str = "mean",
+    thin: int = 1,
+) -> dict[MethodSpec, PipelineForecast]:
+    """Forecast ``y`` with methods that share one error family.
+
+    The order ensemble is built once if any method selects orders, and
+    ``per_order_forecasts`` runs once over the union of the orders the methods
+    need, seeded from ``seed_base``.  BMA mixes orders 1..max_order by their
+    weights with seed (seed_base..., 0, 2), MAP takes the minimum-BIC order,
+    and a fixed rule its own order.  All entries share the ensemble and the
+    per-order forecasts.
+    """
+    family = methods[0].family
+    if any(m.family is not family for m in methods):
+        raise ValueError("forecast_family needs methods of one error family")
+    ensemble = None
+    orders = {m.fixed_order for m in methods if m.order_rule == "fixed"}
+    if any(m.order_rule != "fixed" for m in methods):
+        ensemble = build_ensemble(y, max_order, family)
+        if any(m.order_rule == "bma" for m in methods):
+            orders.update(range(1, max_order + 1))
+        else:
+            orders.add(ensemble.map_order)
+    by_order = per_order_forecasts(
+        y, family, orders, horizon, config, interval_level, scale_note, seed_base,
+        statistic=statistic, thin=thin,
+    )
+    planned: dict[MethodSpec, PipelineForecast] = {}
+    for m in methods:
+        if m.order_rule == "bma":
+            result = bma_forecast(
+                [by_order[p] for p in range(1, max_order + 1)],
+                ensemble.weights,
+                seed=seed_base + (0, 2),
+            )
+        elif m.order_rule == "map":
+            result = by_order[ensemble.map_order]
+        else:
+            result = by_order[m.fixed_order]
+        planned[m] = PipelineForecast(result=result, ensemble=ensemble, per_order=by_order)
+    return planned
 
 
 def fit_and_forecast(
@@ -285,41 +372,16 @@ def fit_and_forecast(
     thin: int = 1,
     seed: int | Sequence[int] | None = None,
 ) -> PipelineForecast:
-    """Order selection plus forecasting for a single series.
+    """Order selection plus forecasting for a single series and one method.
 
-    ``order_rule`` is "bma" (mix all orders 1..max_order by BIC weight),
-    "map" (forecast the minimum-BIC order only), or "fixed" (no selection,
-    use ``fixed_order``).
+    ``order_rule`` and ``fixed_order`` are those of ``MethodSpec``; seeds
+    derive from ``seed``, or from ``config.seed`` when it is None.
     """
+    method = MethodSpec(family, order_rule, fixed_order)
     base = as_seed_tuple(config.seed if seed is None else seed)
-    if order_rule == "fixed":
-        if fixed_order is None:
-            raise ValueError("order_rule 'fixed' requires fixed_order")
-        ensemble = None
-        orders: Sequence[int] = [fixed_order]
-    elif order_rule in ("bma", "map"):
-        ensemble = build_ensemble(y, max_order, family)
-        orders = range(1, max_order + 1) if order_rule == "bma" else [ensemble.map_order]
-    else:
-        raise ValueError(f"unknown order_rule {order_rule!r}")
-
-    by_order = per_order_forecasts(
-        y, family, orders, horizon, config, interval_level, scale_note, base,
-        statistic=statistic, thin=thin,
-    )
-    if order_rule == "bma":
-        assert ensemble is not None
-        result = bma_forecast(
-            [by_order[p] for p in range(1, max_order + 1)],
-            ensemble.weights,
-            seed=base + (0, 2),
-        )
-    elif order_rule == "map":
-        assert ensemble is not None
-        result = by_order[ensemble.map_order]
-    else:
-        result = by_order[orders[0]]
-    return PipelineForecast(result=result, ensemble=ensemble, per_order=by_order)
+    return forecast_family(
+        y, [method], horizon, max_order, config, base, interval_level, scale_note, statistic, thin
+    )[method]
 
 
 def forecast_to_json(result: ForecastResult) -> list[dict[str, float]]:

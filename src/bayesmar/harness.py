@@ -6,11 +6,12 @@ reports per-coefficient mean squared errors with their standard errors.  The
 order study repeats the generation and records the BIC-selected order.
 
 The backtest walks a series of levels forward one period at a time: at each
-origin t it differences the history up to t, fits every configured method on
-the changes, simulates predictive paths out to the horizon, rebuilds levels,
-and scores the point and density forecasts against the realized values.  All
-randomness derives from one master seed via per-unit seed tuples, so runs are
-reproducible and independent of evaluation order.
+origin t it differences the history up to t, forecasts every configured
+method on the changes through ``forecast_family`` (one call per error family,
+seeded with (seed, t, family code)), rebuilds levels, and scores the point and
+density forecasts against the realized values.  All randomness derives from
+one master seed via per-unit seed tuples, so runs are reproducible and
+independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -31,14 +32,7 @@ from .core import (
     TimeSeries,
     as_seed_tuple,
 )
-from .forecast import (
-    SCALE_DIFFERENCED,
-    SCALE_LEVEL,
-    ForecastResult,
-    bma_forecast,
-    forecast_levels,
-    per_order_forecasts,
-)
+from .forecast import SCALE_DIFFERENCED, SCALE_LEVEL, MethodSpec, forecast_family, forecast_levels
 from .mcmc import McmcConfig, posterior_mean, run_mh
 from .mle_fit import fit_l1, fit_ols
 from .order_select import build_ensemble
@@ -51,7 +45,6 @@ __all__ = [
     "run_mse_study",
     "OrderStudyReport",
     "run_order_study",
-    "MethodSpec",
     "BacktestSpec",
     "BacktestReport",
     "run_backtest",
@@ -75,7 +68,6 @@ class SimStudyConfig:
     # The replicated studies generate from zero initial lags (burn = 0); the
     # transient is part of the protocol being reproduced.
     burn: int = 0
-    noise_scale: float = 1.0
     mcmc: McmcConfig = field(default_factory=McmcConfig)
 
     def __post_init__(self) -> None:
@@ -83,8 +75,6 @@ class SimStudyConfig:
             raise ValueError("replications must be at least 1")
         if self.series_length <= 2 * self.max_order:
             raise ValueError("series_length must exceed twice the maximum order")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be nonnegative")
 
 
 def simulate_series(
@@ -98,22 +88,23 @@ def simulate_series(
     """Iterate the AR recursion from zero initial lags and keep the last values.
 
     Laplace errors use the standard scale (density exp(-|x|/scale)/(2 scale));
-    Gaussian errors use the standard deviation.  ``scale`` = 0 turns the noise
-    off, which makes the recursion deterministic (a test hook).
+    Gaussian errors use the standard deviation.
     """
     if length < 1 or burn < 0:
         raise ValueError("length must be positive and burn nonnegative")
     rng = np.random.default_rng(as_seed_tuple(seed))
     total = length + burn
-    if scale == 0.0:
-        eps = np.zeros(total)
-    elif error is ErrorFamily.LAPLACE:
-        eps = rng.laplace(0.0, scale, total)
-    else:
-        eps = rng.normal(0.0, scale, total)
+    eps = error.model.noise(rng, 0.0, scale, total)
     ar_poly = np.concatenate([[1.0], -beta.beta[1:]])
     values = lfilter([1.0], ar_poly, beta.beta[0] + eps)
     return TimeSeries(values[burn:])
+
+
+def _replication_series(config: SimStudyConfig, i: int) -> TimeSeries:
+    """The series of replication ``i`` of a study, seeded with (seed, i)."""
+    return simulate_series(
+        config.true_beta, config.error, config.series_length, burn=config.burn, seed=(config.seed, i)
+    )
 
 
 @dataclass(frozen=True)
@@ -149,14 +140,7 @@ class MseStudyReport:
 
 def _mse_replication(args: tuple[SimStudyConfig, int, tuple[str, ...]]):
     config, i, methods = args
-    series = simulate_series(
-        config.true_beta,
-        config.error,
-        config.series_length,
-        burn=config.burn,
-        seed=(config.seed, i),
-        scale=config.noise_scale,
-    )
+    series = _replication_series(config, i)
     p = config.true_beta.order
     estimates: dict[str, np.ndarray] = {}
     acc = np.nan
@@ -238,14 +222,7 @@ class OrderStudyReport:
 
 def _order_replication(args: tuple[SimStudyConfig, int, ErrorFamily]):
     config, i, ensemble_family = args
-    series = simulate_series(
-        config.true_beta,
-        config.error,
-        config.series_length,
-        burn=config.burn,
-        seed=(config.seed, i),
-        scale=config.noise_scale,
-    )
+    series = _replication_series(config, i)
     return i, build_ensemble(series, config.max_order, ensemble_family).map_order
 
 
@@ -273,31 +250,6 @@ def run_order_study(
 
 
 _FAMILY_CODE = {ErrorFamily.LAPLACE: 0, ErrorFamily.GAUSSIAN: 1}
-_FAMILY_LABEL = {ErrorFamily.LAPLACE: "BayesMAR", ErrorFamily.GAUSSIAN: "BayesAR"}
-
-
-@dataclass(frozen=True)
-class MethodSpec:
-    """One backtested forecaster: an error family plus an order rule."""
-
-    family: ErrorFamily
-    order_rule: str
-    fixed_order: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.order_rule not in ("bma", "map", "fixed"):
-            raise ValueError(f"unknown order_rule {self.order_rule!r}")
-        if self.order_rule == "fixed" and (self.fixed_order is None or self.fixed_order < 1):
-            raise ValueError("fixed order rule requires a positive fixed_order")
-
-    @property
-    def name(self) -> str:
-        base = _FAMILY_LABEL[self.family]
-        if self.order_rule == "fixed":
-            return f"{base}-p{self.fixed_order}"
-        return f"{base}-{self.order_rule.upper()}"
-
-
 @dataclass(frozen=True)
 class BacktestSpec:
     """Recursive out-of-sample forecasting protocol on a series of levels.
@@ -422,105 +374,49 @@ class BacktestReport:
                         )
 
 
-DiffForecaster = Callable[[TimeSeries, MethodSpec, int, float], ForecastResult]
-
-
 def _forecast_origin(
-    args: tuple[BacktestSpec, int, DiffForecaster | None]
+    args: tuple[BacktestSpec, int]
 ) -> tuple[int, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """Fit and forecast every method at one origin; returns points and paths scores."""
-    spec, t, hook = args
+    """Forecast every method at one origin; returns level points and CRPS per method."""
+    spec, t = args
     values = spec.series.values
     window = values[:t]
     if spec.apply_diff:
-        work = TimeSeries(np.diff(window))
-        last_level = float(window[-1])
-        scale_note = SCALE_DIFFERENCED
+        work, scale_note = TimeSeries(np.diff(window)), SCALE_DIFFERENCED
     else:
-        work = TimeSeries(window)
-        scale_note = SCALE_LEVEL
+        work, scale_note = TimeSeries(window), SCALE_LEVEL
     H = spec.horizons
     T = values.size
 
-    level_results: dict[str, ForecastResult] = {}
-    if hook is not None:
-        for m in spec.methods:
-            fc = hook(work, m, H, spec.interval_level)
-            level_results[m.name] = (
-                forecast_levels(fc, last_level) if spec.apply_diff else fc
-            )
-    else:
-        families = sorted({m.family for m in spec.methods}, key=lambda f: _FAMILY_CODE[f])
-        for family in families:
-            fam_methods = [m for m in spec.methods if m.family is family]
-            need_bma = any(m.order_rule == "bma" for m in fam_methods)
-            need_map = any(m.order_rule == "map" for m in fam_methods)
-            ensemble = None
-            orders: set[int] = set()
-            if need_bma or need_map:
-                ensemble = build_ensemble(work, spec.max_order, family)
-                if need_bma:
-                    orders.update(range(1, spec.max_order + 1))
-                else:
-                    orders.add(ensemble.map_order)
-            orders.update(m.fixed_order for m in fam_methods if m.order_rule == "fixed")
-            seed_base = (spec.seed, t, _FAMILY_CODE[family])
-            by_order = per_order_forecasts(
-                work,
-                family,
-                sorted(orders),
-                H,
-                spec.mcmc,
-                spec.interval_level,
-                scale_note,
-                seed_base,
-                thin=spec.thin,
-            )
-            for m in fam_methods:
-                if m.order_rule == "bma":
-                    fc = bma_forecast(
-                        [by_order[p] for p in range(1, spec.max_order + 1)],
-                        ensemble.weights,
-                        seed=seed_base + (0, 2),
-                    )
-                elif m.order_rule == "map":
-                    fc = by_order[ensemble.map_order]
-                else:
-                    fc = by_order[m.fixed_order]
-                level_results[m.name] = (
-                    forecast_levels(fc, last_level) if spec.apply_diff else fc
-                )
-
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for name, fc in level_results.items():
-        crps_row = np.full(H, np.nan)
-        for h in range(1, H + 1):
-            if t + h <= T:
-                crps_row[h - 1] = crps_sample(fc.paths[:, h - 1], float(values[t + h - 1]))
-        out[name] = (fc.point.copy(), crps_row)
+    for family in dict.fromkeys(m.family for m in spec.methods):
+        planned = forecast_family(
+            work,
+            [m for m in spec.methods if m.family is family],
+            H,
+            spec.max_order,
+            spec.mcmc,
+            (spec.seed, t, _FAMILY_CODE[family]),
+            spec.interval_level,
+            scale_note,
+            thin=spec.thin,
+        )
+        for m, pipe in planned.items():
+            fc = forecast_levels(pipe.result, float(window[-1])) if spec.apply_diff else pipe.result
+            crps_row = np.full(H, np.nan)
+            for h in range(1, H + 1):
+                if t + h <= T:
+                    crps_row[h - 1] = crps_sample(fc.paths[:, h - 1], float(values[t + h - 1]))
+            out[m.name] = (fc.point.copy(), crps_row)
     return t, out
 
 
-def run_backtest(
-    spec: BacktestSpec,
-    n_jobs: int = 1,
-    diff_forecaster: DiffForecaster | None = None,
-) -> BacktestReport:
-    """Run the recursive backtest and aggregate RMSE, MAE, and CRPS per horizon.
-
-    ``diff_forecaster`` replaces the fit-and-sample stage on the (differenced)
-    fitting window with a caller-supplied forecaster; the protocol bookkeeping
-    (windowing, level rebuild, scoring) is unchanged.  Hooked runs execute
-    serially.
-    """
+def run_backtest(spec: BacktestSpec, n_jobs: int = 1) -> BacktestReport:
+    """Run the recursive backtest and aggregate RMSE, MAE, and CRPS per horizon."""
     values = spec.series.values
     T = values.size
     origins = list(range(spec.t0 - 1, T))
-    tasks = [(spec, t, diff_forecaster) for t in origins]
-    if diff_forecaster is not None:
-        results = [_forecast_origin(task) for task in tasks]
-    else:
-        results = _run_units(_forecast_origin, tasks, n_jobs)
+    results = _run_units(_forecast_origin, [(spec, t) for t in origins], n_jobs)
 
     H = spec.horizons
     names = tuple(m.name for m in spec.methods)

@@ -1,22 +1,22 @@
 """Random-walk Metropolis sampling of AR coefficients on their marginal posterior.
 
 The scale parameter is integrated out analytically, so the chain moves only in
-beta space: the Laplace family targets S(beta)^(-n) with
-S(beta) = sum |residual| / 2, and the Gaussian family targets RSS(beta)^(-n/2).
-Proposals add a * Uniform(-0.1, 0.1) noise to every coefficient including the
-intercept.  The step size a is adapted in multiplicative nudges during burn-in
-until the window acceptance rate sits inside the target band, then frozen so
-the retained draws come from a fixed kernel.
+beta space on the family's ``ErrorModel.log_marginal``: the Laplace family
+targets S(beta)^(-n) with S(beta) = sum |residual| / 2, and the Gaussian family
+targets RSS(beta)^(-n/2).  Proposals add a * Uniform(-0.1, 0.1) noise to every
+coefficient including the intercept.  The step size a is adapted in
+multiplicative nudges once per ``ADAPT_WINDOW`` burn-in iterations until the
+window acceptance rate sits inside the target band, then frozen so the
+retained draws come from a fixed kernel.
 
 For each retained beta the matching scale is reconstituted by an exact draw
-from its conditional posterior (inverse gamma), which makes the retained
-(beta, tau) pairs joint posterior samples.
+from its conditional posterior (``ErrorModel.draw_scale``, inverse gamma),
+which makes the retained (beta, tau) pairs joint posterior samples.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -36,6 +36,7 @@ from .core import (
 __all__ = ["McmcConfig", "run_mh", "tune_step", "posterior_mean"]
 
 PROPOSAL_HALF_WIDTH = 0.1
+ADAPT_WINDOW = 200
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class McmcConfig:
     initial_step: float = 1.0
     target_band: tuple[float, float] = (0.20, 0.50)
     seed: int | tuple[int, ...] = 0
-    adapt_window: int = 200
 
     def __post_init__(self) -> None:
         if self.n_total <= 0 or self.n_burn < 0:
@@ -59,8 +59,6 @@ class McmcConfig:
         lo, hi = self.target_band
         if not (0.0 <= lo < hi <= 1.0):
             raise ValueError(f"target_band must satisfy 0 <= lo < hi <= 1, got {self.target_band}")
-        if self.adapt_window <= 0:
-            raise ValueError("adapt_window must be positive")
 
 
 def tune_step(current_a: float, window_acceptance: float, band: tuple[float, float]) -> float:
@@ -84,14 +82,12 @@ def _mh_chain(
     beta0: np.ndarray,
     config: McmcConfig,
     rng: np.random.Generator,
-    ratio_sink: list[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Run the random-walk chain; returns (kept, kept_accept_flags, acc_rate, final_a).
 
-    Adaptation happens only during burn-in, once per ``adapt_window`` block.
+    Adaptation happens only during burn-in, once per ``ADAPT_WINDOW`` block.
     The acceptance decision compares the target log ratio against log-uniform
     noise; the symmetric proposal contributes nothing to the ratio.
-    ``ratio_sink``, when given, records the log ratio used at every iteration.
     """
     dim = beta0.size
     n_total, n_burn = config.n_total, config.n_burn
@@ -104,63 +100,27 @@ def _mh_chain(
     current_lp = log_target(current)
     kept = np.empty((n_kept, dim))
     kept_accepted = np.zeros(n_kept, dtype=bool)
-    accepted_post = 0
     window_accepts = 0
-    window_count = 0
 
     for i in range(n_total):
         proposal = current + a * steps[i]
         proposal_lp = log_target(proposal)
         log_ratio = proposal_lp - current_lp
-        if ratio_sink is not None:
-            ratio_sink.append(log_ratio)
         accept = log_ratio >= 0.0 or log_accept_noise[i] < log_ratio
         if accept:
             current = proposal
             current_lp = proposal_lp
         if i < n_burn:
             window_accepts += accept
-            window_count += 1
-            if window_count == config.adapt_window:
-                a = tune_step(a, window_accepts / window_count, config.target_band)
+            if (i + 1) % ADAPT_WINDOW == 0:
+                a = tune_step(a, window_accepts / ADAPT_WINDOW, config.target_band)
                 window_accepts = 0
-                window_count = 0
         else:
             k = i - n_burn
             kept[k] = current
             kept_accepted[k] = accept
-            accepted_post += accept
 
-    return kept, kept_accepted, accepted_post / n_kept, a
-
-
-def _laplace_log_marginal(X: np.ndarray, targets: np.ndarray) -> Callable[[np.ndarray], float]:
-    n = targets.size
-
-    def logpost(beta: np.ndarray) -> float:
-        s = 0.5 * float(np.abs(targets - X @ beta).sum())
-        if s <= 0.0:
-            raise DegenerateDataError(
-                "zero residual sum: data admit a perfect fit and the posterior is improper"
-            )
-        return -n * math.log(s)
-
-    return logpost
-
-
-def _gaussian_log_marginal(X: np.ndarray, targets: np.ndarray) -> Callable[[np.ndarray], float]:
-    n = targets.size
-
-    def logpost(beta: np.ndarray) -> float:
-        resid = targets - X @ beta
-        rss = float(resid @ resid)
-        if rss <= 0.0:
-            raise DegenerateDataError(
-                "zero residual sum of squares: data admit a perfect fit"
-            )
-        return -0.5 * n * math.log(rss)
-
-    return logpost
+    return kept, kept_accepted, float(kept_accepted.mean()), a
 
 
 def run_mh(
@@ -195,25 +155,18 @@ def run_mh(
             f"data admit an exact order-{order} fit; the scale posterior is improper"
         )
     rng = np.random.default_rng(as_seed_tuple(config.seed))
-    if family is ErrorFamily.LAPLACE:
-        log_target = _laplace_log_marginal(X, targets)
-    else:
-        log_target = _gaussian_log_marginal(X, targets)
+    model = family.model
+
+    def log_target(beta: np.ndarray) -> float:
+        return model.log_marginal(model.objective(targets - X @ beta), n)
 
     beta0 = rng.random(order + 1)
     kept, kept_accepted, acc_rate, final_a = _mh_chain(log_target, beta0, config, rng)
 
-    resid = targets[None, :] - kept @ X.T
-    if family is ErrorFamily.LAPLACE:
-        s = 0.5 * np.abs(resid).sum(axis=1)
-        if np.any(s <= 0.0):
-            raise DegenerateDataError("retained draw with zero residual sum")
-        tau = s / rng.gamma(shape=float(n), scale=1.0, size=s.size)
-    else:
-        rss = (resid * resid).sum(axis=1)
-        if np.any(rss <= 0.0):
-            raise DegenerateDataError("retained draw with zero residual sum of squares")
-        tau = np.sqrt(0.5 * rss / rng.gamma(shape=0.5 * n, scale=1.0, size=rss.size))
+    objectives = model.objective(targets[None, :] - kept @ X.T)
+    if np.any(objectives <= 0.0):
+        raise DegenerateDataError("retained draw with zero residual objective")
+    tau = model.draw_scale(rng, objectives, n)
 
     draws = PosteriorDraws(
         beta_draws=kept,
@@ -231,8 +184,6 @@ def run_mh(
 
 def posterior_mean(draws: PosteriorDraws) -> Coefficients:
     """Componentwise mean of the retained beta draws (the Bayes estimate)."""
-    if draws.n_kept < 1:
-        raise ValueError("no retained draws")
     return Coefficients(beta=draws.beta_draws.mean(axis=0), order=draws.order)
 
 

@@ -5,10 +5,10 @@ The L1 fit solves the median-regression problem
     min_beta  sum_t |y_t - (1, y_{t-1}, ..., y_{t-p}) beta| / 2
 
 exactly, as a linear program with split residual variables (u, v >= 0 and
-residual = u - v).  The closed-form scale estimate divides the optimal
-half-absolute residual sum by the number of residual terms plus one; the
-literal likelihood maximizer would divide by the term count instead, and both
-conventions are exposed through ``tau_denominator``.
+residual = u - v).  Both fits take their objective and closed-form scale from
+the family's ``ErrorModel``: the L1 scale divides the optimal half-absolute
+residual sum by the number of residual terms plus one, and the least-squares
+scale is sqrt(RSS / n).  ``point_fit`` picks the fit that matches a family.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .core import Coefficients, ErrorFamily, ScaleParam, TimeSeries, lag_design
+from .core import GAUSSIAN_MODEL, LAPLACE_MODEL, Coefficients, ErrorFamily, TimeSeries, lag_design
 
-__all__ = ["MleFit", "fit_l1", "fit_ols", "SCALE_FLOOR"]
+__all__ = ["MleFit", "fit_l1", "fit_ols", "point_fit", "SCALE_FLOOR"]
 
 # Noiseless inputs give a zero objective; the scale is floored before any log.
 SCALE_FLOOR = 1e-10
@@ -30,15 +30,19 @@ SCALE_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class MleFit:
-    """Point fit: coefficients, scale, attained objective, and window size."""
+    """Point fit: coefficients, scale, attained objective, and window size.
+
+    ``scale`` is tau for the Laplace family and sigma for the Gaussian one.
+    """
 
     coeff: Coefficients
-    scale: ScaleParam
+    scale: float
     objective: float
     n_used: int
-    family: ErrorFamily
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
         if self.objective < 0:
             raise ValueError("objective must be nonnegative")
         if self.n_used < 1:
@@ -53,26 +57,13 @@ def _check_window(n: int, order: int) -> None:
         )
 
 
-def fit_l1(
-    y: TimeSeries,
-    order: int,
-    start: int,
-    tau_denominator: str = "paper",
-) -> MleFit:
+def fit_l1(y: TimeSeries, order: int, start: int) -> MleFit:
     """Exact L1 (median regression) fit on rows t = start..T.
 
-    Parameters
-    ----------
-    y, order, start : series, AR order, and 1-based first scored index.
-    tau_denominator : "paper" divides the objective by n_used + 1,
-        "mle" by n_used (the literal likelihood maximizer).
-
-    The LP is solved to global optimality; with a rank-deficient design the
-    optimum is non-unique, a warning is emitted, and one optimal vertex is
-    returned.
+    The scale slot carries tau = S / (n_used + 1); the objective is S.  The LP
+    is solved to global optimality; with a rank-deficient design the optimum
+    is non-unique, a warning is emitted, and one optimal vertex is returned.
     """
-    if tau_denominator not in ("paper", "mle"):
-        raise ValueError(f"unknown tau_denominator {tau_denominator!r}")
     X, targets = lag_design(y.values, order, start)
     n, k = X.shape
     _check_window(n, order)
@@ -92,15 +83,12 @@ def fit_l1(
         raise RuntimeError(f"L1 linear program failed: {res.message}")
     beta = res.x[:k]
 
-    objective = 0.5 * float(np.abs(targets - X @ beta).sum())
-    denom = n + 1 if tau_denominator == "paper" else n
-    tau = max(objective / denom, SCALE_FLOOR)
+    objective = float(LAPLACE_MODEL.objective(targets - X @ beta))
     return MleFit(
         coeff=Coefficients(beta=beta, order=order),
-        scale=ScaleParam(tau=tau),
+        scale=max(LAPLACE_MODEL.point_scale(objective, n), SCALE_FLOOR),
         objective=objective,
         n_used=n,
-        family=ErrorFamily.LAPLACE,
     )
 
 
@@ -115,13 +103,17 @@ def fit_ols(y: TimeSeries, order: int, start: int) -> MleFit:
     if np.linalg.matrix_rank(X) < k:
         raise np.linalg.LinAlgError("singular normal equations: design not full column rank")
     beta = np.linalg.solve(X.T @ X, X.T @ targets)
-    resid = targets - X @ beta
-    rss = float(resid @ resid)
-    sigma = max(math.sqrt(rss / n), SCALE_FLOOR)
+    rss = float(GAUSSIAN_MODEL.objective(targets - X @ beta))
     return MleFit(
         coeff=Coefficients(beta=beta, order=order),
-        scale=ScaleParam(tau=sigma),
+        scale=max(GAUSSIAN_MODEL.point_scale(rss, n), SCALE_FLOOR),
         objective=rss,
         n_used=n,
-        family=ErrorFamily.GAUSSIAN,
     )
+
+
+def point_fit(y: TimeSeries, order: int, start: int, family: ErrorFamily) -> MleFit:
+    """The family's point fit on rows t = start..T: L1 for Laplace, least squares for Gaussian."""
+    if family is ErrorFamily.LAPLACE:
+        return fit_l1(y, order, start)
+    return fit_ols(y, order, start)

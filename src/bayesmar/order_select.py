@@ -6,7 +6,8 @@ size.  The per-order criterion is
 
     BIC_p = (p + 2) log(T - K) - 2 log L(beta_hat, scale_hat)
 
-with p + 2 counting the intercept, the p lag coefficients, and the scale.
+with p + 2 counting the intercept, the p lag coefficients, and the scale; the
+likelihood is the family's ``ErrorModel.bic`` at the point fit.
 Model weights are exp(-BIC/2) normalized across orders, computed after
 subtracting the minimum BIC so that realistic magnitudes cannot underflow.
 """
@@ -14,24 +15,15 @@ subtracting the minimum BIC so that realistic magnitudes cannot underflow.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import ErrorFamily, TimeSeries
-from .mle_fit import MleFit, fit_l1, fit_ols
+from .mle_fit import MleFit, point_fit
 
-__all__ = [
-    "OrderEnsemble",
-    "bic",
-    "bma_weights",
-    "build_ensemble",
-    "laplace_bic_value",
-    "gaussian_bic_value",
-    "ensemble_to_csv",
-]
+__all__ = ["OrderEnsemble", "bma_weights", "build_ensemble", "ensemble_to_csv"]
 
 
 @dataclass(frozen=True)
@@ -56,57 +48,6 @@ class OrderEnsemble:
             raise ValueError("map_order out of range")
 
 
-def laplace_bic_value(n: int, order: int, tau: float, s_aligned: float) -> float:
-    """BIC from an aligned Laplace fit: penalty minus twice the log likelihood.
-
-    The likelihood term is (4 tau)^(-n) exp(-s / tau) with s the aligned
-    half-absolute residual sum.
-    """
-    return (order + 2) * math.log(n) + 2.0 * n * math.log(4.0 * tau) + 2.0 * s_aligned / tau
-
-
-def gaussian_bic_value(n: int, order: int, sigma: float, rss_aligned: float) -> float:
-    """Gaussian analogue with the maximized N(0, sigma^2) likelihood."""
-    return (
-        (order + 2) * math.log(n)
-        + n * math.log(2.0 * math.pi * sigma * sigma)
-        + rss_aligned / (sigma * sigma)
-    )
-
-
-def _bic_from_fit(fit: MleFit, n: int) -> float:
-    if fit.family is ErrorFamily.LAPLACE:
-        return laplace_bic_value(n, fit.coeff.order, fit.scale.tau, fit.objective)
-    return gaussian_bic_value(n, fit.coeff.order, fit.scale.tau, fit.objective)
-
-
-def _check_alignment(T: int, order: int, max_order: int) -> None:
-    if not 1 <= order <= max_order:
-        raise ValueError(f"order {order} outside 1..{max_order}")
-    if max_order >= T:
-        raise ValueError(f"max_order {max_order} must be below series length {T}")
-    if T - max_order < order + 2:
-        raise ValueError(
-            f"aligned window of {T - max_order} rows too small for order {order}"
-        )
-
-
-def bic(
-    y: TimeSeries,
-    order: int,
-    max_order: int,
-    family: ErrorFamily,
-    tau_denominator: str = "paper",
-) -> float:
-    """BIC of the order-p fit evaluated on the last T - max_order observations."""
-    _check_alignment(len(y), order, max_order)
-    if family is ErrorFamily.LAPLACE:
-        fit = fit_l1(y, order, start=max_order + 1, tau_denominator=tau_denominator)
-    else:
-        fit = fit_ols(y, order, start=max_order + 1)
-    return _bic_from_fit(fit, len(y) - max_order)
-
-
 def bma_weights(bics: np.ndarray) -> np.ndarray:
     """Normalized exp(-BIC/2) weights, stabilized by subtracting the minimum BIC."""
     bics = np.asarray(bics, dtype=float)
@@ -117,28 +58,25 @@ def bma_weights(bics: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def build_ensemble(
-    y: TimeSeries,
-    max_order: int,
-    family: ErrorFamily,
-    tau_denominator: str = "paper",
-) -> OrderEnsemble:
+def build_ensemble(y: TimeSeries, max_order: int, family: ErrorFamily) -> OrderEnsemble:
     """Fit every order 1..max_order on the aligned window and weight by BIC.
 
     Ties in the BIC break toward the smaller order.
     """
     T = len(y)
-    _check_alignment(T, max_order, max_order)
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
     n = T - max_order
+    if n < max_order + 2:
+        raise ValueError(
+            f"aligned window of {n} rows too small for order {max_order} (series length {T})"
+        )
     fits: list[MleFit] = []
     bics = np.empty(max_order)
     for p in range(1, max_order + 1):
-        if family is ErrorFamily.LAPLACE:
-            fit = fit_l1(y, p, start=max_order + 1, tau_denominator=tau_denominator)
-        else:
-            fit = fit_ols(y, p, start=max_order + 1)
+        fit = point_fit(y, p, max_order + 1, family)
         fits.append(fit)
-        bics[p - 1] = _bic_from_fit(fit, n)
+        bics[p - 1] = family.model.bic(n, p, fit.scale, fit.objective)
     weights = bma_weights(bics)
     map_order = int(np.argmin(bics)) + 1
     return OrderEnsemble(
@@ -167,5 +105,5 @@ def ensemble_to_csv(ensemble: OrderEnsemble, path: str | Path, header_lines: tup
             writer.writerow(
                 [p, repr(float(ensemble.bics[p - 1])), repr(float(ensemble.weights[p - 1]))]
                 + betas
-                + [repr(float(fit.scale.tau))]
+                + [repr(float(fit.scale))]
             )

@@ -33,19 +33,23 @@ def write_series_csv(path, n=64, seed=3, labels=False):
 
 class TestReadSeriesCsv:
     def test_labeled_two_column(self, tmp_path):
-        p = tmp_path / "s.csv"
-        p.write_text("period,value\n1968Q3,100.0\n1968Q4,101.5\n")
-        ts = read_series_csv(p)
-        assert len(ts) == 2
-        assert ts.labels == ("1968Q3", "1968Q4")
-        np.testing.assert_array_equal(ts.values, [100.0, 101.5])
+        # a leading byte-order mark (Excel's "CSV UTF-8") is not part of the header
+        for bom in ("", "\ufeff"):
+            p = tmp_path / "s.csv"
+            p.write_text(bom + "period,value\n1968Q3,100.0\n1968Q4,101.5\n", encoding="utf-8")
+            ts = read_series_csv(p)
+            assert len(ts) == 2
+            assert ts.labels == ("1968Q3", "1968Q4")
+            np.testing.assert_array_equal(ts.values, [100.0, 101.5])
 
     def test_headerless_single_column(self, tmp_path):
-        p = tmp_path / "s.csv"
-        p.write_text("1\n2\n3\n4\n5\n")
-        ts = read_series_csv(p)
-        assert len(ts) == 5
-        assert ts.labels is None
+        for bom in ("", "\ufeff"):
+            p = tmp_path / "s.csv"
+            p.write_text(bom + "1.5\n2\n3\n4\n5\n", encoding="utf-8")
+            ts = read_series_csv(p)
+            assert len(ts) == 5
+            assert ts.values[0] == 1.5
+            assert ts.labels is None
 
     def test_value_header_single_column(self, tmp_path):
         p = tmp_path / "s.csv"

@@ -1,5 +1,4 @@
 import csv
-import warnings
 
 import numpy as np
 import pytest
@@ -13,13 +12,17 @@ from bayesmar import (
     MethodSpec,
     SimStudyConfig,
     TimeSeries,
+    diff1,
+    fit_and_forecast,
     fit_l1,
+    fit_ols,
+    forecast_levels,
     run_backtest,
     run_mse_study,
     run_order_study,
     simulate_series,
 )
-from bayesmar.forecast import SCALE_DIFFERENCED, result_from_paths
+from bayesmar.forecast import SCALE_DIFFERENCED
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
 
@@ -65,18 +68,16 @@ class TestSimulateSeries:
 
 
 class TestMseStudy:
-    def test_zero_noise_hook_exact_recovery(self):
-        config = SimStudyConfig(
-            noise_scale=0.0,
-            burn=0,
-            replications=3,
-            series_length=60,
-            max_order=5,
-            seed=1,
-        )
-        report = run_mse_study(config, methods=("QAR", "AR"))
-        for m in ("QAR", "AR"):
-            assert np.all(report.mse[m] < 1e-8)
+    def test_point_fit_rows_equal_fits_on_replication_series(self):
+        for error in ErrorFamily:
+            config = SimStudyConfig(
+                error=error, burn=0, replications=3, series_length=60, max_order=5, seed=1
+            )
+            report = run_mse_study(config, methods=("QAR", "AR"))
+            for i in range(3):
+                series = simulate_series(AR2, error, 60, burn=0, seed=(1, i))
+                np.testing.assert_array_equal(report.estimates["QAR"][i], fit_l1(series, 2, 3).coeff.beta)
+                np.testing.assert_array_equal(report.estimates["AR"][i], fit_ols(series, 2, 3).coeff.beta)
 
     def test_parallel_equals_serial(self):
         config = SimStudyConfig(
@@ -97,9 +98,7 @@ class TestMseStudy:
             run_mse_study(SimStudyConfig(replications=1, seed=0), methods=("GARCH",))
 
     def test_csv_scaling(self, tmp_path):
-        config = SimStudyConfig(
-            noise_scale=0.0, burn=0, replications=2, series_length=60, max_order=5, seed=3
-        )
+        config = SimStudyConfig(burn=0, replications=2, series_length=60, max_order=5, seed=3)
         report = run_mse_study(config, methods=("AR",))
         path = tmp_path / "table.csv"
         report.to_csv(path, header_lines=("config: {}",))
@@ -129,35 +128,32 @@ class TestOrderStudy:
         assert sum(int(r[1]) for r in rows[1:]) == 3
 
 
-def deterministic_diff_forecaster(work, method, horizon, level):
-    """Exact L1 fit on the changes plus a noise-free iterated recursion."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        fit = fit_l1(work, 1, start=2)
-    beta = fit.coeff.beta
-    lag = float(work.values[-1])
-    preds = []
-    for _ in range(horizon):
-        lag = beta[0] + beta[1] * lag
-        preds.append(lag)
-    return result_from_paths(np.tile(preds, (2, 1)), level, SCALE_DIFFERENCED)
-
-
 class TestBacktest:
-    def test_unit_increment_series_scores_zero(self):
-        series = TimeSeries(np.arange(1.0, 31.0))
-        spec = small_backtest_spec(
-            series,
-            (MethodSpec(ErrorFamily.LAPLACE, "fixed", fixed_order=1),),
-            t0=25,
-            horizons=3,
-            max_order=3,
+    def test_backtest_and_cli_share_one_planner(self):
+        # every origin's forecast is the single-method pipeline's forecast on the
+        # differenced window, seeded with (seed, origin, family code)
+        series = simulate_series(AR2, ErrorFamily.LAPLACE, 50, burn=200, seed=4)
+        methods = (
+            MethodSpec(ErrorFamily.LAPLACE, "fixed", fixed_order=1),
+            MethodSpec(ErrorFamily.GAUSSIAN, "bma"),
         )
-        report = run_backtest(spec, diff_forecaster=deterministic_diff_forecaster)
-        realized = ~np.isnan(report.errors[0])
-        assert np.all(np.abs(report.errors[0][realized]) < 1e-9)
-        assert np.all(report.metrics.values["rmse"] < 1e-9)
-        assert np.all(report.metrics.values["crps"] < 1e-9)
+        spec = small_backtest_spec(series, methods, t0=46, mcmc=McmcConfig(n_total=300, n_burn=100))
+        report = run_backtest(spec)
+        for i, t in enumerate(report.origins):
+            window = TimeSeries(series.values[:t])
+            for mi, m in enumerate(methods):
+                code = 0 if m.family is ErrorFamily.LAPLACE else 1
+                pipe = fit_and_forecast(
+                    diff1(window), m.family, spec.horizons, m.order_rule, spec.max_order, spec.mcmc,
+                    interval_level=spec.interval_level, fixed_order=m.fixed_order,
+                    scale_note=SCALE_DIFFERENCED, seed=(spec.seed, t, code),
+                )
+                want = forecast_levels(pipe.result, float(window.values[-1])).point
+                np.testing.assert_array_equal(report.forecasts[mi, i], want)
+        realized = ~np.isnan(report.truths)
+        np.testing.assert_array_equal(
+            report.errors[:, realized], (report.truths[None] - report.forecasts)[:, realized]
+        )
 
     def test_horizon_accounting(self):
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=6)

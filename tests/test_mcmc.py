@@ -13,14 +13,13 @@ from bayesmar import (
     PosteriorDraws,
     TimeSeries,
     diff1,
-    log_marginal_posterior_beta,
     posterior_mean,
     run_mh,
     simulate_series,
     tune_step,
 )
-from bayesmar.core import lag_design
-from bayesmar.mcmc import _laplace_log_marginal, _mh_chain
+from bayesmar.core import as_seed_tuple, lag_design
+from bayesmar.mcmc import _mh_chain
 from bayesmar.mle_fit import fit_l1
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
@@ -143,14 +142,26 @@ class TestRunMh:
             )
 
     def test_chain_target_matches_marginal_posterior_op(self):
+        # replaying run_mh's random stream through a chain on the ErrorModel
+        # log-marginal reproduces its draws bit for bit, scales included
         y = laplace_series(50, seed=12)
         X, targets = lag_design(y.values, 2, 3)
-        logpost = _laplace_log_marginal(X, targets)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            beta = rng.normal(size=3)
-            want = log_marginal_posterior_beta(y, Coefficients(beta, 2), 3)
-            assert logpost(beta) == pytest.approx(want, abs=1e-12)
+        n = targets.size
+        for code, family in enumerate(ErrorFamily):
+            model = family.model
+            cfg = McmcConfig(n_total=600, n_burn=300, seed=(12, code))
+            draws = run_mh(y, 2, family, cfg)
+
+            rng = np.random.default_rng(as_seed_tuple(cfg.seed))
+            beta0 = rng.random(3)
+            kept, _, acc_rate, step = _mh_chain(
+                lambda b: model.log_marginal(model.objective(targets - X @ b), n), beta0, cfg, rng
+            )
+            scales = model.draw_scale(rng, model.objective(targets[None, :] - kept @ X.T), n)
+            np.testing.assert_array_equal(draws.beta_draws, kept)
+            np.testing.assert_array_equal(draws.tau_draws, scales)
+            assert (draws.acceptance_rate, draws.step_size) == (acc_rate, step)
+            assert 0.0 < acc_rate < 1.0
 
     def test_trace_export(self, tmp_path):
         y = laplace_series(60, seed=13)
@@ -169,15 +180,14 @@ class TestRunMh:
 
 class TestProposalSymmetry:
     def test_acceptance_uses_target_ratios_only(self):
-        # rig a flat target: every log ratio must be exactly 0 (no proposal
-        # density terms sneak in) and every proposal must be accepted
+        # on a flat target every log ratio is 0, so with no proposal density
+        # terms in the ratio every proposal is accepted and the chain always moves
         cfg = McmcConfig(n_total=500, n_burn=100, seed=1)
         rng = np.random.default_rng(0)
-        sink = []
-        _, _, acc_rate, _ = _mh_chain(lambda b: 0.0, np.zeros(2), cfg, rng, ratio_sink=sink)
-        assert len(sink) == 500
-        assert all(r == 0.0 for r in sink)
+        kept, kept_accepted, acc_rate, _ = _mh_chain(lambda b: 0.0, np.zeros(2), cfg, rng)
         assert acc_rate == 1.0
+        assert kept_accepted.all()
+        assert np.all(np.any(kept[1:] != kept[:-1], axis=1))
 
 
 class TestStationaryDistribution:

@@ -26,7 +26,7 @@ class TestFitL1:
         fit = fit_l1(noiseless_series(), 2, start=3)
         np.testing.assert_allclose(fit.coeff.beta, AR2.beta, atol=1e-6)
         assert fit.objective <= 1e-8
-        assert fit.scale.tau == SCALE_FLOOR
+        assert fit.scale == SCALE_FLOOR
 
     def test_objective_matches_grid_oracle(self):
         rng = np.random.default_rng(17)
@@ -44,14 +44,10 @@ class TestFitL1:
             assert abs(fit.objective - best) <= 1e-8 * max(1.0, fit.objective)
 
     def test_tau_denominator_conventions(self):
+        # tau divides the optimal objective by n_used + 1, not by n_used
         y = TimeSeries(np.random.default_rng(3).normal(size=40))
-        paper = fit_l1(y, 2, start=3, tau_denominator="paper")
-        mle = fit_l1(y, 2, start=3, tau_denominator="mle")
-        n = paper.n_used
-        assert paper.scale.tau == pytest.approx(paper.objective / (n + 1), rel=1e-12)
-        assert mle.scale.tau == pytest.approx(mle.objective / n, rel=1e-12)
-        with pytest.raises(ValueError):
-            fit_l1(y, 2, start=3, tau_denominator="bogus")
+        fit = fit_l1(y, 2, start=3)
+        assert fit.scale == pytest.approx(fit.objective / (fit.n_used + 1), rel=1e-12)
 
     def test_first_order_optimality_certificate(self):
         rng = np.random.default_rng(23)
@@ -102,7 +98,7 @@ class TestFitOls:
         fit = fit_ols(noiseless_series(), 2, start=3)
         np.testing.assert_allclose(fit.coeff.beta, AR2.beta, atol=1e-5)
         assert fit.objective <= 1e-8
-        assert fit.scale.tau == SCALE_FLOOR
+        assert fit.scale == SCALE_FLOOR
 
     def test_hand_computed_two_by_two_solve(self):
         # rows: (1,1)->2, (1,2)->2, (1,2)->4; normal equations give beta=(1,1),
@@ -111,7 +107,7 @@ class TestFitOls:
         fit = fit_ols(y, 1, start=2)
         np.testing.assert_allclose(fit.coeff.beta, [1.0, 1.0], atol=1e-12)
         assert fit.objective == pytest.approx(2.0, abs=1e-12)
-        assert fit.scale.tau == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
+        assert fit.scale == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
         assert fit.n_used == 3
 
     def test_residuals_orthogonal_to_design(self):

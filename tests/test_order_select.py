@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from bayesmar import (
+    GAUSSIAN_MODEL,
+    LAPLACE_MODEL,
     Coefficients,
     ErrorFamily,
     TimeSeries,
-    bic,
     bma_weights,
     build_ensemble,
+    fit_l1,
     simulate_series,
 )
-from bayesmar.order_select import ensemble_to_csv, gaussian_bic_value, laplace_bic_value
+from bayesmar.order_select import ensemble_to_csv
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
 
@@ -25,17 +27,17 @@ def laplace_series(n=220, seed=0):
 class TestBicValue:
     def test_hand_arithmetic(self):
         # n=10, p=2, tau=0.5, s=4: penalty 4*log(10), likelihood part 20*log(2) + 16
-        got = laplace_bic_value(10, 2, 0.5, 4.0)
+        got = LAPLACE_MODEL.bic(10, 2, 0.5, 4.0)
         want = 4 * math.log(10.0) + 20 * math.log(2.0) + 16.0
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_gaussian_hand_arithmetic(self):
-        got = gaussian_bic_value(10, 2, 0.5, 4.0)
+        got = GAUSSIAN_MODEL.bic(10, 2, 0.5, 4.0)
         want = 4 * math.log(10.0) + 10 * math.log(2 * math.pi * 0.25) + 16.0
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_penalty_strictly_increasing_at_equal_fit(self):
-        vals = [laplace_bic_value(50, p, 0.7, 12.0) for p in range(1, 11)]
+        vals = [LAPLACE_MODEL.bic(50, p, 0.7, 12.0) for p in range(1, 11)]
         assert all(b < a for b, a in zip(vals, vals[1:]))
 
     def test_noiseless_data_penalty_dominates(self):
@@ -47,19 +49,21 @@ class TestBicValue:
         assert all(b < a for b, a in zip(ens.bics[1:], ens.bics[2:]))
 
     def test_bic_function_matches_ensemble(self):
+        # each ensemble BIC is the Laplace kernel's BIC at the aligned L1 fit
         series = laplace_series(seed=5)
         ens = build_ensemble(series, 6, ErrorFamily.LAPLACE)
         for p in range(1, 7):
-            assert bic(series, p, 6, ErrorFamily.LAPLACE) == ens.bics[p - 1]
+            fit = fit_l1(series, p, start=7)
+            assert LAPLACE_MODEL.bic(len(series) - 6, p, fit.scale, fit.objective) == ens.bics[p - 1]
 
     def test_window_validation(self):
         series = laplace_series()
         with pytest.raises(ValueError):
-            bic(series, 0, 6, ErrorFamily.LAPLACE)
+            build_ensemble(series, 0, ErrorFamily.LAPLACE)
         with pytest.raises(ValueError):
-            bic(series, 7, 6, ErrorFamily.LAPLACE)
+            build_ensemble(series, len(series), ErrorFamily.LAPLACE)
         with pytest.raises(ValueError):
-            bic(TimeSeries(np.arange(10.0) ** 0.5), 4, 8, ErrorFamily.LAPLACE)
+            build_ensemble(TimeSeries(np.arange(10.0) ** 0.5), 5, ErrorFamily.LAPLACE)
 
 
 class TestBmaWeights:
