@@ -276,7 +276,7 @@ class MethodSpec:
 
     ``order_rule`` is "bma" (mix all orders 1..max_order by BIC weight),
     "map" (forecast the minimum-BIC order only), or "fixed" (no selection,
-    use ``fixed_order``).
+    use ``fixed_order``).  ``fixed_order`` must be None for the other rules.
     """
 
     family: ErrorFamily
@@ -288,6 +288,11 @@ class MethodSpec:
             raise ValueError(f"unknown order_rule {self.order_rule!r}")
         if self.order_rule == "fixed" and (self.fixed_order is None or self.fixed_order < 1):
             raise ValueError("fixed order rule requires a positive fixed_order")
+        if self.order_rule != "fixed" and self.fixed_order is not None:
+            raise ValueError(
+                f"fixed_order={self.fixed_order} is only read by the fixed order rule, "
+                f"not {self.order_rule!r}"
+            )
 
     @property
     def name(self) -> str:

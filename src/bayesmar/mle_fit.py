@@ -4,9 +4,15 @@ The L1 fit solves the median-regression problem
 
     min_beta  sum_t |y_t - (1, y_{t-1}, ..., y_{t-p}) beta| / 2
 
-exactly, as a linear program with split residual variables (u, v >= 0 and
-residual = u - v).  Both fits take their objective and closed-form scale from
-the family's ``ErrorModel``: the L1 scale divides the optimal half-absolute
+exactly, through its linear-programming dual (Koenker & d'Orey 1987):
+
+    max_d  y' d   subject to  X' d = 0,  -1 <= d <= 1,
+
+where X is the lag design and y the targets: one box-bounded variable per
+residual and one equality row per coefficient.  By LP duality the optimal
+value equals sum_t |residual_t|, and beta is the multiplier vector of the
+equality rows.  Both fits take their objective and closed-form scale from the
+family's ``ErrorModel``: the L1 scale divides the optimal half-absolute
 residual sum by the number of residual terms plus one, and the least-squares
 scale is sqrt(RSS / n).  ``point_fit`` picks the fit that matches a family.
 """
@@ -60,9 +66,11 @@ def _check_window(n: int, order: int) -> None:
 def fit_l1(y: TimeSeries, order: int, start: int) -> MleFit:
     """Exact L1 (median regression) fit on rows t = start..T.
 
-    The scale slot carries tau = S / (n_used + 1); the objective is S.  The LP
-    is solved to global optimality; with a rank-deficient design the optimum
-    is non-unique, a warning is emitted, and one optimal vertex is returned.
+    The scale slot carries tau = S / (n_used + 1); the objective is S.  HiGHS
+    solves the dual LP (one variable in [-1, 1] per row, ``X' d = 0``) to
+    global optimality and beta is read off its equality multipliers.  With a
+    rank-deficient design the optimum is non-unique, a warning is emitted, and
+    one optimal beta is returned.
     """
     X, targets = lag_design(y.values, order, start)
     n, k = X.shape
@@ -74,14 +82,12 @@ def fit_l1(y: TimeSeries, order: int, start: int) -> MleFit:
             stacklevel=2,
         )
 
-    # minimize sum(u + v)  s.t.  X beta + u - v = y,  u, v >= 0, beta free
-    cost = np.concatenate([np.zeros(k), np.ones(2 * n)])
-    a_eq = np.hstack([X, np.eye(n), -np.eye(n)])
-    bounds = [(None, None)] * k + [(0.0, None)] * (2 * n)
-    res = linprog(cost, A_eq=a_eq, b_eq=targets, bounds=bounds, method="highs")
+    # maximize targets @ d  s.t.  X.T @ d = 0,  -1 <= d <= 1; beta is the
+    # multiplier vector of the k equality rows (sign flipped: linprog minimizes)
+    res = linprog(-targets, A_eq=X.T, b_eq=np.zeros(k), bounds=(-1.0, 1.0), method="highs")
     if not res.success:
         raise RuntimeError(f"L1 linear program failed: {res.message}")
-    beta = res.x[:k]
+    beta = -res.eqlin.marginals
 
     objective = float(LAPLACE_MODEL.objective(targets - X @ beta))
     return MleFit(

@@ -254,6 +254,17 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_order_with_selection_rule_is_config_error(self, tmp_path):
+        p = tmp_path / "s.csv"
+        write_series_csv(p)
+        out = tmp_path / "o"
+        code = main(
+            ["forecast", "--input", str(p), "--order-rule", "map", "--order", "7", "--k", "3",
+             "--n-total", "300", "--n-burn", "100", "--out", str(out)]
+        )
+        assert code == 2
+        assert not (out / "forecast.json").exists()
+
     def test_argparse_rejects_unknown_flags(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["forecast", "--nonsense"])

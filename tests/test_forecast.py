@@ -5,6 +5,7 @@ from bayesmar import (
     Coefficients,
     ErrorFamily,
     McmcConfig,
+    MethodSpec,
     PosteriorDraws,
     TimeSeries,
     bma_forecast,
@@ -269,6 +270,15 @@ class TestPipeline:
             fit_and_forecast(series, ErrorFamily.LAPLACE, 2, "fixed", 3, config)
         with pytest.raises(ValueError):
             fit_and_forecast(series, ErrorFamily.LAPLACE, 2, "best", 3, config)
+
+    def test_fixed_order_rejected_with_other_rules(self):
+        for rule in ("bma", "map"):
+            with pytest.raises(ValueError, match="fixed_order"):
+                MethodSpec(ErrorFamily.LAPLACE, rule, fixed_order=7)
+        series = simulate_series(AR2, ErrorFamily.LAPLACE, 90, burn=200, seed=51)
+        config = McmcConfig(n_total=400, n_burn=200, seed=52)
+        with pytest.raises(ValueError, match="fixed_order"):
+            fit_and_forecast(series, ErrorFamily.LAPLACE, 2, "map", 3, config, fixed_order=2)
 
     def test_paths_csv_round_trip(self, tmp_path):
         res = result_with_paths(np.arange(12.0).reshape(4, 3))

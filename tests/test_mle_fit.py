@@ -3,9 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from bayesmar import Coefficients, ErrorFamily, TimeSeries, fit_l1, fit_ols, simulate_series
-from bayesmar.core import lag_design
+from bayesmar import (
+    Coefficients,
+    ErrorFamily,
+    SimStudyConfig,
+    TimeSeries,
+    build_ensemble,
+    fit_l1,
+    fit_ols,
+    simulate_series,
+)
+from bayesmar.core import LAPLACE_MODEL, lag_design
 from bayesmar.mle_fit import SCALE_FLOOR
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
@@ -14,6 +24,17 @@ AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
 def half_abs_objective(values, beta, order, start):
     X, targets = lag_design(values, order, start)
     return 0.5 * float(np.abs(targets - X @ beta).sum())
+
+
+def primal_l1_oracle(X, targets):
+    """Optimal beta of the primal L1 LP with split residuals (u, v >= 0, r = u - v)."""
+    n, k = X.shape
+    cost = np.concatenate([np.zeros(k), np.ones(2 * n)])
+    a_eq = np.hstack([X, np.eye(n), -np.eye(n)])
+    bounds = [(None, None)] * k + [(0.0, None)] * (2 * n)
+    res = linprog(cost, A_eq=a_eq, b_eq=targets, bounds=bounds, method="highs")
+    assert res.success, res.message
+    return res.x[:k]
 
 
 def noiseless_series(n=60):
@@ -91,6 +112,43 @@ class TestFitL1:
     def test_window_too_small(self):
         with pytest.raises(ValueError):
             fit_l1(TimeSeries(np.array([1.0, 2.0, 0.5])), 1, start=3)
+
+
+class TestPrimalOracle:
+    def test_study_windows_match_primal(self):
+        # the order study's aligned window: orders 1..20 all fit rows 21..200
+        config = SimStudyConfig()
+        max_order = config.max_order
+        for i in range(3):
+            series = simulate_series(
+                config.true_beta, config.error, config.series_length,
+                burn=config.burn, seed=(config.seed, i),
+            )
+            oracle_bics = []
+            for p in range(1, max_order + 1):
+                X, targets = lag_design(series.values, p, max_order + 1)
+                beta = primal_l1_oracle(X, targets)
+                oracle_obj = float(LAPLACE_MODEL.objective(targets - X @ beta))
+                fit = fit_l1(series, p, start=max_order + 1)
+                assert fit.objective == pytest.approx(oracle_obj, rel=1e-12)
+                np.testing.assert_allclose(fit.coeff.beta, beta, rtol=0, atol=1e-9)
+                n = targets.size
+                scale = max(LAPLACE_MODEL.point_scale(oracle_obj, n), SCALE_FLOOR)
+                oracle_bics.append(LAPLACE_MODEL.bic(n, p, scale, oracle_obj))
+            ensemble = build_ensemble(series, max_order, ErrorFamily.LAPLACE)
+            assert ensemble.map_order == int(np.argmin(oracle_bics)) + 1
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_rank_deficient_objective_matches_primal(self, order):
+        # alternating series: every lag column is +-the lag-1 column, so the
+        # optimum (0.25) is attained on a set of betas; only S is compared
+        y = np.r_[np.tile([1.0, -1.0], 15), 0.5]
+        with pytest.warns(RuntimeWarning, match="rank-deficient"):
+            fit = fit_l1(TimeSeries(y), order, start=order + 1)
+        X, targets = lag_design(y, order, order + 1)
+        oracle_obj = float(LAPLACE_MODEL.objective(targets - X @ primal_l1_oracle(X, targets)))
+        assert oracle_obj == pytest.approx(0.25, rel=1e-12)
+        assert fit.objective == pytest.approx(oracle_obj, rel=1e-12)
 
 
 class TestFitOls:
