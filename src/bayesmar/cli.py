@@ -19,15 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DegenerateDataError, ErrorFamily, TimeSeries, diff1
-from .forecast import (
-    SCALE_DIFFERENCED,
-    SCALE_LEVEL,
-    MethodSpec,
-    fit_and_forecast,
-    forecast_levels,
-    forecast_to_json,
-    paths_to_csv,
-)
+from .forecast import MethodSpec, fit_and_forecast, forecast_to_json, paths_to_csv
 from .harness import (
     BacktestSpec,
     SimStudyConfig,
@@ -161,9 +153,8 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
     series = read_series_csv(ns.input)
     if ns.diff:
         series = diff1(series)
-    out = _out_dir(ns)
     config = McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn, initial_step=ns.step, seed=ns.seed)
-    trace = out / "trace.csv" if ns.trace else None
+    trace = _out_dir(ns) / "trace.csv" if ns.trace else None
     draws = run_mh(series, ns.order, ErrorFamily(ns.family), config, trace_path=trace)
     mean = posterior_mean(draws)
     payload = {
@@ -176,7 +167,7 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
         "step_size": draws.step_size,
         "n_kept": draws.n_kept,
     }
-    path = out / "fit.json"
+    path = _out_dir(ns) / "fit.json"
     _write_json(path, payload)
     print(path)
     if trace is not None:
@@ -186,12 +177,9 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
 
 def _cmd_forecast(ns: argparse.Namespace) -> int:
     series = read_series_csv(ns.input)
-    apply_diff = not ns.no_diff
-    work = diff1(series) if apply_diff else series
-    out = _out_dir(ns)
     config = McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn, seed=ns.seed)
-    pipe = fit_and_forecast(
-        work,
+    result = fit_and_forecast(
+        series,
         ErrorFamily(ns.family),
         ns.horizon,
         ns.order_rule,
@@ -199,11 +187,11 @@ def _cmd_forecast(ns: argparse.Namespace) -> int:
         config,
         interval_level=ns.level,
         fixed_order=ns.order,
-        scale_note=SCALE_DIFFERENCED if apply_diff else SCALE_LEVEL,
+        apply_diff=not ns.no_diff,
         statistic=ns.point_statistic,
         thin=ns.thin,
     )
-    result = forecast_levels(pipe.result, float(series.values[-1]), ns.point_statistic) if apply_diff else pipe.result
+    out = _out_dir(ns)
     payload = {
         "config": _echo(
             ns,
@@ -227,13 +215,12 @@ def _cmd_select_order(ns: argparse.Namespace) -> int:
     series = read_series_csv(ns.input)
     if ns.diff:
         series = diff1(series)
-    out = _out_dir(ns)
     ensemble = build_ensemble(series, ns.max_order, ErrorFamily(ns.family))
     header = (
         f"config: {json.dumps(_echo(ns, ('input', 'family', 'max_order', 'diff')), sort_keys=True)}",
         f"map_order: {ensemble.map_order}",
     )
-    path = out / "ensemble.csv"
+    path = _out_dir(ns) / "ensemble.csv"
     ensemble_to_csv(ensemble, path, header_lines=header)
     print(path)
     return EXIT_OK
@@ -243,16 +230,12 @@ def _cmd_backtest(ns: argparse.Namespace) -> int:
     series = read_series_csv(ns.input)
     t0 = _resolve_t0(ns.t0, series)
     methods = _parse_methods(ns.methods)
-    if ns.paper_fidelity:
-        mcmc = McmcConfig(n_total=40_000, n_burn=25_000, seed=ns.seed)
-    else:
-        mcmc = McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn, seed=ns.seed)
     spec = BacktestSpec(
         series=series,
         t0=t0,
         horizons=ns.horizon,
         methods=methods,
-        mcmc=mcmc,
+        mcmc=McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn, seed=ns.seed),
         max_order=ns.max_order,
         interval_level=ns.level,
         seed=ns.seed,
@@ -277,7 +260,6 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         if ns.error == "both"
         else [ErrorFamily(ns.error)]
     )
-    out = _out_dir(ns)
     echo = json.dumps(
         _echo(ns, ("preset", "error", "replications", "length", "max_order",
                    "n_total", "n_burn", "seed")),
@@ -294,11 +276,11 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         )
         if ns.preset == "table1":
             report = run_mse_study(config, n_jobs=ns.threads)
-            path = out / f"table1_{family.value}.csv"
+            path = _out_dir(ns) / f"table1_{family.value}.csv"
             report.to_csv(path, header_lines=(f"config: {echo}", f"noise: {family.value}"))
         else:
             report = run_order_study(config, n_jobs=ns.threads)
-            path = out / f"orders_{family.value}.csv"
+            path = _out_dir(ns) / f"orders_{family.value}.csv"
             report.to_csv(
                 path,
                 header_lines=(
@@ -374,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bt.add_argument("--level", type=float, default=0.95)
     p_bt.add_argument("--n-total", dest="n_total", type=int, default=8000)
     p_bt.add_argument("--n-burn", dest="n_burn", type=int, default=4000)
-    p_bt.add_argument("--paper-fidelity", dest="paper_fidelity", action="store_true",
-                      help="use the full 40000/25000 sampling budget per fit")
     p_bt.add_argument("--no-diff", dest="no_diff", action="store_true")
     p_bt.add_argument("--baseline", default=None, help="method name for relative changes")
     p_bt.add_argument("--thin", type=int, default=1)
@@ -422,3 +402,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -7,10 +7,12 @@ requested horizon.  Point forecasts and equal-tailed intervals are read off
 the per-horizon sample columns; mixing across orders keeps the path-matrix
 representation by resampling pooled paths with the model weights.
 
-``forecast_family`` is the one order planner: for the methods of one error
-family it builds the order ensemble once, samples the union of the orders the
-methods need, and assembles the BMA, MAP and fixed-order forecasts.  Both
-``fit_and_forecast`` (one method) and the backtest call it.
+``forecast_family`` is the one planner from a series to its level-scale
+forecasts: for the methods of one error family it differences the series when
+asked, builds the order ensemble once, samples the union of the orders the
+methods need, assembles the BMA, MAP and fixed-order forecasts, and rebuilds
+levels.  ``fit_and_forecast`` (one method, used by the CLI) and the backtest
+call it.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import ErrorFamily, PosteriorDraws, TimeSeries, as_seed_tuple
+from .core import ErrorFamily, PosteriorDraws, TimeSeries, as_seed_tuple, diff1
 from .mcmc import McmcConfig, run_mh
-from .order_select import OrderEnsemble, build_ensemble
+from .order_select import build_ensemble
 
 __all__ = [
     "ForecastResult",
@@ -38,7 +40,6 @@ __all__ = [
     "MethodSpec",
     "forecast_family",
     "fit_and_forecast",
-    "PipelineForecast",
     "forecast_to_json",
     "paths_to_csv",
 ]
@@ -302,15 +303,6 @@ class MethodSpec:
         return f"{base}-{self.order_rule.upper()}"
 
 
-@dataclass(frozen=True)
-class PipelineForecast:
-    """Forecast produced by the order-selection pipeline, with its ensemble."""
-
-    result: ForecastResult
-    ensemble: OrderEnsemble | None
-    per_order: Mapping[int, ForecastResult]
-
-
 def forecast_family(
     y: TimeSeries,
     methods: Sequence[MethodSpec],
@@ -319,35 +311,38 @@ def forecast_family(
     config: McmcConfig,
     seed_base: tuple[int, ...],
     interval_level: float = 0.95,
-    scale_note: str = SCALE_LEVEL,
+    apply_diff: bool = False,
     statistic: str = "mean",
     thin: int = 1,
-) -> dict[MethodSpec, PipelineForecast]:
-    """Forecast ``y`` with methods that share one error family.
+) -> dict[MethodSpec, ForecastResult]:
+    """Forecast the series ``y`` with methods that share one error family.
 
-    The order ensemble is built once if any method selects orders, and
+    With ``apply_diff`` the methods model the lag-1 changes of ``y`` and each
+    forecast is rebuilt on the level scale from the last observed value.  The
+    order ensemble is built once if any method selects orders, and
     ``per_order_forecasts`` runs once over the union of the orders the methods
     need, seeded from ``seed_base``.  BMA mixes orders 1..max_order by their
     weights with seed (seed_base..., 0, 2), MAP takes the minimum-BIC order,
-    and a fixed rule its own order.  All entries share the ensemble and the
-    per-order forecasts.
+    and a fixed rule its own order.
     """
     family = methods[0].family
     if any(m.family is not family for m in methods):
         raise ValueError("forecast_family needs methods of one error family")
+    work = diff1(y) if apply_diff else y
+    scale_note = SCALE_DIFFERENCED if apply_diff else SCALE_LEVEL
     ensemble = None
     orders = {m.fixed_order for m in methods if m.order_rule == "fixed"}
     if any(m.order_rule != "fixed" for m in methods):
-        ensemble = build_ensemble(y, max_order, family)
+        ensemble = build_ensemble(work, max_order, family)
         if any(m.order_rule == "bma" for m in methods):
             orders.update(range(1, max_order + 1))
         else:
             orders.add(ensemble.map_order)
     by_order = per_order_forecasts(
-        y, family, orders, horizon, config, interval_level, scale_note, seed_base,
+        work, family, orders, horizon, config, interval_level, scale_note, seed_base,
         statistic=statistic, thin=thin,
     )
-    planned: dict[MethodSpec, PipelineForecast] = {}
+    planned: dict[MethodSpec, ForecastResult] = {}
     for m in methods:
         if m.order_rule == "bma":
             result = bma_forecast(
@@ -359,7 +354,13 @@ def forecast_family(
             result = by_order[ensemble.map_order]
         else:
             result = by_order[m.fixed_order]
-        planned[m] = PipelineForecast(result=result, ensemble=ensemble, per_order=by_order)
+        if apply_diff:
+            result = forecast_levels(result, float(y.values[-1]), statistic)
+        elif m.order_rule == "bma":
+            # bma_forecast's point is the weighted sum of per-order points,
+            # not the statistic of the mixed paths
+            result = result_from_paths(result.paths, interval_level, scale_note, statistic)
+        planned[m] = result
     return planned
 
 
@@ -372,20 +373,19 @@ def fit_and_forecast(
     config: McmcConfig,
     interval_level: float = 0.95,
     fixed_order: int | None = None,
-    scale_note: str = SCALE_LEVEL,
+    apply_diff: bool = False,
     statistic: str = "mean",
     thin: int = 1,
-    seed: int | Sequence[int] | None = None,
-) -> PipelineForecast:
+) -> ForecastResult:
     """Order selection plus forecasting for a single series and one method.
 
     ``order_rule`` and ``fixed_order`` are those of ``MethodSpec``; seeds
-    derive from ``seed``, or from ``config.seed`` when it is None.
+    derive from ``config.seed``.
     """
     method = MethodSpec(family, order_rule, fixed_order)
-    base = as_seed_tuple(config.seed if seed is None else seed)
     return forecast_family(
-        y, [method], horizon, max_order, config, base, interval_level, scale_note, statistic, thin
+        y, [method], horizon, max_order, config, as_seed_tuple(config.seed),
+        interval_level, apply_diff, statistic, thin,
     )[method]
 
 

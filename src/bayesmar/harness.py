@@ -6,12 +6,12 @@ reports per-coefficient mean squared errors with their standard errors.  The
 order study repeats the generation and records the BIC-selected order.
 
 The backtest walks a series of levels forward one period at a time: at each
-origin t it differences the history up to t, forecasts every configured
-method on the changes through ``forecast_family`` (one call per error family,
-seeded with (seed, t, family code)), rebuilds levels, and scores the point and
-density forecasts against the realized values.  All randomness derives from
-one master seed via per-unit seed tuples, so runs are reproducible and
-independent of evaluation order.
+origin t it hands the history up to t to ``forecast_family`` (one call per
+error family, seeded with (seed, t, family code)), which models the lag-1
+changes unless differencing is off and returns level forecasts, and scores
+the point and density forecasts against the realized values.  All randomness
+derives from one master seed via per-unit seed tuples, so runs are
+reproducible and independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .core import (
     TimeSeries,
     as_seed_tuple,
 )
-from .forecast import SCALE_DIFFERENCED, SCALE_LEVEL, MethodSpec, forecast_family, forecast_levels
+from .forecast import MethodSpec, forecast_family
 from .mcmc import McmcConfig, posterior_mean, run_mh
 from .mle_fit import fit_l1, fit_ols
 from .order_select import build_ensemble
@@ -65,9 +65,6 @@ class SimStudyConfig:
     replications: int = 100
     max_order: int = 20
     seed: int = 0
-    # The replicated studies generate from zero initial lags (burn = 0); the
-    # transient is part of the protocol being reproduced.
-    burn: int = 0
     mcmc: McmcConfig = field(default_factory=McmcConfig)
 
     def __post_init__(self) -> None:
@@ -102,8 +99,10 @@ def simulate_series(
 
 def _replication_series(config: SimStudyConfig, i: int) -> TimeSeries:
     """The series of replication ``i`` of a study, seeded with (seed, i)."""
+    # The replicated studies generate from zero initial lags (burn = 0); the
+    # transient is part of the protocol being reproduced.
     return simulate_series(
-        config.true_beta, config.error, config.series_length, burn=config.burn, seed=(config.seed, i)
+        config.true_beta, config.error, config.series_length, burn=0, seed=(config.seed, i)
     )
 
 
@@ -138,45 +137,35 @@ class MseStudyReport:
                 writer.writerow(row)
 
 
-def _mse_replication(args: tuple[SimStudyConfig, int, tuple[str, ...]]):
-    config, i, methods = args
+def _mse_replication(args: tuple[SimStudyConfig, int]):
+    config, i = args
     series = _replication_series(config, i)
     p = config.true_beta.order
-    estimates: dict[str, np.ndarray] = {}
-    acc = np.nan
-    if "BayesMAR" in methods:
-        cfg = replace(config.mcmc, seed=(config.seed, i, 1))
-        draws = run_mh(series, p, ErrorFamily.LAPLACE, cfg)
-        estimates["BayesMAR"] = posterior_mean(draws).beta
-        acc = draws.acceptance_rate
-    if "QAR" in methods:
-        estimates["QAR"] = fit_l1(series, p, start=p + 1).coeff.beta
-    if "AR" in methods:
-        estimates["AR"] = fit_ols(series, p, start=p + 1).coeff.beta
-    return i, estimates, acc
+    cfg = replace(config.mcmc, seed=(config.seed, i, 1))
+    draws = run_mh(series, p, ErrorFamily.LAPLACE, cfg)
+    estimates = {
+        "BayesMAR": posterior_mean(draws).beta,
+        "QAR": fit_l1(series, p, start=p + 1).coeff.beta,
+        "AR": fit_ols(series, p, start=p + 1).coeff.beta,
+    }
+    return i, estimates, draws.acceptance_rate
 
 
-def run_mse_study(
-    config: SimStudyConfig,
-    methods: tuple[str, ...] = ("BayesMAR", "QAR", "AR"),
-    n_jobs: int = 1,
-) -> MseStudyReport:
+def run_mse_study(config: SimStudyConfig, n_jobs: int = 1) -> MseStudyReport:
     """Replicate simulation + estimation and summarize squared-error losses.
 
     Methods: "BayesMAR" (posterior mean at the true order), "QAR" (the L1
     point fit, which at the median is the same estimator quantile regression
     uses), "AR" (Gaussian least squares).
     """
-    known = {"BayesMAR", "QAR", "AR"}
-    if not methods or not set(methods) <= known:
-        raise ValueError(f"methods must be a non-empty subset of {sorted(known)}")
-    tasks = [(config, i, methods) for i in range(config.replications)]
+    methods = ("BayesMAR", "QAR", "AR")
+    tasks = [(config, i) for i in range(config.replications)]
     results = _run_units(_mse_replication, tasks, n_jobs)
 
     reps = config.replications
     n_coef = config.true_beta.order + 1
     estimates = {m: np.empty((reps, n_coef)) for m in methods}
-    acceptance = np.full(reps, np.nan)
+    acceptance = np.empty(reps)
     for i, est, acc in results:
         for m in methods:
             estimates[m][i] = est[m]
@@ -190,7 +179,7 @@ def run_mse_study(
         mse[m] = sq.mean(axis=0)
         se[m] = sq.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros(n_coef)
     return MseStudyReport(
-        methods=tuple(methods),
+        methods=methods,
         true_beta=true.copy(),
         estimates=estimates,
         mse=mse,
@@ -380,29 +369,23 @@ def _forecast_origin(
     """Forecast every method at one origin; returns level points and CRPS per method."""
     spec, t = args
     values = spec.series.values
-    window = values[:t]
-    if spec.apply_diff:
-        work, scale_note = TimeSeries(np.diff(window)), SCALE_DIFFERENCED
-    else:
-        work, scale_note = TimeSeries(window), SCALE_LEVEL
     H = spec.horizons
     T = values.size
 
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for family in dict.fromkeys(m.family for m in spec.methods):
         planned = forecast_family(
-            work,
+            TimeSeries(values[:t]),
             [m for m in spec.methods if m.family is family],
             H,
             spec.max_order,
             spec.mcmc,
             (spec.seed, t, _FAMILY_CODE[family]),
             spec.interval_level,
-            scale_note,
+            spec.apply_diff,
             thin=spec.thin,
         )
-        for m, pipe in planned.items():
-            fc = forecast_levels(pipe.result, float(window[-1])) if spec.apply_diff else pipe.result
+        for m, fc in planned.items():
             crps_row = np.full(H, np.nan)
             for h in range(1, H + 1):
                 if t + h <= T:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +12,7 @@ from bayesmar import (
     Coefficients,
     ErrorFamily,
     McmcConfig,
-    diff1,
     fit_and_forecast,
-    forecast_levels,
     simulate_series,
 )
 from bayesmar.cli import CsvParseError, main, read_series_csv
@@ -117,17 +119,30 @@ class TestForecastCommand:
         )
         payload = json.loads((out / "forecast.json").read_text())
 
-        work = diff1(series)
-        pipe = fit_and_forecast(
-            work, ErrorFamily.LAPLACE, 3, "bma", 3,
+        result = fit_and_forecast(
+            series, ErrorFamily.LAPLACE, 3, "bma", 3,
             McmcConfig(n_total=400, n_burn=200, seed=11),
-            interval_level=0.95, scale_note="differenced",
+            interval_level=0.95, apply_diff=True,
         )
-        result = forecast_levels(pipe.result, float(series.values[-1]))
         for i, row in enumerate(payload["horizons"]):
             assert row["point"] == result.point[i]
             assert row["lower"] == result.intervals[i, 0]
             assert row["upper"] == result.intervals[i, 1]
+
+    @pytest.mark.parametrize("statistic", ["mean", "median"])
+    def test_no_diff_bma_point_is_statistic_of_paths(self, tmp_path, statistic):
+        data = tmp_path / "in.csv"
+        write_series_csv(data)
+        out = tmp_path / "out"
+        code = main(
+            ["forecast", "--input", str(data), "--no-diff", "--order-rule", "bma", "--k", "3",
+             "--h", "2", "--point-statistic", statistic, "--n-total", "400", "--n-burn", "200",
+             "--paths-csv", "--out", str(out)]
+        )
+        assert code == 0
+        points = [r["point"] for r in json.loads((out / "forecast.json").read_text())["horizons"]]
+        paths = np.loadtxt(out / "forecast_paths.csv", delimiter=",", skiprows=1)[:, 1:]
+        np.testing.assert_array_equal(points, getattr(np, statistic)(paths, axis=0))
 
     def test_rerun_is_byte_identical(self, tmp_path):
         data = tmp_path / "in.csv"
@@ -228,6 +243,21 @@ class TestSimulateCommand:
         assert "accuracy_at_true_order" in text
 
 
+def test_module_invocation_runs_the_cli(tmp_path):
+    data = tmp_path / "in.csv"
+    write_series_csv(data, n=80)
+    out = tmp_path / "out"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bayesmar.cli", "select-order", "--input", str(data), "--k", "3",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "ensemble.csv").exists()
+
+
 class TestExitCodes:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["fit", "--input", str(tmp_path / "nope.csv"), "--order", "1"]) == 3
@@ -264,6 +294,24 @@ class TestExitCodes:
         )
         assert code == 2
         assert not (out / "forecast.json").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["forecast", "--order-rule", "map", "--order", "7"],
+            ["fit", "--order", "2", "--n-total", "100", "--n-burn", "200"],
+            ["simulate", "--preset", "orders", "--length", "30", "--k", "20"],
+        ],
+        ids=["forecast", "fit", "simulate"],
+    )
+    def test_config_error_leaves_no_out_dir(self, tmp_path, args):
+        p = tmp_path / "s.csv"
+        write_series_csv(p)
+        out = tmp_path / "o"
+        if args[0] != "simulate":
+            args = args + ["--input", str(p)]
+        assert main(args + ["--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_argparse_rejects_unknown_flags(self):
         with pytest.raises(SystemExit) as excinfo:

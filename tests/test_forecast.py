@@ -9,6 +9,7 @@ from bayesmar import (
     PosteriorDraws,
     TimeSeries,
     bma_forecast,
+    build_ensemble,
     credible_interval,
     fit_and_forecast,
     forecast_levels,
@@ -22,6 +23,7 @@ from bayesmar.forecast import (
     SCALE_LEVEL,
     ForecastResult,
     paths_to_csv,
+    per_order_forecasts,
     result_from_paths,
 )
 
@@ -245,23 +247,30 @@ class TestForecastLevels:
 
 class TestPipeline:
     def test_bma_map_and_fixed_rules(self):
+        # each rule's forecast is the layer composition: per-order forecasts
+        # seeded from config.seed, mixed with the ensemble's BIC weights
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 90, burn=200, seed=47)
         config = McmcConfig(n_total=600, n_burn=300, seed=48)
+        ens = build_ensemble(series, 3, ErrorFamily.LAPLACE)
+        by_order = per_order_forecasts(
+            series, ErrorFamily.LAPLACE, (1, 2, 3), 3, config, 0.95, SCALE_LEVEL, (48,)
+        )
+
         bma = fit_and_forecast(series, ErrorFamily.LAPLACE, 3, "bma", 3, config)
-        assert bma.ensemble is not None
-        assert bma.result.horizons == 3
-        assert set(bma.per_order) == {1, 2, 3}
+        want = bma_forecast([by_order[p] for p in (1, 2, 3)], ens.weights, seed=(48, 0, 2))
+        np.testing.assert_array_equal(bma.paths, want.paths)
+        np.testing.assert_array_equal(bma.intervals, want.intervals)
+        np.testing.assert_array_equal(bma.point, want.paths.mean(axis=0))
 
         mapped = fit_and_forecast(series, ErrorFamily.LAPLACE, 3, "map", 3, config)
-        np.testing.assert_array_equal(
-            mapped.result.point, mapped.per_order[mapped.ensemble.map_order].point
-        )
+        np.testing.assert_array_equal(mapped.paths, by_order[ens.map_order].paths)
+        np.testing.assert_array_equal(mapped.point, by_order[ens.map_order].point)
 
         fixed = fit_and_forecast(
             series, ErrorFamily.LAPLACE, 3, "fixed", 3, config, fixed_order=2
         )
-        assert fixed.ensemble is None
-        assert set(fixed.per_order) == {2}
+        np.testing.assert_array_equal(fixed.paths, by_order[2].paths)
+        np.testing.assert_array_equal(fixed.point, by_order[2].point)
 
     def test_fixed_rule_requires_order(self):
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 90, burn=200, seed=49)

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,17 +13,14 @@ from bayesmar import (
     MethodSpec,
     SimStudyConfig,
     TimeSeries,
-    diff1,
     fit_and_forecast,
     fit_l1,
     fit_ols,
-    forecast_levels,
     run_backtest,
     run_mse_study,
     run_order_study,
     simulate_series,
 )
-from bayesmar.forecast import SCALE_DIFFERENCED
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
 
@@ -71,9 +69,10 @@ class TestMseStudy:
     def test_point_fit_rows_equal_fits_on_replication_series(self):
         for error in ErrorFamily:
             config = SimStudyConfig(
-                error=error, burn=0, replications=3, series_length=60, max_order=5, seed=1
+                error=error, replications=3, series_length=60, max_order=5, seed=1,
+                mcmc=McmcConfig(n_total=300, n_burn=100),
             )
-            report = run_mse_study(config, methods=("QAR", "AR"))
+            report = run_mse_study(config)
             for i in range(3):
                 series = simulate_series(AR2, error, 60, burn=0, seed=(1, i))
                 np.testing.assert_array_equal(report.estimates["QAR"][i], fit_l1(series, 2, 3).coeff.beta)
@@ -93,20 +92,21 @@ class TestMseStudy:
             np.testing.assert_array_equal(serial.estimates[m], parallel.estimates[m])
         np.testing.assert_array_equal(serial.acceptance_rates, parallel.acceptance_rates)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            run_mse_study(SimStudyConfig(replications=1, seed=0), methods=("GARCH",))
-
     def test_csv_scaling(self, tmp_path):
-        config = SimStudyConfig(burn=0, replications=2, series_length=60, max_order=5, seed=3)
-        report = run_mse_study(config, methods=("AR",))
+        config = SimStudyConfig(
+            replications=2, series_length=60, max_order=5, seed=3,
+            mcmc=McmcConfig(n_total=300, n_burn=100),
+        )
+        report = run_mse_study(config)
         path = tmp_path / "table.csv"
         report.to_csv(path, header_lines=("config: {}",))
         lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
         rows = list(csv.reader(lines))
         assert rows[0][0] == "method"
         assert rows[0][1] == "mse_beta0_x100"
-        assert float(rows[1][1]) == pytest.approx(report.mse["AR"][0] * 100.0, rel=1e-12)
+        assert [r[0] for r in rows[1:]] == ["BayesMAR", "QAR", "AR"]
+        for r in rows[1:]:
+            assert float(r[1]) == pytest.approx(report.mse[r[0]][0] * 100.0, rel=1e-12)
 
 
 class TestOrderStudy:
@@ -130,8 +130,8 @@ class TestOrderStudy:
 
 class TestBacktest:
     def test_backtest_and_cli_share_one_planner(self):
-        # every origin's forecast is the single-method pipeline's forecast on the
-        # differenced window, seeded with (seed, origin, family code)
+        # every origin's forecast is the single-method pipeline's level forecast
+        # on the window, seeded with (seed, origin, family code)
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 50, burn=200, seed=4)
         methods = (
             MethodSpec(ErrorFamily.LAPLACE, "fixed", fixed_order=1),
@@ -143,13 +143,13 @@ class TestBacktest:
             window = TimeSeries(series.values[:t])
             for mi, m in enumerate(methods):
                 code = 0 if m.family is ErrorFamily.LAPLACE else 1
-                pipe = fit_and_forecast(
-                    diff1(window), m.family, spec.horizons, m.order_rule, spec.max_order, spec.mcmc,
+                want = fit_and_forecast(
+                    window, m.family, spec.horizons, m.order_rule, spec.max_order,
+                    replace(spec.mcmc, seed=(spec.seed, t, code)),
                     interval_level=spec.interval_level, fixed_order=m.fixed_order,
-                    scale_note=SCALE_DIFFERENCED, seed=(spec.seed, t, code),
+                    apply_diff=True,
                 )
-                want = forecast_levels(pipe.result, float(window.values[-1])).point
-                np.testing.assert_array_equal(report.forecasts[mi, i], want)
+                np.testing.assert_array_equal(report.forecasts[mi, i], want.point)
         realized = ~np.isnan(report.truths)
         np.testing.assert_array_equal(
             report.errors[:, realized], (report.truths[None] - report.forecasts)[:, realized]

@@ -122,7 +122,7 @@ class TestPrimalOracle:
         for i in range(3):
             series = simulate_series(
                 config.true_beta, config.error, config.series_length,
-                burn=config.burn, seed=(config.seed, i),
+                burn=0, seed=(config.seed, i),
             )
             oracle_bics = []
             for p in range(1, max_order + 1):
