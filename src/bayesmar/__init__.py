@@ -48,7 +48,6 @@ from .scoring import (
     crps_laplace_closed,
     crps_sample,
     mae,
-    relative_change,
     rmse,
 )
 

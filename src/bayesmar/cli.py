@@ -3,8 +3,10 @@
 Subcommands are thin adapters: they parse flags, validate configuration,
 delegate to the library, and write self-describing JSON/CSV artifacts (every
 output embeds the statistical configuration and the seed, so a table can be
-reproduced from its own header).  Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 numeric or degeneracy error.
+reproduced from its own header).  This is the only module that writes files,
+every CSV through ``_write_csv`` and every JSON through ``_write_json``.  Exit
+codes: 0 success, 2 configuration error, 3 data error, 4 numeric or
+degeneracy error.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DegenerateDataError, ErrorFamily, TimeSeries, diff1
-from .forecast import MethodSpec, fit_and_forecast, forecast_to_json, paths_to_csv
+from .forecast import MethodSpec, fit_and_forecast
 from .harness import (
     BacktestSpec,
     SimStudyConfig,
@@ -28,7 +30,7 @@ from .harness import (
     run_order_study,
 )
 from .mcmc import McmcConfig, posterior_mean, run_mh
-from .order_select import build_ensemble, ensemble_to_csv
+from .order_select import build_ensemble
 
 __all__ = ["CsvParseError", "read_series_csv", "build_parser", "main", "entrypoint"]
 
@@ -109,6 +111,21 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_csv(path: Path, columns: list[str], rows, header_lines: tuple[str, ...] = ()) -> None:
+    """Write ``# `` header lines, the column row, then ``rows``.
+
+    Every float cell is written as ``repr(float(v))``, the shortest string that
+    parses back to the same value (a numpy scalar's own repr would not parse).
+    """
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
 def _out_dir(ns: argparse.Namespace) -> Path:
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -154,8 +171,7 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
     if ns.diff:
         series = diff1(series)
     config = McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn, initial_step=ns.step, seed=ns.seed)
-    trace = _out_dir(ns) / "trace.csv" if ns.trace else None
-    draws = run_mh(series, ns.order, ErrorFamily(ns.family), config, trace_path=trace)
+    draws = run_mh(series, ns.order, ErrorFamily(ns.family), config)
     mean = posterior_mean(draws)
     payload = {
         "config": _echo(ns, ("input", "order", "family", "diff", "n_total", "n_burn", "step")),
@@ -167,10 +183,18 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
         "step_size": draws.step_size,
         "n_kept": draws.n_kept,
     }
-    path = _out_dir(ns) / "fit.json"
+    out = _out_dir(ns)
+    path = out / "fit.json"
     _write_json(path, payload)
     print(path)
-    if trace is not None:
+    if ns.trace:
+        trace = out / "trace.csv"
+        kept = zip(draws.beta_draws, draws.tau_draws, draws.accepted)
+        _write_csv(
+            trace,
+            ["iter"] + [f"beta_{j}" for j in range(draws.order + 1)] + ["tau", "accepted"],
+            ([k, *b, tau, int(a)] for k, (b, tau, a) in enumerate(kept, start=draws.n_burn + 1)),
+        )
         print(trace)
     return EXIT_OK
 
@@ -199,14 +223,21 @@ def _cmd_forecast(ns: argparse.Namespace) -> int:
              "level", "no_diff", "n_total", "n_burn", "thin", "point_statistic"),
         ),
         "seed": ns.seed,
-        "horizons": forecast_to_json(result),
+        "horizons": [
+            {"horizon": h, "point": float(point), "lower": float(lo), "upper": float(hi)}
+            for h, (point, (lo, hi)) in enumerate(zip(result.point, result.intervals), start=1)
+        ],
     }
     path = out / "forecast.json"
     _write_json(path, payload)
     print(path)
     if ns.paths_csv:
         ppath = out / "forecast_paths.csv"
-        paths_to_csv(result, ppath)
+        _write_csv(
+            ppath,
+            ["path_id"] + [f"h{h + 1}" for h in range(result.horizons)],
+            ([i, *row] for i, row in enumerate(result.paths)),
+        )
         print(ppath)
     return EXIT_OK
 
@@ -220,8 +251,20 @@ def _cmd_select_order(ns: argparse.Namespace) -> int:
         f"config: {json.dumps(_echo(ns, ('input', 'family', 'max_order', 'diff')), sort_keys=True)}",
         f"map_order: {ensemble.map_order}",
     )
+    k_max = ensemble.max_order
     path = _out_dir(ns) / "ensemble.csv"
-    ensemble_to_csv(ensemble, path, header_lines=header)
+    _write_csv(
+        path,
+        ["order", "bic", "weight"] + [f"beta_{j}" for j in range(k_max + 1)] + ["tau"],
+        # betas beyond an order's own p + 1 are padded with blanks
+        (
+            [p, ensemble.bics[p - 1], ensemble.weights[p - 1], *fit.coeff.beta]
+            + [""] * (k_max - p)
+            + [fit.scale]
+            for p, fit in enumerate(ensemble.fits, start=1)
+        ),
+        header,
+    )
     print(path)
     return EXIT_OK
 
@@ -235,7 +278,7 @@ def _cmd_backtest(ns: argparse.Namespace) -> int:
         t0=t0,
         horizons=ns.horizon,
         methods=methods,
-        mcmc=McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn, seed=ns.seed),
+        mcmc=McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn),
         max_order=ns.max_order,
         interval_level=ns.level,
         seed=ns.seed,
@@ -244,11 +287,39 @@ def _cmd_backtest(ns: argparse.Namespace) -> int:
         thin=ns.thin,
     )
     report = run_backtest(spec, n_jobs=ns.threads)
+    config = f"config: {json.dumps(spec.config_dict(), sort_keys=True)}"
+    table = report.metrics
     out = _out_dir(ns)
     metrics_path = out / "backtest_metrics.csv"
+    _write_csv(
+        metrics_path,
+        ["metric", "method"]
+        + [f"h{h}" for h in table.horizons]
+        + [f"relchg_h{h}" for h in table.horizons],
+        (
+            [metric, method, *values, *rel]
+            for metric in sorted(table.values)
+            for method, values, rel in zip(
+                table.methods, table.values[metric], table.relative(metric)
+            )
+        ),
+        (config, f"horizon_counts: {report.counts.tolist()}"),
+    )
+    # one row per realized (origin, method, horizon) target
     origins_path = out / "backtest_origins.csv"
-    report.to_metric_csv(metrics_path)
-    report.to_long_csv(origins_path)
+    _write_csv(
+        origins_path,
+        ["origin", "method", "horizon", "forecast", "truth", "error", "crps"],
+        (
+            [t, m, h, report.forecasts[mi, i, h - 1], report.truths[i, h - 1],
+             report.errors[mi, i, h - 1], report.crps[mi, i, h - 1]]
+            for i, t in enumerate(report.origins)
+            for mi, m in enumerate(report.methods)
+            for h in report.horizons
+            if not np.isnan(report.truths[i, h - 1])
+        ),
+        (config,),
+    )
     print(metrics_path)
     print(origins_path)
     return EXIT_OK
@@ -272,22 +343,31 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
             replications=ns.replications,
             max_order=ns.max_order,
             seed=ns.seed,
-            mcmc=McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn, seed=ns.seed),
+            mcmc=McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn),
         )
+        header = (f"config: {echo}", f"noise: {family.value}")
         if ns.preset == "table1":
             report = run_mse_study(config, n_jobs=ns.threads)
             path = _out_dir(ns) / f"table1_{family.value}.csv"
-            report.to_csv(path, header_lines=(f"config: {echo}", f"noise: {family.value}"))
+            n_coef = report.true_beta.size
+            # method-by-coefficient MSE/SE, scaled by 100 like the reference layout
+            _write_csv(
+                path,
+                ["method"] + [f"{s}_beta{j}_x100" for j in range(n_coef) for s in ("mse", "se")],
+                (
+                    [m] + [v[m][j] * 100.0 for j in range(n_coef) for v in (report.mse, report.se)]
+                    for m in report.methods
+                ),
+                header,
+            )
         else:
             report = run_order_study(config, n_jobs=ns.threads)
             path = _out_dir(ns) / f"orders_{family.value}.csv"
-            report.to_csv(
+            _write_csv(
                 path,
-                header_lines=(
-                    f"config: {echo}",
-                    f"noise: {family.value}",
-                    f"accuracy_at_true_order: {report.accuracy}",
-                ),
+                ["order", "count"],
+                ([p, int(report.counts[p])] for p in range(1, report.counts.size)),
+                header + (f"accuracy_at_true_order: {report.accuracy}",),
             )
         print(path)
     return EXIT_OK

@@ -128,11 +128,15 @@ class Coefficients:
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Retained joint (beta, tau) MCMC samples plus sampler diagnostics."""
+    """Retained joint (beta, tau) MCMC samples plus sampler diagnostics.
+
+    ``accepted`` flags, per retained draw, whether its Metropolis proposal
+    was accepted; ``step_size`` is the frozen proposal step.
+    """
 
     beta_draws: np.ndarray
     tau_draws: np.ndarray
-    acceptance_rate: float
+    accepted: np.ndarray
     step_size: float
     order: int
     n_total: int
@@ -141,6 +145,7 @@ class PosteriorDraws:
     def __post_init__(self) -> None:
         beta = np.asarray(self.beta_draws, dtype=float)
         tau = np.asarray(self.tau_draws, dtype=float)
+        accepted = np.asarray(self.accepted, dtype=bool)
         n_kept = self.n_total - self.n_burn
         if n_kept <= 0:
             raise ValueError("n_total must exceed n_burn")
@@ -152,14 +157,20 @@ class PosteriorDraws:
             raise ValueError(f"tau_draws shape {tau.shape} != ({n_kept},)")
         if not np.all(tau > 0):
             raise ValueError("all tau draws must be positive")
-        if not 0.0 <= self.acceptance_rate <= 1.0:
-            raise ValueError("acceptance_rate must lie in [0, 1]")
+        if accepted.shape != (n_kept,):
+            raise ValueError(f"accepted shape {accepted.shape} != ({n_kept},)")
         object.__setattr__(self, "beta_draws", beta)
         object.__setattr__(self, "tau_draws", tau)
+        object.__setattr__(self, "accepted", accepted)
 
     @property
     def n_kept(self) -> int:
         return self.n_total - self.n_burn
+
+    @property
+    def acceptance_rate(self) -> float:
+        """Share of retained iterations whose proposal was accepted."""
+        return float(self.accepted.mean())
 
 
 def lag_design(values: np.ndarray, order: int, start: int) -> tuple[np.ndarray, np.ndarray]:

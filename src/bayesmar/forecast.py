@@ -12,14 +12,13 @@ forecasts: for the methods of one error family it differences the series when
 asked, builds the order ensemble once, samples the union of the orders the
 methods need, assembles the BMA, MAP and fixed-order forecasts, and rebuilds
 levels.  ``fit_and_forecast`` (one method, used by the CLI) and the backtest
-call it.
+call it.  Results are returned as arrays; writing them to files is the CLI's
+job.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -40,8 +39,6 @@ __all__ = [
     "MethodSpec",
     "forecast_family",
     "fit_and_forecast",
-    "forecast_to_json",
-    "paths_to_csv",
 ]
 
 SCALE_DIFFERENCED = "differenced"
@@ -388,24 +385,3 @@ def fit_and_forecast(
         interval_level, apply_diff, statistic, thin,
     )[method]
 
-
-def forecast_to_json(result: ForecastResult) -> list[dict[str, float]]:
-    """Per-horizon `{horizon, point, lower, upper}` records."""
-    return [
-        {
-            "horizon": h + 1,
-            "point": float(result.point[h]),
-            "lower": float(result.intervals[h, 0]),
-            "upper": float(result.intervals[h, 1]),
-        }
-        for h in range(result.horizons)
-    ]
-
-
-def paths_to_csv(result: ForecastResult, path: str | Path) -> None:
-    """Raw predictive paths as `path_id, h1..hH` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id"] + [f"h{h + 1}" for h in range(result.horizons)])
-        for i, row in enumerate(result.paths):
-            writer.writerow([i] + [repr(float(v)) for v in row])

@@ -11,16 +11,14 @@ error family, seeded with (seed, t, family code)), which models the lag-1
 changes unless differencing is off and returns level forecasts, and scores
 the point and density forecasts against the realized values.  All randomness
 derives from one master seed via per-unit seed tuples, so runs are
-reproducible and independent of evaluation order.
+reproducible and independent of evaluation order.  The reports hold arrays
+only; the CLI turns them into tables.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,7 +53,11 @@ _DEFAULT_TRUE_BETA = (0.3, 0.75, -0.35)
 
 @dataclass(frozen=True)
 class SimStudyConfig:
-    """Design of the replicated AR(2) estimation experiment."""
+    """Design of the replicated AR(2) estimation experiment.
+
+    Replication i draws its series with seed (seed, i) and its chain with
+    seed (seed, i, 1); ``mcmc.seed`` is not read.
+    """
 
     true_beta: Coefficients = field(
         default_factory=lambda: Coefficients.from_values(_DEFAULT_TRUE_BETA)
@@ -116,25 +118,6 @@ class MseStudyReport:
     mse: dict[str, np.ndarray]
     se: dict[str, np.ndarray]
     acceptance_rates: np.ndarray
-    config: SimStudyConfig
-
-    def to_csv(self, path: str | Path, header_lines: tuple[str, ...] = ()) -> None:
-        """Method-by-coefficient MSE/SE table, scaled by 100 like the reference layout."""
-        n_coef = self.true_beta.size
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            cols = ["method"]
-            for j in range(n_coef):
-                cols += [f"mse_beta{j}_x100", f"se_beta{j}_x100"]
-            writer.writerow(cols)
-            for m in self.methods:
-                row: list[str] = [m]
-                for j in range(n_coef):
-                    row.append(repr(float(self.mse[m][j] * 100.0)))
-                    row.append(repr(float(self.se[m][j] * 100.0)))
-                writer.writerow(row)
 
 
 def _mse_replication(args: tuple[SimStudyConfig, int]):
@@ -185,7 +168,6 @@ def run_mse_study(config: SimStudyConfig, n_jobs: int = 1) -> MseStudyReport:
         mse=mse,
         se=se,
         acceptance_rates=acceptance,
-        config=config,
     )
 
 
@@ -197,31 +179,17 @@ class OrderStudyReport:
     map_orders: np.ndarray
     accuracy: float
     true_order: int
-    config: SimStudyConfig
-
-    def to_csv(self, path: str | Path, header_lines: tuple[str, ...] = ()) -> None:
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["order", "count"])
-            for p in range(1, self.counts.size):
-                writer.writerow([p, int(self.counts[p])])
 
 
-def _order_replication(args: tuple[SimStudyConfig, int, ErrorFamily]):
-    config, i, ensemble_family = args
+def _order_replication(args: tuple[SimStudyConfig, int]):
+    config, i = args
     series = _replication_series(config, i)
-    return i, build_ensemble(series, config.max_order, ensemble_family).map_order
+    return i, build_ensemble(series, config.max_order, ErrorFamily.LAPLACE).map_order
 
 
-def run_order_study(
-    config: SimStudyConfig,
-    ensemble_family: ErrorFamily = ErrorFamily.LAPLACE,
-    n_jobs: int = 1,
-) -> OrderStudyReport:
-    """Record the BIC-selected order for each simulated replication."""
-    tasks = [(config, i, ensemble_family) for i in range(config.replications)]
+def run_order_study(config: SimStudyConfig, n_jobs: int = 1) -> OrderStudyReport:
+    """Record the Laplace-BIC-selected order for each simulated replication."""
+    tasks = [(config, i) for i in range(config.replications)]
     results = _run_units(_order_replication, tasks, n_jobs)
     map_orders = np.zeros(config.replications, dtype=int)
     for i, p in results:
@@ -234,7 +202,6 @@ def run_order_study(
         map_orders=map_orders,
         accuracy=accuracy,
         true_order=true_order,
-        config=config,
     )
 
 
@@ -244,7 +211,9 @@ class BacktestSpec:
     """Recursive out-of-sample forecasting protocol on a series of levels.
 
     ``t0`` is the 1-based index of the first forecast target: origins run from
-    t0 - 1 to T - 1 and the fit at origin t sees y_1..y_t only.
+    t0 - 1 to T - 1 and the fit at origin t sees y_1..y_t only.  The chains
+    at origin t are seeded from (seed, t, family code); ``mcmc.seed`` is not
+    read.
     """
 
     series: TimeSeries
@@ -330,37 +299,6 @@ class BacktestReport:
     crps: np.ndarray
     counts: np.ndarray
     metrics: MetricTable
-    config: dict
-
-    def to_metric_csv(self, path: str | Path) -> None:
-        header = (
-            f"config: {json.dumps(self.config, sort_keys=True)}",
-            f"horizon_counts: {self.counts.tolist()}",
-        )
-        self.metrics.to_csv(path, header_lines=header)
-
-    def to_long_csv(self, path: str | Path) -> None:
-        """Realized (origin, method, horizon) rows with forecast, truth, error, CRPS."""
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# config: {json.dumps(self.config, sort_keys=True)}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["origin", "method", "horizon", "forecast", "truth", "error", "crps"])
-            for i, t in enumerate(self.origins):
-                for mi, m in enumerate(self.methods):
-                    for h in self.horizons:
-                        if np.isnan(self.truths[i, h - 1]):
-                            continue
-                        writer.writerow(
-                            [
-                                t,
-                                m,
-                                h,
-                                repr(float(self.forecasts[mi, i, h - 1])),
-                                repr(float(self.truths[i, h - 1])),
-                                repr(float(self.errors[mi, i, h - 1])),
-                                repr(float(self.crps[mi, i, h - 1])),
-                            ]
-                        )
 
 
 def _forecast_origin(
@@ -452,7 +390,6 @@ def run_backtest(spec: BacktestSpec, n_jobs: int = 1) -> BacktestReport:
         crps=crps_vals,
         counts=counts,
         metrics=table,
-        config=spec.config_dict(),
     )
 
 

@@ -11,14 +11,14 @@ retained draws come from a fixed kernel.
 
 For each retained beta the matching scale is reconstituted by an exact draw
 from its conditional posterior (``ErrorModel.draw_scale``, inverse gamma),
-which makes the retained (beta, tau) pairs joint posterior samples.
+which makes the retained (beta, tau) pairs joint posterior samples.  The
+returned ``PosteriorDraws`` keep each retained iteration's accept flag; the
+CLI's ``fit --trace`` writes them out, and this module writes no files.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -82,8 +82,8 @@ def _mh_chain(
     beta0: np.ndarray,
     config: McmcConfig,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Run the random-walk chain; returns (kept, kept_accept_flags, acc_rate, final_a).
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Run the random-walk chain; returns (kept, kept_accept_flags, final_a).
 
     Adaptation happens only during burn-in, once per ``ADAPT_WINDOW`` block.
     The acceptance decision compares the target log ratio against log-uniform
@@ -120,7 +120,7 @@ def _mh_chain(
             kept[k] = current
             kept_accepted[k] = accept
 
-    return kept, kept_accepted, float(kept_accepted.mean()), a
+    return kept, kept_accepted, a
 
 
 def run_mh(
@@ -128,7 +128,6 @@ def run_mh(
     order: int,
     family: ErrorFamily,
     config: McmcConfig,
-    trace_path: str | Path | None = None,
 ) -> PosteriorDraws:
     """Sample the joint posterior of (beta, scale) for an order-p fit of ``y``.
 
@@ -137,9 +136,6 @@ def run_mh(
     burn-in, each retained beta_i gets an exact conditional scale draw:
     Laplace tau_i ~ InvGamma(shape T-p, rate S(beta_i)), Gaussian
     sigma_i^2 ~ InvGamma((T-p)/2, RSS(beta_i)/2).
-
-    ``trace_path`` exports the retained draws as CSV with columns
-    iter, beta_0..beta_p, tau, accepted.
     """
     X, targets = lag_design(y.values, order, order + 1)
     n = targets.size
@@ -161,40 +157,25 @@ def run_mh(
         return model.log_marginal(model.objective(targets - X @ beta), n)
 
     beta0 = rng.random(order + 1)
-    kept, kept_accepted, acc_rate, final_a = _mh_chain(log_target, beta0, config, rng)
+    kept, kept_accepted, final_a = _mh_chain(log_target, beta0, config, rng)
 
     objectives = model.objective(targets[None, :] - kept @ X.T)
     if np.any(objectives <= 0.0):
         raise DegenerateDataError("retained draw with zero residual objective")
     tau = model.draw_scale(rng, objectives, n)
 
-    draws = PosteriorDraws(
+    return PosteriorDraws(
         beta_draws=kept,
         tau_draws=tau,
-        acceptance_rate=acc_rate,
+        accepted=kept_accepted,
         step_size=final_a,
         order=order,
         n_total=config.n_total,
         n_burn=config.n_burn,
     )
-    if trace_path is not None:
-        _write_trace(Path(trace_path), draws, kept_accepted)
-    return draws
 
 
 def posterior_mean(draws: PosteriorDraws) -> Coefficients:
     """Componentwise mean of the retained beta draws (the Bayes estimate)."""
     return Coefficients(beta=draws.beta_draws.mean(axis=0), order=draws.order)
 
-
-def _write_trace(path: Path, draws: PosteriorDraws, accepted: np.ndarray) -> None:
-    header = ["iter"] + [f"beta_{j}" for j in range(draws.order + 1)] + ["tau", "accepted"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(draws.n_kept):
-            row = [draws.n_burn + k + 1]
-            row.extend(repr(v) for v in draws.beta_draws[k])
-            row.append(repr(float(draws.tau_draws[k])))
-            row.append(int(accepted[k]))
-            writer.writerow(row)

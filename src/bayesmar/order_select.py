@@ -14,16 +14,14 @@ subtracting the minimum BIC so that realistic magnitudes cannot underflow.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .core import ErrorFamily, TimeSeries
 from .mle_fit import MleFit, point_fit
 
-__all__ = ["OrderEnsemble", "bma_weights", "build_ensemble", "ensemble_to_csv"]
+__all__ = ["OrderEnsemble", "bma_weights", "build_ensemble"]
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,6 @@ class OrderEnsemble:
     bics: np.ndarray
     weights: np.ndarray
     map_order: int
-    family: ErrorFamily
 
     def __post_init__(self) -> None:
         if len(self.fits) != self.max_order:
@@ -85,25 +82,5 @@ def build_ensemble(y: TimeSeries, max_order: int, family: ErrorFamily) -> OrderE
         bics=bics,
         weights=weights,
         map_order=map_order,
-        family=family,
     )
 
-
-def ensemble_to_csv(ensemble: OrderEnsemble, path: str | Path, header_lines: tuple[str, ...] = ()) -> None:
-    """Write `order, bic, weight, beta_0..beta_K, tau` rows (betas padded with blanks)."""
-    k_max = ensemble.max_order
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["order", "bic", "weight"] + [f"beta_{j}" for j in range(k_max + 1)] + ["tau"]
-        )
-        for p, fit in enumerate(ensemble.fits, start=1):
-            betas = [repr(float(b)) for b in fit.coeff.beta]
-            betas += [""] * (k_max + 1 - len(betas))
-            writer.writerow(
-                [p, repr(float(ensemble.bics[p - 1])), repr(float(ensemble.weights[p - 1]))]
-                + betas
-                + [repr(float(fit.scale))]
-            )

@@ -1,4 +1,4 @@
-"""Forecast evaluation: RMSE, MAE, relative change, and sample CRPS.
+"""Forecast evaluation: RMSE, MAE, sample CRPS, and the metric table.
 
 The CRPS uses the energy form
 
@@ -11,17 +11,14 @@ estimator.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "rmse",
     "mae",
-    "relative_change",
     "crps_sample",
     "crps_laplace_closed",
     "MetricTable",
@@ -42,13 +39,6 @@ def mae(errors: np.ndarray) -> float:
     if errors.size == 0:
         raise ValueError("errors must be non-empty")
     return float(np.abs(errors).mean())
-
-
-def relative_change(metric: float, baseline: float) -> float:
-    """Percent change of a metric against a baseline: (metric/baseline - 1) * 100."""
-    if baseline <= 0:
-        raise ValueError("baseline must be positive")
-    return (metric / baseline - 1.0) * 100.0
 
 
 def crps_sample(samples: np.ndarray, observed: float) -> float:
@@ -107,22 +97,3 @@ class MetricTable:
         out[self.methods.index(self.baseline), :] = 0.0
         return out
 
-    def to_csv(self, path: str | Path, header_lines: tuple[str, ...] = ()) -> None:
-        """Rows of method metrics per horizon followed by relative-change columns."""
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["metric", "method"]
-                + [f"h{h}" for h in self.horizons]
-                + [f"relchg_h{h}" for h in self.horizons]
-            )
-            for metric in sorted(self.values):
-                rel = self.relative(metric)
-                for i, method in enumerate(self.methods):
-                    writer.writerow(
-                        [metric, method]
-                        + [repr(float(v)) for v in self.values[metric][i]]
-                        + [repr(float(v)) for v in rel[i]]
-                    )

@@ -243,6 +243,42 @@ class TestSimulateCommand:
         assert "accuracy_at_true_order" in text
 
 
+def test_every_csv_data_cell_is_a_number(tmp_path):
+    # floats are written as repr(float(v)), never as a numpy scalar's repr
+    data = tmp_path / "in.csv"
+    write_series_csv(data, n=64, labels=True)
+    small = ["--n-total", "300", "--n-burn", "150"]
+    runs = [
+        ["fit", "--input", str(data), "--order", "2", "--trace", *small],
+        ["forecast", "--input", str(data), "--k", "3", "--h", "2", "--paths-csv", *small],
+        ["select-order", "--input", str(data), "--k", "3"],
+        ["backtest", "--input", str(data), "--t0", "Q62", "--h", "2", "--k", "3", *small],
+        ["simulate", "--preset", "table1", "--replications", "2", "--length", "50", "--k", "5",
+         *small],
+        ["simulate", "--preset", "orders", "--replications", "2", "--length", "50", "--k", "5"],
+    ]
+    for i, args in enumerate(runs):
+        assert main(args + ["--out", str(tmp_path / str(i))]) == 0
+    files = sorted(tmp_path.glob("*/*.csv"))
+    assert {f.name for f in files} == {
+        "trace.csv", "forecast_paths.csv", "ensemble.csv", "backtest_metrics.csv",
+        "backtest_origins.csv", "table1_laplace.csv", "table1_gaussian.csv",
+        "orders_laplace.csv", "orders_gaussian.csv",
+    }
+    for f in files:
+        lines = [ln for ln in f.read_text().splitlines() if not ln.startswith("#")]
+        header, *rows = csv.reader(lines)
+        assert rows, f.name
+        for row in rows:
+            assert len(row) == len(header), f.name
+            for col, cell in zip(header, row):
+                if col in ("method", "metric"):
+                    continue
+                if f.name == "ensemble.csv" and col.startswith("beta_") and cell == "":
+                    continue
+                float(cell)  # raises on e.g. "np.float64(0.5)"
+
+
 def test_module_invocation_runs_the_cli(tmp_path):
     data = tmp_path / "in.csv"
     write_series_csv(data, n=80)

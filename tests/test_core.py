@@ -374,7 +374,7 @@ class TestTypeInvariants:
             PosteriorDraws(
                 beta_draws=np.zeros((5, 2)),
                 tau_draws=np.ones(5),
-                acceptance_rate=0.3,
+                accepted=np.ones(5, dtype=bool),
                 step_size=1.0,
                 order=1,
                 n_total=10,
@@ -384,7 +384,17 @@ class TestTypeInvariants:
             PosteriorDraws(
                 beta_draws=np.zeros((4, 2)),
                 tau_draws=np.array([1.0, 1.0, 0.0, 1.0]),
-                acceptance_rate=0.3,
+                accepted=np.ones(4, dtype=bool),
+                step_size=1.0,
+                order=1,
+                n_total=10,
+                n_burn=6,
+            )
+        with pytest.raises(ValueError, match="accepted"):
+            PosteriorDraws(
+                beta_draws=np.zeros((4, 2)),
+                tau_draws=np.ones(4),
+                accepted=np.ones(5, dtype=bool),
                 step_size=1.0,
                 order=1,
                 n_total=10,

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -22,10 +24,10 @@ from bayesmar.forecast import (
     SCALE_DIFFERENCED,
     SCALE_LEVEL,
     ForecastResult,
-    paths_to_csv,
     per_order_forecasts,
     result_from_paths,
 )
+from bayesmar.cli import main
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
 
@@ -36,7 +38,7 @@ def constant_draws(beta_row, tau, n=200, order=None):
     return PosteriorDraws(
         beta_draws=np.tile(beta_row, (n, 1)),
         tau_draws=np.full(n, tau),
-        acceptance_rate=0.3,
+        accepted=np.ones(n, dtype=bool),
         step_size=1.0,
         order=order,
         n_total=n,
@@ -66,7 +68,7 @@ class TestSamplePaths:
         draws = PosteriorDraws(
             beta_draws=betas,
             tau_draws=np.full(4000, tau),
-            acceptance_rate=0.3,
+            accepted=np.ones(4000, dtype=bool),
             step_size=1.0,
             order=2,
             n_total=4000,
@@ -290,12 +292,25 @@ class TestPipeline:
             fit_and_forecast(series, ErrorFamily.LAPLACE, 2, "map", 3, config, fixed_order=2)
 
     def test_paths_csv_round_trip(self, tmp_path):
-        res = result_with_paths(np.arange(12.0).reshape(4, 3))
-        path = tmp_path / "paths.csv"
-        paths_to_csv(res, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "path_id,h1,h2,h3"
-        assert len(rows) == 5
+        series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=53)
+        data = tmp_path / "in.csv"
+        data.write_text("".join(f"{float(v)!r}\n" for v in series.values))
+        code = main(
+            ["forecast", "--input", str(data), "--order-rule", "fixed", "--order", "2", "--h", "3",
+             "--n-total", "400", "--n-burn", "200", "--seed", "54", "--paths-csv",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+        with open(tmp_path / "out" / "forecast_paths.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["path_id", "h1", "h2", "h3"]
+        res = fit_and_forecast(
+            series, ErrorFamily.LAPLACE, 3, "fixed", 8, McmcConfig(n_total=400, n_burn=200, seed=54),
+            fixed_order=2, apply_diff=True,
+        )
+        assert len(rows) == res.n_paths + 1
+        assert [int(r[0]) for r in rows[1:]] == list(range(res.n_paths))
+        np.testing.assert_array_equal([[float(v) for v in r[1:]] for r in rows[1:]], res.paths)
 
 
 class TestForecastResultValidation:

@@ -21,6 +21,7 @@ from bayesmar import (
     run_order_study,
     simulate_series,
 )
+from bayesmar.cli import main
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
 
@@ -97,16 +98,21 @@ class TestMseStudy:
             replications=2, series_length=60, max_order=5, seed=3,
             mcmc=McmcConfig(n_total=300, n_burn=100),
         )
+        code = main(
+            ["simulate", "--preset", "table1", "--error", "laplace", "--replications", "2",
+             "--length", "60", "--k", "5", "--n-total", "300", "--n-burn", "100", "--seed", "3",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
         report = run_mse_study(config)
-        path = tmp_path / "table.csv"
-        report.to_csv(path, header_lines=("config: {}",))
-        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        text = (tmp_path / "table1_laplace.csv").read_text()
+        lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
         rows = list(csv.reader(lines))
-        assert rows[0][0] == "method"
-        assert rows[0][1] == "mse_beta0_x100"
+        assert rows[0][:3] == ["method", "mse_beta0_x100", "se_beta0_x100"]
         assert [r[0] for r in rows[1:]] == ["BayesMAR", "QAR", "AR"]
         for r in rows[1:]:
             assert float(r[1]) == pytest.approx(report.mse[r[0]][0] * 100.0, rel=1e-12)
+            assert float(r[2]) == pytest.approx(report.se[r[0]][0] * 100.0, rel=1e-12)
 
 
 class TestOrderStudy:
@@ -119,12 +125,18 @@ class TestOrderStudy:
 
     def test_csv(self, tmp_path):
         config = SimStudyConfig(replications=3, series_length=48, max_order=4, seed=5)
+        code = main(
+            ["simulate", "--preset", "orders", "--error", "laplace", "--replications", "3",
+             "--length", "48", "--k", "4", "--seed", "5", "--out", str(tmp_path)]
+        )
+        assert code == 0
         report = run_order_study(config)
-        path = tmp_path / "orders.csv"
-        report.to_csv(path)
-        rows = list(csv.reader(path.read_text().splitlines()))
+        text = (tmp_path / "orders_laplace.csv").read_text()
+        assert f"# accuracy_at_true_order: {report.accuracy}" in text.splitlines()
+        rows = list(csv.reader(ln for ln in text.splitlines() if not ln.startswith("#")))
         assert rows[0] == ["order", "count"]
         assert len(rows) == 5
+        assert [int(r[1]) for r in rows[1:]] == report.counts[1:].tolist()
         assert sum(int(r[1]) for r in rows[1:]) == 3
 
 
@@ -217,19 +229,27 @@ class TestBacktest:
 
     def test_long_csv_rows(self, tmp_path):
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=11)
+        data = tmp_path / "in.csv"
+        data.write_text("".join(f"{float(v)!r}\n" for v in series.values))
+        code = main(
+            ["backtest", "--input", str(data), "--t0", "57", "--h", "3", "--k", "3",
+             "--methods", "mar-fixed:1", "--n-total", "400", "--n-burn", "200", "--seed", "5",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
         spec = small_backtest_spec(
             series, (MethodSpec(ErrorFamily.LAPLACE, "fixed", fixed_order=1),), t0=57
         )
         report = run_backtest(spec)
-        path = tmp_path / "long.csv"
-        report.to_long_csv(path)
-        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        text = (tmp_path / "backtest_origins.csv").read_text()
+        lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
         rows = list(csv.reader(lines))
         assert rows[0] == ["origin", "method", "horizon", "forecast", "truth", "error", "crps"]
         assert len(rows) - 1 == int(report.counts.sum())
         # error column is truth minus forecast
-        for r in rows[1:3]:
+        for r in rows[1:]:
             assert float(r[5]) == pytest.approx(float(r[4]) - float(r[3]), abs=1e-12)
+        assert [float(r[3]) for r in rows[1:3]] == report.forecasts[0, 0, :2].tolist()
 
 
 class TestBacktestSpecValidation:

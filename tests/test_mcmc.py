@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from bayesmar import (
     simulate_series,
     tune_step,
 )
+from bayesmar.cli import main
 from bayesmar.core import as_seed_tuple, lag_design
 from bayesmar.mcmc import _mh_chain
 from bayesmar.mle_fit import fit_l1
@@ -52,7 +54,7 @@ class TestPosteriorMean:
         return PosteriorDraws(
             beta_draws=beta_rows,
             tau_draws=np.ones(n),
-            acceptance_rate=0.3,
+            accepted=np.ones(n, dtype=bool),
             step_size=1.0,
             order=beta_rows.shape[1] - 1,
             n_total=n,
@@ -154,28 +156,39 @@ class TestRunMh:
 
             rng = np.random.default_rng(as_seed_tuple(cfg.seed))
             beta0 = rng.random(3)
-            kept, _, acc_rate, step = _mh_chain(
+            kept, accepted, step = _mh_chain(
                 lambda b: model.log_marginal(model.objective(targets - X @ b), n), beta0, cfg, rng
             )
             scales = model.draw_scale(rng, model.objective(targets[None, :] - kept @ X.T), n)
             np.testing.assert_array_equal(draws.beta_draws, kept)
             np.testing.assert_array_equal(draws.tau_draws, scales)
-            assert (draws.acceptance_rate, draws.step_size) == (acc_rate, step)
-            assert 0.0 < acc_rate < 1.0
+            np.testing.assert_array_equal(draws.accepted, accepted)
+            assert draws.step_size == step
+            assert 0.0 < draws.acceptance_rate < 1.0
 
     def test_trace_export(self, tmp_path):
         y = laplace_series(60, seed=13)
         cfg = McmcConfig(n_total=500, n_burn=200, seed=7)
-        path = tmp_path / "trace.csv"
-        draws = run_mh(y, 2, ErrorFamily.LAPLACE, cfg, trace_path=path)
-        with open(path) as fh:
+        data = tmp_path / "in.csv"
+        data.write_text("".join(f"{float(v)!r}\n" for v in y.values))
+        out = tmp_path / "out"
+        code = main(
+            ["fit", "--input", str(data), "--order", "2", "--n-total", "500", "--n-burn", "200",
+             "--seed", "7", "--trace", "--out", str(out)]
+        )
+        assert code == 0
+        draws = run_mh(y, 2, ErrorFamily.LAPLACE, cfg)
+        with open(out / "trace.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iter", "beta_0", "beta_1", "beta_2", "tau", "accepted"]
         assert len(rows) - 1 == draws.n_kept
         assert int(rows[1][0]) == cfg.n_burn + 1
         taus = np.array([float(r[-2]) for r in rows[1:]])
         np.testing.assert_allclose(taus, draws.tau_draws)
-        assert set(r[-1] for r in rows[1:]) <= {"0", "1"}
+        accepted = [r[-1] for r in rows[1:]]
+        assert set(accepted) <= {"0", "1"}
+        rate = json.loads((out / "fit.json").read_text())["acceptance_rate"]
+        assert np.mean([int(a) for a in accepted]) == rate
 
 
 class TestProposalSymmetry:
@@ -184,8 +197,7 @@ class TestProposalSymmetry:
         # terms in the ratio every proposal is accepted and the chain always moves
         cfg = McmcConfig(n_total=500, n_burn=100, seed=1)
         rng = np.random.default_rng(0)
-        kept, kept_accepted, acc_rate, _ = _mh_chain(lambda b: 0.0, np.zeros(2), cfg, rng)
-        assert acc_rate == 1.0
+        kept, kept_accepted, _ = _mh_chain(lambda b: 0.0, np.zeros(2), cfg, rng)
         assert kept_accepted.all()
         assert np.all(np.any(kept[1:] != kept[:-1], axis=1))
 

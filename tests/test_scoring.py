@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from bayesmar import (
+    Coefficients,
+    ErrorFamily,
     MetricTable,
     crps_laplace_closed,
     crps_sample,
     mae,
-    relative_change,
     rmse,
+    simulate_series,
 )
+from bayesmar.cli import main
 
 
 def crps_double_loop(samples, observed):
@@ -44,22 +47,6 @@ class TestRmseMae:
             rmse(np.array([]))
         with pytest.raises(ValueError):
             mae(np.array([]))
-
-
-class TestRelativeChange:
-    def test_baseline_against_itself(self):
-        assert relative_change(0.91, 0.91) == 0.0
-
-    def test_published_rounding_band(self):
-        # displayed-table inputs: 1.63 vs 0.91 prints as roughly 79.7 percent
-        assert relative_change(1.63, 0.91) == pytest.approx(79.7, abs=1.5)
-
-    def test_halving(self):
-        assert relative_change(0.5, 1.0) == -50.0
-
-    def test_positive_baseline_required(self):
-        with pytest.raises(ValueError):
-            relative_change(1.0, 0.0)
 
 
 class TestCrpsSample:
@@ -177,12 +164,22 @@ class TestMetricTable:
             )
 
     def test_csv_layout(self, tmp_path):
-        path = tmp_path / "metrics.csv"
-        self.table().to_csv(path, header_lines=("config: {}",))
-        text = path.read_text().splitlines()
-        assert text[0] == "# config: {}"
-        rows = list(csv.reader(text[1:]))
+        ar2 = Coefficients.from_values([0.3, 0.75, -0.35])
+        series = simulate_series(ar2, ErrorFamily.LAPLACE, 60, burn=200, seed=16)
+        data = tmp_path / "in.csv"
+        data.write_text("".join(f"{float(v)!r}\n" for v in series.values))
+        code = main(
+            ["backtest", "--input", str(data), "--t0", "57", "--h", "2", "--k", "3",
+             "--methods", "mar-fixed:1,ar-fixed:1", "--baseline", "BayesAR-p1",
+             "--n-total", "300", "--n-burn", "150", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        text = (tmp_path / "backtest_metrics.csv").read_text().splitlines()
+        assert text[0].startswith("# config: {")
+        assert text[1] == "# horizon_counts: [4, 3]"
+        rows = list(csv.reader(text[2:]))
         assert rows[0] == ["metric", "method", "h1", "h2", "relchg_h1", "relchg_h2"]
-        assert [r[0] for r in rows[1:]] == ["mae", "mae", "rmse", "rmse"]
-        assert [r[1] for r in rows[1:]] == ["base", "other", "base", "other"]
-        assert float(rows[3][4]) == 0.0
+        assert [r[0] for r in rows[1:]] == ["crps", "crps", "mae", "mae", "rmse", "rmse"]
+        assert [r[1] for r in rows[1:]] == ["BayesMAR-p1", "BayesAR-p1"] * 3
+        for r in rows[2::2]:
+            assert float(r[4]) == float(r[5]) == 0.0
