@@ -132,6 +132,13 @@ def _out_dir(ns: argparse.Namespace) -> Path:
     return out
 
 
+def _worker_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 worker process, got {n}")
+    return n
+
+
 def _parse_methods(spec: str) -> tuple[MethodSpec, ...]:
     known_families = {"mar": ErrorFamily.LAPLACE, "ar": ErrorFamily.GAUSSIAN}
     methods: list[MethodSpec] = []
@@ -439,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bt.add_argument("--no-diff", dest="no_diff", action="store_true")
     p_bt.add_argument("--baseline", default=None, help="method name for relative changes")
     p_bt.add_argument("--thin", type=int, default=1)
-    p_bt.add_argument("--threads", type=int, default=1, help="worker processes")
+    p_bt.add_argument("--threads", type=_worker_count, default=1, help="worker processes")
     add_common(p_bt)
     p_bt.set_defaults(handler=_cmd_backtest)
 
@@ -451,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--k", dest="max_order", type=int, default=20)
     p_sim.add_argument("--n-total", dest="n_total", type=int, default=40_000)
     p_sim.add_argument("--n-burn", dest="n_burn", type=int, default=25_000)
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument("--threads", type=_worker_count, default=1)
     add_common(p_sim)
     p_sim.set_defaults(handler=_cmd_simulate)
 

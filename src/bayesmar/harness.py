@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .core import (
     Coefficients,
@@ -94,9 +93,17 @@ def simulate_series(
     rng = np.random.default_rng(as_seed_tuple(seed))
     total = length + burn
     eps = error.model.noise(rng, 0.0, scale, total)
-    ar_poly = np.concatenate([[1.0], -beta.beta[1:]])
-    values = lfilter([1.0], ar_poly, beta.beta[0] + eps)
-    return TimeSeries(values[burn:])
+    p = beta.order
+    # Each value sums its lag terms farthest lag first, the direct form II
+    # transposed order, so the series is bit-identical to SciPy's lfilter.
+    lags_far_first = beta.beta[:0:-1].tolist()
+    values = [0.0] * p
+    for x_t in (beta.beta[0] + eps).tolist():
+        acc = 0.0
+        for phi, y_lag in zip(lags_far_first, values[len(values) - p :]):
+            acc += phi * y_lag
+        values.append(x_t + acc)
+    return TimeSeries(np.array(values[p + burn :]))
 
 
 def _replication_series(config: SimStudyConfig, i: int) -> TimeSeries:
@@ -206,6 +213,8 @@ def run_order_study(config: SimStudyConfig, n_jobs: int = 1) -> OrderStudyReport
 
 
 _FAMILY_CODE = {ErrorFamily.LAPLACE: 0, ErrorFamily.GAUSSIAN: 1}
+
+
 @dataclass(frozen=True)
 class BacktestSpec:
     """Recursive out-of-sample forecasting protocol on a series of levels.
@@ -394,8 +403,11 @@ def run_backtest(spec: BacktestSpec, n_jobs: int = 1) -> BacktestReport:
 
 
 def _run_units(worker: Callable, tasks: list, n_jobs: int) -> list:
-    """Run independent units serially or in a process pool; order-insensitive."""
+    """Run independent units serially or in a process pool; order-insensitive.
+
+    The pool never has more workers than units: it forks them all up front.
+    """
     if n_jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
         return list(pool.map(worker, tasks))

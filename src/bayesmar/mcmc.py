@@ -9,6 +9,15 @@ multiplicative nudges once per ``ADAPT_WINDOW`` burn-in iterations until the
 window acceptance rate sits inside the target band, then frozen so the
 retained draws come from a fixed kernel.
 
+Because a is fixed within a window, the chain computes the residual shifts
+X (a step_i) of a whole window's proposals with one matrix product.  A
+proposal's residual is then the current residual minus its shift, and each
+window starts by recomputing the current residual exactly as
+targets - X beta, so rounding never accumulates past one window.  The states
+themselves are formed exactly as current + a step_i, so the draws equal those
+of a chain that scores each proposal by its own residual unless a log ratio
+lands within rounding (about 1e-12) of its uniform draw.
+
 For each retained beta the matching scale is reconstituted by an exact draw
 from its conditional posterior (``ErrorModel.draw_scale``, inverse gamma),
 which makes the retained (beta, tau) pairs joint posterior samples.  The
@@ -19,7 +28,6 @@ CLI's ``fit --trace`` writes them out, and this module writes no files.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,6 +35,7 @@ from .core import (
     Coefficients,
     DegenerateDataError,
     ErrorFamily,
+    ErrorModel,
     PosteriorDraws,
     TimeSeries,
     as_seed_tuple,
@@ -78,18 +87,28 @@ def tune_step(current_a: float, window_acceptance: float, band: tuple[float, flo
 
 
 def _mh_chain(
-    log_target: Callable[[np.ndarray], float],
+    X: np.ndarray,
+    targets: np.ndarray,
+    model: ErrorModel,
     beta0: np.ndarray,
     config: McmcConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Run the random-walk chain; returns (kept, kept_accept_flags, final_a).
+    """Run the random-walk chain on ``model``'s log marginal of the regression
+    ``targets ~ X beta``; returns (kept, kept_accept_flags, final_a).
 
-    Adaptation happens only during burn-in, once per ``ADAPT_WINDOW`` block.
-    The acceptance decision compares the target log ratio against log-uniform
-    noise; the symmetric proposal contributes nothing to the ratio.
+    The chain runs in segments cut at every ``ADAPT_WINDOW`` boundary and at
+    ``n_burn`` (which need not be a multiple of the window), so the step a is
+    fixed inside each and a segment is wholly burn-in or wholly retained.
+    Each segment resyncs the current residual as targets - X beta and
+    computes its proposals' residual shifts X (a step_i) in one product; an
+    accepted proposal's residual becomes the current one.  Adaptation happens
+    at the end of each full burn-in window.  The acceptance decision compares
+    the target log ratio against log-uniform noise; the symmetric proposal
+    contributes nothing to the ratio.
     """
     dim = beta0.size
+    n = targets.size
     n_total, n_burn = config.n_total, config.n_burn
     n_kept = n_total - n_burn
     steps = rng.uniform(-PROPOSAL_HALF_WIDTH, PROPOSAL_HALF_WIDTH, size=(n_total, dim))
@@ -97,28 +116,31 @@ def _mh_chain(
 
     a = config.initial_step
     current = np.array(beta0, dtype=float)
-    current_lp = log_target(current)
     kept = np.empty((n_kept, dim))
     kept_accepted = np.zeros(n_kept, dtype=bool)
-    window_accepts = 0
+    bounds = sorted({*range(0, n_total, ADAPT_WINDOW), n_burn, n_total})
 
-    for i in range(n_total):
-        proposal = current + a * steps[i]
-        proposal_lp = log_target(proposal)
-        log_ratio = proposal_lp - current_lp
-        accept = log_ratio >= 0.0 or log_accept_noise[i] < log_ratio
-        if accept:
-            current = proposal
-            current_lp = proposal_lp
-        if i < n_burn:
-            window_accepts += accept
-            if (i + 1) % ADAPT_WINDOW == 0:
-                a = tune_step(a, window_accepts / ADAPT_WINDOW, config.target_band)
-                window_accepts = 0
-        else:
-            k = i - n_burn
-            kept[k] = current
-            kept_accepted[k] = accept
+    for s0, s1 in zip(bounds[:-1], bounds[1:]):
+        retained = s0 >= n_burn
+        a_steps = a * steps[s0:s1]
+        shifts = a_steps @ X.T
+        resid = targets - X @ current
+        current_lp = model.log_marginal(model.objective(resid), n)
+        accepted = np.zeros(s1 - s0, dtype=bool)
+        for j, (shift, log_u) in enumerate(zip(shifts, log_accept_noise[s0:s1].tolist())):
+            proposal_resid = resid - shift
+            proposal_lp = model.log_marginal(model.objective(proposal_resid), n)
+            log_ratio = proposal_lp - current_lp
+            if log_ratio >= 0.0 or log_u < log_ratio:
+                current = current + a_steps[j]
+                resid, current_lp = proposal_resid, proposal_lp
+                accepted[j] = True
+            if retained:
+                kept[s0 + j - n_burn] = current
+        if retained:
+            kept_accepted[s0 - n_burn : s1 - n_burn] = accepted
+        elif s1 % ADAPT_WINDOW == 0:
+            a = tune_step(a, np.count_nonzero(accepted) / ADAPT_WINDOW, config.target_band)
 
     return kept, kept_accepted, a
 
@@ -153,11 +175,8 @@ def run_mh(
     rng = np.random.default_rng(as_seed_tuple(config.seed))
     model = family.model
 
-    def log_target(beta: np.ndarray) -> float:
-        return model.log_marginal(model.objective(targets - X @ beta), n)
-
     beta0 = rng.random(order + 1)
-    kept, kept_accepted, final_a = _mh_chain(log_target, beta0, config, rng)
+    kept, kept_accepted, final_a = _mh_chain(X, targets, model, beta0, config, rng)
 
     objectives = model.objective(targets[None, :] - kept @ X.T)
     if np.any(objectives <= 0.0):

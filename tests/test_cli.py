@@ -349,6 +349,21 @@ class TestExitCodes:
         assert main(args + ["--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["backtest", "simulate"])
+    def test_threads_below_one_is_config_error(self, tmp_path, command, threads):
+        p = tmp_path / "s.csv"
+        write_series_csv(p)
+        out = tmp_path / "o"
+        if command == "backtest":
+            args = ["backtest", "--input", str(p), "--t0", "60"]
+        else:
+            args = ["simulate", "--preset", "orders"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(args + ["--threads", threads, "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert not out.exists()
+
     def test_argparse_rejects_unknown_flags(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["forecast", "--nonsense"])

@@ -21,6 +21,7 @@ from bayesmar import (
     run_order_study,
     simulate_series,
 )
+from bayesmar import harness
 from bayesmar.cli import main
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
@@ -64,6 +65,20 @@ class TestSimulateSeries:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             simulate_series(AR2, ErrorFamily.LAPLACE, 0)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5])
+    def test_recursion_matches_lfilter_bit_for_bit(self, order):
+        from scipy.signal import lfilter
+
+        rng = np.random.default_rng(order)
+        for i, error in enumerate(ErrorFamily):
+            beta = Coefficients.from_values(
+                np.concatenate([[rng.normal()], rng.uniform(-0.9, 0.9, order) / order])
+            )
+            ts = simulate_series(beta, error, 300, burn=50, seed=(order, i), scale=2.5)
+            eps = error.model.noise(np.random.default_rng((order, i)), 0.0, 2.5, 350)
+            ref = lfilter([1.0], np.concatenate([[1.0], -beta.beta[1:]]), beta.beta[0] + eps)
+            assert ts.values.tobytes() == ref[50:].tobytes()
 
 
 class TestMseStudy:
@@ -210,6 +225,36 @@ class TestBacktest:
         parallel = run_backtest(spec, n_jobs=2)
         np.testing.assert_array_equal(serial.forecasts, parallel.forecasts)
         np.testing.assert_array_equal(serial.crps, parallel.crps)
+
+    def test_pool_has_no_more_workers_than_units(self, monkeypatch):
+        # the pool forks every worker up front, so --threads 64 on 5 origins
+        # must not ask for 64; a serial stand-in records the pool size
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=9)
+        spec = small_backtest_spec(series, (MethodSpec(ErrorFamily.LAPLACE, "map"),), t0=56)
+        pooled = run_backtest(spec, n_jobs=64)
+        config = SimStudyConfig(
+            replications=2, series_length=60, max_order=5, seed=2,
+            mcmc=McmcConfig(n_total=300, n_burn=100),
+        )
+        run_mse_study(config, n_jobs=64)
+        assert sizes == [5, 2]
+        np.testing.assert_array_equal(pooled.forecasts, run_backtest(spec).forecasts)
 
     def test_deterministic_under_master_seed(self):
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=10)

@@ -20,8 +20,8 @@ from bayesmar import (
     tune_step,
 )
 from bayesmar.cli import main
-from bayesmar.core import as_seed_tuple, lag_design
-from bayesmar.mcmc import _mh_chain
+from bayesmar.core import LAPLACE_MODEL, as_seed_tuple, lag_design
+from bayesmar.mcmc import ADAPT_WINDOW, PROPOSAL_HALF_WIDTH, _mh_chain
 from bayesmar.mle_fit import fit_l1
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
@@ -29,6 +29,51 @@ AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
 
 def laplace_series(n=200, seed=0, burn=200):
     return simulate_series(AR2, ErrorFamily.LAPLACE, n, burn=burn, seed=seed)
+
+
+def sequential_chain_oracle(y, order, family, config):
+    """``run_mh`` as a plain loop that scores every proposal by its own
+    residual, targets - X @ proposal; returns (betas, taus, accepted, step)."""
+    X, targets = lag_design(y.values, order, order + 1)
+    n = targets.size
+    model = family.model
+    rng = np.random.default_rng(as_seed_tuple(config.seed))
+    beta0 = rng.random(order + 1)
+    steps = rng.uniform(-PROPOSAL_HALF_WIDTH, PROPOSAL_HALF_WIDTH, size=(config.n_total, order + 1))
+    log_accept_noise = np.log(rng.random(config.n_total))
+
+    def log_target(beta):
+        return model.log_marginal(model.objective(targets - X @ beta), n)
+
+    a = config.initial_step
+    current, current_lp = beta0, log_target(beta0)
+    kept, accepted = [], []
+    window_accepts = 0
+    for i in range(config.n_total):
+        proposal = current + a * steps[i]
+        proposal_lp = log_target(proposal)
+        log_ratio = proposal_lp - current_lp
+        accept = bool(log_ratio >= 0.0 or log_accept_noise[i] < log_ratio)
+        if accept:
+            current, current_lp = proposal, proposal_lp
+        if i < config.n_burn:
+            window_accepts += accept
+            if (i + 1) % ADAPT_WINDOW == 0:
+                a = tune_step(a, window_accepts / ADAPT_WINDOW, config.target_band)
+                window_accepts = 0
+        else:
+            kept.append(current)
+            accepted.append(accept)
+    kept = np.array(kept)
+    taus = model.draw_scale(rng, model.objective(targets[None, :] - kept @ X.T), n)
+    return kept, taus, np.array(accepted), a
+
+
+class _FlatModel(type(LAPLACE_MODEL)):
+    """A constant log marginal: every Metropolis log ratio is 0."""
+
+    def log_marginal(self, objective, n):
+        return 0.0
 
 
 class TestTuneStep:
@@ -156,15 +201,31 @@ class TestRunMh:
 
             rng = np.random.default_rng(as_seed_tuple(cfg.seed))
             beta0 = rng.random(3)
-            kept, accepted, step = _mh_chain(
-                lambda b: model.log_marginal(model.objective(targets - X @ b), n), beta0, cfg, rng
-            )
+            kept, accepted, step = _mh_chain(X, targets, model, beta0, cfg, rng)
             scales = model.draw_scale(rng, model.objective(targets[None, :] - kept @ X.T), n)
             np.testing.assert_array_equal(draws.beta_draws, kept)
             np.testing.assert_array_equal(draws.tau_draws, scales)
             np.testing.assert_array_equal(draws.accepted, accepted)
             assert draws.step_size == step
             assert 0.0 < draws.acceptance_rate < 1.0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("n_burn,n_total", [(1500, 3000), (250, 2500)])
+    @pytest.mark.parametrize("order", [1, 6])
+    @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
+    def test_matches_sequential_chain_oracle(self, family, order, n_burn, n_total, scale):
+        # the window-shift residuals are the per-proposal residuals up to the
+        # last bits of the log target, which flip no accept decision here
+        base = simulate_series(AR2, family, 120, burn=200, seed=(order, n_burn))
+        y = TimeSeries(base.values * scale)
+        cfg = McmcConfig(n_total=n_total, n_burn=n_burn, seed=(order, n_burn, int(scale)))
+        draws = run_mh(y, order, family, cfg)
+        betas, taus, accepted, step = sequential_chain_oracle(y, order, family, cfg)
+        assert draws.beta_draws.tobytes() == betas.tobytes()
+        assert draws.tau_draws.tobytes() == taus.tobytes()
+        np.testing.assert_array_equal(draws.accepted, accepted)
+        assert draws.step_size == step
+        assert 0.0 < draws.acceptance_rate < 1.0
 
     def test_trace_export(self, tmp_path):
         y = laplace_series(60, seed=13)
@@ -197,7 +258,8 @@ class TestProposalSymmetry:
         # terms in the ratio every proposal is accepted and the chain always moves
         cfg = McmcConfig(n_total=500, n_burn=100, seed=1)
         rng = np.random.default_rng(0)
-        kept, kept_accepted, _ = _mh_chain(lambda b: 0.0, np.zeros(2), cfg, rng)
+        X, targets = rng.normal(size=(30, 2)), rng.normal(size=30)
+        kept, kept_accepted, _ = _mh_chain(X, targets, _FlatModel(), np.zeros(2), cfg, rng)
         assert kept_accepted.all()
         assert np.all(np.any(kept[1:] != kept[:-1], axis=1))
 
