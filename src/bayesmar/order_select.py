@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ErrorFamily, TimeSeries
-from .mle_fit import MleFit, point_fit
+from .mle_fit import MleFit, point_fits
 
 __all__ = ["OrderEnsemble", "bma_weights", "build_ensemble"]
 
@@ -68,17 +68,15 @@ def build_ensemble(y: TimeSeries, max_order: int, family: ErrorFamily) -> OrderE
         raise ValueError(
             f"aligned window of {n} rows too small for order {max_order} (series length {T})"
         )
-    fits: list[MleFit] = []
-    bics = np.empty(max_order)
-    for p in range(1, max_order + 1):
-        fit = point_fit(y, p, max_order + 1, family)
-        fits.append(fit)
-        bics[p - 1] = family.model.bic(n, p, fit.scale, fit.objective)
+    fits = point_fits(y, range(1, max_order + 1), max_order + 1, family)
+    bics = np.array(
+        [family.model.bic(n, p, fit.scale, fit.objective) for p, fit in enumerate(fits, start=1)]
+    )
     weights = bma_weights(bics)
     map_order = int(np.argmin(bics)) + 1
     return OrderEnsemble(
         max_order=max_order,
-        fits=tuple(fits),
+        fits=fits,
         bics=bics,
         weights=weights,
         map_order=map_order,

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bayesmar import (
     fit_and_forecast,
     simulate_series,
 )
+from bayesmar import mle_fit
 from bayesmar.cli import CsvParseError, main, read_series_csv
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
@@ -311,6 +313,18 @@ class TestExitCodes:
              "--n-total", "300", "--n-burn", "100", "--out", str(tmp_path / "o")]
         )
         assert code == 4
+
+    def test_failed_l1_program_is_numeric_error_naming_orders(self, tmp_path, monkeypatch, capsys):
+        def failing_linprog(*args, **kwargs):
+            return SimpleNamespace(success=False, message="stub failure")
+
+        monkeypatch.setattr(mle_fit, "linprog", failing_linprog)
+        p = tmp_path / "s.csv"
+        write_series_csv(p, n=80)
+        code = main(["select-order", "--input", str(p), "--k", "4", "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "L1 linear program failed for orders [1, 2, 3, 4]: stub failure" in err
 
     def test_invalid_config_is_config_error(self, tmp_path):
         p = tmp_path / "s.csv"

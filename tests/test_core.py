@@ -19,7 +19,7 @@ from bayesmar import (
     lag_design,
 )
 from bayesmar.forecast import SCALE_DIFFERENCED, result_from_paths
-from bayesmar.mle_fit import point_fit
+from bayesmar.mle_fit import point_fits
 
 def make_series(values):
     return TimeSeries(np.asarray(values, dtype=float))
@@ -142,7 +142,7 @@ class TestErrorModelsAgainstScipy:
     def test_bic_minus_penalty_is_scipy_likelihood_at_point_fit(self, family):
         rng = np.random.default_rng(51)
         y = rng.normal(size=60).cumsum() * 0.3
-        fit = point_fit(make_series(y), 2, 5, family)
+        (fit,) = point_fits(make_series(y), (2,), 5, family)
         resid = residuals(y, fit.coeff.beta, 2, 5)
         n = resid.size
         got = family.model.bic(n, 2, fit.scale, fit.objective) - 4 * math.log(n)

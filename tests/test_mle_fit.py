@@ -15,6 +15,7 @@ from bayesmar import (
     fit_ols,
     simulate_series,
 )
+from bayesmar import mle_fit
 from bayesmar.core import LAPLACE_MODEL, lag_design
 from bayesmar.mle_fit import SCALE_FLOOR
 
@@ -105,7 +106,7 @@ class TestFitL1:
 
     def test_rank_deficient_design_warns(self):
         y = TimeSeries(np.full(20, 3.0))
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match="rank-deficient design at order 1:"):
             fit = fit_l1(y, 1, start=2)
         assert fit.objective == pytest.approx(0.0, abs=1e-9)
 
@@ -115,27 +116,42 @@ class TestFitL1:
 
 
 class TestPrimalOracle:
-    def test_study_windows_match_primal(self):
-        # the order study's aligned window: orders 1..20 all fit rows 21..200
+    # aligned windows of three (series length, max order, packed LPs per
+    # ensemble): several orders per LP, orders 16-20 too large to share one,
+    # and the whole ensemble in one LP
+    @pytest.mark.parametrize(
+        "length, max_order, n_lps",
+        [(200, 20, 3), (1000, 20, 16), (100, 8, 1)],
+        ids=["T200-K20", "T1000-K20", "T100-K8"],
+    )
+    def test_study_windows_match_primal(self, monkeypatch, length, max_order, n_lps):
         config = SimStudyConfig()
-        max_order = config.max_order
+        solves = []
+
+        def counting_linprog(*args, **kwargs):
+            solves.append(kwargs["A_eq"].shape)
+            return linprog(*args, **kwargs)
+
         for i in range(3):
             series = simulate_series(
-                config.true_beta, config.error, config.series_length,
-                burn=0, seed=(config.seed, i),
+                config.true_beta, config.error, length, burn=0, seed=(config.seed, i),
             )
+            solves.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(mle_fit, "linprog", counting_linprog)
+                ensemble = build_ensemble(series, max_order, ErrorFamily.LAPLACE)
+            assert len(solves) == n_lps
             oracle_bics = []
             for p in range(1, max_order + 1):
                 X, targets = lag_design(series.values, p, max_order + 1)
                 beta = primal_l1_oracle(X, targets)
                 oracle_obj = float(LAPLACE_MODEL.objective(targets - X @ beta))
-                fit = fit_l1(series, p, start=max_order + 1)
-                assert fit.objective == pytest.approx(oracle_obj, rel=1e-12)
-                np.testing.assert_allclose(fit.coeff.beta, beta, rtol=0, atol=1e-9)
+                for fit in (fit_l1(series, p, start=max_order + 1), ensemble.fits[p - 1]):
+                    assert fit.objective == pytest.approx(oracle_obj, rel=1e-12)
+                    np.testing.assert_allclose(fit.coeff.beta, beta, rtol=0, atol=1e-9)
                 n = targets.size
                 scale = max(LAPLACE_MODEL.point_scale(oracle_obj, n), SCALE_FLOOR)
                 oracle_bics.append(LAPLACE_MODEL.bic(n, p, scale, oracle_obj))
-            ensemble = build_ensemble(series, max_order, ErrorFamily.LAPLACE)
             assert ensemble.map_order == int(np.argmin(oracle_bics)) + 1
 
     @pytest.mark.parametrize("order", [2, 3])

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,12 +50,27 @@ class TestBicValue:
         assert all(b < a for b, a in zip(ens.bics[1:], ens.bics[2:]))
 
     def test_bic_function_matches_ensemble(self):
-        # each ensemble BIC is the Laplace kernel's BIC at the aligned L1 fit
+        # each ensemble BIC is the Laplace kernel's BIC at the ensemble's own
+        # aligned L1 fit; that fit comes from a packed LP, so it matches a
+        # separate fit_l1 to rounding, not bit for bit
         series = laplace_series(seed=5)
         ens = build_ensemble(series, 6, ErrorFamily.LAPLACE)
         for p in range(1, 7):
-            fit = fit_l1(series, p, start=7)
+            fit = ens.fits[p - 1]
             assert LAPLACE_MODEL.bic(len(series) - 6, p, fit.scale, fit.objective) == ens.bics[p - 1]
+            assert fit.objective == pytest.approx(fit_l1(series, p, start=7).objective, rel=1e-12)
+
+    def test_rank_deficient_orders_each_warn_once(self):
+        # alternating series: order 1 is full rank, every higher lag column is
+        # +-the lag-1 column
+        y = TimeSeries(np.r_[np.tile([1.0, -1.0], 20), 0.5])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build_ensemble(y, 4, ErrorFamily.LAPLACE)
+        messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+        assert len(messages) == 3
+        for order, message in zip((2, 3, 4), messages):
+            assert message.startswith(f"rank-deficient design at order {order}:")
 
     def test_window_validation(self):
         series = laplace_series()
