@@ -287,7 +287,6 @@ def _cmd_backtest(ns: argparse.Namespace) -> int:
         methods=methods,
         mcmc=McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn),
         max_order=ns.max_order,
-        interval_level=ns.level,
         seed=ns.seed,
         apply_diff=not ns.no_diff,
         baseline=ns.baseline,
@@ -440,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bt.add_argument("--k", dest="max_order", type=int, default=8)
     p_bt.add_argument("--methods", default="mar-bma,mar-map,ar-bma,ar-map",
                       help="comma list of mar-bma|mar-map|mar-fixed:P|ar-bma|ar-map|ar-fixed:P")
-    p_bt.add_argument("--level", type=float, default=0.95)
     p_bt.add_argument("--n-total", dest="n_total", type=int, default=8000)
     p_bt.add_argument("--n-burn", dest="n_burn", type=int, default=4000)
     p_bt.add_argument("--no-diff", dest="no_diff", action="store_true")
@@ -470,16 +468,10 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.handler(ns)
-    except CsvParseError as exc:
+    except (CsvParseError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (DegenerateDataError, np.linalg.LinAlgError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except RuntimeError as exc:
+    except (DegenerateDataError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

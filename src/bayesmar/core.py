@@ -43,6 +43,7 @@ __all__ = [
     "Coefficients",
     "PosteriorDraws",
     "lag_design",
+    "check_window",
     "diff1",
     "as_seed_tuple",
 ]
@@ -194,6 +195,20 @@ def lag_design(values: np.ndarray, order: int, start: int) -> tuple[np.ndarray, 
     for j in range(1, order + 1):
         cols.append(values[start - 1 - j : T - j])
     return np.column_stack(cols), targets
+
+
+def check_window(rows: int, order: int, context: str = "") -> None:
+    """Reject an order-``order`` fit on ``rows`` usable rows unless rows >= order + 2.
+
+    An AR(p) fit has p + 1 coefficients and a scale.  On its full window
+    t = p+1..T a series of length T has T - p rows, so it needs T >= 2p + 2.
+    ``context`` prefixes the error message.
+    """
+    if rows < order + 2:
+        raise ValueError(
+            f"{context}{rows} usable rows cannot identify order {order} "
+            f"(need at least {order + 2})"
+        )
 
 
 def diff1(y: TimeSeries) -> TimeSeries:

@@ -176,8 +176,8 @@ def bma_forecast(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(per_order_results),):
         raise ValueError("one weight per forecast required")
-    if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-9:
-        raise ValueError("weights must be nonnegative and sum to 1")
+    if not np.all(np.isfinite(weights) & (weights >= 0)) or abs(float(weights.sum()) - 1.0) > 1e-9:
+        raise ValueError("weights must be finite, nonnegative and sum to 1")
     first = per_order_results[0]
     for r in per_order_results[1:]:
         if r.horizons != first.horizons:
@@ -197,10 +197,9 @@ def bma_forecast(
     leftover = n_paths - int(counts.sum())
     rng = np.random.default_rng(as_seed_tuple(seed))
     if leftover > 0:
+        # the remainders sum to leftover >= 1, up to rounding
         frac = raw - counts
-        total = frac.sum()
-        probs = frac / total if total > 0 else weights / weights.sum()
-        counts += rng.multinomial(leftover, probs)
+        counts += rng.multinomial(leftover, frac / frac.sum())
 
     blocks = []
     for count, r in zip(counts, per_order_results):

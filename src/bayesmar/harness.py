@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .core import (
     ErrorFamily,
     TimeSeries,
     as_seed_tuple,
+    check_window,
 )
 from .forecast import MethodSpec, forecast_family
 from .mcmc import McmcConfig, posterior_mean, run_mh
@@ -47,20 +48,17 @@ __all__ = [
     "run_backtest",
 ]
 
-_DEFAULT_TRUE_BETA = (0.3, 0.75, -0.35)
-
-
 @dataclass(frozen=True)
 class SimStudyConfig:
-    """Design of the replicated AR(2) estimation experiment.
+    """Design of the replicated estimation experiment on the fixed AR(2) ``true_beta``.
 
     Replication i draws its series with seed (seed, i) and its chain with
-    seed (seed, i, 1); ``mcmc.seed`` is not read.
+    seed (seed, i, 1); ``mcmc.seed`` is not read.  Each fit checks its own
+    window (``check_window``): the MSE study needs ``series_length`` >= 6 and
+    the order study >= 2 * ``max_order`` + 2.
     """
 
-    true_beta: Coefficients = field(
-        default_factory=lambda: Coefficients.from_values(_DEFAULT_TRUE_BETA)
-    )
+    true_beta: ClassVar[Coefficients] = Coefficients.from_values((0.3, 0.75, -0.35))
     error: ErrorFamily = ErrorFamily.LAPLACE
     series_length: int = 200
     replications: int = 100
@@ -71,8 +69,6 @@ class SimStudyConfig:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if self.series_length <= 2 * self.max_order:
-            raise ValueError("series_length must exceed twice the maximum order")
 
 
 def simulate_series(
@@ -222,7 +218,9 @@ class BacktestSpec:
     ``t0`` is the 1-based index of the first forecast target: origins run from
     t0 - 1 to T - 1 and the fit at origin t sees y_1..y_t only.  The chains
     at origin t are seeded from (seed, t, family code); ``mcmc.seed`` is not
-    read.
+    read.  Scoring reads points and paths only, so there is no interval level.
+    A first origin too short for a method (``check_window``) or ``thin`` < 1
+    fails here, before any chain runs.
     """
 
     series: TimeSeries
@@ -231,7 +229,6 @@ class BacktestSpec:
     methods: tuple[MethodSpec, ...] = (MethodSpec(ErrorFamily.LAPLACE, "bma"),)
     mcmc: McmcConfig = field(default_factory=lambda: McmcConfig(n_total=8000, n_burn=4000))
     max_order: int = 8
-    interval_level: float = 0.95
     seed: int = 0
     apply_diff: bool = True
     baseline: str | None = None
@@ -252,17 +249,15 @@ class BacktestSpec:
             )
         first_window = self.t0 - 1 - (1 if self.apply_diff else 0)
         for m in self.methods:
-            if m.order_rule == "fixed":
-                needed = 2 * m.fixed_order + 2
-            else:
-                needed = 2 * self.max_order + 2
-            if first_window < needed:
-                raise ValueError(
-                    f"t0={self.t0} leaves {first_window} usable observations at the first "
-                    f"origin; method {m.name} needs at least {needed}"
-                )
-        if not 0.0 < self.interval_level < 1.0:
-            raise ValueError("interval_level must lie in (0, 1)")
+            order = m.fixed_order if m.order_rule == "fixed" else self.max_order
+            check_window(
+                first_window - order,
+                order,
+                f"t0={self.t0} leaves {first_window} usable observations at the first "
+                f"origin; method {m.name}: ",
+            )
+        if self.thin < 1:
+            raise ValueError("thin must be at least 1")
         if self.baseline is not None and self.baseline not in names:
             raise ValueError(f"baseline {self.baseline!r} not among methods {names}")
 
@@ -281,7 +276,6 @@ class BacktestSpec:
             "n_total": self.mcmc.n_total,
             "n_burn": self.mcmc.n_burn,
             "max_order": self.max_order,
-            "interval_level": self.interval_level,
             "seed": self.seed,
             "apply_diff": self.apply_diff,
             "baseline": self.baseline_name(),
@@ -328,8 +322,7 @@ def _forecast_origin(
             spec.max_order,
             spec.mcmc,
             (spec.seed, t, _FAMILY_CODE[family]),
-            spec.interval_level,
-            spec.apply_diff,
+            apply_diff=spec.apply_diff,
             thin=spec.thin,
         )
         for m, fc in planned.items():
@@ -368,8 +361,6 @@ def run_backtest(spec: BacktestSpec, n_jobs: int = 1) -> BacktestReport:
     errors = truths[None, :, :] - forecasts
     realized = ~np.isnan(truths)
     counts = realized.sum(axis=0)
-    errors[:, ~realized] = np.nan
-    crps_vals[:, ~realized] = np.nan
 
     metric_values = {
         "rmse": np.empty((len(names), H)),

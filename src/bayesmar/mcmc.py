@@ -28,6 +28,7 @@ CLI's ``fit --trace`` writes them out, and this module writes no files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .core import (
     PosteriorDraws,
     TimeSeries,
     as_seed_tuple,
+    check_window,
     lag_design,
 )
 
@@ -50,12 +52,16 @@ ADAPT_WINDOW = 200
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Sampler budget, proposal tuning targets, and seed."""
+    """Sampler budget, initial proposal step, and seed.
 
+    Burn-in tunes the step toward the fixed acceptance band ``target_band``
+    (20-50%); it is a class constant, not a setting.
+    """
+
+    target_band: ClassVar[tuple[float, float]] = (0.20, 0.50)
     n_total: int = 40_000
     n_burn: int = 25_000
     initial_step: float = 1.0
-    target_band: tuple[float, float] = (0.20, 0.50)
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self) -> None:
@@ -65,9 +71,6 @@ class McmcConfig:
             raise ValueError("n_burn must be smaller than n_total")
         if self.initial_step <= 0:
             raise ValueError("initial_step must be positive")
-        lo, hi = self.target_band
-        if not (0.0 <= lo < hi <= 1.0):
-            raise ValueError(f"target_band must satisfy 0 <= lo < hi <= 1, got {self.target_band}")
 
 
 def tune_step(current_a: float, window_acceptance: float, band: tuple[float, float]) -> float:
@@ -159,12 +162,9 @@ def run_mh(
     Laplace tau_i ~ InvGamma(shape T-p, rate S(beta_i)), Gaussian
     sigma_i^2 ~ InvGamma((T-p)/2, RSS(beta_i)/2).
     """
+    check_window(len(y) - order, order, f"series of length {len(y)}: ")
     X, targets = lag_design(y.values, order, order + 1)
     n = targets.size
-    if n < order + 2:
-        raise ValueError(
-            f"series too short to identify order {order}: {n} usable rows, need {order + 2}"
-        )
     # A perfect fit anywhere in beta space makes the marginal posterior
     # improper; reject such data up front rather than letting the chain wander.
     lsq_resid = targets - X @ np.linalg.lstsq(X, targets, rcond=None)[0]

@@ -45,7 +45,15 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .core import GAUSSIAN_MODEL, LAPLACE_MODEL, Coefficients, ErrorFamily, TimeSeries, lag_design
+from .core import (
+    GAUSSIAN_MODEL,
+    LAPLACE_MODEL,
+    Coefficients,
+    ErrorFamily,
+    TimeSeries,
+    check_window,
+    lag_design,
+)
 
 __all__ = ["MleFit", "fit_l1", "fit_ols", "point_fits", "SCALE_FLOOR"]
 
@@ -77,14 +85,6 @@ class MleFit:
             raise ValueError("n_used must be at least 1")
 
 
-def _check_window(n: int, order: int) -> None:
-    if n < order + 2:
-        raise ValueError(
-            f"window too small: {n} usable rows cannot identify order {order} "
-            f"(need at least {order + 2})"
-        )
-
-
 def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, ...]:
     """Exact L1 fits of ``orders`` on rows t = start..T, a few orders per dual LP.
 
@@ -97,7 +97,7 @@ def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, 
     for order in orders:
         X, targets = lag_design(y.values, order, start)
         n, k = X.shape
-        _check_window(n, order)
+        check_window(n, order)
         if np.linalg.matrix_rank(X) < k:
             warnings.warn(
                 f"rank-deficient design at order {order}: L1 optimum is non-unique, "
@@ -166,7 +166,7 @@ def fit_ols(y: TimeSeries, order: int, start: int) -> MleFit:
     """
     X, targets = lag_design(y.values, order, start)
     n, k = X.shape
-    _check_window(n, order)
+    check_window(n, order)
     if np.linalg.matrix_rank(X) < k:
         raise np.linalg.LinAlgError("singular normal equations: design not full column rank")
     beta = np.linalg.solve(X.T @ X, X.T @ targets)

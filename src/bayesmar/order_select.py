@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ErrorFamily, TimeSeries
+from .core import ErrorFamily, TimeSeries, check_window
 from .mle_fit import MleFit, point_fits
 
 __all__ = ["OrderEnsemble", "bma_weights", "build_ensemble"]
@@ -64,10 +64,7 @@ def build_ensemble(y: TimeSeries, max_order: int, family: ErrorFamily) -> OrderE
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     n = T - max_order
-    if n < max_order + 2:
-        raise ValueError(
-            f"aligned window of {n} rows too small for order {max_order} (series length {T})"
-        )
+    check_window(n, max_order, f"aligned window of series length {T}: ")
     fits = point_fits(y, range(1, max_order + 1), max_order + 1, family)
     bics = np.array(
         [family.model.bic(n, p, fit.scale, fit.objective) for p, fit in enumerate(fits, start=1)]

@@ -16,7 +16,7 @@ from bayesmar import (
     fit_and_forecast,
     simulate_series,
 )
-from bayesmar import mle_fit
+from bayesmar import forecast, mle_fit
 from bayesmar.cli import CsvParseError, main, read_series_csv
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
@@ -377,6 +377,32 @@ class TestExitCodes:
             main(args + ["--threads", threads, "--out", str(out)])
         assert excinfo.value.code == 2
         assert not out.exists()
+
+    def test_backtest_thin_below_one_runs_no_chain(self, tmp_path, monkeypatch):
+        chains = []
+        monkeypatch.setattr(forecast, "run_mh", lambda *args: chains.append(args))
+        p = tmp_path / "s.csv"
+        write_series_csv(p)
+        out = tmp_path / "o"
+        code = main(["backtest", "--input", str(p), "--t0", "60", "--thin", "0", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert chains == []
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["--preset", "table1", "--length", "40", "--replications", "1",
+              "--n-total", "400", "--n-burn", "200"], 0),
+            (["--preset", "orders", "--length", "41", "--k", "20", "--replications", "2"], 2),
+            (["--preset", "orders", "--length", "42", "--k", "20", "--replications", "2"], 0),
+        ],
+        ids=["table1-ignores-k", "orders-one-row-short", "orders-exact-window"],
+    )
+    def test_simulate_length_follows_the_fit_window(self, tmp_path, args, code):
+        out = tmp_path / "o"
+        assert main(["simulate", "--error", "laplace", *args, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
 
     def test_argparse_rejects_unknown_flags(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -8,15 +8,21 @@ from scipy.integrate import quad
 from bayesmar import (
     GAUSSIAN_MODEL,
     LAPLACE_MODEL,
+    BacktestSpec,
     Coefficients,
     DegenerateDataError,
     ErrorFamily,
+    McmcConfig,
     MleFit,
     PosteriorDraws,
     TimeSeries,
+    build_ensemble,
     diff1,
+    fit_l1,
+    fit_ols,
     forecast_levels,
     lag_design,
+    run_mh,
 )
 from bayesmar.forecast import SCALE_DIFFERENCED, result_from_paths
 from bayesmar.mle_fit import point_fits
@@ -341,6 +347,36 @@ class TestDifferencing:
     def test_too_short(self):
         with pytest.raises(ValueError):
             diff1(make_series([1.0]))
+
+
+def noise_series(n):
+    return TimeSeries(np.random.default_rng(n).normal(size=n))
+
+
+P = 2
+# each call needs an order-P window on a series of T values: build_ensemble
+# fits orders 1..P on the aligned window, and BacktestSpec checks a first
+# origin that holds T values after differencing
+WINDOW_CALLS = {
+    "fit_l1": lambda T: fit_l1(noise_series(T), P, start=P + 1),
+    "fit_ols": lambda T: fit_ols(noise_series(T), P, start=P + 1),
+    "run_mh": lambda T: run_mh(
+        noise_series(T), P, ErrorFamily.LAPLACE, McmcConfig(n_total=200, n_burn=100)
+    ),
+    "build_ensemble": lambda T: build_ensemble(noise_series(T), P, ErrorFamily.LAPLACE),
+    "BacktestSpec": lambda T: BacktestSpec(noise_series(T + 3), t0=T + 2, horizons=1, max_order=P),
+}
+
+
+class TestShortWindowRule:
+    @pytest.mark.parametrize("call", WINDOW_CALLS.values(), ids=WINDOW_CALLS.keys())
+    def test_order_p_needs_p_plus_2_rows(self, call):
+        # T = 2p + 2 values leave exactly p + 2 rows; one value fewer fails
+        with pytest.raises(
+            ValueError, match=rf"{P + 1} usable rows cannot identify order {P} \(need at least {P + 2}\)"
+        ):
+            call(2 * P + 1)
+        call(2 * P + 2)
 
 
 class TestTypeInvariants:

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,13 @@ class TestBmaForecast:
         a = result_with_paths(np.zeros((10, 1)))
         with pytest.raises(ValueError):
             bma_forecast([a], np.array([0.7]), seed=0)
+
+    def test_nan_weight_rejected_without_warning(self):
+        a = result_with_paths(np.zeros((10, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="weights"):
+                bma_forecast([a, a], np.array([np.nan, 1.0]), seed=0)
 
 
 class TestForecastLevels:

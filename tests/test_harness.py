@@ -173,8 +173,7 @@ class TestBacktest:
                 want = fit_and_forecast(
                     window, m.family, spec.horizons, m.order_rule, spec.max_order,
                     replace(spec.mcmc, seed=(spec.seed, t, code)),
-                    interval_level=spec.interval_level, fixed_order=m.fixed_order,
-                    apply_diff=True,
+                    fixed_order=m.fixed_order, apply_diff=True,
                 )
                 np.testing.assert_array_equal(report.forecasts[mi, i], want.point)
         realized = ~np.isnan(report.truths)

@@ -281,7 +281,3 @@ class TestMcmcConfig:
     def test_burn_in_bound(self):
         with pytest.raises(ValueError):
             McmcConfig(n_total=100, n_burn=100)
-
-    def test_band_ordering(self):
-        with pytest.raises(ValueError):
-            McmcConfig(target_band=(0.5, 0.2))
