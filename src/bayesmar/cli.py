@@ -146,15 +146,13 @@ def _parse_methods(spec: str) -> tuple[MethodSpec, ...]:
         if not token:
             continue
         fam_key, _, rule = token.partition("-")
-        if fam_key not in known_families or not rule:
+        rule, colon, order = rule.partition(":")
+        if fam_key not in known_families or not (
+            (rule in ("bma", "map") and not colon) or (rule == "fixed" and order.isdecimal())
+        ):
             raise ValueError(f"unknown method token {token!r}")
-        family = known_families[fam_key]
-        if rule in ("bma", "map"):
-            methods.append(MethodSpec(family, rule))
-        elif rule.startswith("fixed:"):
-            methods.append(MethodSpec(family, "fixed", fixed_order=int(rule.split(":", 1)[1])))
-        else:
-            raise ValueError(f"unknown method token {token!r}")
+        fixed_order = int(order) if rule == "fixed" else None
+        methods.append(MethodSpec(known_families[fam_key], rule, fixed_order))
     if not methods:
         raise ValueError("no methods given")
     return tuple(methods)
@@ -222,6 +220,7 @@ def _cmd_forecast(ns: argparse.Namespace) -> int:
         statistic=ns.point_statistic,
         thin=ns.thin,
     )
+    intervals = result.intervals  # before _out_dir: a failure leaves no --out directory
     out = _out_dir(ns)
     payload = {
         "config": _echo(
@@ -232,7 +231,7 @@ def _cmd_forecast(ns: argparse.Namespace) -> int:
         "seed": ns.seed,
         "horizons": [
             {"horizon": h, "point": float(point), "lower": float(lo), "upper": float(hi)}
-            for h, (point, (lo, hi)) in enumerate(zip(result.point, result.intervals), start=1)
+            for h, (point, (lo, hi)) in enumerate(zip(result.point, intervals), start=1)
         ],
     }
     path = out / "forecast.json"

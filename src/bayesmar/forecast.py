@@ -3,17 +3,16 @@
 Each retained posterior draw (beta_i, tau_i) seeds one simulated future path:
 the next value is drawn from the error distribution centered at the linear
 predictor, appended to the lag window, and the recursion continues to the
-requested horizon.  Point forecasts and equal-tailed intervals are read off
-the per-horizon sample columns; mixing across orders keeps the path-matrix
-representation by resampling pooled paths with the model weights.
+requested horizon.  Point forecasts are read off the per-horizon sample
+columns, and equal-tailed intervals only when a caller asks for them; mixing
+across orders resamples pooled paths with the model weights.
 
 ``forecast_family`` is the one planner from a series to its level-scale
-forecasts: for the methods of one error family it differences the series when
-asked, builds the order ensemble once, samples the union of the orders the
-methods need, assembles the BMA, MAP and fixed-order forecasts, and rebuilds
-levels.  ``fit_and_forecast`` (one method, used by the CLI) and the backtest
-call it.  Results are returned as arrays; writing them to files is the CLI's
-job.
+forecasts: it checks the plan before any fit, differences the series when
+asked, builds the order ensemble once, samples the union of the orders its
+methods need, and summarises each method's final BMA, MAP or fixed-order
+paths once, on the level scale.  ``fit_and_forecast`` (one method, used by the
+CLI) and the backtest call it.  Writing results to files is the CLI's job.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .order_select import build_ensemble
 
 __all__ = [
     "ForecastResult",
+    "check_plan",
     "sample_paths",
     "point_forecast",
     "credible_interval",
@@ -47,30 +47,51 @@ SCALE_LEVEL = "level"
 
 @dataclass(frozen=True)
 class ForecastResult:
-    """Per-horizon point forecasts, predictive sample paths, and intervals."""
+    """Per-horizon point forecasts and their paths; the rest is read from ``paths``."""
 
-    horizons: int
     point: np.ndarray
     paths: np.ndarray
-    intervals: np.ndarray
     interval_level: float
     scale_note: str
 
     def __post_init__(self) -> None:
         if self.scale_note not in (SCALE_DIFFERENCED, SCALE_LEVEL):
             raise ValueError(f"unknown scale_note {self.scale_note!r}")
-        if self.paths.ndim != 2 or self.paths.shape[1] != self.horizons:
+        if self.paths.ndim != 2:
             raise ValueError("paths must be (n_paths, horizons)")
         if self.point.shape != (self.horizons,):
             raise ValueError("point must have one entry per horizon")
-        if self.intervals.shape != (self.horizons, 2):
-            raise ValueError("intervals must be (horizons, 2)")
-        if np.any(self.intervals[:, 0] > self.intervals[:, 1]):
-            raise ValueError("interval lower bounds must not exceed uppers")
+        if not 0.0 < self.interval_level < 1.0:
+            raise ValueError("level must lie in (0, 1)")
+
+    @property
+    def horizons(self) -> int:
+        return int(self.paths.shape[1])
 
     @property
     def n_paths(self) -> int:
         return int(self.paths.shape[0])
+
+    @property
+    def intervals(self) -> np.ndarray:
+        """Equal-tailed ``interval_level`` interval per horizon, shape (horizons, 2)."""
+        return credible_interval(self.paths, self.interval_level)
+
+
+def check_plan(horizon: int, config: McmcConfig, thin: int, level: float | None = None) -> None:
+    """Reject, before any fit, a plan with horizon or thin below 1, a level
+    outside (0, 1), or fewer than 2 paths: ceil((n_total - n_burn) / thin) < 2,
+    that is n_total - n_burn <= thin.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if thin < 1:
+        raise ValueError("thin must be at least 1")
+    kept = config.n_total - config.n_burn
+    if kept <= thin:
+        raise ValueError(f"n_total - n_burn = {kept} at thin={thin} gives 1 path; need at least 2")
+    if level is not None and not 0.0 < level < 1.0:
+        raise ValueError("level must lie in (0, 1)")
 
 
 def sample_paths(
@@ -147,14 +168,7 @@ def result_from_paths(
 ) -> ForecastResult:
     """Assemble a ForecastResult by summarizing a path matrix."""
     paths = np.asarray(paths, dtype=float)
-    return ForecastResult(
-        horizons=paths.shape[1],
-        point=point_forecast(paths, statistic),
-        paths=paths,
-        intervals=credible_interval(paths, interval_level),
-        interval_level=interval_level,
-        scale_note=scale_note,
-    )
+    return ForecastResult(point_forecast(paths, statistic), paths, interval_level, scale_note)
 
 
 def bma_forecast(
@@ -168,8 +182,7 @@ def bma_forecast(
     mixture density is represented by resampling the pooled paths: each order
     contributes floor(weight * n_paths) paths deterministically and the
     leftover slots are drawn from the fractional remainders (residual
-    resampling), which keeps the mixing noise small.  Intervals are recomputed
-    from the mixed paths.
+    resampling), which keeps the mixing noise small.
     """
     if len(per_order_results) == 0:
         raise ValueError("need at least one forecast to mix")
@@ -180,10 +193,8 @@ def bma_forecast(
         raise ValueError("weights must be finite, nonnegative and sum to 1")
     first = per_order_results[0]
     for r in per_order_results[1:]:
-        if r.horizons != first.horizons:
-            raise ValueError("mismatched horizons across forecasts")
-        if r.n_paths != first.n_paths:
-            raise ValueError("mismatched path counts across forecasts")
+        if r.paths.shape != first.paths.shape:
+            raise ValueError("forecasts must share horizons and path counts")
         if r.scale_note != first.scale_note or r.interval_level != first.interval_level:
             raise ValueError("forecasts must share scale and interval level")
 
@@ -206,16 +217,7 @@ def bma_forecast(
         if count > 0:
             rows = rng.integers(0, r.n_paths, size=count)
             blocks.append(r.paths[rows])
-    mixed = np.vstack(blocks)
-
-    return ForecastResult(
-        horizons=first.horizons,
-        point=point,
-        paths=mixed,
-        intervals=credible_interval(mixed, first.interval_level),
-        interval_level=first.interval_level,
-        scale_note=first.scale_note,
-    )
+    return ForecastResult(point, np.vstack(blocks), first.interval_level, first.scale_note)
 
 
 def forecast_levels(
@@ -226,7 +228,7 @@ def forecast_levels(
     """Rebuild level-scale forecasts from change-scale ones.
 
     Every path is cumulatively summed and shifted by the last observed level;
-    points and intervals are recomputed from the level paths.
+    points are recomputed from the level paths.
     """
     if diff_result.scale_note != SCALE_DIFFERENCED:
         raise ValueError("input forecast is not on the differenced scale")
@@ -245,14 +247,14 @@ def per_order_forecasts(
     interval_level: float,
     scale_note: str,
     seed_base: Sequence[int],
-    statistic: str = "mean",
     thin: int = 1,
 ) -> dict[int, ForecastResult]:
     """Run the sampler and path simulation for each requested order.
 
-    Seeds derive from (seed_base..., order) for the chain and
-    (seed_base..., order, 1) for the path noise, so results for one order do
-    not depend on which other orders are requested.
+    Each order's point is the mean of its paths.  Seeds derive from
+    (seed_base..., order) for the chain and (seed_base..., order, 1) for the
+    path noise, so results for one order do not depend on which other orders
+    are requested.
     """
     results: dict[int, ForecastResult] = {}
     base = tuple(seed_base)
@@ -260,7 +262,7 @@ def per_order_forecasts(
         cfg = replace(config, seed=base + (p,))
         draws = run_mh(y, p, family, cfg)
         paths = sample_paths(y, draws, horizon, family, seed=base + (p, 1), thin=thin)
-        results[p] = result_from_paths(paths, interval_level, scale_note, statistic)
+        results[p] = result_from_paths(paths, interval_level, scale_note)
     return results
 
 
@@ -313,14 +315,16 @@ def forecast_family(
 ) -> dict[MethodSpec, ForecastResult]:
     """Forecast the series ``y`` with methods that share one error family.
 
-    With ``apply_diff`` the methods model the lag-1 changes of ``y`` and each
-    forecast is rebuilt on the level scale from the last observed value.  The
-    order ensemble is built once if any method selects orders, and
-    ``per_order_forecasts`` runs once over the union of the orders the methods
-    need, seeded from ``seed_base``.  BMA mixes orders 1..max_order by their
-    weights with seed (seed_base..., 0, 2), MAP takes the minimum-BIC order,
-    and a fixed rule its own order.
+    ``check_plan`` runs before any fit.  With ``apply_diff`` the methods model
+    the lag-1 changes of ``y`` and each forecast is rebuilt on the level scale
+    from the last observed value.  The order ensemble is built once if any
+    method selects orders, and ``per_order_forecasts`` runs once over the union
+    of the orders the methods need, seeded from ``seed_base``.  BMA mixes
+    orders 1..max_order by their weights with seed (seed_base..., 0, 2), MAP
+    takes the minimum-BIC order, and a fixed rule its own order.  Each method's
+    point is the ``statistic`` of its own final paths.
     """
+    check_plan(horizon, config, thin, interval_level)
     family = methods[0].family
     if any(m.family is not family for m in methods):
         raise ValueError("forecast_family needs methods of one error family")
@@ -335,8 +339,7 @@ def forecast_family(
         else:
             orders.add(ensemble.map_order)
     by_order = per_order_forecasts(
-        work, family, orders, horizon, config, interval_level, scale_note, seed_base,
-        statistic=statistic, thin=thin,
+        work, family, orders, horizon, config, interval_level, scale_note, seed_base, thin=thin
     )
     planned: dict[MethodSpec, ForecastResult] = {}
     for m in methods:
@@ -350,13 +353,11 @@ def forecast_family(
             result = by_order[ensemble.map_order]
         else:
             result = by_order[m.fixed_order]
-        if apply_diff:
-            result = forecast_levels(result, float(y.values[-1]), statistic)
-        elif m.order_rule == "bma":
-            # bma_forecast's point is the weighted sum of per-order points,
-            # not the statistic of the mixed paths
-            result = result_from_paths(result.paths, interval_level, scale_note, statistic)
-        planned[m] = result
+        planned[m] = (
+            forecast_levels(result, float(y.values[-1]), statistic)
+            if apply_diff
+            else result_from_paths(result.paths, interval_level, scale_note, statistic)
+        )
     return planned
 
 

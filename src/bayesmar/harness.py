@@ -30,7 +30,7 @@ from .core import (
     as_seed_tuple,
     check_window,
 )
-from .forecast import MethodSpec, forecast_family
+from .forecast import MethodSpec, check_plan, forecast_family
 from .mcmc import McmcConfig, posterior_mean, run_mh
 from .mle_fit import fit_l1, fit_ols
 from .order_select import build_ensemble
@@ -219,8 +219,8 @@ class BacktestSpec:
     t0 - 1 to T - 1 and the fit at origin t sees y_1..y_t only.  The chains
     at origin t are seeded from (seed, t, family code); ``mcmc.seed`` is not
     read.  Scoring reads points and paths only, so there is no interval level.
-    A first origin too short for a method (``check_window``) or ``thin`` < 1
-    fails here, before any chain runs.
+    A plan that ``check_plan`` rejects, or a first origin too short for a
+    method (``check_window``), fails here, before any chain runs.
     """
 
     series: TimeSeries
@@ -236,8 +236,7 @@ class BacktestSpec:
 
     def __post_init__(self) -> None:
         T = len(self.series)
-        if self.horizons < 1:
-            raise ValueError("horizons must be at least 1")
+        check_plan(self.horizons, self.mcmc, self.thin)
         if not self.methods:
             raise ValueError("at least one method required")
         names = [m.name for m in self.methods]
@@ -256,8 +255,6 @@ class BacktestSpec:
                 f"t0={self.t0} leaves {first_window} usable observations at the first "
                 f"origin; method {m.name}: ",
             )
-        if self.thin < 1:
-            raise ValueError("thin must be at least 1")
         if self.baseline is not None and self.baseline not in names:
             raise ValueError(f"baseline {self.baseline!r} not among methods {names}")
 

@@ -409,11 +409,47 @@ class TestExitCodes:
             main(["forecast", "--nonsense"])
         assert excinfo.value.code == 2
 
-    def test_bad_method_token(self, tmp_path):
+    def test_bad_method_token(self, tmp_path, capsys):
         p = tmp_path / "s.csv"
         write_series_csv(p)
+        for token in ("arma-bma", "mar-fixed:x", "mar-fixed:", "mar-fixed", "mar-bma:3"):
+            code = main(
+                ["backtest", "--input", str(p), "--t0", "60", "--methods", token,
+                 "--out", str(tmp_path / "o")]
+            )
+            assert code == 2
+            assert f"config error: unknown method token {token!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["forecast", "--h", "0"],
+            ["forecast", "--thin", "0"],
+            ["forecast", "--level", "1.5"],
+            ["forecast", "--level", "0"],
+            ["forecast", "--n-total", "401", "--n-burn", "400"],
+            ["backtest", "--t0", "60", "--n-total", "301", "--n-burn", "300"],
+        ],
+        ids=["h0", "thin0", "level1.5", "level0", "forecast-one-path", "backtest-one-path"],
+    )
+    def test_bad_forecast_plan_fits_nothing(self, tmp_path, monkeypatch, args):
+        fits = []
+        monkeypatch.setattr(forecast, "run_mh", lambda *a: fits.append("run_mh"))
+        monkeypatch.setattr(forecast, "build_ensemble", lambda *a: fits.append("build_ensemble"))
+        p = tmp_path / "s.csv"
+        write_series_csv(p)
+        out = tmp_path / "o"
+        assert main([*args, "--input", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert fits == []
+
+    def test_two_paths_is_enough(self, tmp_path):
+        p = tmp_path / "s.csv"
+        write_series_csv(p)
+        out = tmp_path / "o"
         code = main(
-            ["backtest", "--input", str(p), "--t0", "60", "--methods", "arma-bma",
-             "--out", str(tmp_path / "o")]
+            ["forecast", "--input", str(p), "--k", "3", "--n-total", "402", "--n-burn", "400",
+             "--paths-csv", "--out", str(out)]
         )
-        assert code == 2
+        assert code == 0
+        assert len((out / "forecast_paths.csv").read_text().splitlines()) == 1 + 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bayesmar import (
+    BacktestSpec,
     Coefficients,
     ErrorFamily,
     McmcConfig,
@@ -17,6 +18,7 @@ from bayesmar import (
     fit_and_forecast,
     forecast_levels,
     point_forecast,
+    run_backtest,
     run_mh,
     sample_paths,
     simulate_series,
@@ -28,6 +30,7 @@ from bayesmar.forecast import (
     per_order_forecasts,
     result_from_paths,
 )
+from bayesmar import forecast as forecast_module
 from bayesmar.cli import main
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
@@ -322,24 +325,63 @@ class TestPipeline:
 
 
 class TestForecastResultValidation:
-    def test_interval_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            ForecastResult(
-                horizons=1,
-                point=np.array([0.0]),
-                paths=np.zeros((3, 1)),
-                intervals=np.array([[1.0, -1.0]]),
-                interval_level=0.9,
-                scale_note=SCALE_LEVEL,
-            )
+    def test_intervals_are_read_from_paths(self):
+        paths = np.random.default_rng(59).normal(size=(40, 3))
+        res = ForecastResult(paths.mean(axis=0), paths, 0.8, SCALE_LEVEL)
+        assert (res.horizons, res.n_paths) == (3, 40)
+        np.testing.assert_array_equal(res.intervals, credible_interval(paths, 0.8))
 
     def test_scale_note_vocabulary(self):
         with pytest.raises(ValueError):
             ForecastResult(
-                horizons=1,
                 point=np.array([0.0]),
                 paths=np.zeros((3, 1)),
-                intervals=np.array([[-1.0, 1.0]]),
                 interval_level=0.9,
                 scale_note="raw",
             )
+
+    @pytest.mark.parametrize(
+        "point, paths, level",
+        [
+            (np.zeros(3), np.zeros(3), 0.9),
+            (np.zeros(2), np.zeros((3, 1)), 0.9),
+            (np.zeros(1), np.zeros((3, 1)), 1.0),
+            (np.zeros(1), np.zeros((3, 1)), 0.0),
+        ],
+        ids=["paths-not-2d", "point-count", "level-1", "level-0"],
+    )
+    def test_malformed_input_rejected(self, point, paths, level):
+        with pytest.raises(ValueError):
+            ForecastResult(point, paths, level, SCALE_LEVEL)
+
+
+class TestIntervalsOnDemand:
+    def test_only_the_cli_forecast_computes_intervals(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(paths, level):
+            calls.append(level)
+            return credible_interval(paths, level)
+
+        monkeypatch.setattr(forecast_module, "credible_interval", counting)
+        series = simulate_series(AR2, ErrorFamily.LAPLACE, 50, burn=200, seed=61)
+        methods = tuple(
+            MethodSpec(family, rule)
+            for family in (ErrorFamily.LAPLACE, ErrorFamily.GAUSSIAN)
+            for rule in ("bma", "map")
+        )
+        spec = BacktestSpec(
+            series=series, t0=47, horizons=2, methods=methods,
+            mcmc=McmcConfig(n_total=300, n_burn=150), max_order=3, seed=62,
+        )
+        run_backtest(spec)
+        assert calls == []
+
+        data = tmp_path / "in.csv"
+        data.write_text("".join(f"{float(v)!r}\n" for v in series.values))
+        code = main(
+            ["forecast", "--input", str(data), "--k", "3", "--h", "2", "--level", "0.8",
+             "--n-total", "300", "--n-burn", "150", "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+        assert calls == [0.8]
