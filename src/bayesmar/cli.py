@@ -139,6 +139,13 @@ def _worker_count(text: str) -> int:
     return n
 
 
+def _seed(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"seed must be at least 0, got {n}")
+    return n
+
+
 def _parse_methods(spec: str) -> tuple[MethodSpec, ...]:
     known_families = {"mar": ErrorFamily.LAPLACE, "ar": ErrorFamily.GAUSSIAN}
     methods: list[MethodSpec] = []
@@ -159,16 +166,15 @@ def _parse_methods(spec: str) -> tuple[MethodSpec, ...]:
 
 
 def _resolve_t0(token: str, series: TimeSeries) -> int:
+    if series.labels is not None and token in series.labels:
+        return series.labels.index(token) + 1
     try:
         return int(token)
     except ValueError:
         pass
     if series.labels is None:
         raise ValueError(f"t0 label {token!r} given but the input CSV has no period column")
-    try:
-        return series.labels.index(token) + 1
-    except ValueError:
-        raise ValueError(f"t0 label {token!r} not found in the input periods") from None
+    raise ValueError(f"t0 label {token!r} not found in the input periods")
 
 
 def _cmd_fit(ns: argparse.Namespace) -> int:
@@ -258,13 +264,14 @@ def _cmd_select_order(ns: argparse.Namespace) -> int:
         f"map_order: {ensemble.map_order}",
     )
     k_max = ensemble.max_order
+    weights = ensemble.weights
     path = _out_dir(ns) / "ensemble.csv"
     _write_csv(
         path,
         ["order", "bic", "weight"] + [f"beta_{j}" for j in range(k_max + 1)] + ["tau"],
         # betas beyond an order's own p + 1 are padded with blanks
         (
-            [p, ensemble.bics[p - 1], ensemble.weights[p - 1], *fit.coeff.beta]
+            [p, ensemble.bics[p - 1], weights[p - 1], *fit.coeff.beta]
             + [""] * (k_max - p)
             + [fit.scale]
             for p, fit in enumerate(ensemble.fits, start=1)
@@ -312,15 +319,16 @@ def _cmd_backtest(ns: argparse.Namespace) -> int:
     )
     # one row per realized (origin, method, horizon) target
     origins_path = out / "backtest_origins.csv"
+    errors = report.errors
     _write_csv(
         origins_path,
         ["origin", "method", "horizon", "forecast", "truth", "error", "crps"],
         (
             [t, m, h, report.forecasts[mi, i, h - 1], report.truths[i, h - 1],
-             report.errors[mi, i, h - 1], report.crps[mi, i, h - 1]]
+             errors[mi, i, h - 1], report.crps[mi, i, h - 1]]
             for i, t in enumerate(report.origins)
             for mi, m in enumerate(report.methods)
-            for h in report.horizons
+            for h in table.horizons
             if not np.isnan(report.truths[i, h - 1])
         ),
         (config,),
@@ -353,6 +361,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         header = (f"config: {echo}", f"noise: {family.value}")
         if ns.preset == "table1":
             report = run_mse_study(config, n_jobs=ns.threads)
+            summaries = (report.mse, report.se)
             path = _out_dir(ns) / f"table1_{family.value}.csv"
             n_coef = report.true_beta.size
             # method-by-coefficient MSE/SE, scaled by 100 like the reference layout
@@ -360,18 +369,19 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
                 path,
                 ["method"] + [f"{s}_beta{j}_x100" for j in range(n_coef) for s in ("mse", "se")],
                 (
-                    [m] + [v[m][j] * 100.0 for j in range(n_coef) for v in (report.mse, report.se)]
+                    [m] + [v[m][j] * 100.0 for j in range(n_coef) for v in summaries]
                     for m in report.methods
                 ),
                 header,
             )
         else:
             report = run_order_study(config, n_jobs=ns.threads)
+            counts = report.counts
             path = _out_dir(ns) / f"orders_{family.value}.csv"
             _write_csv(
                 path,
                 ["order", "count"],
-                ([p, int(report.counts[p])] for p in range(1, report.counts.size)),
+                ([p, int(counts[p])] for p in range(1, counts.size)),
                 header + (f"accuracy_at_true_order: {report.accuracy}",),
             )
         print(path)
@@ -387,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+        p.add_argument("--seed", type=_seed, default=0, help="master RNG seed, at least 0")
         p.add_argument("--out", default=".", help="output directory")
 
     p_fit = sub.add_parser("fit", help="sample the posterior at a fixed order")
@@ -433,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bt = sub.add_parser("backtest", help="recursive out-of-sample evaluation")
     p_bt.add_argument("--input", required=True)
     p_bt.add_argument("--t0", required=True,
-                      help="first forecast target: a period label or 1-based index")
+                      help="first forecast target: a period label, else a 1-based index")
     p_bt.add_argument("--h", dest="horizon", type=int, default=4)
     p_bt.add_argument("--k", dest="max_order", type=int, default=8)
     p_bt.add_argument("--methods", default="mar-bma,mar-map,ar-bma,ar-map",

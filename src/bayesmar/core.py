@@ -101,59 +101,50 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """AR coefficient vector (intercept first) together with its order p."""
+    """Finite AR coefficient vector, intercept first; its order p is ``beta.size - 1`` >= 1."""
 
     beta: np.ndarray
-    order: int
 
     def __post_init__(self) -> None:
         arr = np.array(self.beta, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("beta must be 1-D")
-        if self.order < 1:
-            raise ValueError("order must be a positive integer")
-        if arr.size != self.order + 1:
-            raise ValueError(
-                f"beta has {arr.size} entries, expected order+1 = {self.order + 1}"
-            )
+        if arr.ndim != 1 or arr.size < 2:
+            raise ValueError("beta must be 1-D with an intercept and at least one lag")
         if not np.all(np.isfinite(arr)):
             raise ValueError("beta entries must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "beta", arr)
 
+    @property
+    def order(self) -> int:
+        return self.beta.size - 1
+
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "Coefficients":
-        arr = np.asarray(values, dtype=float)
-        return cls(beta=arr, order=arr.size - 1)
+        return cls(values)
 
 
 @dataclass(frozen=True)
 class PosteriorDraws:
     """Retained joint (beta, tau) MCMC samples plus sampler diagnostics.
 
-    ``accepted`` flags, per retained draw, whether its Metropolis proposal
-    was accepted; ``step_size`` is the frozen proposal step.
+    Row i of ``beta_draws`` (n_kept, order + 1) pairs with ``tau_draws[i]`` and
+    ``accepted[i]``, whether its proposal was accepted; ``step_size`` is the
+    frozen proposal step, and ``n_burn`` iterations preceded the kept ones.
     """
 
     beta_draws: np.ndarray
     tau_draws: np.ndarray
     accepted: np.ndarray
     step_size: float
-    order: int
-    n_total: int
     n_burn: int
 
     def __post_init__(self) -> None:
         beta = np.asarray(self.beta_draws, dtype=float)
         tau = np.asarray(self.tau_draws, dtype=float)
         accepted = np.asarray(self.accepted, dtype=bool)
-        n_kept = self.n_total - self.n_burn
-        if n_kept <= 0:
-            raise ValueError("n_total must exceed n_burn")
-        if beta.ndim != 2 or beta.shape != (n_kept, self.order + 1):
-            raise ValueError(
-                f"beta_draws shape {beta.shape} != ({n_kept}, {self.order + 1})"
-            )
+        if beta.ndim != 2 or beta.shape[0] < 1 or beta.shape[1] < 2:
+            raise ValueError(f"beta_draws shape {beta.shape} is not (n_kept >= 1, order + 1 >= 2)")
+        n_kept = beta.shape[0]
         if tau.shape != (n_kept,):
             raise ValueError(f"tau_draws shape {tau.shape} != ({n_kept},)")
         if not np.all(tau > 0):
@@ -165,8 +156,16 @@ class PosteriorDraws:
         object.__setattr__(self, "accepted", accepted)
 
     @property
+    def order(self) -> int:
+        return self.beta_draws.shape[1] - 1
+
+    @property
     def n_kept(self) -> int:
-        return self.n_total - self.n_burn
+        return self.beta_draws.shape[0]
+
+    @property
+    def n_total(self) -> int:
+        return self.n_burn + self.n_kept
 
     @property
     def acceptance_rate(self) -> float:

@@ -113,14 +113,29 @@ def _replication_series(config: SimStudyConfig, i: int) -> TimeSeries:
 
 @dataclass(frozen=True)
 class MseStudyReport:
-    """Replicated-estimation summary: per-method MSE and SE per coefficient."""
+    """Each method's estimates of ``true_beta``, one row per replication, and
+    each BayesMAR chain's acceptance rate; ``mse`` and ``se`` are read from them
+    per coefficient (``se`` is zero at one replication).
+    """
 
-    methods: tuple[str, ...]
-    true_beta: np.ndarray
+    methods: ClassVar[tuple[str, ...]] = ("BayesMAR", "QAR", "AR")
+    true_beta: ClassVar[np.ndarray] = SimStudyConfig.true_beta.beta
     estimates: dict[str, np.ndarray]
-    mse: dict[str, np.ndarray]
-    se: dict[str, np.ndarray]
     acceptance_rates: np.ndarray
+
+    def _sq_errors(self, method: str) -> np.ndarray:
+        return (self.estimates[method] - self.true_beta[None, :]) ** 2
+
+    @property
+    def mse(self) -> dict[str, np.ndarray]:
+        return {m: self._sq_errors(m).mean(axis=0) for m in self.methods}
+
+    @property
+    def se(self) -> dict[str, np.ndarray]:
+        reps = self.acceptance_rates.size
+        if reps < 2:
+            return {m: np.zeros(self.true_beta.size) for m in self.methods}
+        return {m: self._sq_errors(m).std(axis=0, ddof=1) / np.sqrt(reps) for m in self.methods}
 
 
 def _mse_replication(args: tuple[SimStudyConfig, int]):
@@ -144,7 +159,7 @@ def run_mse_study(config: SimStudyConfig, n_jobs: int = 1) -> MseStudyReport:
     point fit, which at the median is the same estimator quantile regression
     uses), "AR" (Gaussian least squares).
     """
-    methods = ("BayesMAR", "QAR", "AR")
+    methods = MseStudyReport.methods
     tasks = [(config, i) for i in range(config.replications)]
     results = _run_units(_mse_replication, tasks, n_jobs)
 
@@ -156,32 +171,26 @@ def run_mse_study(config: SimStudyConfig, n_jobs: int = 1) -> MseStudyReport:
         for m in methods:
             estimates[m][i] = est[m]
         acceptance[i] = acc
-
-    true = config.true_beta.beta
-    mse = {}
-    se = {}
-    for m in methods:
-        sq = (estimates[m] - true[None, :]) ** 2
-        mse[m] = sq.mean(axis=0)
-        se[m] = sq.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros(n_coef)
-    return MseStudyReport(
-        methods=methods,
-        true_beta=true.copy(),
-        estimates=estimates,
-        mse=mse,
-        se=se,
-        acceptance_rates=acceptance,
-    )
+    return MseStudyReport(estimates, acceptance)
 
 
 @dataclass(frozen=True)
 class OrderStudyReport:
-    """Histogram of BIC-selected orders across replications."""
+    """Each replication's BIC-selected order out of 1..``max_order``; ``counts[p]``
+    replications chose order p, and ``accuracy`` is the share that chose ``true_order``.
+    """
 
-    counts: np.ndarray
+    true_order: ClassVar[int] = SimStudyConfig.true_beta.order
     map_orders: np.ndarray
-    accuracy: float
-    true_order: int
+    max_order: int
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.bincount(self.map_orders, minlength=self.max_order + 1)
+
+    @property
+    def accuracy(self) -> float:
+        return float(self.counts[self.true_order]) / self.map_orders.size
 
 
 def _order_replication(args: tuple[SimStudyConfig, int]):
@@ -197,15 +206,7 @@ def run_order_study(config: SimStudyConfig, n_jobs: int = 1) -> OrderStudyReport
     map_orders = np.zeros(config.replications, dtype=int)
     for i, p in results:
         map_orders[i] = p
-    counts = np.bincount(map_orders, minlength=config.max_order + 1)
-    true_order = config.true_beta.order
-    accuracy = float(counts[true_order]) / config.replications
-    return OrderStudyReport(
-        counts=counts,
-        map_orders=map_orders,
-        accuracy=accuracy,
-        true_order=true_order,
-    )
+    return OrderStudyReport(map_orders, config.max_order)
 
 
 _FAMILY_CODE = {ErrorFamily.LAPLACE: 0, ErrorFamily.GAUSSIAN: 1}
@@ -283,22 +284,43 @@ class BacktestSpec:
 
 @dataclass(frozen=True)
 class BacktestReport:
-    """Per-origin forecasts and errors plus the aggregated metric table.
+    """Level forecasts and CRPS (methods, origins, horizons) with truths (origins, horizons).
 
-    ``errors`` holds truth - forecast; unrealized targets (origins whose
-    horizon extends past the end of the series) are NaN and excluded from the
-    aggregation, whose per-horizon term counts are in ``counts``.
+    Unrealized targets (past the end of the series) are NaN.  ``errors`` is truth
+    minus forecast, ``counts`` the realized targets per horizon, and ``metrics``
+    their RMSE, MAE and mean CRPS, with changes relative to ``baseline``.
     """
 
     methods: tuple[str, ...]
-    horizons: tuple[int, ...]
     origins: tuple[int, ...]
     forecasts: np.ndarray
     truths: np.ndarray
-    errors: np.ndarray
     crps: np.ndarray
-    counts: np.ndarray
-    metrics: MetricTable
+    baseline: str
+
+    @property
+    def horizons(self) -> tuple[int, ...]:
+        return tuple(range(1, self.truths.shape[1] + 1))
+
+    @property
+    def errors(self) -> np.ndarray:
+        return self.truths[None, :, :] - self.forecasts
+
+    @property
+    def counts(self) -> np.ndarray:
+        return (~np.isnan(self.truths)).sum(axis=0)
+
+    @property
+    def metrics(self) -> MetricTable:
+        errors, realized = self.errors, ~np.isnan(self.truths)
+        shape = (len(self.methods), len(self.horizons))
+        values = {"rmse": np.empty(shape), "mae": np.empty(shape), "crps": np.empty(shape)}
+        for mi, h in np.ndindex(shape):
+            errs = errors[mi, realized[:, h], h]
+            values["rmse"][mi, h] = rmse(errs)
+            values["mae"][mi, h] = mae(errs)
+            values["crps"][mi, h] = float(self.crps[mi, realized[:, h], h].mean())
+        return MetricTable(self.methods, self.horizons, values, self.baseline)
 
 
 def _forecast_origin(
@@ -332,7 +354,7 @@ def _forecast_origin(
 
 
 def run_backtest(spec: BacktestSpec, n_jobs: int = 1) -> BacktestReport:
-    """Run the recursive backtest and aggregate RMSE, MAE, and CRPS per horizon."""
+    """Run the recursive backtest; the report aggregates RMSE, MAE, and CRPS per horizon."""
     values = spec.series.values
     T = values.size
     origins = list(range(spec.t0 - 1, T))
@@ -355,38 +377,13 @@ def run_backtest(spec: BacktestSpec, n_jobs: int = 1) -> BacktestReport:
             forecasts[mi, i] = points
             crps_vals[mi, i] = crps_row
 
-    errors = truths[None, :, :] - forecasts
-    realized = ~np.isnan(truths)
-    counts = realized.sum(axis=0)
-
-    metric_values = {
-        "rmse": np.empty((len(names), H)),
-        "mae": np.empty((len(names), H)),
-        "crps": np.empty((len(names), H)),
-    }
-    for mi in range(len(names)):
-        for h in range(H):
-            errs = errors[mi, realized[:, h], h]
-            metric_values["rmse"][mi, h] = rmse(errs)
-            metric_values["mae"][mi, h] = mae(errs)
-            metric_values["crps"][mi, h] = float(crps_vals[mi, realized[:, h], h].mean())
-
-    table = MetricTable(
-        methods=names,
-        horizons=tuple(range(1, H + 1)),
-        values=metric_values,
-        baseline=spec.baseline_name(),
-    )
     return BacktestReport(
         methods=names,
-        horizons=tuple(range(1, H + 1)),
         origins=tuple(origins),
         forecasts=forecasts,
         truths=truths,
-        errors=errors,
         crps=crps_vals,
-        counts=counts,
-        metrics=table,
+        baseline=spec.baseline_name(),
     )
 
 

@@ -69,8 +69,8 @@ class McmcConfig:
             raise ValueError("n_total must be positive and n_burn nonnegative")
         if self.n_burn >= self.n_total:
             raise ValueError("n_burn must be smaller than n_total")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
+        if not (np.isfinite(self.initial_step) and self.initial_step > 0):
+            raise ValueError(f"initial_step must be finite and positive, got {self.initial_step}")
 
 
 def tune_step(current_a: float, window_acceptance: float, band: tuple[float, float]) -> float:
@@ -188,13 +188,11 @@ def run_mh(
         tau_draws=tau,
         accepted=kept_accepted,
         step_size=final_a,
-        order=order,
-        n_total=config.n_total,
         n_burn=config.n_burn,
     )
 
 
 def posterior_mean(draws: PosteriorDraws) -> Coefficients:
     """Componentwise mean of the retained beta draws (the Bayes estimate)."""
-    return Coefficients(beta=draws.beta_draws.mean(axis=0), order=draws.order)
+    return Coefficients(draws.beta_draws.mean(axis=0))
 

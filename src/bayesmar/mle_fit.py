@@ -66,23 +66,21 @@ _LP_NONZERO_BUDGET = 16_000
 
 @dataclass(frozen=True)
 class MleFit:
-    """Point fit: coefficients, scale, attained objective, and window size.
+    """Point fit: coefficients, scale, and the residual objective they attain.
 
-    ``scale`` is tau for the Laplace family and sigma for the Gaussian one.
+    ``scale`` is tau for the Laplace family and sigma for the Gaussian one,
+    finite and positive; ``objective`` is the family's S or RSS.
     """
 
     coeff: Coefficients
     scale: float
     objective: float
-    n_used: int
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
         if self.objective < 0:
             raise ValueError("objective must be nonnegative")
-        if self.n_used < 1:
-            raise ValueError("n_used must be at least 1")
 
 
 def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, ...]:
@@ -131,17 +129,16 @@ def _solve_block_lp(blocks: list[tuple[int, np.ndarray, np.ndarray]]) -> list[Ml
         raise RuntimeError(f"L1 linear program failed for orders {orders}: {res.message}")
     fits = []
     row = 0
-    for order, X, targets in blocks:
+    for _, X, targets in blocks:
         n, k = X.shape
         beta = -res.eqlin.marginals[row : row + k]
         row += k
         objective = float(LAPLACE_MODEL.objective(targets - X @ beta))
         fits.append(
             MleFit(
-                coeff=Coefficients(beta=beta, order=order),
+                coeff=Coefficients(beta),
                 scale=max(LAPLACE_MODEL.point_scale(objective, n), SCALE_FLOOR),
                 objective=objective,
-                n_used=n,
             )
         )
     return fits
@@ -150,11 +147,11 @@ def _solve_block_lp(blocks: list[tuple[int, np.ndarray, np.ndarray]]) -> list[Ml
 def fit_l1(y: TimeSeries, order: int, start: int) -> MleFit:
     """Exact L1 (median regression) fit on rows t = start..T.
 
-    The scale slot carries tau = S / (n_used + 1); the objective is S.  HiGHS
-    solves the dual LP (one variable in [-1, 1] per row, ``X' d = 0``) to
-    global optimality and beta is read off its equality multipliers.  With a
-    rank-deficient design the optimum is non-unique, a warning naming the
-    order is emitted, and one optimal beta is returned.
+    The scale slot carries tau = S / (n + 1) over the window's n rows; the
+    objective is S.  HiGHS solves the dual LP (one variable in [-1, 1] per
+    row, ``X' d = 0``) to global optimality and beta is read off its equality
+    multipliers.  With a rank-deficient design the optimum is non-unique, a
+    warning naming the order is emitted, and one optimal beta is returned.
     """
     return _l1_fits(y, (order,), start)[0]
 
@@ -162,7 +159,8 @@ def fit_l1(y: TimeSeries, order: int, start: int) -> MleFit:
 def fit_ols(y: TimeSeries, order: int, start: int) -> MleFit:
     """Gaussian MLE on rows t = start..T via the normal equations.
 
-    The scale slot carries sigma = sqrt(RSS / n_used); the objective is the RSS.
+    The scale slot carries sigma = sqrt(RSS / n) over the window's n rows; the
+    objective is the RSS.
     """
     X, targets = lag_design(y.values, order, start)
     n, k = X.shape
@@ -172,10 +170,9 @@ def fit_ols(y: TimeSeries, order: int, start: int) -> MleFit:
     beta = np.linalg.solve(X.T @ X, X.T @ targets)
     rss = float(GAUSSIAN_MODEL.objective(targets - X @ beta))
     return MleFit(
-        coeff=Coefficients(beta=beta, order=order),
+        coeff=Coefficients(beta),
         scale=max(GAUSSIAN_MODEL.point_scale(rss, n), SCALE_FLOOR),
         objective=rss,
-        n_used=n,
     )
 
 

@@ -26,23 +26,27 @@ __all__ = ["OrderEnsemble", "bma_weights", "build_ensemble"]
 
 @dataclass(frozen=True)
 class OrderEnsemble:
-    """Per-order fits with their BIC values and normalized model weights."""
+    """Point fits of orders 1..K on one aligned window, with their BICs.
 
-    max_order: int
+    ``fits[p - 1]`` and ``bics[p - 1]`` belong to order p.  The BMA weights
+    and the MAP order (the minimum BIC, ties toward the smaller order) are
+    read from the BICs.
+    """
+
     fits: tuple[MleFit, ...]
     bics: np.ndarray
-    weights: np.ndarray
-    map_order: int
 
-    def __post_init__(self) -> None:
-        if len(self.fits) != self.max_order:
-            raise ValueError("need one fit per candidate order")
-        if self.bics.shape != (self.max_order,) or self.weights.shape != (self.max_order,):
-            raise ValueError("bics and weights must have one entry per order")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        if not 1 <= self.map_order <= self.max_order:
-            raise ValueError("map_order out of range")
+    @property
+    def max_order(self) -> int:
+        return len(self.fits)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return bma_weights(self.bics)
+
+    @property
+    def map_order(self) -> int:
+        return int(np.argmin(self.bics)) + 1
 
 
 def bma_weights(bics: np.ndarray) -> np.ndarray:
@@ -56,10 +60,7 @@ def bma_weights(bics: np.ndarray) -> np.ndarray:
 
 
 def build_ensemble(y: TimeSeries, max_order: int, family: ErrorFamily) -> OrderEnsemble:
-    """Fit every order 1..max_order on the aligned window and weight by BIC.
-
-    Ties in the BIC break toward the smaller order.
-    """
+    """Fit every order 1..max_order on the aligned window and score each by BIC."""
     T = len(y)
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
@@ -69,13 +70,4 @@ def build_ensemble(y: TimeSeries, max_order: int, family: ErrorFamily) -> OrderE
     bics = np.array(
         [family.model.bic(n, p, fit.scale, fit.objective) for p, fit in enumerate(fits, start=1)]
     )
-    weights = bma_weights(bics)
-    map_order = int(np.argmin(bics)) + 1
-    return OrderEnsemble(
-        max_order=max_order,
-        fits=fits,
-        bics=bics,
-        weights=weights,
-        map_order=map_order,
-    )
-
+    return OrderEnsemble(fits, bics)

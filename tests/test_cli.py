@@ -16,7 +16,7 @@ from bayesmar import (
     fit_and_forecast,
     simulate_series,
 )
-from bayesmar import forecast, mle_fit
+from bayesmar import cli, forecast, harness, mle_fit
 from bayesmar.cli import CsvParseError, main, read_series_csv
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
@@ -208,6 +208,29 @@ class TestBacktestCommand:
         assert "BayesMAR-BMA" in metrics and "BayesAR-MAP" in metrics
         origins = (out / "backtest_origins.csv").read_text()
         assert origins.splitlines()[1].startswith("origin,method,horizon")
+
+    @pytest.mark.parametrize(
+        "labels, label, index",
+        [([str(2000 + i) for i in range(64)], "2060", "61"),
+         ([str(i) for i in range(64)], "50", "51")],
+        ids=["year-labels", "zero-based-labels"],
+    )
+    def test_numeric_label_names_its_period(self, tmp_path, labels, label, index):
+        # a token that is a period label names that period, even when it parses
+        # as an integer; the same series without labels reads it as an index
+        plain = tmp_path / "plain.csv"
+        ts = write_series_csv(plain)
+        labeled = tmp_path / "labeled.csv"
+        labeled.write_text(
+            "period,value\n" + "".join(f"{p},{float(v)!r}\n" for p, v in zip(labels, ts.values))
+        )
+        small = ["--h", "2", "--methods", "mar-fixed:1", "--n-total", "300", "--n-burn", "150"]
+        for data, t0 in ((labeled, label), (plain, index)):
+            assert main(["backtest", "--input", str(data), "--t0", t0, *small,
+                         "--out", str(tmp_path / data.stem)]) == 0
+        for name in ("backtest_metrics.csv", "backtest_origins.csv"):
+            want = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "labeled" / name).read_bytes() == want
 
     def test_unknown_label_is_config_error(self, tmp_path):
         data = tmp_path / "in.csv"
@@ -442,6 +465,48 @@ class TestExitCodes:
         assert main([*args, "--input", str(p), "--out", str(out)]) == 2
         assert not out.exists()
         assert fits == []
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_nonfinite_step_runs_no_chain(self, tmp_path, monkeypatch, step):
+        chains = []
+        monkeypatch.setattr(cli, "run_mh", lambda *a: chains.append(a))
+        p = tmp_path / "s.csv"
+        write_series_csv(p)
+        out = tmp_path / "o"
+        code = main(["fit", "--input", str(p), "--order", "2", "--step", step, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert chains == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fit", "--order", "2"],
+            ["forecast"],
+            ["select-order"],
+            ["backtest", "--t0", "60"],
+            ["backtest", "--t0", "60", "--threads", "2"],
+            ["simulate", "--preset", "orders", "--replications", "2", "--length", "50", "--k", "5"],
+        ],
+        ids=["fit", "forecast", "select-order", "backtest", "backtest-threads", "simulate"],
+    )
+    def test_negative_seed_exits_before_reading_input(self, tmp_path, monkeypatch, args):
+        calls = []
+        read = cli.read_series_csv
+        monkeypatch.setattr(cli, "read_series_csv", lambda path: calls.append("read") or read(path))
+        for module in (cli, forecast, harness):
+            for name in ("run_mh", "build_ensemble"):
+                monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+        p = tmp_path / "s.csv"
+        write_series_csv(p)
+        out = tmp_path / "o"
+        if args[0] != "simulate":
+            args = args + ["--input", str(p)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(args + ["--seed", "-1", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert not out.exists()
+        assert calls == []
 
     def test_two_paths_is_enough(self, tmp_path):
         p = tmp_path / "s.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,16 @@ from scipy.integrate import quad
 from bayesmar import (
     GAUSSIAN_MODEL,
     LAPLACE_MODEL,
+    BacktestReport,
     BacktestSpec,
     Coefficients,
     DegenerateDataError,
     ErrorFamily,
     McmcConfig,
     MleFit,
+    MseStudyReport,
+    OrderEnsemble,
+    OrderStudyReport,
     PosteriorDraws,
     TimeSeries,
     build_ensemble,
@@ -393,37 +398,36 @@ class TestTypeInvariants:
             TimeSeries(np.array([]))
 
     def test_coefficients_length_check(self):
-        with pytest.raises(ValueError):
-            Coefficients(np.array([1.0, 2.0]), order=2)
+        # an intercept alone, a 2-D array and an empty vector have no order
+        for bad in ([1.0], [[1.0, 2.0]], []):
+            with pytest.raises(ValueError):
+                Coefficients(np.array(bad))
 
     def test_coefficients_from_values(self):
         c = Coefficients.from_values([0.1, 0.2, 0.3])
         assert c.order == 2
+        np.testing.assert_array_equal(c.beta, Coefficients(np.array([0.1, 0.2, 0.3])).beta)
 
     def test_scale_positive(self):
         for scale in (0.0, -1.0, math.inf):
             with pytest.raises(ValueError):
-                MleFit(Coefficients.from_values([0.0, 1.0]), scale=scale, objective=1.0, n_used=5)
+                MleFit(Coefficients.from_values([0.0, 1.0]), scale=scale, objective=1.0)
 
     def test_posterior_draws_consistency(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau_draws"):
             PosteriorDraws(
-                beta_draws=np.zeros((5, 2)),
+                beta_draws=np.zeros((4, 2)),
                 tau_draws=np.ones(5),
-                accepted=np.ones(5, dtype=bool),
+                accepted=np.ones(4, dtype=bool),
                 step_size=1.0,
-                order=1,
-                n_total=10,
-                n_burn=6,  # implies 4 kept, not 5
+                n_burn=6,
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive"):
             PosteriorDraws(
                 beta_draws=np.zeros((4, 2)),
                 tau_draws=np.array([1.0, 1.0, 0.0, 1.0]),
                 accepted=np.ones(4, dtype=bool),
                 step_size=1.0,
-                order=1,
-                n_total=10,
                 n_burn=6,
             )
         with pytest.raises(ValueError, match="accepted"):
@@ -432,7 +436,43 @@ class TestTypeInvariants:
                 tau_draws=np.ones(4),
                 accepted=np.ones(5, dtype=bool),
                 step_size=1.0,
-                order=1,
-                n_total=10,
                 n_burn=6,
             )
+        # a draw needs an intercept and at least one lag
+        with pytest.raises(ValueError, match="beta_draws"):
+            PosteriorDraws(
+                beta_draws=np.zeros((4, 1)),
+                tau_draws=np.ones(4),
+                accepted=np.ones(4, dtype=bool),
+                step_size=1.0,
+                n_burn=6,
+            )
+
+    def test_posterior_draws_counts_follow_the_rows(self):
+        draws = PosteriorDraws(
+            beta_draws=np.zeros((4, 3)),
+            tau_draws=np.ones(4),
+            accepted=np.array([True, False, True, True]),
+            step_size=0.5,
+            n_burn=6,
+        )
+        assert (draws.order, draws.n_kept, draws.n_total) == (2, 4, 10)
+        assert draws.acceptance_rate == 0.75
+
+
+def test_result_types_store_only_what_was_computed():
+    # every other value of these results is a property read from these fields
+    stored = {
+        t.__name__: tuple(f.name for f in dataclasses.fields(t))
+        for t in (Coefficients, PosteriorDraws, MleFit, OrderEnsemble, MseStudyReport,
+                  OrderStudyReport, BacktestReport)
+    }
+    assert stored == {
+        "Coefficients": ("beta",),
+        "PosteriorDraws": ("beta_draws", "tau_draws", "accepted", "step_size", "n_burn"),
+        "MleFit": ("coeff", "scale", "objective"),
+        "OrderEnsemble": ("fits", "bics"),
+        "MseStudyReport": ("estimates", "acceptance_rates"),
+        "OrderStudyReport": ("map_orders", "max_order"),
+        "BacktestReport": ("methods", "origins", "forecasts", "truths", "crps", "baseline"),
+    }

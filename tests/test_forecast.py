@@ -36,16 +36,12 @@ from bayesmar.cli import main
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
 
 
-def constant_draws(beta_row, tau, n=200, order=None):
-    beta_row = np.asarray(beta_row, dtype=float)
-    order = order if order is not None else beta_row.size - 1
+def constant_draws(beta_row, tau, n=200):
     return PosteriorDraws(
-        beta_draws=np.tile(beta_row, (n, 1)),
+        beta_draws=np.tile(np.asarray(beta_row, dtype=float), (n, 1)),
         tau_draws=np.full(n, tau),
         accepted=np.ones(n, dtype=bool),
         step_size=1.0,
-        order=order,
-        n_total=n,
         n_burn=0,
     )
 
@@ -74,8 +70,6 @@ class TestSamplePaths:
             tau_draws=np.full(4000, tau),
             accepted=np.ones(4000, dtype=bool),
             step_size=1.0,
-            order=2,
-            n_total=4000,
             n_burn=0,
         )
         y = TimeSeries(np.array([0.5, 1.2]))

@@ -11,11 +11,15 @@ from bayesmar import (
     ErrorFamily,
     McmcConfig,
     MethodSpec,
+    MseStudyReport,
+    OrderStudyReport,
     SimStudyConfig,
     TimeSeries,
     fit_and_forecast,
     fit_l1,
     fit_ols,
+    mae,
+    rmse,
     run_backtest,
     run_mse_study,
     run_order_study,
@@ -130,7 +134,33 @@ class TestMseStudy:
             assert float(r[2]) == pytest.approx(report.se[r[0]][0] * 100.0, rel=1e-12)
 
 
+    def test_se_is_zero_at_one_replication(self):
+        config = SimStudyConfig(
+            replications=1, series_length=60, seed=2, mcmc=McmcConfig(n_total=300, n_burn=100)
+        )
+        report = run_mse_study(config)
+        for m in report.methods:
+            sq = (report.estimates[m] - config.true_beta.beta) ** 2
+            np.testing.assert_array_equal(report.mse[m], sq[0])
+            np.testing.assert_array_equal(report.se[m], np.zeros(3))
+
+    def test_mse_and_se_follow_the_estimates(self):
+        rng = np.random.default_rng(4)
+        estimates = {m: rng.normal(size=(5, 3)) for m in MseStudyReport.methods}
+        report = MseStudyReport(estimates, np.full(5, 0.3))
+        for m in report.methods:
+            sq = (estimates[m] - report.true_beta) ** 2
+            np.testing.assert_array_equal(report.mse[m], sq.mean(axis=0))
+            np.testing.assert_array_equal(report.se[m], sq.std(axis=0, ddof=1) / np.sqrt(5))
+
+
 class TestOrderStudy:
+    def test_counts_and_accuracy_follow_the_map_orders(self):
+        report = OrderStudyReport(np.array([2, 2, 1, 4, 2]), max_order=4)
+        np.testing.assert_array_equal(report.counts, [0, 1, 3, 0, 1])
+        assert report.true_order == SimStudyConfig.true_beta.order == 2
+        assert report.accuracy == 0.6
+
     def test_counts_sum_to_replications(self):
         config = SimStudyConfig(replications=5, series_length=48, max_order=4, seed=4)
         report = run_order_study(config)
@@ -191,6 +221,28 @@ class TestBacktest:
         assert report.origins == tuple(range(54, 60))
         # unrealized targets carry no error terms
         assert np.isnan(report.errors[0, -1, 1])
+
+    def test_summaries_follow_the_stored_arrays(self):
+        series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=6)
+        methods = (
+            MethodSpec(ErrorFamily.LAPLACE, "fixed", fixed_order=1),
+            MethodSpec(ErrorFamily.GAUSSIAN, "fixed", fixed_order=2),
+        )
+        report = run_backtest(small_backtest_spec(series, methods, t0=55, baseline="BayesAR-p2"))
+        np.testing.assert_array_equal(report.errors, report.truths[None] - report.forecasts)
+        realized = ~np.isnan(report.truths)
+        np.testing.assert_array_equal(report.counts, realized.sum(axis=0))
+        assert report.horizons == (1, 2, 3)
+        table = report.metrics
+        assert (table.methods, table.horizons, table.baseline) == (
+            ("BayesMAR-p1", "BayesAR-p2"), (1, 2, 3), "BayesAR-p2"
+        )
+        for mi in range(2):
+            for h in range(3):
+                errs = report.errors[mi, realized[:, h], h]
+                assert table.values["rmse"][mi, h] == rmse(errs)
+                assert table.values["mae"][mi, h] == mae(errs)
+                assert table.values["crps"][mi, h] == report.crps[mi, realized[:, h], h].mean()
 
     def test_no_look_ahead(self):
         base = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=7)

@@ -101,8 +101,6 @@ class TestPosteriorMean:
             tau_draws=np.ones(n),
             accepted=np.ones(n, dtype=bool),
             step_size=1.0,
-            order=beta_rows.shape[1] - 1,
-            n_total=n,
             n_burn=0,
         )
 

@@ -66,10 +66,10 @@ class TestFitL1:
             assert abs(fit.objective - best) <= 1e-8 * max(1.0, fit.objective)
 
     def test_tau_denominator_conventions(self):
-        # tau divides the optimal objective by n_used + 1, not by n_used
+        # tau divides the optimal objective by n + 1, not by n; rows t = 3..40 give n = 38
         y = TimeSeries(np.random.default_rng(3).normal(size=40))
         fit = fit_l1(y, 2, start=3)
-        assert fit.scale == pytest.approx(fit.objective / (fit.n_used + 1), rel=1e-12)
+        assert fit.scale == pytest.approx(fit.objective / (38 + 1), rel=1e-12)
 
     def test_first_order_optimality_certificate(self):
         rng = np.random.default_rng(23)
@@ -182,7 +182,6 @@ class TestFitOls:
         np.testing.assert_allclose(fit.coeff.beta, [1.0, 1.0], atol=1e-12)
         assert fit.objective == pytest.approx(2.0, abs=1e-12)
         assert fit.scale == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
-        assert fit.n_used == 3
 
     def test_residuals_orthogonal_to_design(self):
         rng = np.random.default_rng(37)

@@ -10,10 +10,12 @@ from bayesmar import (
     LAPLACE_MODEL,
     Coefficients,
     ErrorFamily,
+    OrderEnsemble,
     TimeSeries,
     bma_weights,
     build_ensemble,
     fit_l1,
+    lag_design,
     simulate_series,
 )
 from bayesmar.cli import main
@@ -119,6 +121,12 @@ class TestBuildEnsemble:
         assert ens.weights[ens.map_order - 1] == ens.weights.max()
         assert ens.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_map_tie_breaks_toward_smaller_order(self):
+        fits = build_ensemble(laplace_series(seed=4), 3, ErrorFamily.LAPLACE).fits
+        ens = OrderEnsemble(fits, np.array([5.0, 1.0, 1.0]))
+        assert (ens.max_order, ens.map_order) == (3, 2)
+        np.testing.assert_array_equal(ens.weights, bma_weights(ens.bics))
+
     def test_single_candidate(self):
         ens = build_ensemble(laplace_series(seed=4), 1, ErrorFamily.LAPLACE)
         assert ens.map_order == 1
@@ -128,7 +136,13 @@ class TestBuildEnsemble:
         series = laplace_series(seed=6)
         for k in (4, 9):
             ens = build_ensemble(series, k, ErrorFamily.LAPLACE)
-            assert all(f.n_used == len(series) - k for f in ens.fits)
+            n = len(series) - k
+            for p, fit in enumerate(ens.fits, start=1):
+                X, targets = lag_design(series.values, p, k + 1)
+                assert targets.size == n
+                resid_objective = LAPLACE_MODEL.objective(targets - X @ fit.coeff.beta)
+                assert fit.objective == pytest.approx(resid_objective, rel=1e-12)
+                assert fit.scale == pytest.approx(fit.objective / (n + 1), rel=1e-12)
 
     def test_gaussian_family(self):
         series = simulate_series(AR2, ErrorFamily.GAUSSIAN, 220, burn=200, seed=8)
