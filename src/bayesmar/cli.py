@@ -200,11 +200,13 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
     print(path)
     if ns.trace:
         trace = out / "trace.csv"
-        kept = zip(draws.beta_draws, draws.tau_draws, draws.accepted)
+        # every exact (Gaussian) draw is a new state, so it reads as accepted
+        accepted = np.ones(draws.n_kept, dtype=bool) if draws.accepted is None else draws.accepted
+        kept = zip(draws.beta_draws, draws.tau_draws, accepted)
         _write_csv(
             trace,
-            ["iter"] + [f"beta_{j}" for j in range(draws.order + 1)] + ["tau", "accepted"],
-            ([k, *b, tau, int(a)] for k, (b, tau, a) in enumerate(kept, start=draws.n_burn + 1)),
+            ["iter"] + [f"beta_{j}" for j in range(draws.order + 1)] + ["scale", "accepted"],
+            ([k, *b, sc, int(a)] for k, (b, sc, a) in enumerate(kept, start=draws.n_burn + 1)),
         )
         print(trace)
     return EXIT_OK
@@ -268,7 +270,7 @@ def _cmd_select_order(ns: argparse.Namespace) -> int:
     path = _out_dir(ns) / "ensemble.csv"
     _write_csv(
         path,
-        ["order", "bic", "weight"] + [f"beta_{j}" for j in range(k_max + 1)] + ["tau"],
+        ["order", "bic", "weight"] + [f"beta_{j}" for j in range(k_max + 1)] + ["scale"],
         # betas beyond an order's own p + 1 are padded with blanks
         (
             [p, ensemble.bics[p - 1], weights[p - 1], *fit.coeff.beta]

@@ -11,8 +11,11 @@ i.e. a standard Laplace with scale b = 2 tau.  The Gaussian family is the
 mean AR model with standard deviation sigma in the same scale slot.
 
 Each family's formulas live in one ``ErrorModel`` (``LAPLACE_MODEL``,
-``GAUSSIAN_MODEL``, or ``family.model``): the sampler, the BIC, the point
-fits and the path and series noise all call it.
+``GAUSSIAN_MODEL``, or ``family.model``): the sampler's scale draws, the BIC,
+the point fits and the path and series noise all call it.  Only the Laplace
+model has a ``log_marginal``, the target of the random-walk chain; the
+Gaussian marginal posterior of beta is a multivariate t that ``mcmc.run_mh``
+draws exactly.
 
 Everything in this module is a pure function of its inputs (random draws
 advance only the generator passed in); the dataclasses are frozen and the
@@ -125,23 +128,24 @@ class Coefficients:
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Retained joint (beta, tau) MCMC samples plus sampler diagnostics.
+    """Retained joint (beta, scale) posterior samples plus sampler diagnostics.
 
-    Row i of ``beta_draws`` (n_kept, order + 1) pairs with ``tau_draws[i]`` and
-    ``accepted[i]``, whether its proposal was accepted; ``step_size`` is the
-    frozen proposal step, and ``n_burn`` iterations preceded the kept ones.
+    Row i of ``beta_draws`` (n_kept, order + 1) pairs with ``tau_draws[i]``.
+    A chain (Laplace) also stores ``accepted[i]``, whether row i's proposal
+    was accepted, its frozen proposal ``step_size`` and the ``n_burn``
+    iterations that preceded the kept ones.  Exact draws (Gaussian) have no
+    chain: ``accepted`` and ``step_size`` are None and ``n_burn`` is 0.
     """
 
     beta_draws: np.ndarray
     tau_draws: np.ndarray
-    accepted: np.ndarray
-    step_size: float
+    accepted: np.ndarray | None
+    step_size: float | None
     n_burn: int
 
     def __post_init__(self) -> None:
         beta = np.asarray(self.beta_draws, dtype=float)
         tau = np.asarray(self.tau_draws, dtype=float)
-        accepted = np.asarray(self.accepted, dtype=bool)
         if beta.ndim != 2 or beta.shape[0] < 1 or beta.shape[1] < 2:
             raise ValueError(f"beta_draws shape {beta.shape} is not (n_kept >= 1, order + 1 >= 2)")
         n_kept = beta.shape[0]
@@ -149,11 +153,18 @@ class PosteriorDraws:
             raise ValueError(f"tau_draws shape {tau.shape} != ({n_kept},)")
         if not np.all(tau > 0):
             raise ValueError("all tau draws must be positive")
-        if accepted.shape != (n_kept,):
-            raise ValueError(f"accepted shape {accepted.shape} != ({n_kept},)")
+        if self.accepted is None:
+            if self.step_size is not None or self.n_burn != 0:
+                raise ValueError("exact draws (accepted=None) have no step_size and no burn-in")
+        else:
+            accepted = np.asarray(self.accepted, dtype=bool)
+            if accepted.shape != (n_kept,):
+                raise ValueError(f"accepted shape {accepted.shape} != ({n_kept},)")
+            if self.step_size is None:
+                raise ValueError("chain draws (accepted given) need a step_size")
+            object.__setattr__(self, "accepted", accepted)
         object.__setattr__(self, "beta_draws", beta)
         object.__setattr__(self, "tau_draws", tau)
-        object.__setattr__(self, "accepted", accepted)
 
     @property
     def order(self) -> int:
@@ -169,7 +180,10 @@ class PosteriorDraws:
 
     @property
     def acceptance_rate(self) -> float:
-        """Share of retained iterations whose proposal was accepted."""
+        """Share of retained iterations whose proposal was accepted; 1.0 for
+        exact draws, each of which is a new state."""
+        if self.accepted is None:
+            return 1.0
         return float(self.accepted.mean())
 
 
@@ -225,24 +239,13 @@ class ErrorModel(ABC):
     the family's residual objective: S = sum |r_t| / 2 for Laplace and
     RSS = sum r_t^2 for Gaussian.  Integrating the scale out under the prior
     1/tau (Laplace) or 1/sigma^2 (Gaussian) leaves the marginal posterior
-    objective(beta)^(-k n), with k = 1 for Laplace and k = 1/2 for Gaussian.
+    S(beta)^(-n) (Laplace, ``log_marginal``) or RSS(beta)^(-n/2) (Gaussian, a
+    multivariate t drawn exactly by ``mcmc.run_mh``).
     """
 
     family: ErrorFamily
-    k: float
     #: Standard noise scale (Laplace b, Gaussian sd) per unit of the scale.
     noise_per_scale: float
-
-    def log_marginal(self, objective: float, n: int) -> float:
-        """Log marginal posterior of beta, -k n log(objective), up to a zero constant.
-
-        A zero objective is a perfect fit, where the posterior is improper.
-        """
-        if objective <= 0.0:
-            raise DegenerateDataError(
-                "zero residual objective: data admit a perfect fit and the posterior is improper"
-            )
-        return (-self.k * n) * math.log(objective)
 
     @abstractmethod
     def objective(self, resid: np.ndarray) -> np.ndarray:
@@ -267,8 +270,18 @@ class ErrorModel(ABC):
 
 class _LaplaceModel(ErrorModel):
     family = ErrorFamily.LAPLACE
-    k = 1.0
     noise_per_scale = 2.0
+
+    def log_marginal(self, objective: float, n: int) -> float:
+        """Log marginal posterior of beta, -n log S(beta), up to a zero constant.
+
+        A zero objective is a perfect fit, where the posterior is improper.
+        """
+        if objective <= 0.0:
+            raise DegenerateDataError(
+                "zero residual objective: data admit a perfect fit and the posterior is improper"
+            )
+        return -n * math.log(objective)
 
     def objective(self, resid):
         return 0.5 * np.abs(resid).sum(axis=-1)
@@ -291,7 +304,6 @@ class _LaplaceModel(ErrorModel):
 
 class _GaussianModel(ErrorModel):
     family = ErrorFamily.GAUSSIAN
-    k = 0.5
     noise_per_scale = 1.0
 
     def objective(self, resid):

@@ -243,9 +243,10 @@ class BacktestSpec:
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate method names: {names}")
-        if self.t0 + self.horizons > T:
+        if self.t0 + self.horizons - 1 > T:
             raise ValueError(
-                f"t0={self.t0} plus horizon {self.horizons} exceeds series length {T}"
+                f"t0={self.t0} with horizon {self.horizons}: the first origin {self.t0 - 1} "
+                f"lacks its last target {self.t0 - 1 + self.horizons} (series length {T})"
             )
         first_window = self.t0 - 1 - (1 if self.apply_diff else 0)
         for m in self.methods:

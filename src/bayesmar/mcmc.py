@@ -1,9 +1,9 @@
-"""Random-walk Metropolis sampling of AR coefficients on their marginal posterior.
+"""Posterior sampling of AR coefficients and scale; ``run_mh`` chooses how.
 
-The scale parameter is integrated out analytically, so the chain moves only in
-beta space on the family's ``ErrorModel.log_marginal``: the Laplace family
-targets S(beta)^(-n) with S(beta) = sum |residual| / 2, and the Gaussian family
-targets RSS(beta)^(-n/2).  Proposals add a * Uniform(-0.1, 0.1) noise to every
+The scale parameter is integrated out analytically, leaving a marginal
+posterior of beta alone.  The Laplace family's, S(beta)^(-n) with
+S(beta) = sum |residual| / 2, is sampled by a random-walk Metropolis chain on
+``log_marginal``.  Proposals add a * Uniform(-0.1, 0.1) noise to every
 coefficient including the intercept.  The step size a is adapted in
 multiplicative nudges once per ``ADAPT_WINDOW`` burn-in iterations until the
 window acceptance rate sits inside the target band, then frozen so the
@@ -18,15 +18,23 @@ themselves are formed exactly as current + a step_i, so the draws equal those
 of a chain that scores each proposal by its own residual unless a log ratio
 lands within rounding (about 1e-12) of its uniform draw.
 
+The Gaussian family's, RSS(beta)^(-n/2), is exactly a multivariate t with
+nu = n - p - 1 degrees of freedom, location the least-squares fit beta_hat and
+scale matrix s^2 (X'X)^-1, s^2 = RSS(beta_hat) / nu (Zellner 1971, ch. 3).
+With X = QR, each draw is beta_hat + R^-1 z * s / sqrt(w / nu), z ~ N(0, I),
+w ~ chi2(nu): independent rows, no burn-in and no tuning.  Every step scales
+exactly under y -> 2^k y, so these draws do not depend on the data's units.
+
 For each retained beta the matching scale is reconstituted by an exact draw
 from its conditional posterior (``ErrorModel.draw_scale``, inverse gamma),
-which makes the retained (beta, tau) pairs joint posterior samples.  The
-returned ``PosteriorDraws`` keep each retained iteration's accept flag; the
-CLI's ``fit --trace`` writes them out, and this module writes no files.
+which makes the retained (beta, scale) pairs joint posterior samples.  The
+returned ``PosteriorDraws`` keep a chain's accept flags; the CLI's
+``fit --trace`` writes them out, and this module writes no files.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -55,7 +63,8 @@ class McmcConfig:
     """Sampler budget, initial proposal step, and seed.
 
     Burn-in tunes the step toward the fixed acceptance band ``target_band``
-    (20-50%); it is a class constant, not a setting.
+    (20-50%); it is a class constant, not a setting.  Exact (Gaussian) draws
+    read only the seed and the kept count n_total - n_burn.
     """
 
     target_band: ClassVar[tuple[float, float]] = (0.20, 0.50)
@@ -92,7 +101,7 @@ def tune_step(current_a: float, window_acceptance: float, band: tuple[float, flo
 def _mh_chain(
     X: np.ndarray,
     targets: np.ndarray,
-    model: ErrorModel,
+    model: ErrorModel,  # one with a log_marginal: the Laplace model
     beta0: np.ndarray,
     config: McmcConfig,
     rng: np.random.Generator,
@@ -148,6 +157,28 @@ def _mh_chain(
     return kept, kept_accepted, a
 
 
+def _t_draws(
+    X: np.ndarray, targets: np.ndarray, n_draws: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``n_draws`` exact rows of the multivariate t that is the Gaussian
+    marginal posterior RSS(beta)^(-n/2) of the regression ``targets ~ X beta``.
+
+    The least-squares fit comes from the QR factors X = QR, so X'X = R'R and
+    R^-1 z has covariance (X'X)^-1; draws z first, then w.  Householder QR
+    and triangular solves scale exactly with the data; ``lstsq``'s SVD does
+    not, so its fit in ``run_mh`` only screens for degenerate data.
+    """
+    n, dim = X.shape
+    nu = n - dim
+    Q, R = np.linalg.qr(X)
+    beta_hat = np.linalg.solve(R, Q.T @ targets)
+    resid = targets - X @ beta_hat
+    s_hat = math.sqrt(float(resid @ resid) / nu)
+    z = rng.standard_normal((n_draws, dim))
+    w = rng.chisquare(nu, n_draws)
+    return beta_hat + (z @ np.linalg.inv(R).T) * (s_hat / np.sqrt(w / nu))[:, None]
+
+
 def run_mh(
     y: TimeSeries,
     order: int,
@@ -156,10 +187,12 @@ def run_mh(
 ) -> PosteriorDraws:
     """Sample the joint posterior of (beta, scale) for an order-p fit of ``y``.
 
-    The chain targets the marginal posterior of beta on the full usable window
-    t = p+1..T; beta starts at independent Uniform(0, 1) coordinates.  After
-    burn-in, each retained beta_i gets an exact conditional scale draw:
-    Laplace tau_i ~ InvGamma(shape T-p, rate S(beta_i)), Gaussian
+    The marginal posterior of beta is taken on the full usable window
+    t = p+1..T.  Laplace runs the chain from independent Uniform(0, 1)
+    coordinates and keeps its n_total - n_burn post-burn-in states; Gaussian
+    draws n_total - n_burn exact multivariate-t rows.  Each kept beta_i then
+    gets an exact conditional scale draw: Laplace
+    tau_i ~ InvGamma(shape T-p, rate S(beta_i)), Gaussian
     sigma_i^2 ~ InvGamma((T-p)/2, RSS(beta_i)/2).
     """
     check_window(len(y) - order, order, f"series of length {len(y)}: ")
@@ -175,8 +208,13 @@ def run_mh(
     rng = np.random.default_rng(as_seed_tuple(config.seed))
     model = family.model
 
-    beta0 = rng.random(order + 1)
-    kept, kept_accepted, final_a = _mh_chain(X, targets, model, beta0, config, rng)
+    if family is ErrorFamily.LAPLACE:
+        beta0 = rng.random(order + 1)
+        kept, accepted, step_size = _mh_chain(X, targets, model, beta0, config, rng)
+        n_burn = config.n_burn
+    else:
+        kept = _t_draws(X, targets, config.n_total - config.n_burn, rng)
+        accepted, step_size, n_burn = None, None, 0
 
     objectives = model.objective(targets[None, :] - kept @ X.T)
     if np.any(objectives <= 0.0):
@@ -186,9 +224,9 @@ def run_mh(
     return PosteriorDraws(
         beta_draws=kept,
         tau_draws=tau,
-        accepted=kept_accepted,
-        step_size=final_a,
-        n_burn=config.n_burn,
+        accepted=accepted,
+        step_size=step_size,
+        n_burn=n_burn,
     )
 
 

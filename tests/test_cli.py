@@ -179,6 +179,33 @@ class TestFitCommand:
         assert len(rows) - 1 == 300
 
 
+    def test_gaussian_fit_reruns_byte_identically_as_exact_draws(self, tmp_path):
+        # exact draws: no step size, acceptance 1.0, trace rows from iter 1, all accepted
+        data = tmp_path / "in.csv"
+        write_series_csv(data)
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            code = main(
+                ["fit", "--input", str(data), "--order", "2", "--family", "gaussian",
+                 "--n-total", "500", "--n-burn", "200", "--seed", "4", "--trace",
+                 "--out", str(out)]
+            )
+            assert code == 0
+            outs.append(out)
+        for name in ("fit.json", "trace.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        payload = json.loads((outs[0] / "fit.json").read_text())
+        assert payload["step_size"] is None
+        assert payload["acceptance_rate"] == 1.0
+        assert payload["n_kept"] == 300
+        with open(outs[0] / "trace.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["iter", "beta_0", "beta_1", "beta_2", "scale", "accepted"]
+        assert [int(r[0]) for r in rows[1:]] == list(range(1, 301))
+        assert {r[-1] for r in rows[1:]} == {"1"}
+
+
 class TestSelectOrderCommand:
     def test_ensemble_csv(self, tmp_path):
         data = tmp_path / "in.csv"
@@ -231,6 +258,19 @@ class TestBacktestCommand:
         for name in ("backtest_metrics.csv", "backtest_origins.csv"):
             want = (tmp_path / "plain" / name).read_bytes()
             assert (tmp_path / "labeled" / name).read_bytes() == want
+
+    def test_last_target_of_first_origin_may_end_the_series(self, tmp_path):
+        # t0=77, h=4 on 80 points: the first origin 76 forecasts 77..80
+        data = tmp_path / "in.csv"
+        write_series_csv(data, n=80)
+        out = tmp_path / "out"
+        code = main(
+            ["backtest", "--input", str(data), "--t0", "77", "--h", "4", "--methods",
+             "mar-fixed:1", "--n-total", "300", "--n-burn", "150", "--out", str(out)]
+        )
+        assert code == 0
+        header = (out / "backtest_metrics.csv").read_text().splitlines()[1]
+        assert header == "# horizon_counts: [4, 3, 2, 1]"
 
     def test_unknown_label_is_config_error(self, tmp_path):
         data = tmp_path / "in.csv"

@@ -278,26 +278,21 @@ class TestLogMarginalPosterior:
         assert LAPLACE_MODEL.log_marginal(s, 2) == 0.0
 
     def test_ratio_matches_direct_power_form(self):
-        # S^(-n) for Laplace and RSS^(-n/2) for Gaussian, each objective summed by hand
+        # S^(-n) with each S summed by hand
         rng = np.random.default_rng(9)
         y = rng.normal(size=7)
         b1, b2 = rng.normal(size=2), rng.normal(size=2)
         n = 6  # terms for start=2 on 7 observations
-        for model, power in ((LAPLACE_MODEL, -n), (GAUSSIAN_MODEL, -n / 2)):
-            objs = []
-            for beta in (b1, b2):
-                r = [y[t] - beta[0] - beta[1] * y[t - 1] for t in range(1, 7)]
-                objs.append(
-                    math.fsum(0.5 * abs(v) for v in r)
-                    if model is LAPLACE_MODEL
-                    else math.fsum(v * v for v in r)
-                )
-            lp_ratio = math.exp(
-                model.log_marginal(model.objective(residuals(y, b1, 1, 2)), n)
-                - model.log_marginal(model.objective(residuals(y, b2, 1, 2)), n)
-            )
-            direct = (objs[0] ** power) / (objs[1] ** power)
-            assert lp_ratio == pytest.approx(direct, rel=1e-10)
+        objs = []
+        for beta in (b1, b2):
+            r = [y[t] - beta[0] - beta[1] * y[t - 1] for t in range(1, 7)]
+            objs.append(math.fsum(0.5 * abs(v) for v in r))
+        lp_ratio = math.exp(
+            LAPLACE_MODEL.log_marginal(LAPLACE_MODEL.objective(residuals(y, b1, 1, 2)), n)
+            - LAPLACE_MODEL.log_marginal(LAPLACE_MODEL.objective(residuals(y, b2, 1, 2)), n)
+        )
+        direct = (objs[0] ** -n) / (objs[1] ** -n)
+        assert lp_ratio == pytest.approx(direct, rel=1e-10)
 
     def test_invariant_to_term_reordering(self):
         # the kernel is a sum over residual terms; summing them in any order agrees
@@ -316,9 +311,8 @@ class TestLogMarginalPosterior:
 
     def test_perfect_fit_is_degenerate(self):
         resid = residuals([1.0, 1.0, 1.0], [0.0, 1.0], 1, 2)
-        for model in (LAPLACE_MODEL, GAUSSIAN_MODEL):
-            with pytest.raises(DegenerateDataError):
-                model.log_marginal(model.objective(resid), 2)
+        with pytest.raises(DegenerateDataError):
+            LAPLACE_MODEL.log_marginal(LAPLACE_MODEL.objective(resid), 2)
 
 
 class TestDifferencing:
@@ -458,6 +452,24 @@ class TestTypeInvariants:
         )
         assert (draws.order, draws.n_kept, draws.n_total) == (2, 4, 10)
         assert draws.acceptance_rate == 0.75
+
+    def test_exact_draws_store_no_chain_diagnostics(self):
+        draws = PosteriorDraws(
+            beta_draws=np.zeros((4, 3)), tau_draws=np.ones(4), accepted=None, step_size=None,
+            n_burn=0,
+        )
+        assert (draws.n_kept, draws.n_total, draws.acceptance_rate) == (4, 4, 1.0)
+        for step_size, n_burn in ((0.5, 0), (None, 6)):
+            with pytest.raises(ValueError, match="exact draws"):
+                PosteriorDraws(
+                    beta_draws=np.zeros((4, 3)), tau_draws=np.ones(4), accepted=None,
+                    step_size=step_size, n_burn=n_burn,
+                )
+        with pytest.raises(ValueError, match="step_size"):
+            PosteriorDraws(
+                beta_draws=np.zeros((4, 3)), tau_draws=np.ones(4),
+                accepted=np.ones(4, dtype=bool), step_size=None, n_burn=6,
+            )
 
 
 def test_result_types_store_only_what_was_computed():

@@ -351,7 +351,7 @@ class TestBacktest:
 class TestBacktestSpecValidation:
     def test_t0_plus_horizon_bound(self):
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=12)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="first origin 58 lacks its last target 61"):
             small_backtest_spec(
                 series, (MethodSpec(ErrorFamily.LAPLACE, "map"),), t0=59, horizons=3
             )

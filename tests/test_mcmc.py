@@ -20,7 +20,7 @@ from bayesmar import (
     tune_step,
 )
 from bayesmar.cli import main
-from bayesmar.core import LAPLACE_MODEL, as_seed_tuple, lag_design
+from bayesmar.core import GAUSSIAN_MODEL, LAPLACE_MODEL, as_seed_tuple, lag_design
 from bayesmar.mcmc import ADAPT_WINDOW, PROPOSAL_HALF_WIDTH, _mh_chain
 from bayesmar.mle_fit import fit_l1
 
@@ -31,12 +31,31 @@ def laplace_series(n=200, seed=0, burn=200):
     return simulate_series(AR2, ErrorFamily.LAPLACE, n, burn=burn, seed=seed)
 
 
-def sequential_chain_oracle(y, order, family, config):
-    """``run_mh`` as a plain loop that scores every proposal by its own
+def t_draw_oracle(y, order, config):
+    """Gaussian ``run_mh`` from the t-draw formula, one step per line: with
+    X = QR, beta = beta_hat + R^-1 z * s / sqrt(w / nu); returns (betas, sigmas)."""
+    X, targets = lag_design(y.values, order, order + 1)
+    n, dim = X.shape
+    nu = n - order - 1
+    rng = np.random.default_rng(as_seed_tuple(config.seed))
+    Q, R = np.linalg.qr(X)
+    beta_hat = np.linalg.solve(R, Q.T @ targets)
+    rss = float((targets - X @ beta_hat) @ (targets - X @ beta_hat))
+    s_hat = math.sqrt(rss / nu)
+    z = rng.standard_normal((config.n_total - config.n_burn, dim))
+    w = rng.chisquare(nu, config.n_total - config.n_burn)
+    betas = beta_hat + (z @ np.linalg.inv(R).T) * (s_hat / np.sqrt(w / nu))[:, None]
+    rss_i = np.vecdot(targets[None, :] - betas @ X.T, targets[None, :] - betas @ X.T)
+    sigmas = np.sqrt(0.5 * rss_i / rng.gamma(shape=0.5 * n, scale=1.0, size=rss_i.size))
+    return betas, sigmas
+
+
+def sequential_chain_oracle(y, order, config):
+    """Laplace ``run_mh`` as a plain loop that scores every proposal by its own
     residual, targets - X @ proposal; returns (betas, taus, accepted, step)."""
     X, targets = lag_design(y.values, order, order + 1)
     n = targets.size
-    model = family.model
+    model = LAPLACE_MODEL
     rng = np.random.default_rng(as_seed_tuple(config.seed))
     beta0 = rng.random(order + 1)
     steps = rng.uniform(-PROPOSAL_HALF_WIDTH, PROPOSAL_HALF_WIDTH, size=(config.n_total, order + 1))
@@ -74,6 +93,13 @@ class _FlatModel(type(LAPLACE_MODEL)):
 
     def log_marginal(self, objective, n):
         return 0.0
+
+
+class _RssMarginalModel(type(GAUSSIAN_MODEL)):
+    """The Gaussian marginal posterior RSS(beta)^(-n/2) as a chain target."""
+
+    def log_marginal(self, objective, n):
+        return -0.5 * n * math.log(objective)
 
 
 class TestTuneStep:
@@ -166,11 +192,14 @@ class TestRunMh:
         assert abs(float(centered.mean())) <= 3 * se
 
     def test_gaussian_family_runs_and_recovers(self):
+        # exact draws: n_total - n_burn rows, no chain diagnostics to store
         y = simulate_series(AR2, ErrorFamily.GAUSSIAN, 200, burn=0, seed=21)
         draws = run_mh(y, 2, ErrorFamily.GAUSSIAN, McmcConfig(n_total=8000, n_burn=4000, seed=6))
         mean = posterior_mean(draws).beta
         assert np.all(np.abs(mean - AR2.beta) < 0.3)
-        assert 0.20 <= draws.acceptance_rate <= 0.50
+        assert draws.n_kept == 4000 and draws.n_burn == 0 and draws.n_total == 4000
+        assert draws.accepted is None and draws.step_size is None
+        assert draws.acceptance_rate == 1.0
 
     def test_degenerate_data_rejected(self):
         trend = TimeSeries(np.arange(1.0, 41.0))
@@ -187,43 +216,62 @@ class TestRunMh:
             )
 
     def test_chain_target_matches_marginal_posterior_op(self):
-        # replaying run_mh's random stream through a chain on the ErrorModel
+        # replaying run_mh's random stream through a chain on the Laplace
         # log-marginal reproduces its draws bit for bit, scales included
         y = laplace_series(50, seed=12)
         X, targets = lag_design(y.values, 2, 3)
         n = targets.size
-        for code, family in enumerate(ErrorFamily):
-            model = family.model
-            cfg = McmcConfig(n_total=600, n_burn=300, seed=(12, code))
-            draws = run_mh(y, 2, family, cfg)
+        model = LAPLACE_MODEL
+        cfg = McmcConfig(n_total=600, n_burn=300, seed=(12, 0))
+        draws = run_mh(y, 2, ErrorFamily.LAPLACE, cfg)
 
-            rng = np.random.default_rng(as_seed_tuple(cfg.seed))
-            beta0 = rng.random(3)
-            kept, accepted, step = _mh_chain(X, targets, model, beta0, cfg, rng)
-            scales = model.draw_scale(rng, model.objective(targets[None, :] - kept @ X.T), n)
-            np.testing.assert_array_equal(draws.beta_draws, kept)
-            np.testing.assert_array_equal(draws.tau_draws, scales)
-            np.testing.assert_array_equal(draws.accepted, accepted)
-            assert draws.step_size == step
-            assert 0.0 < draws.acceptance_rate < 1.0
+        rng = np.random.default_rng(as_seed_tuple(cfg.seed))
+        beta0 = rng.random(3)
+        kept, accepted, step = _mh_chain(X, targets, model, beta0, cfg, rng)
+        scales = model.draw_scale(rng, model.objective(targets[None, :] - kept @ X.T), n)
+        np.testing.assert_array_equal(draws.beta_draws, kept)
+        np.testing.assert_array_equal(draws.tau_draws, scales)
+        np.testing.assert_array_equal(draws.accepted, accepted)
+        assert draws.step_size == step
+        assert 0.0 < draws.acceptance_rate < 1.0
 
     @pytest.mark.parametrize("scale", [1.0, 1e3])
     @pytest.mark.parametrize("n_burn,n_total", [(1500, 3000), (250, 2500)])
     @pytest.mark.parametrize("order", [1, 6])
     @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
     def test_matches_sequential_chain_oracle(self, family, order, n_burn, n_total, scale):
-        # the window-shift residuals are the per-proposal residuals up to the
-        # last bits of the log target, which flip no accept decision here
+        # Laplace: the window-shift residuals are the per-proposal residuals up
+        # to the last bits of the log target, which flip no accept decision
+        # here.  Gaussian: the exact draws are the t-draw formula replayed from
+        # the seed, scales included.
         base = simulate_series(AR2, family, 120, burn=200, seed=(order, n_burn))
         y = TimeSeries(base.values * scale)
         cfg = McmcConfig(n_total=n_total, n_burn=n_burn, seed=(order, n_burn, int(scale)))
         draws = run_mh(y, order, family, cfg)
-        betas, taus, accepted, step = sequential_chain_oracle(y, order, family, cfg)
+        if family is ErrorFamily.GAUSSIAN:
+            betas, taus = t_draw_oracle(y, order, cfg)
+            assert draws.accepted is None and draws.step_size is None
+        else:
+            betas, taus, accepted, step = sequential_chain_oracle(y, order, cfg)
+            np.testing.assert_array_equal(draws.accepted, accepted)
+            assert draws.step_size == step
+            assert 0.0 < draws.acceptance_rate < 1.0
         assert draws.beta_draws.tobytes() == betas.tobytes()
         assert draws.tau_draws.tobytes() == taus.tobytes()
-        np.testing.assert_array_equal(draws.accepted, accepted)
-        assert draws.step_size == step
-        assert 0.0 < draws.acceptance_rate < 1.0
+
+    @pytest.mark.parametrize("k", [-10, 3, 13])
+    def test_gaussian_draws_follow_the_data_units(self, k):
+        # y -> c y with c = 2^k scales the intercept and sigma draws by c
+        # exactly and leaves the lag draws unchanged
+        c = 2.0**k
+        y = simulate_series(AR2, ErrorFamily.GAUSSIAN, 90, burn=200, seed=(15, k + 10))
+        cfg = McmcConfig(n_total=3000, n_burn=1000, seed=(15, k + 10))
+        for order in (1, 4):
+            base = run_mh(y, order, ErrorFamily.GAUSSIAN, cfg)
+            scaled = run_mh(TimeSeries(c * y.values), order, ErrorFamily.GAUSSIAN, cfg)
+            assert np.array_equal(scaled.beta_draws[:, 0], c * base.beta_draws[:, 0])
+            assert np.array_equal(scaled.beta_draws[:, 1:], base.beta_draws[:, 1:])
+            assert np.array_equal(scaled.tau_draws, c * base.tau_draws)
 
     def test_trace_export(self, tmp_path):
         y = laplace_series(60, seed=13)
@@ -239,7 +287,7 @@ class TestRunMh:
         draws = run_mh(y, 2, ErrorFamily.LAPLACE, cfg)
         with open(out / "trace.csv") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["iter", "beta_0", "beta_1", "beta_2", "tau", "accepted"]
+        assert rows[0] == ["iter", "beta_0", "beta_1", "beta_2", "scale", "accepted"]
         assert len(rows) - 1 == draws.n_kept
         assert int(rows[1][0]) == cfg.n_burn + 1
         taus = np.array([float(r[-2]) for r in rows[1:]])
@@ -260,6 +308,33 @@ class TestProposalSymmetry:
         kept, kept_accepted, _ = _mh_chain(X, targets, _FlatModel(), np.zeros(2), cfg, rng)
         assert kept_accepted.all()
         assert np.all(np.any(kept[1:] != kept[:-1], axis=1))
+
+
+class TestExactGaussianDraws:
+    def test_match_long_chain_on_rss_marginal(self):
+        # the exact t draws against a long RW-MH chain on RSS(beta)^(-n/2),
+        # with about 20,000 effective draws on each side.  Means agree within
+        # 4 Monte Carlo SEs (the chain's from 300 batch means), SDs within 3%
+        # (an SD's relative SE is about 0.7% here) and the 5/50/95% quantiles
+        # within 0.1 posterior SD (the 5% quantile's SE is about 0.02 SD).
+        y = simulate_series(AR2, ErrorFamily.GAUSSIAN, 100, burn=200, seed=16)
+        X, targets = lag_design(y.values, 2, 3)
+        exact = run_mh(y, 2, ErrorFamily.GAUSSIAN, McmcConfig(n_total=24_000, n_burn=4_000, seed=17))
+        chain_cfg = McmcConfig(n_total=310_000, n_burn=10_000, seed=18)
+        rng = np.random.default_rng(as_seed_tuple(chain_cfg.seed))
+        beta0 = np.linalg.lstsq(X, targets, rcond=None)[0]
+        chain, _, _ = _mh_chain(X, targets, _RssMarginalModel(), beta0, chain_cfg, rng)
+
+        sd = exact.beta_draws.std(axis=0)
+        batch_means = chain.reshape(300, -1, 3).mean(axis=1)
+        chain_se = batch_means.std(axis=0, ddof=1) / math.sqrt(300)
+        exact_se = sd / math.sqrt(exact.n_kept)
+        gap = np.abs(exact.beta_draws.mean(axis=0) - chain.mean(axis=0))
+        assert np.all(gap <= 4 * np.hypot(chain_se, exact_se))
+        np.testing.assert_allclose(sd, chain.std(axis=0), rtol=0.03)
+        q = [0.05, 0.5, 0.95]
+        q_gap = np.abs(np.quantile(exact.beta_draws, q, axis=0) - np.quantile(chain, q, axis=0))
+        assert np.all(q_gap <= 0.1 * sd)
 
 
 class TestStationaryDistribution:

@@ -157,7 +157,7 @@ class TestBuildEnsemble:
         with open(tmp_path / "ensemble.csv") as fh:
             lines = [ln for ln in fh if not ln.startswith("#")]
         rows = list(csv.reader(lines))
-        assert rows[0] == ["order", "bic", "weight", "beta_0", "beta_1", "beta_2", "beta_3", "beta_4", "tau"]
+        assert rows[0] == ["order", "bic", "weight", "beta_0", "beta_1", "beta_2", "beta_3", "beta_4", "scale"]
         assert len(rows) == 5
         # order-1 row has two coefficients and blanks beyond
         assert rows[1][3] != "" and rows[1][4] != "" and rows[1][5] == ""
