@@ -181,11 +181,11 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
     series = read_series_csv(ns.input)
     if ns.diff:
         series = diff1(series)
-    config = McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn, initial_step=ns.step, seed=ns.seed)
+    config = McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn, seed=ns.seed)
     draws = run_mh(series, ns.order, ErrorFamily(ns.family), config)
     mean = posterior_mean(draws)
     payload = {
-        "config": _echo(ns, ("input", "order", "family", "diff", "n_total", "n_burn", "step")),
+        "config": _echo(ns, ("input", "order", "family", "diff", "n_total", "n_burn")),
         "seed": ns.seed,
         "order": draws.order,
         "posterior_mean": [float(b) for b in mean.beta],
@@ -409,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--diff", action="store_true", help="model lag-1 changes")
     p_fit.add_argument("--n-total", dest="n_total", type=int, default=40_000)
     p_fit.add_argument("--n-burn", dest="n_burn", type=int, default=25_000)
-    p_fit.add_argument("--step", type=float, default=1.0, help="initial proposal step size")
     p_fit.add_argument("--trace", action="store_true", help="export retained draws as CSV")
     add_common(p_fit)
     p_fit.set_defaults(handler=_cmd_fit)

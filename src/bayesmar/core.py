@@ -46,14 +46,16 @@ __all__ = [
     "Coefficients",
     "PosteriorDraws",
     "lag_design",
+    "least_squares",
     "check_window",
     "diff1",
     "as_seed_tuple",
 ]
 
 
-class DegenerateDataError(ValueError):
-    """The data admit a perfect linear fit, so the scale posterior is improper."""
+class DegenerateDataError(np.linalg.LinAlgError):
+    """The data do not identify the fit: a rank-deficient design, or a perfect
+    linear fit that makes the scale posterior improper."""
 
 
 class ErrorFamily(str, Enum):
@@ -208,6 +210,21 @@ def lag_design(values: np.ndarray, order: int, start: int) -> tuple[np.ndarray, 
     for j in range(1, order + 1):
         cols.append(values[start - 1 - j : T - j])
     return np.column_stack(cols), targets
+
+
+def least_squares(X: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Least-squares fit of ``targets ~ X beta``: (beta_hat, R, RSS) with X = QR.
+
+    A rank-deficient design raises ``DegenerateDataError``.  Householder QR
+    scales exactly with the data: under y -> 2^k y, beta_hat's intercept and
+    R's lag columns scale by 2^k, the RSS by 4^k, and no other bit moves.
+    """
+    if (rank := np.linalg.matrix_rank(X)) < X.shape[1]:
+        raise DegenerateDataError(f"design of {X.shape[1]} columns has rank {rank}: fit not identified")
+    Q, R = np.linalg.qr(X)
+    beta_hat = np.linalg.solve(R, Q.T @ targets)
+    resid = targets - X @ beta_hat
+    return beta_hat, R, float(resid @ resid)
 
 
 def check_window(rows: int, order: int, context: str = "") -> None:

@@ -1,13 +1,20 @@
 """Posterior sampling of AR coefficients and scale; ``run_mh`` chooses how.
 
 The scale parameter is integrated out analytically, leaving a marginal
-posterior of beta alone.  The Laplace family's, S(beta)^(-n) with
-S(beta) = sum |residual| / 2, is sampled by a random-walk Metropolis chain on
-``log_marginal``.  Proposals add a * Uniform(-0.1, 0.1) noise to every
-coefficient including the intercept.  The step size a is adapted in
-multiplicative nudges once per ``ADAPT_WINDOW`` burn-in iterations until the
-window acceptance rate sits inside the target band, then frozen so the
-retained draws come from a fixed kernel.
+posterior of beta alone.  Both families start from one least-squares fit
+(``core.least_squares``): beta_hat, X = QR and s^2 = RSS(beta_hat) / nu,
+nu = n - p - 1.  All of it scales exactly with the data, so under y -> 2^k y
+both samplers' intercept and scale draws scale by 2^k and the rest is equal
+(for the chain, unless a log ratio lands within rounding of its uniform draw).
+
+The Laplace family's, S(beta)^(-n) with S(beta) = sum |residual| / 2, is
+sampled by a random-walk Metropolis chain on ``log_marginal`` from beta_hat.
+Each proposal adds a L u, u ~ Uniform(-0.1, 0.1)^(p+1) and L = R^-1 s, whose
+L L' = s^2 (X'X)^-1 is the least-squares covariance.  The step size a starts
+at ``INITIAL_STEP`` and is adapted in multiplicative nudges once per
+``ADAPT_WINDOW`` burn-in iterations until the window acceptance rate sits
+inside the target band, then frozen so the retained draws come from a fixed
+kernel.
 
 Because a is fixed within a window, the chain computes the residual shifts
 X (a step_i) of a whole window's proposals with one matrix product.  A
@@ -19,11 +26,9 @@ of a chain that scores each proposal by its own residual unless a log ratio
 lands within rounding (about 1e-12) of its uniform draw.
 
 The Gaussian family's, RSS(beta)^(-n/2), is exactly a multivariate t with
-nu = n - p - 1 degrees of freedom, location the least-squares fit beta_hat and
-scale matrix s^2 (X'X)^-1, s^2 = RSS(beta_hat) / nu (Zellner 1971, ch. 3).
-With X = QR, each draw is beta_hat + R^-1 z * s / sqrt(w / nu), z ~ N(0, I),
-w ~ chi2(nu): independent rows, no burn-in and no tuning.  Every step scales
-exactly under y -> 2^k y, so these draws do not depend on the data's units.
+nu degrees of freedom, location beta_hat and scale matrix s^2 (X'X)^-1
+(Zellner 1971, ch. 3).  Each draw is beta_hat + R^-1 z * s / sqrt(w / nu),
+z ~ N(0, I), w ~ chi2(nu): independent rows, no burn-in and no tuning.
 
 For each retained beta the matching scale is reconstituted by an exact draw
 from its conditional posterior (``ErrorModel.draw_scale``, inverse gamma),
@@ -50,17 +55,19 @@ from .core import (
     as_seed_tuple,
     check_window,
     lag_design,
+    least_squares,
 )
 
 __all__ = ["McmcConfig", "run_mh", "tune_step", "posterior_mean"]
 
 PROPOSAL_HALF_WIDTH = 0.1
 ADAPT_WINDOW = 200
+INITIAL_STEP = 16.0  # burn-in's first a; a L u is in least-squares standard errors
 
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Sampler budget, initial proposal step, and seed.
+    """Sampler budget and seed.
 
     Burn-in tunes the step toward the fixed acceptance band ``target_band``
     (20-50%); it is a class constant, not a setting.  Exact (Gaussian) draws
@@ -70,7 +77,6 @@ class McmcConfig:
     target_band: ClassVar[tuple[float, float]] = (0.20, 0.50)
     n_total: int = 40_000
     n_burn: int = 25_000
-    initial_step: float = 1.0
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self) -> None:
@@ -78,8 +84,6 @@ class McmcConfig:
             raise ValueError("n_total must be positive and n_burn nonnegative")
         if self.n_burn >= self.n_total:
             raise ValueError("n_burn must be smaller than n_total")
-        if not (np.isfinite(self.initial_step) and self.initial_step > 0):
-            raise ValueError(f"initial_step must be finite and positive, got {self.initial_step}")
 
 
 def tune_step(current_a: float, window_acceptance: float, band: tuple[float, float]) -> float:
@@ -103,30 +107,30 @@ def _mh_chain(
     targets: np.ndarray,
     model: ErrorModel,  # one with a log_marginal: the Laplace model
     beta0: np.ndarray,
+    shape: np.ndarray,
     config: McmcConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Run the random-walk chain on ``model``'s log marginal of the regression
-    ``targets ~ X beta``; returns (kept, kept_accept_flags, final_a).
+    ``targets ~ X beta`` from ``beta0``, proposal i adding a step_i with
+    step_i = ``shape`` u_i; returns (kept, kept_accept_flags, final_a).
 
     The chain runs in segments cut at every ``ADAPT_WINDOW`` boundary and at
-    ``n_burn`` (which need not be a multiple of the window), so the step a is
-    fixed inside each and a segment is wholly burn-in or wholly retained.
-    Each segment resyncs the current residual as targets - X beta and
-    computes its proposals' residual shifts X (a step_i) in one product; an
-    accepted proposal's residual becomes the current one.  Adaptation happens
-    at the end of each full burn-in window.  The acceptance decision compares
-    the target log ratio against log-uniform noise; the symmetric proposal
-    contributes nothing to the ratio.
+    ``n_burn`` (which need not be a multiple of the window), so a is fixed
+    inside each and a segment is wholly burn-in or wholly retained.  Each
+    segment resyncs the current residual as targets - X beta and computes
+    its proposals' residual shifts X (a step_i) in one product.  Adaptation
+    happens at the end of each full burn-in window.  The symmetric proposal
+    contributes nothing to the log ratio, compared against log-uniform noise.
     """
     dim = beta0.size
     n = targets.size
     n_total, n_burn = config.n_total, config.n_burn
     n_kept = n_total - n_burn
-    steps = rng.uniform(-PROPOSAL_HALF_WIDTH, PROPOSAL_HALF_WIDTH, size=(n_total, dim))
+    steps = rng.uniform(-PROPOSAL_HALF_WIDTH, PROPOSAL_HALF_WIDTH, size=(n_total, dim)) @ shape.T
     log_accept_noise = np.log(rng.random(n_total))
 
-    a = config.initial_step
+    a = INITIAL_STEP
     current = np.array(beta0, dtype=float)
     kept = np.empty((n_kept, dim))
     kept_accepted = np.zeros(n_kept, dtype=bool)
@@ -157,28 +161,6 @@ def _mh_chain(
     return kept, kept_accepted, a
 
 
-def _t_draws(
-    X: np.ndarray, targets: np.ndarray, n_draws: int, rng: np.random.Generator
-) -> np.ndarray:
-    """``n_draws`` exact rows of the multivariate t that is the Gaussian
-    marginal posterior RSS(beta)^(-n/2) of the regression ``targets ~ X beta``.
-
-    The least-squares fit comes from the QR factors X = QR, so X'X = R'R and
-    R^-1 z has covariance (X'X)^-1; draws z first, then w.  Householder QR
-    and triangular solves scale exactly with the data; ``lstsq``'s SVD does
-    not, so its fit in ``run_mh`` only screens for degenerate data.
-    """
-    n, dim = X.shape
-    nu = n - dim
-    Q, R = np.linalg.qr(X)
-    beta_hat = np.linalg.solve(R, Q.T @ targets)
-    resid = targets - X @ beta_hat
-    s_hat = math.sqrt(float(resid @ resid) / nu)
-    z = rng.standard_normal((n_draws, dim))
-    w = rng.chisquare(nu, n_draws)
-    return beta_hat + (z @ np.linalg.inv(R).T) * (s_hat / np.sqrt(w / nu))[:, None]
-
-
 def run_mh(
     y: TimeSeries,
     order: int,
@@ -188,32 +170,35 @@ def run_mh(
     """Sample the joint posterior of (beta, scale) for an order-p fit of ``y``.
 
     The marginal posterior of beta is taken on the full usable window
-    t = p+1..T.  Laplace runs the chain from independent Uniform(0, 1)
-    coordinates and keeps its n_total - n_burn post-burn-in states; Gaussian
-    draws n_total - n_burn exact multivariate-t rows.  Each kept beta_i then
-    gets an exact conditional scale draw: Laplace
-    tau_i ~ InvGamma(shape T-p, rate S(beta_i)), Gaussian
-    sigma_i^2 ~ InvGamma((T-p)/2, RSS(beta_i)/2).
+    t = p+1..T; a rank-deficient design or a perfect fit raises
+    ``DegenerateDataError``.  Laplace keeps the chain's n_total - n_burn
+    post-burn-in states; Gaussian draws n_total - n_burn exact
+    multivariate-t rows.  Each kept beta_i then gets an exact conditional
+    scale draw: Laplace tau_i ~ InvGamma(shape T-p, rate S(beta_i)),
+    Gaussian sigma_i^2 ~ InvGamma((T-p)/2, RSS(beta_i)/2).
     """
     check_window(len(y) - order, order, f"series of length {len(y)}: ")
     X, targets = lag_design(y.values, order, order + 1)
     n = targets.size
+    nu = n - order - 1
+    beta_hat, R, rss = least_squares(X, targets)
     # A perfect fit anywhere in beta space makes the marginal posterior
     # improper; reject such data up front rather than letting the chain wander.
-    lsq_resid = targets - X @ np.linalg.lstsq(X, targets, rcond=None)[0]
-    if float(lsq_resid @ lsq_resid) <= 1e-20 * max(1.0, float(targets @ targets)):
+    if rss <= 1e-20 * max(1.0, float(targets @ targets)):
         raise DegenerateDataError(
             f"data admit an exact order-{order} fit; the scale posterior is improper"
         )
+    R_inv, s_hat = np.linalg.inv(R), math.sqrt(rss / nu)
     rng = np.random.default_rng(as_seed_tuple(config.seed))
     model = family.model
 
     if family is ErrorFamily.LAPLACE:
-        beta0 = rng.random(order + 1)
-        kept, accepted, step_size = _mh_chain(X, targets, model, beta0, config, rng)
+        kept, accepted, step_size = _mh_chain(X, targets, model, beta_hat, R_inv * s_hat, config, rng)
         n_burn = config.n_burn
     else:
-        kept = _t_draws(X, targets, config.n_total - config.n_burn, rng)
+        z = rng.standard_normal((config.n_total - config.n_burn, order + 1))
+        w = rng.chisquare(nu, z.shape[0])
+        kept = beta_hat + (z @ R_inv.T) * (s_hat / np.sqrt(w / nu))[:, None]
         accepted, step_size, n_burn = None, None, 0
 
     objectives = model.objective(targets[None, :] - kept @ X.T)

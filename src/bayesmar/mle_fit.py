@@ -53,6 +53,7 @@ from .core import (
     TimeSeries,
     check_window,
     lag_design,
+    least_squares,
 )
 
 __all__ = ["MleFit", "fit_l1", "fit_ols", "point_fits", "SCALE_FLOOR"]
@@ -157,18 +158,15 @@ def fit_l1(y: TimeSeries, order: int, start: int) -> MleFit:
 
 
 def fit_ols(y: TimeSeries, order: int, start: int) -> MleFit:
-    """Gaussian MLE on rows t = start..T via the normal equations.
+    """Gaussian MLE on rows t = start..T by ``core.least_squares``.
 
     The scale slot carries sigma = sqrt(RSS / n) over the window's n rows; the
-    objective is the RSS.
+    objective is the RSS.  A rank-deficient design raises ``DegenerateDataError``.
     """
     X, targets = lag_design(y.values, order, start)
-    n, k = X.shape
+    n = targets.size
     check_window(n, order)
-    if np.linalg.matrix_rank(X) < k:
-        raise np.linalg.LinAlgError("singular normal equations: design not full column rank")
-    beta = np.linalg.solve(X.T @ X, X.T @ targets)
-    rss = float(GAUSSIAN_MODEL.objective(targets - X @ beta))
+    beta, _, rss = least_squares(X, targets)
     return MleFit(
         coeff=Coefficients(beta),
         scale=max(GAUSSIAN_MODEL.point_scale(rss, n), SCALE_FLOOR),

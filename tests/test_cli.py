@@ -377,6 +377,18 @@ class TestExitCodes:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    def test_rank_deficient_design_is_numeric_error(self, tmp_path, family):
+        # 29 equal values then one jump: the order-1 lag column is constant,
+        # yet no exact fit exists, so only the rank check rejects it
+        p = tmp_path / "s.csv"
+        p.write_text("2.5\n" * 29 + "3.0\n")
+        out = tmp_path / "o"
+        code = main(["fit", "--input", str(p), "--order", "1", "--family", family,
+                     "--n-total", "300", "--n-burn", "100", "--out", str(out)])
+        assert code == 4
+        assert not (out / "fit.json").exists()
+
     def test_failed_l1_program_is_numeric_error_naming_orders(self, tmp_path, monkeypatch, capsys):
         def failing_linprog(*args, **kwargs):
             return SimpleNamespace(success=False, message="stub failure")
@@ -471,6 +483,10 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["forecast", "--nonsense"])
         assert excinfo.value.code == 2
+        # the chain's step is worked out from the data, not set by a flag
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fit", "--input", "s.csv", "--order", "1", "--step", "1.0"])
+        assert excinfo.value.code == 2
 
     def test_bad_method_token(self, tmp_path, capsys):
         p = tmp_path / "s.csv"
@@ -505,18 +521,6 @@ class TestExitCodes:
         assert main([*args, "--input", str(p), "--out", str(out)]) == 2
         assert not out.exists()
         assert fits == []
-
-    @pytest.mark.parametrize("step", ["nan", "inf"])
-    def test_nonfinite_step_runs_no_chain(self, tmp_path, monkeypatch, step):
-        chains = []
-        monkeypatch.setattr(cli, "run_mh", lambda *a: chains.append(a))
-        p = tmp_path / "s.csv"
-        write_series_csv(p)
-        out = tmp_path / "o"
-        code = main(["fit", "--input", str(p), "--order", "2", "--step", step, "--out", str(out)])
-        assert code == 2
-        assert not out.exists()
-        assert chains == []
 
     @pytest.mark.parametrize(
         "args",

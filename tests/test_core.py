@@ -29,6 +29,7 @@ from bayesmar import (
     lag_design,
     run_mh,
 )
+from bayesmar.core import least_squares
 from bayesmar.forecast import SCALE_DIFFERENCED, result_from_paths
 from bayesmar.mle_fit import point_fits
 
@@ -313,6 +314,35 @@ class TestLogMarginalPosterior:
         resid = residuals([1.0, 1.0, 1.0], [0.0, 1.0], 1, 2)
         with pytest.raises(DegenerateDataError):
             LAPLACE_MODEL.log_marginal(LAPLACE_MODEL.objective(resid), 2)
+
+
+class TestLeastSquares:
+    def test_matches_normal_equations(self):
+        X, targets = lag_design(np.random.default_rng(0).normal(size=40), 3, 4)
+        beta_hat, R, rss = least_squares(X, targets)
+        np.testing.assert_allclose(beta_hat, np.linalg.solve(X.T @ X, X.T @ targets), rtol=1e-12)
+        np.testing.assert_allclose(R.T @ R, X.T @ X, rtol=1e-12, atol=1e-12)
+        assert rss == pytest.approx(float(np.sum((targets - X @ beta_hat) ** 2)), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [-10, 3, 13])
+    def test_follows_the_data_units(self, k):
+        # y -> c y with c = 2^k: intercept and R's lag columns times c, RSS
+        # times c^2, every other bit unchanged
+        c = 2.0**k
+        y = np.random.default_rng(k + 10).normal(size=40)
+        beta_hat, R, rss = least_squares(*lag_design(y, 3, 4))
+        beta_c, R_c, rss_c = least_squares(*lag_design(c * y, 3, 4))
+        assert np.array_equal(beta_c, beta_hat * np.r_[c, 1.0, 1.0, 1.0])
+        assert np.array_equal(R_c, R * np.r_[1.0, c, c, c])
+        assert rss_c == c * c * rss
+
+    def test_rank_deficient_design_is_degenerate(self):
+        # a constant lag column repeats the intercept column, though the
+        # targets admit no exact fit
+        X, targets = lag_design(np.r_[np.full(29, 2.5), 3.0], 1, 2)
+        with pytest.raises(DegenerateDataError) as excinfo:
+            least_squares(X, targets)
+        assert isinstance(excinfo.value, np.linalg.LinAlgError)
 
 
 class TestDifferencing:

@@ -21,7 +21,7 @@ from bayesmar import (
 )
 from bayesmar.cli import main
 from bayesmar.core import GAUSSIAN_MODEL, LAPLACE_MODEL, as_seed_tuple, lag_design
-from bayesmar.mcmc import ADAPT_WINDOW, PROPOSAL_HALF_WIDTH, _mh_chain
+from bayesmar.mcmc import ADAPT_WINDOW, INITIAL_STEP, PROPOSAL_HALF_WIDTH, _mh_chain
 from bayesmar.mle_fit import fit_l1
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
@@ -50,26 +50,38 @@ def t_draw_oracle(y, order, config):
     return betas, sigmas
 
 
+def least_squares_shape(X, targets):
+    """The chain's start and proposal shape from the QR fit X = QR, one step
+    per line: beta_hat = R^-1 Q' targets and L = R^-1 s, s^2 = RSS / (n - p - 1)."""
+    Q, R = np.linalg.qr(X)
+    beta_hat = np.linalg.solve(R, Q.T @ targets)
+    resid = targets - X @ beta_hat
+    s_hat = math.sqrt(float(resid @ resid) / (X.shape[0] - X.shape[1]))
+    return beta_hat, np.linalg.inv(R) * s_hat
+
+
 def sequential_chain_oracle(y, order, config):
-    """Laplace ``run_mh`` as a plain loop that scores every proposal by its own
-    residual, targets - X @ proposal; returns (betas, taus, accepted, step)."""
+    """Laplace ``run_mh`` as a plain loop that starts at the QR fit and scores
+    every proposal current + a L u_i by its own residual, targets - X @ proposal;
+    returns (betas, taus, accepted, step)."""
     X, targets = lag_design(y.values, order, order + 1)
     n = targets.size
     model = LAPLACE_MODEL
+    beta_hat, L = least_squares_shape(X, targets)
     rng = np.random.default_rng(as_seed_tuple(config.seed))
-    beta0 = rng.random(order + 1)
-    steps = rng.uniform(-PROPOSAL_HALF_WIDTH, PROPOSAL_HALF_WIDTH, size=(config.n_total, order + 1))
+    u = rng.uniform(-PROPOSAL_HALF_WIDTH, PROPOSAL_HALF_WIDTH, size=(config.n_total, order + 1))
+    shaped = u @ L.T  # row i is L u_i
     log_accept_noise = np.log(rng.random(config.n_total))
 
     def log_target(beta):
         return model.log_marginal(model.objective(targets - X @ beta), n)
 
-    a = config.initial_step
-    current, current_lp = beta0, log_target(beta0)
+    a = INITIAL_STEP
+    current, current_lp = beta_hat, log_target(beta_hat)
     kept, accepted = [], []
     window_accepts = 0
     for i in range(config.n_total):
-        proposal = current + a * steps[i]
+        proposal = current + a * shaped[i]
         proposal_lp = log_target(proposal)
         log_ratio = proposal_lp - current_lp
         accept = bool(log_ratio >= 0.0 or log_accept_noise[i] < log_ratio)
@@ -225,9 +237,9 @@ class TestRunMh:
         cfg = McmcConfig(n_total=600, n_burn=300, seed=(12, 0))
         draws = run_mh(y, 2, ErrorFamily.LAPLACE, cfg)
 
+        beta_hat, L = least_squares_shape(X, targets)
         rng = np.random.default_rng(as_seed_tuple(cfg.seed))
-        beta0 = rng.random(3)
-        kept, accepted, step = _mh_chain(X, targets, model, beta0, cfg, rng)
+        kept, accepted, step = _mh_chain(X, targets, model, beta_hat, L, cfg, rng)
         scales = model.draw_scale(rng, model.objective(targets[None, :] - kept @ X.T), n)
         np.testing.assert_array_equal(draws.beta_draws, kept)
         np.testing.assert_array_equal(draws.tau_draws, scales)
@@ -259,19 +271,29 @@ class TestRunMh:
         assert draws.beta_draws.tobytes() == betas.tobytes()
         assert draws.tau_draws.tobytes() == taus.tobytes()
 
-    @pytest.mark.parametrize("k", [-10, 3, 13])
-    def test_gaussian_draws_follow_the_data_units(self, k):
-        # y -> c y with c = 2^k scales the intercept and sigma draws by c
-        # exactly and leaves the lag draws unchanged
+    @staticmethod
+    def check_draws_follow_the_data_units(family, k):
+        # y -> c y with c = 2^k scales the intercept and scale draws by c
+        # exactly and leaves the lag draws, accept flags and final step unchanged
         c = 2.0**k
-        y = simulate_series(AR2, ErrorFamily.GAUSSIAN, 90, burn=200, seed=(15, k + 10))
+        y = simulate_series(AR2, family, 90, burn=200, seed=(15, k + 10))
         cfg = McmcConfig(n_total=3000, n_burn=1000, seed=(15, k + 10))
         for order in (1, 4):
-            base = run_mh(y, order, ErrorFamily.GAUSSIAN, cfg)
-            scaled = run_mh(TimeSeries(c * y.values), order, ErrorFamily.GAUSSIAN, cfg)
+            base = run_mh(y, order, family, cfg)
+            scaled = run_mh(TimeSeries(c * y.values), order, family, cfg)
             assert np.array_equal(scaled.beta_draws[:, 0], c * base.beta_draws[:, 0])
             assert np.array_equal(scaled.beta_draws[:, 1:], base.beta_draws[:, 1:])
             assert np.array_equal(scaled.tau_draws, c * base.tau_draws)
+            assert np.array_equal(scaled.accepted, base.accepted)
+            assert scaled.step_size == base.step_size
+
+    @pytest.mark.parametrize("k", [-10, 3, 13])
+    def test_gaussian_draws_follow_the_data_units(self, k):
+        self.check_draws_follow_the_data_units(ErrorFamily.GAUSSIAN, k)
+
+    @pytest.mark.parametrize("k", [-10, 3, 13])
+    def test_laplace_draws_follow_the_data_units(self, k):
+        self.check_draws_follow_the_data_units(ErrorFamily.LAPLACE, k)
 
     def test_trace_export(self, tmp_path):
         y = laplace_series(60, seed=13)
@@ -305,7 +327,7 @@ class TestProposalSymmetry:
         cfg = McmcConfig(n_total=500, n_burn=100, seed=1)
         rng = np.random.default_rng(0)
         X, targets = rng.normal(size=(30, 2)), rng.normal(size=30)
-        kept, kept_accepted, _ = _mh_chain(X, targets, _FlatModel(), np.zeros(2), cfg, rng)
+        kept, kept_accepted, _ = _mh_chain(X, targets, _FlatModel(), np.zeros(2), np.eye(2), cfg, rng)
         assert kept_accepted.all()
         assert np.all(np.any(kept[1:] != kept[:-1], axis=1))
 
@@ -322,8 +344,8 @@ class TestExactGaussianDraws:
         exact = run_mh(y, 2, ErrorFamily.GAUSSIAN, McmcConfig(n_total=24_000, n_burn=4_000, seed=17))
         chain_cfg = McmcConfig(n_total=310_000, n_burn=10_000, seed=18)
         rng = np.random.default_rng(as_seed_tuple(chain_cfg.seed))
-        beta0 = np.linalg.lstsq(X, targets, rcond=None)[0]
-        chain, _, _ = _mh_chain(X, targets, _RssMarginalModel(), beta0, chain_cfg, rng)
+        beta_hat, L = least_squares_shape(X, targets)
+        chain, _, _ = _mh_chain(X, targets, _RssMarginalModel(), beta_hat, L, chain_cfg, rng)
 
         sd = exact.beta_draws.std(axis=0)
         batch_means = chain.reshape(300, -1, 3).mean(axis=1)
