@@ -40,7 +40,7 @@ from .harness import (
     run_order_study,
     simulate_series,
 )
-from .mcmc import McmcConfig, posterior_mean, run_mh, tune_step
+from .mcmc import McmcConfig, posterior_mean, run_mh, run_mh_batch, tune_step
 from .mle_fit import MleFit, fit_l1, fit_ols
 from .order_select import OrderEnsemble, bma_weights, build_ensemble
 from .scoring import (

@@ -301,7 +301,7 @@ class _LaplaceModel(ErrorModel):
         return -n * math.log(objective)
 
     def objective(self, resid):
-        return 0.5 * np.abs(resid).sum(axis=-1)
+        return 0.5 * np.add.reduce(np.abs(resid), axis=-1)
 
     def draw_scale(self, rng, objectives, n):
         # tau | beta ~ InvGamma(shape n, rate S(beta))

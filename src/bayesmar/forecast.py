@@ -17,13 +17,13 @@ CLI) and the backtest call it.  Writing results to files is the CLI's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import ErrorFamily, PosteriorDraws, TimeSeries, as_seed_tuple, diff1
-from .mcmc import McmcConfig, run_mh
+from .mcmc import McmcConfig, run_mh_batch
 from .order_select import build_ensemble
 
 __all__ = [
@@ -251,19 +251,23 @@ def per_order_forecasts(
 ) -> dict[int, ForecastResult]:
     """Run the sampler and path simulation for each requested order.
 
-    Each order's point is the mean of its paths.  Seeds derive from
-    (seed_base..., order) for the chain and (seed_base..., order, 1) for the
-    path noise, so results for one order do not depend on which other orders
-    are requested.
+    The orders' fits are sampled as one batch (``run_mh_batch``; Laplace
+    chains in lockstep).  Each order's point is the mean of its paths.  Seeds
+    derive from (seed_base..., order) for the chain and (seed_base..., order, 1)
+    for the path noise, so results for one order do not depend on which other
+    orders are requested.
     """
-    results: dict[int, ForecastResult] = {}
     base = tuple(seed_base)
-    for p in sorted(set(int(o) for o in orders)):
-        cfg = replace(config, seed=base + (p,))
-        draws = run_mh(y, p, family, cfg)
-        paths = sample_paths(y, draws, horizon, family, seed=base + (p, 1), thin=thin)
-        results[p] = result_from_paths(paths, interval_level, scale_note)
-    return results
+    orders = sorted(set(int(o) for o in orders))
+    batch = run_mh_batch([(y, p, base + (p,)) for p in orders], family, config)
+    return {
+        p: result_from_paths(
+            sample_paths(y, draws, horizon, family, seed=base + (p, 1), thin=thin),
+            interval_level,
+            scale_note,
+        )
+        for p, draws in zip(orders, batch)
+    }
 
 
 _FAMILY_LABEL = {ErrorFamily.LAPLACE: "BayesMAR", ErrorFamily.GAUSSIAN: "BayesAR"}

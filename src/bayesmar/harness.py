@@ -18,7 +18,7 @@ only; the CLI turns them into tables.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ from .core import (
     check_window,
 )
 from .forecast import MethodSpec, check_plan, forecast_family
-from .mcmc import McmcConfig, posterior_mean, run_mh
+from .mcmc import McmcConfig, chain_bytes, posterior_mean, run_mh_batch
 from .mle_fit import fit_l1, fit_ols
 from .order_select import build_ensemble
 from .scoring import MetricTable, crps_sample, mae, rmse
@@ -47,6 +47,10 @@ __all__ = [
     "BacktestReport",
     "run_backtest",
 ]
+
+# Bytes of chain state (``mcmc.chain_bytes``) one unit of MSE replications may
+# hold: 17 default chains (T=200, p=2, 40000 iterations) of about 2 MB each.
+_CHAIN_BYTE_BUDGET = 32 * 2**20
 
 @dataclass(frozen=True)
 class SimStudyConfig:
@@ -138,18 +142,38 @@ class MseStudyReport:
         return {m: self._sq_errors(m).std(axis=0, ddof=1) / np.sqrt(reps) for m in self.methods}
 
 
-def _mse_replication(args: tuple[SimStudyConfig, int]):
-    config, i = args
-    series = _replication_series(config, i)
+def _mse_units(config: SimStudyConfig, n_jobs: int) -> list[range]:
+    """Contiguous runs of replications, each sampled as one lockstep batch.
+
+    A run holds as many chains as fit in ``_CHAIN_BYTE_BUDGET``, and the study
+    is split at least ``n_jobs`` ways.  Every replication's chain has the same
+    (n, p), so no chain is padded and the estimates do not depend on the split.
+    """
+    reps = config.replications
     p = config.true_beta.order
-    cfg = replace(config.mcmc, seed=(config.seed, i, 1))
-    draws = run_mh(series, p, ErrorFamily.LAPLACE, cfg)
-    estimates = {
-        "BayesMAR": posterior_mean(draws).beta,
-        "QAR": fit_l1(series, p, start=p + 1).coeff.beta,
-        "AR": fit_ols(series, p, start=p + 1).coeff.beta,
-    }
-    return i, estimates, draws.acceptance_rate
+    per_chain = chain_bytes(config.series_length - p, p, config.mcmc)
+    size = max(1, min(_CHAIN_BYTE_BUDGET // per_chain, -(-reps // max(n_jobs, 1))))
+    return [range(i, min(i + size, reps)) for i in range(0, reps, size)]
+
+
+def _mse_replications(args: tuple[SimStudyConfig, range]):
+    config, reps = args
+    p = config.true_beta.order
+    series = [_replication_series(config, i) for i in reps]
+    fits = [(y, p, (config.seed, i, 1)) for y, i in zip(series, reps)]
+    draws = run_mh_batch(fits, ErrorFamily.LAPLACE, config.mcmc)
+    return [
+        (
+            i,
+            {
+                "BayesMAR": posterior_mean(d).beta,
+                "QAR": fit_l1(y, p, start=p + 1).coeff.beta,
+                "AR": fit_ols(y, p, start=p + 1).coeff.beta,
+            },
+            d.acceptance_rate,
+        )
+        for i, y, d in zip(reps, series, draws)
+    ]
 
 
 def run_mse_study(config: SimStudyConfig, n_jobs: int = 1) -> MseStudyReport:
@@ -157,17 +181,18 @@ def run_mse_study(config: SimStudyConfig, n_jobs: int = 1) -> MseStudyReport:
 
     Methods: "BayesMAR" (posterior mean at the true order), "QAR" (the L1
     point fit, which at the median is the same estimator quantile regression
-    uses), "AR" (Gaussian least squares).
+    uses), "AR" (Gaussian least squares).  The BayesMAR chains of a unit of
+    replications (``_mse_units``) run in lockstep.
     """
     methods = MseStudyReport.methods
-    tasks = [(config, i) for i in range(config.replications)]
-    results = _run_units(_mse_replication, tasks, n_jobs)
+    tasks = [(config, reps) for reps in _mse_units(config, n_jobs)]
+    results = _run_units(_mse_replications, tasks, n_jobs)
 
     reps = config.replications
     n_coef = config.true_beta.order + 1
     estimates = {m: np.empty((reps, n_coef)) for m in methods}
     acceptance = np.empty(reps)
-    for i, est, acc in results:
+    for i, est, acc in (row for unit in results for row in unit):
         for m in methods:
             estimates[m][i] = est[m]
         acceptance[i] = acc

@@ -455,7 +455,7 @@ class TestExitCodes:
 
     def test_backtest_thin_below_one_runs_no_chain(self, tmp_path, monkeypatch):
         chains = []
-        monkeypatch.setattr(forecast, "run_mh", lambda *args: chains.append(args))
+        monkeypatch.setattr(forecast, "run_mh_batch", lambda *args: chains.append(args))
         p = tmp_path / "s.csv"
         write_series_csv(p)
         out = tmp_path / "o"
@@ -513,7 +513,7 @@ class TestExitCodes:
     )
     def test_bad_forecast_plan_fits_nothing(self, tmp_path, monkeypatch, args):
         fits = []
-        monkeypatch.setattr(forecast, "run_mh", lambda *a: fits.append("run_mh"))
+        monkeypatch.setattr(forecast, "run_mh_batch", lambda *a: fits.append("run_mh_batch"))
         monkeypatch.setattr(forecast, "build_ensemble", lambda *a: fits.append("build_ensemble"))
         p = tmp_path / "s.csv"
         write_series_csv(p)
@@ -538,8 +538,10 @@ class TestExitCodes:
         calls = []
         read = cli.read_series_csv
         monkeypatch.setattr(cli, "read_series_csv", lambda path: calls.append("read") or read(path))
-        for module in (cli, forecast, harness):
-            for name in ("run_mh", "build_ensemble"):
+        stubs = {cli: ("run_mh", "build_ensemble"), forecast: ("run_mh_batch", "build_ensemble"),
+                 harness: ("run_mh_batch", "build_ensemble")}
+        for module, names in stubs.items():
+            for name in names:
                 monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
         p = tmp_path / "s.csv"
         write_series_csv(p)

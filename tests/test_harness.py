@@ -19,7 +19,9 @@ from bayesmar import (
     fit_l1,
     fit_ols,
     mae,
+    posterior_mean,
     rmse,
+    run_mh,
     run_backtest,
     run_mse_study,
     run_order_study,
@@ -27,6 +29,7 @@ from bayesmar import (
 )
 from bayesmar import harness
 from bayesmar.cli import main
+from bayesmar.mcmc import chain_bytes
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
 
@@ -111,6 +114,30 @@ class TestMseStudy:
         for m in serial.methods:
             np.testing.assert_array_equal(serial.estimates[m], parallel.estimates[m])
         np.testing.assert_array_equal(serial.acceptance_rates, parallel.acceptance_rates)
+
+    def test_report_does_not_depend_on_the_units(self, monkeypatch):
+        # a unit's replications run as one lockstep batch; one batch of five,
+        # byte-budget batches of two, and two processes all give the report of
+        # five lone chains
+        config = SimStudyConfig(
+            replications=5, series_length=60, seed=6, mcmc=McmcConfig(n_total=300, n_burn=100)
+        )
+        whole = run_mse_study(config)
+        assert harness._mse_units(config, 1) == [range(0, 5)]
+        assert harness._mse_units(config, 2) == [range(0, 3), range(3, 5)]
+        reports = [run_mse_study(config, n_jobs=2)]
+        monkeypatch.setattr(harness, "_CHAIN_BYTE_BUDGET", 2 * chain_bytes(58, 2, config.mcmc))
+        assert harness._mse_units(config, 1) == [range(0, 2), range(2, 4), range(4, 5)]
+        reports += [run_mse_study(config), run_mse_study(config, n_jobs=2)]
+        for report in reports:
+            for m in whole.methods:
+                np.testing.assert_array_equal(report.estimates[m], whole.estimates[m])
+            np.testing.assert_array_equal(report.acceptance_rates, whole.acceptance_rates)
+        for i in range(5):
+            series = simulate_series(AR2, config.error, 60, burn=0, seed=(6, i))
+            lone = run_mh(series, 2, ErrorFamily.LAPLACE, replace(config.mcmc, seed=(6, i, 1)))
+            np.testing.assert_array_equal(whole.estimates["BayesMAR"][i], posterior_mean(lone).beta)
+            assert whole.acceptance_rates[i] == lone.acceptance_rate
 
     def test_csv_scaling(self, tmp_path):
         config = SimStudyConfig(

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from bayesmar import (
 )
 from bayesmar.cli import main
 from bayesmar.core import GAUSSIAN_MODEL, LAPLACE_MODEL, as_seed_tuple, lag_design
-from bayesmar.mcmc import ADAPT_WINDOW, INITIAL_STEP, PROPOSAL_HALF_WIDTH, _mh_chain
+from bayesmar.mcmc import (
+    ADAPT_WINDOW,
+    INITIAL_STEP,
+    PROPOSAL_HALF_WIDTH,
+    _lockstep_chains,
+    run_mh_batch,
+)
 from bayesmar.mle_fit import fit_l1
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
@@ -239,7 +246,7 @@ class TestRunMh:
 
         beta_hat, L = least_squares_shape(X, targets)
         rng = np.random.default_rng(as_seed_tuple(cfg.seed))
-        kept, accepted, step = _mh_chain(X, targets, model, beta_hat, L, cfg, rng)
+        [(kept, accepted, step)] = _lockstep_chains([(X, targets, beta_hat, L, rng)], model, cfg)
         scales = model.draw_scale(rng, model.objective(targets[None, :] - kept @ X.T), n)
         np.testing.assert_array_equal(draws.beta_draws, kept)
         np.testing.assert_array_equal(draws.tau_draws, scales)
@@ -276,8 +283,8 @@ class TestRunMh:
         # y -> c y with c = 2^k scales the intercept and scale draws by c
         # exactly and leaves the lag draws, accept flags and final step unchanged
         c = 2.0**k
-        y = simulate_series(AR2, family, 90, burn=200, seed=(15, k + 10))
-        cfg = McmcConfig(n_total=3000, n_burn=1000, seed=(15, k + 10))
+        y = simulate_series(AR2, family, 90, burn=200, seed=(15, abs(k + 10)))
+        cfg = McmcConfig(n_total=3000, n_burn=1000, seed=(15, abs(k + 10)))
         for order in (1, 4):
             base = run_mh(y, order, family, cfg)
             scaled = run_mh(TimeSeries(c * y.values), order, family, cfg)
@@ -291,9 +298,47 @@ class TestRunMh:
     def test_gaussian_draws_follow_the_data_units(self, k):
         self.check_draws_follow_the_data_units(ErrorFamily.GAUSSIAN, k)
 
-    @pytest.mark.parametrize("k", [-10, 3, 13])
+    @pytest.mark.parametrize("k", [-40, -10, 3, 13])
     def test_laplace_draws_follow_the_data_units(self, k):
         self.check_draws_follow_the_data_units(ErrorFamily.LAPLACE, k)
+
+    @pytest.mark.parametrize("k", [0, -40])
+    @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
+    def test_exact_fit_rejected_in_any_units(self, family, k):
+        # y_t = 1 + y_{t-1} is an exact order-1 fit of a full-rank design; the
+        # perfect-fit screen is relative, so it fires at every scale 2^k
+        trend = TimeSeries(2.0**k * np.arange(1.0, 41.0))
+        with pytest.raises(DegenerateDataError, match="exact order-1 fit"):
+            run_mh(trend, 1, family, McmcConfig(n_total=200, n_burn=100))
+
+    def test_batch_equals_lone_runs(self):
+        # five same-shape chains stepped together: each one's draws, accept
+        # flags and final step are those of its own run
+        config = McmcConfig(n_total=3000, n_burn=1300)
+        fits = [(laplace_series(150, seed=(30, i)), 2, (30, i, 1)) for i in range(5)]
+        batch = run_mh_batch(fits, ErrorFamily.LAPLACE, config)
+        for (y, order, seed), draws in zip(fits, batch):
+            lone = run_mh(y, order, ErrorFamily.LAPLACE, replace(config, seed=seed))
+            assert np.array_equal(draws.beta_draws, lone.beta_draws)
+            assert np.array_equal(draws.tau_draws, lone.tau_draws)
+            assert np.array_equal(draws.accepted, lone.accepted)
+            assert draws.step_size == lone.step_size
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_padded_order_batch_equals_lone_runs(self, seed):
+        # orders 1..8 of one 100-point series, zero-padded to one shape: the
+        # padding adds nothing to any objective or step
+        y = laplace_series(100, seed=seed)
+        config = McmcConfig(n_total=2000, n_burn=1000)
+        fits = [(y, p, (seed, p)) for p in range(1, 9)]
+        batch = run_mh_batch(fits, ErrorFamily.LAPLACE, config)
+        for (_, p, fit_seed), draws in zip(fits, batch):
+            lone = run_mh(y, p, ErrorFamily.LAPLACE, replace(config, seed=fit_seed))
+            assert draws.order == p
+            assert np.array_equal(draws.beta_draws, lone.beta_draws)
+            assert np.array_equal(draws.tau_draws, lone.tau_draws)
+            assert np.array_equal(draws.accepted, lone.accepted)
+            assert draws.step_size == lone.step_size
 
     def test_trace_export(self, tmp_path):
         y = laplace_series(60, seed=13)
@@ -327,7 +372,9 @@ class TestProposalSymmetry:
         cfg = McmcConfig(n_total=500, n_burn=100, seed=1)
         rng = np.random.default_rng(0)
         X, targets = rng.normal(size=(30, 2)), rng.normal(size=30)
-        kept, kept_accepted, _ = _mh_chain(X, targets, _FlatModel(), np.zeros(2), np.eye(2), cfg, rng)
+        [(kept, kept_accepted, _)] = _lockstep_chains(
+            [(X, targets, np.zeros(2), np.eye(2), rng)], _FlatModel(), cfg
+        )
         assert kept_accepted.all()
         assert np.all(np.any(kept[1:] != kept[:-1], axis=1))
 
@@ -345,7 +392,9 @@ class TestExactGaussianDraws:
         chain_cfg = McmcConfig(n_total=310_000, n_burn=10_000, seed=18)
         rng = np.random.default_rng(as_seed_tuple(chain_cfg.seed))
         beta_hat, L = least_squares_shape(X, targets)
-        chain, _, _ = _mh_chain(X, targets, _RssMarginalModel(), beta_hat, L, chain_cfg, rng)
+        [(chain, _, _)] = _lockstep_chains(
+            [(X, targets, beta_hat, L, rng)], _RssMarginalModel(), chain_cfg
+        )
 
         sd = exact.beta_draws.std(axis=0)
         batch_means = chain.reshape(300, -1, 3).mean(axis=1)
