@@ -232,8 +232,10 @@ def check_window(rows: int, order: int, context: str = "") -> None:
 
     An AR(p) fit has p + 1 coefficients and a scale.  On its full window
     t = p+1..T a series of length T has T - p rows, so it needs T >= 2p + 2.
-    ``context`` prefixes the error message.
+    An order below 1 is rejected too; ``context`` prefixes the error message.
     """
+    if order < 1:
+        raise ValueError(f"{context}order must be at least 1, got {order}")
     if rows < order + 2:
         raise ValueError(
             f"{context}{rows} usable rows cannot identify order {order} "

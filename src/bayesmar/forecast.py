@@ -120,7 +120,7 @@ def sample_paths(
     model = family.model
     b = model.noise_per_scale * draws.tau_draws[::thin]
     m = beta.shape[0]
-    rng = np.random.default_rng(as_seed_tuple(seed))
+    rng = np.random.default_rng(seed)
 
     # lags[:, j] holds y_{t-j-1} for the value about to be drawn
     lags = np.tile(y.values[-1 : -p - 1 : -1], (m, 1))
@@ -129,10 +129,7 @@ def sample_paths(
         location = beta[:, 0] + np.einsum("ij,ij->i", beta[:, 1:], lags)
         draws_h = model.noise(rng, location, b)
         paths[:, h] = draws_h
-        if p > 1:
-            lags = np.column_stack([draws_h, lags[:, :-1]])
-        else:
-            lags = draws_h[:, None]
+        lags = np.column_stack([draws_h, lags[:, :-1]])
     return paths
 
 
@@ -206,7 +203,7 @@ def bma_forecast(
     raw = weights / weights.sum() * n_paths
     counts = np.floor(raw).astype(int)
     leftover = n_paths - int(counts.sum())
-    rng = np.random.default_rng(as_seed_tuple(seed))
+    rng = np.random.default_rng(seed)
     if leftover > 0:
         # the remainders sum to leftover >= 1, up to rounding
         frac = raw - counts
@@ -329,6 +326,8 @@ def forecast_family(
     point is the ``statistic`` of its own final paths.
     """
     check_plan(horizon, config, thin, interval_level)
+    if not methods:
+        raise ValueError("at least one method required")
     family = methods[0].family
     if any(m.family is not family for m in methods):
         raise ValueError("forecast_family needs methods of one error family")

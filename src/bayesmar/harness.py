@@ -23,13 +23,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .core import (
-    Coefficients,
-    ErrorFamily,
-    TimeSeries,
-    as_seed_tuple,
-    check_window,
-)
+from .core import Coefficients, ErrorFamily, TimeSeries, check_window
 from .forecast import MethodSpec, check_plan, forecast_family
 from .mcmc import McmcConfig, chain_bytes, posterior_mean, run_mh_batch
 from .mle_fit import fit_l1, fit_ols
@@ -90,7 +84,7 @@ def simulate_series(
     """
     if length < 1 or burn < 0:
         raise ValueError("length must be positive and burn nonnegative")
-    rng = np.random.default_rng(as_seed_tuple(seed))
+    rng = np.random.default_rng(seed)
     total = length + burn
     eps = error.model.noise(rng, 0.0, scale, total)
     p = beta.order
@@ -157,6 +151,7 @@ def _mse_units(config: SimStudyConfig, n_jobs: int) -> list[range]:
 
 
 def _mse_replications(args: tuple[SimStudyConfig, range]):
+    """One (BayesMAR, QAR, AR, acceptance rate) row per replication."""
     config, reps = args
     p = config.true_beta.order
     series = [_replication_series(config, i) for i in reps]
@@ -164,15 +159,12 @@ def _mse_replications(args: tuple[SimStudyConfig, range]):
     draws = run_mh_batch(fits, ErrorFamily.LAPLACE, config.mcmc)
     return [
         (
-            i,
-            {
-                "BayesMAR": posterior_mean(d).beta,
-                "QAR": fit_l1(y, p, start=p + 1).coeff.beta,
-                "AR": fit_ols(y, p, start=p + 1).coeff.beta,
-            },
+            posterior_mean(d).beta,
+            fit_l1(y, p, start=p + 1).coeff.beta,
+            fit_ols(y, p, start=p + 1).coeff.beta,
             d.acceptance_rate,
         )
-        for i, y, d in zip(reps, series, draws)
+        for y, d in zip(series, draws)
     ]
 
 
@@ -182,21 +174,12 @@ def run_mse_study(config: SimStudyConfig, n_jobs: int = 1) -> MseStudyReport:
     Methods: "BayesMAR" (posterior mean at the true order), "QAR" (the L1
     point fit, which at the median is the same estimator quantile regression
     uses), "AR" (Gaussian least squares).  The BayesMAR chains of a unit of
-    replications (``_mse_units``) run in lockstep.
+    replications (``_mse_units``) run in lockstep; their rows are stacked in order.
     """
-    methods = MseStudyReport.methods
     tasks = [(config, reps) for reps in _mse_units(config, n_jobs)]
-    results = _run_units(_mse_replications, tasks, n_jobs)
-
-    reps = config.replications
-    n_coef = config.true_beta.order + 1
-    estimates = {m: np.empty((reps, n_coef)) for m in methods}
-    acceptance = np.empty(reps)
-    for i, est, acc in (row for unit in results for row in unit):
-        for m in methods:
-            estimates[m][i] = est[m]
-        acceptance[i] = acc
-    return MseStudyReport(estimates, acceptance)
+    rows = [row for unit in _run_units(_mse_replications, tasks, n_jobs) for row in unit]
+    *estimates, acceptance = (np.array(column) for column in zip(*rows))
+    return MseStudyReport(dict(zip(MseStudyReport.methods, estimates)), acceptance)
 
 
 @dataclass(frozen=True)
@@ -218,20 +201,17 @@ class OrderStudyReport:
         return float(self.counts[self.true_order]) / self.map_orders.size
 
 
-def _order_replication(args: tuple[SimStudyConfig, int]):
+def _order_replication(args: tuple[SimStudyConfig, int]) -> int:
     config, i = args
     series = _replication_series(config, i)
-    return i, build_ensemble(series, config.max_order, ErrorFamily.LAPLACE).map_order
+    return build_ensemble(series, config.max_order, ErrorFamily.LAPLACE).map_order
 
 
 def run_order_study(config: SimStudyConfig, n_jobs: int = 1) -> OrderStudyReport:
     """Record the Laplace-BIC-selected order for each simulated replication."""
     tasks = [(config, i) for i in range(config.replications)]
-    results = _run_units(_order_replication, tasks, n_jobs)
-    map_orders = np.zeros(config.replications, dtype=int)
-    for i, p in results:
-        map_orders[i] = p
-    return OrderStudyReport(map_orders, config.max_order)
+    map_orders = _run_units(_order_replication, tasks, n_jobs)
+    return OrderStudyReport(np.array(map_orders), config.max_order)
 
 
 _FAMILY_CODE = {ErrorFamily.LAPLACE: 0, ErrorFamily.GAUSSIAN: 1}
@@ -349,72 +329,57 @@ class BacktestReport:
         return MetricTable(self.methods, self.horizons, values, self.baseline)
 
 
-def _forecast_origin(
-    args: tuple[BacktestSpec, int]
-) -> tuple[int, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """Forecast every method at one origin; returns level points and CRPS per method."""
+def _forecast_origin(args: tuple[BacktestSpec, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Level points and CRPS of every method at origin t, each (methods, horizons)
+    in ``spec.methods`` order; a target past the end of the series has NaN CRPS.
+    """
     spec, t = args
     values = spec.series.values
-    H = spec.horizons
-    T = values.size
-
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    realized = values[t : t + spec.horizons]
+    planned = {}
     for family in dict.fromkeys(m.family for m in spec.methods):
-        planned = forecast_family(
-            TimeSeries(values[:t]),
-            [m for m in spec.methods if m.family is family],
-            H,
-            spec.max_order,
-            spec.mcmc,
-            (spec.seed, t, _FAMILY_CODE[family]),
-            apply_diff=spec.apply_diff,
-            thin=spec.thin,
+        planned.update(
+            forecast_family(
+                TimeSeries(values[:t]),
+                [m for m in spec.methods if m.family is family],
+                spec.horizons,
+                spec.max_order,
+                spec.mcmc,
+                (spec.seed, t, _FAMILY_CODE[family]),
+                apply_diff=spec.apply_diff,
+                thin=spec.thin,
+            )
         )
-        for m, fc in planned.items():
-            crps_row = np.full(H, np.nan)
-            for h in range(1, H + 1):
-                if t + h <= T:
-                    crps_row[h - 1] = crps_sample(fc.paths[:, h - 1], float(values[t + h - 1]))
-            out[m.name] = (fc.point.copy(), crps_row)
-    return t, out
+    crps = np.full((len(spec.methods), spec.horizons), np.nan)
+    for mi, m in enumerate(spec.methods):
+        for h, truth in enumerate(realized.tolist()):
+            crps[mi, h] = crps_sample(planned[m].paths[:, h], truth)
+    return np.array([planned[m].point for m in spec.methods]), crps
 
 
 def run_backtest(spec: BacktestSpec, n_jobs: int = 1) -> BacktestReport:
-    """Run the recursive backtest; the report aggregates RMSE, MAE, and CRPS per horizon."""
+    """Run the recursive backtest; the report aggregates RMSE, MAE, and CRPS per horizon.
+
+    Each origin's (methods, horizons) points and CRPS are stacked in origin order.
+    """
     values = spec.series.values
-    T = values.size
-    origins = list(range(spec.t0 - 1, T))
+    origins = range(spec.t0 - 1, values.size)
     results = _run_units(_forecast_origin, [(spec, t) for t in origins], n_jobs)
-
-    H = spec.horizons
-    names = tuple(m.name for m in spec.methods)
-    n_origins = len(origins)
-    forecasts = np.full((len(names), n_origins, H), np.nan)
-    crps_vals = np.full((len(names), n_origins, H), np.nan)
-    truths = np.full((n_origins, H), np.nan)
-    by_origin = dict(results)
-    for i, t in enumerate(origins):
-        per_method = by_origin[t]
-        for h in range(1, H + 1):
-            if t + h <= T:
-                truths[i, h - 1] = values[t + h - 1]
-        for mi, name in enumerate(names):
-            points, crps_row = per_method[name]
-            forecasts[mi, i] = points
-            crps_vals[mi, i] = crps_row
-
+    points, crps = zip(*results)
+    padded = np.append(values, np.full(spec.horizons, np.nan))
+    truths = np.array([padded[t : t + spec.horizons] for t in origins])
     return BacktestReport(
-        methods=names,
+        methods=tuple(m.name for m in spec.methods),
         origins=tuple(origins),
-        forecasts=forecasts,
+        forecasts=np.stack(points, axis=1),
         truths=truths,
-        crps=crps_vals,
+        crps=np.stack(crps, axis=1),
         baseline=spec.baseline_name(),
     )
 
 
 def _run_units(worker: Callable, tasks: list, n_jobs: int) -> list:
-    """Run independent units serially or in a process pool; order-insensitive.
+    """Run independent units serially or in a process pool; results come back in task order.
 
     The pool never has more workers than units: it forks them all up front.
     """

@@ -82,7 +82,6 @@ from .core import (
     ErrorModel,
     PosteriorDraws,
     TimeSeries,
-    as_seed_tuple,
     check_window,
     lag_design,
     least_squares,
@@ -262,7 +261,7 @@ def run_mh_batch(
                 f"data admit an exact order-{order} fit; the scale posterior is improper"
             )
         nu = targets.size - order - 1
-        rng = np.random.default_rng(as_seed_tuple(seed))
+        rng = np.random.default_rng(seed)
         prepared.append((X, targets, beta_hat, np.linalg.inv(R), math.sqrt(rss / nu), nu, rng))
     model = family.model
 

@@ -62,8 +62,6 @@ def bma_weights(bics: np.ndarray) -> np.ndarray:
 def build_ensemble(y: TimeSeries, max_order: int, family: ErrorFamily) -> OrderEnsemble:
     """Fit every order 1..max_order on the aligned window and score each by BIC."""
     T = len(y)
-    if max_order < 1:
-        raise ValueError(f"max_order must be at least 1, got {max_order}")
     n = T - max_order
     check_window(n, max_order, f"aligned window of series length {T}: ")
     fits = point_fits(y, range(1, max_order + 1), max_order + 1, family)

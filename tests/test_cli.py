@@ -464,6 +464,19 @@ class TestExitCodes:
         assert not out.exists()
         assert chains == []
 
+    def test_backtest_order_below_one_runs_no_chain(self, tmp_path, monkeypatch):
+        # the fixed-order method needs no --k, but the selecting one does
+        chains = []
+        monkeypatch.setattr(forecast, "run_mh_batch", lambda *args: chains.append(args))
+        p = tmp_path / "s.csv"
+        write_series_csv(p)
+        out = tmp_path / "o"
+        code = main(["backtest", "--input", str(p), "--t0", "60", "--methods",
+                     "mar-fixed:2,ar-bma", "--k", "0", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert chains == []
+
     @pytest.mark.parametrize(
         "args, code",
         [

@@ -407,6 +407,16 @@ class TestShortWindowRule:
             call(2 * P + 1)
         call(2 * P + 2)
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: build_ensemble(noise_series(20), 0, ErrorFamily.LAPLACE),
+         lambda: BacktestSpec(noise_series(20), t0=18, horizons=1, max_order=0)],
+        ids=["build_ensemble", "BacktestSpec"],
+    )
+    def test_order_below_one_rejected(self, call):
+        with pytest.raises(ValueError, match="order must be at least 1, got 0"):
+            call()
+
 
 class TestTypeInvariants:
     def test_series_rejects_nonfinite(self):

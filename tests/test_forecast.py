@@ -27,6 +27,7 @@ from bayesmar.forecast import (
     SCALE_DIFFERENCED,
     SCALE_LEVEL,
     ForecastResult,
+    forecast_family,
     per_order_forecasts,
     result_from_paths,
 )
@@ -278,6 +279,12 @@ class TestPipeline:
         )
         np.testing.assert_array_equal(fixed.paths, by_order[2].paths)
         np.testing.assert_array_equal(fixed.point, by_order[2].point)
+
+    def test_no_methods_rejected(self):
+        series = simulate_series(AR2, ErrorFamily.LAPLACE, 90, burn=200, seed=49)
+        config = McmcConfig(n_total=400, n_burn=200)
+        with pytest.raises(ValueError, match="at least one method"):
+            forecast_family(series, [], 2, 3, config, (0,))
 
     def test_fixed_rule_requires_order(self):
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 90, burn=200, seed=49)

@@ -15,6 +15,7 @@ from bayesmar import (
     OrderStudyReport,
     SimStudyConfig,
     TimeSeries,
+    build_ensemble,
     fit_and_forecast,
     fit_l1,
     fit_ols,
@@ -194,6 +195,20 @@ class TestOrderStudy:
         assert report.counts.sum() == 5
         assert report.accuracy == report.counts[2] / 5
         assert len(report.map_orders) == 5
+
+    def test_parallel_equals_serial(self):
+        # the pool returns each replication's order in task order; seed 9
+        # selects orders [2, 2, 2, 2, 4], so a reordering shows
+        config = SimStudyConfig(replications=5, series_length=48, max_order=4, seed=9)
+        serial = run_order_study(config)
+        parallel = run_order_study(config, n_jobs=2)
+        np.testing.assert_array_equal(serial.map_orders, parallel.map_orders)
+        want = [
+            build_ensemble(simulate_series(AR2, ErrorFamily.LAPLACE, 48, burn=0, seed=(9, i)),
+                           4, ErrorFamily.LAPLACE).map_order
+            for i in range(5)
+        ]
+        assert parallel.map_orders.tolist() == want
 
     def test_csv(self, tmp_path):
         config = SimStudyConfig(replications=3, series_length=48, max_order=4, seed=5)
