@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DegenerateDataError, ErrorFamily, TimeSeries, diff1
-from .forecast import MethodSpec, fit_and_forecast
+from .forecast import POINT_STATISTICS, MethodSpec, fit_and_forecast
 from .harness import (
     BacktestSpec,
     SimStudyConfig,
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.add_argument("--n-burn", dest="n_burn", type=int, default=4000)
     p_fc.add_argument("--thin", type=int, default=1)
     p_fc.add_argument("--point-statistic", dest="point_statistic",
-                      choices=["mean", "median"], default="mean")
+                      choices=POINT_STATISTICS, default="mean")
     p_fc.add_argument("--paths-csv", dest="paths_csv", action="store_true",
                       help="also export raw predictive paths")
     add_common(p_fc)

@@ -3,21 +3,21 @@
 Each retained posterior draw (beta_i, tau_i) seeds one simulated future path:
 the next value is drawn from the error distribution centered at the linear
 predictor, appended to the lag window, and the recursion continues to the
-requested horizon.  Point forecasts are read off the per-horizon sample
-columns, and equal-tailed intervals only when a caller asks for them; mixing
-across orders resamples pooled paths with the model weights.
+requested horizon.  A forecast is its paths and a statistic: the point (the
+per-horizon mean or median) and equal-tailed intervals are read from the paths
+when asked for, and a BMA mixture resamples the orders' pooled paths.
 
 ``forecast_family`` is the one planner from a series to its level-scale
 forecasts: it checks the plan before any fit, differences the series when
 asked, builds the order ensemble once, samples the union of the orders its
 methods need, and summarises each method's final BMA, MAP or fixed-order
-paths once, on the level scale.  ``fit_and_forecast`` (one method, used by the
+paths, on the level scale.  ``fit_and_forecast`` (one method, used by the
 CLI) and the backtest call it.  Writing results to files is the CLI's job.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "sample_paths",
     "point_forecast",
     "credible_interval",
-    "result_from_paths",
     "bma_forecast",
     "forecast_levels",
     "per_order_forecasts",
@@ -43,26 +42,32 @@ __all__ = [
 
 SCALE_DIFFERENCED = "differenced"
 SCALE_LEVEL = "level"
+POINT_STATISTICS = {"mean": np.mean, "median": np.median}
 
 
 @dataclass(frozen=True)
 class ForecastResult:
-    """Per-horizon point forecasts and their paths; the rest is read from ``paths``."""
+    """Predictive paths and a point statistic; the point and the intervals are read from them."""
 
-    point: np.ndarray
     paths: np.ndarray
     interval_level: float
     scale_note: str
+    statistic: str = "mean"
 
     def __post_init__(self) -> None:
         if self.scale_note not in (SCALE_DIFFERENCED, SCALE_LEVEL):
             raise ValueError(f"unknown scale_note {self.scale_note!r}")
-        if self.paths.ndim != 2:
-            raise ValueError("paths must be (n_paths, horizons)")
-        if self.point.shape != (self.horizons,):
-            raise ValueError("point must have one entry per horizon")
+        if self.paths.ndim != 2 or self.paths.size == 0:
+            raise ValueError("paths must be a non-empty (n_paths, horizons) array")
         if not 0.0 < self.interval_level < 1.0:
             raise ValueError("level must lie in (0, 1)")
+        if self.statistic not in POINT_STATISTICS:
+            raise ValueError(f"unknown point statistic {self.statistic!r}")
+
+    @property
+    def point(self) -> np.ndarray:
+        """Per-horizon ``statistic`` of the paths."""
+        return point_forecast(self.paths, self.statistic)
 
     @property
     def horizons(self) -> int:
@@ -78,10 +83,12 @@ class ForecastResult:
         return credible_interval(self.paths, self.interval_level)
 
 
-def check_plan(horizon: int, config: McmcConfig, thin: int, level: float | None = None) -> None:
+def check_plan(
+    horizon: int, config: McmcConfig, thin: int, level: float | None = None, statistic: str = "mean"
+) -> None:
     """Reject, before any fit, a plan with horizon or thin below 1, a level
-    outside (0, 1), or fewer than 2 paths: ceil((n_total - n_burn) / thin) < 2,
-    that is n_total - n_burn <= thin.
+    outside (0, 1), a statistic not in ``POINT_STATISTICS``, or fewer than 2
+    paths: ceil((n_total - n_burn) / thin) < 2, that is n_total - n_burn <= thin.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -92,6 +99,8 @@ def check_plan(horizon: int, config: McmcConfig, thin: int, level: float | None 
         raise ValueError(f"n_total - n_burn = {kept} at thin={thin} gives 1 path; need at least 2")
     if level is not None and not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
+    if statistic not in POINT_STATISTICS:
+        raise ValueError(f"unknown point statistic {statistic!r}")
 
 
 def sample_paths(
@@ -138,11 +147,9 @@ def point_forecast(paths: np.ndarray, statistic: str = "mean") -> np.ndarray:
     paths = np.asarray(paths, dtype=float)
     if paths.size == 0:
         raise ValueError("paths must be non-empty")
-    if statistic == "mean":
-        return paths.mean(axis=0)
-    if statistic == "median":
-        return np.median(paths, axis=0)
-    raise ValueError(f"unknown point statistic {statistic!r}")
+    if statistic not in POINT_STATISTICS:
+        raise ValueError(f"unknown point statistic {statistic!r}")
+    return POINT_STATISTICS[statistic](paths, axis=0)
 
 
 def credible_interval(paths: np.ndarray, level: float) -> np.ndarray:
@@ -157,17 +164,6 @@ def credible_interval(paths: np.ndarray, level: float) -> np.ndarray:
     return qs.T
 
 
-def result_from_paths(
-    paths: np.ndarray,
-    interval_level: float,
-    scale_note: str,
-    statistic: str = "mean",
-) -> ForecastResult:
-    """Assemble a ForecastResult by summarizing a path matrix."""
-    paths = np.asarray(paths, dtype=float)
-    return ForecastResult(point_forecast(paths, statistic), paths, interval_level, scale_note)
-
-
 def bma_forecast(
     per_order_results: Sequence[ForecastResult],
     weights: np.ndarray,
@@ -175,11 +171,11 @@ def bma_forecast(
 ) -> ForecastResult:
     """Mix per-order forecasts with model weights.
 
-    The point forecast is the exact weighted sum of the per-order points.  The
-    mixture density is represented by resampling the pooled paths: each order
+    The mixture is represented by resampling the pooled paths: each order
     contributes floor(weight * n_paths) paths deterministically and the
     leftover slots are drawn from the fractional remainders (residual
-    resampling), which keeps the mixing noise small.
+    resampling), which keeps the mixing noise small.  The result keeps the
+    inputs' shared fields, so its point is their statistic of the mixed paths.
     """
     if len(per_order_results) == 0:
         raise ValueError("need at least one forecast to mix")
@@ -188,17 +184,11 @@ def bma_forecast(
         raise ValueError("one weight per forecast required")
     if not np.all(np.isfinite(weights) & (weights >= 0)) or abs(float(weights.sum()) - 1.0) > 1e-9:
         raise ValueError("weights must be finite, nonnegative and sum to 1")
+    if len({r.paths.shape for r in per_order_results}) > 1:
+        raise ValueError("forecasts must share horizons and path counts")
+    if len({(r.scale_note, r.interval_level, r.statistic) for r in per_order_results}) > 1:
+        raise ValueError("forecasts must share scale, interval level and statistic")
     first = per_order_results[0]
-    for r in per_order_results[1:]:
-        if r.paths.shape != first.paths.shape:
-            raise ValueError("forecasts must share horizons and path counts")
-        if r.scale_note != first.scale_note or r.interval_level != first.interval_level:
-            raise ValueError("forecasts must share scale and interval level")
-
-    point = np.zeros(first.horizons)
-    for w, r in zip(weights, per_order_results):
-        point += w * r.point
-
     n_paths = first.n_paths
     raw = weights / weights.sum() * n_paths
     counts = np.floor(raw).astype(int)
@@ -214,25 +204,19 @@ def bma_forecast(
         if count > 0:
             rows = rng.integers(0, r.n_paths, size=count)
             blocks.append(r.paths[rows])
-    return ForecastResult(point, np.vstack(blocks), first.interval_level, first.scale_note)
+    return replace(first, paths=np.vstack(blocks))
 
 
-def forecast_levels(
-    diff_result: ForecastResult,
-    last_level: float,
-    statistic: str = "mean",
-) -> ForecastResult:
+def forecast_levels(diff_result: ForecastResult, last_level: float) -> ForecastResult:
     """Rebuild level-scale forecasts from change-scale ones.
 
     Every path is cumulatively summed and shifted by the last observed level;
-    points are recomputed from the level paths.
+    the interval level and statistic carry over.
     """
     if diff_result.scale_note != SCALE_DIFFERENCED:
         raise ValueError("input forecast is not on the differenced scale")
     level_paths = last_level + np.cumsum(diff_result.paths, axis=1)
-    return result_from_paths(
-        level_paths, diff_result.interval_level, SCALE_LEVEL, statistic
-    )
+    return replace(diff_result, paths=level_paths, scale_note=SCALE_LEVEL)
 
 
 def per_order_forecasts(
@@ -249,16 +233,16 @@ def per_order_forecasts(
     """Run the sampler and path simulation for each requested order.
 
     The orders' fits are sampled as one batch (``run_mh_batch``; Laplace
-    chains in lockstep).  Each order's point is the mean of its paths.  Seeds
-    derive from (seed_base..., order) for the chain and (seed_base..., order, 1)
-    for the path noise, so results for one order do not depend on which other
+    chains in lockstep); each result has the default statistic.  Seeds derive
+    from (seed_base..., order) for the chain and (seed_base..., order, 1) for
+    the path noise, so results for one order do not depend on which other
     orders are requested.
     """
     base = tuple(seed_base)
     orders = sorted(set(int(o) for o in orders))
     batch = run_mh_batch([(y, p, base + (p,)) for p in orders], family, config)
     return {
-        p: result_from_paths(
+        p: ForecastResult(
             sample_paths(y, draws, horizon, family, seed=base + (p, 1), thin=thin),
             interval_level,
             scale_note,
@@ -323,9 +307,9 @@ def forecast_family(
     of the orders the methods need, seeded from ``seed_base``.  BMA mixes
     orders 1..max_order by their weights with seed (seed_base..., 0, 2), MAP
     takes the minimum-BIC order, and a fixed rule its own order.  Each method's
-    point is the ``statistic`` of its own final paths.
+    result carries ``statistic``, so its point is read from its final paths.
     """
-    check_plan(horizon, config, thin, interval_level)
+    check_plan(horizon, config, thin, interval_level, statistic)
     if not methods:
         raise ValueError("at least one method required")
     family = methods[0].family
@@ -356,11 +340,8 @@ def forecast_family(
             result = by_order[ensemble.map_order]
         else:
             result = by_order[m.fixed_order]
-        planned[m] = (
-            forecast_levels(result, float(y.values[-1]), statistic)
-            if apply_diff
-            else result_from_paths(result.paths, interval_level, scale_note, statistic)
-        )
+        result = replace(result, statistic=statistic)
+        planned[m] = forecast_levels(result, float(y.values[-1])) if apply_diff else result
     return planned
 
 

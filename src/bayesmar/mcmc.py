@@ -248,6 +248,8 @@ def run_mh_batch(
     S(beta_i)), Gaussian sigma_i^2 ~ InvGamma((T-p)/2, RSS(beta_i)/2).  A
     fit's draws do not depend on the other fits in the batch.
     """
+    if not fits:
+        return []
     prepared = []
     for y, order, seed in fits:
         check_window(len(y) - order, order, f"series of length {len(y)}: ")

@@ -30,7 +30,7 @@ from bayesmar import (
     run_mh,
 )
 from bayesmar.core import least_squares
-from bayesmar.forecast import SCALE_DIFFERENCED, result_from_paths
+from bayesmar.forecast import SCALE_DIFFERENCED, ForecastResult
 from bayesmar.mle_fit import point_fits
 
 def make_series(values):
@@ -360,7 +360,7 @@ class TestDifferencing:
     def undiff(deltas, last_level):
         # level rebuild of one change path, through the forecast pipeline's own inverse
         paths = np.tile(np.asarray(deltas, dtype=float), (2, 1))
-        return forecast_levels(result_from_paths(paths, 0.9, SCALE_DIFFERENCED), last_level).paths[0]
+        return forecast_levels(ForecastResult(paths, 0.9, SCALE_DIFFERENCED), last_level).paths[0]
 
     def test_round_trip(self):
         rng = np.random.default_rng(2)

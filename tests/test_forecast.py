@@ -29,7 +29,6 @@ from bayesmar.forecast import (
     ForecastResult,
     forecast_family,
     per_order_forecasts,
-    result_from_paths,
 )
 from bayesmar import forecast as forecast_module
 from bayesmar.cli import main
@@ -47,8 +46,8 @@ def constant_draws(beta_row, tau, n=200):
     )
 
 
-def result_with_paths(paths, level=0.95, scale=SCALE_DIFFERENCED):
-    return result_from_paths(np.asarray(paths, dtype=float), level, scale)
+def result_with_paths(paths, level=0.95, scale=SCALE_DIFFERENCED, statistic="mean"):
+    return ForecastResult(np.asarray(paths, dtype=float), level, scale, statistic)
 
 
 class TestSamplePaths:
@@ -167,7 +166,6 @@ class TestBmaForecast:
         rng = np.random.default_rng(23)
         res = result_with_paths(rng.normal(size=(300, 2)))
         mixed = bma_forecast([res], np.array([1.0]), seed=1)
-        np.testing.assert_array_equal(mixed.point, res.point)
         assert mixed.paths.shape == res.paths.shape
         # every mixed path is one of the input paths
         assert all(any(np.array_equal(row, p) for p in res.paths) for row in mixed.paths[:10])
@@ -178,12 +176,32 @@ class TestBmaForecast:
         mixed = bma_forecast([a, b], np.array([0.5, 0.5]), seed=2)
         assert mixed.point[0] == 1.0
 
-    def test_degenerate_weights_reproduce_point_exactly(self):
+    def test_degenerate_weights_draw_from_one_order(self):
         rng = np.random.default_rng(29)
         a = result_with_paths(rng.normal(size=(200, 3)))
         b = result_with_paths(rng.normal(size=(200, 3)))
         mixed = bma_forecast([a, b], np.array([1.0, 0.0]), seed=3)
-        np.testing.assert_array_equal(mixed.point, a.point)
+        assert {tuple(row) for row in mixed.paths} <= {tuple(row) for row in a.paths}
+
+    @pytest.mark.parametrize("statistic", ["mean", "median"])
+    def test_point_is_statistic_of_own_paths(self, statistic):
+        # the mixture's point is read from its resampled paths, not averaged
+        # from the orders' points, and the level rebuild keeps the statistic
+        rng = np.random.default_rng(30)
+        results = [result_with_paths(rng.laplace(c, 1.0, size=(301, 3)), statistic=statistic)
+                   for c in (0.0, 1.0, 5.0)]
+        mixed = bma_forecast(results, np.array([0.2, 0.5, 0.3]), seed=6)
+        assert mixed.statistic == statistic
+        np.testing.assert_array_equal(mixed.point, getattr(np, statistic)(mixed.paths, axis=0))
+        levels = forecast_levels(mixed, 4.0)
+        assert (levels.statistic, levels.scale_note) == (statistic, SCALE_LEVEL)
+        np.testing.assert_array_equal(levels.point, getattr(np, statistic)(levels.paths, axis=0))
+
+    def test_mismatched_statistic_rejected(self):
+        a = result_with_paths(np.zeros((10, 1)))
+        b = result_with_paths(np.zeros((10, 1)), statistic="median")
+        with pytest.raises(ValueError, match="statistic"):
+            bma_forecast([a, b], np.array([0.5, 0.5]), seed=0)
 
     def test_mixture_mean_oracle(self):
         rng = np.random.default_rng(31)
@@ -247,7 +265,7 @@ class TestForecastLevels:
         changes = simulate_series(AR2, ErrorFamily.LAPLACE, 160, burn=200, seed=43)
         draws = run_mh(changes, 2, ErrorFamily.LAPLACE, McmcConfig(n_total=4000, n_burn=2000, seed=44))
         paths = sample_paths(changes, draws, 6, ErrorFamily.LAPLACE, seed=45)
-        res = result_from_paths(paths, 0.95, SCALE_DIFFERENCED)
+        res = ForecastResult(paths, 0.95, SCALE_DIFFERENCED)
         levels = forecast_levels(res, 10.0)
         variances = levels.paths.var(axis=0)
         assert np.all(variances[1:] >= 0.98 * variances[:-1])
@@ -279,6 +297,28 @@ class TestPipeline:
         )
         np.testing.assert_array_equal(fixed.paths, by_order[2].paths)
         np.testing.assert_array_equal(fixed.point, by_order[2].point)
+
+    def test_unknown_statistic_runs_no_chain(self, monkeypatch):
+        calls = []
+        run = forecast_module.run_mh_batch
+        monkeypatch.setattr(
+            forecast_module, "run_mh_batch", lambda *args: calls.append(args) or run(*args)
+        )
+        series = simulate_series(AR2, ErrorFamily.LAPLACE, 90, burn=200, seed=49)
+        config = McmcConfig(n_total=400, n_burn=200)
+        with pytest.raises(ValueError, match="unknown point statistic"):
+            forecast_family(
+                series, [MethodSpec(ErrorFamily.LAPLACE, "bma")], 2, 3, config, (0,),
+                statistic="mode",
+            )
+        assert calls == []
+
+    @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
+    def test_no_orders_sample_nothing(self, family):
+        series = simulate_series(AR2, ErrorFamily.LAPLACE, 90, burn=200, seed=49)
+        config = McmcConfig(n_total=400, n_burn=200)
+        assert forecast_module.run_mh_batch([], family, config) == []
+        assert per_order_forecasts(series, family, [], 2, config, 0.95, SCALE_LEVEL, (0,)) == {}
 
     def test_no_methods_rejected(self):
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 90, burn=200, seed=49)
@@ -328,32 +368,28 @@ class TestPipeline:
 class TestForecastResultValidation:
     def test_intervals_are_read_from_paths(self):
         paths = np.random.default_rng(59).normal(size=(40, 3))
-        res = ForecastResult(paths.mean(axis=0), paths, 0.8, SCALE_LEVEL)
+        res = ForecastResult(paths, 0.8, SCALE_LEVEL)
         assert (res.horizons, res.n_paths) == (3, 40)
         np.testing.assert_array_equal(res.intervals, credible_interval(paths, 0.8))
 
     def test_scale_note_vocabulary(self):
-        with pytest.raises(ValueError):
-            ForecastResult(
-                point=np.array([0.0]),
-                paths=np.zeros((3, 1)),
-                interval_level=0.9,
-                scale_note="raw",
-            )
+        with pytest.raises(ValueError, match="scale_note"):
+            ForecastResult(paths=np.zeros((3, 1)), interval_level=0.9, scale_note="raw")
 
     @pytest.mark.parametrize(
-        "point, paths, level",
+        "paths, level, statistic, match",
         [
-            (np.zeros(3), np.zeros(3), 0.9),
-            (np.zeros(2), np.zeros((3, 1)), 0.9),
-            (np.zeros(1), np.zeros((3, 1)), 1.0),
-            (np.zeros(1), np.zeros((3, 1)), 0.0),
+            (np.zeros(3), 0.9, "mean", "paths must be"),
+            (np.zeros((0, 2)), 0.9, "mean", "paths must be"),
+            (np.zeros((3, 1)), 1.0, "mean", "level must lie"),
+            (np.zeros((3, 1)), 0.0, "mean", "level must lie"),
+            (np.zeros((3, 1)), 0.9, "mode", "unknown point statistic"),
         ],
-        ids=["paths-not-2d", "point-count", "level-1", "level-0"],
+        ids=["paths-not-2d", "no-paths", "level-1", "level-0", "unknown-statistic"],
     )
-    def test_malformed_input_rejected(self, point, paths, level):
-        with pytest.raises(ValueError):
-            ForecastResult(point, paths, level, SCALE_LEVEL)
+    def test_malformed_input_rejected(self, paths, level, statistic, match):
+        with pytest.raises(ValueError, match=match):
+            ForecastResult(paths, level, SCALE_LEVEL, statistic)
 
 
 class TestIntervalsOnDemand:
