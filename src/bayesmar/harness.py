@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import Coefficients, ErrorFamily, TimeSeries, check_window
 from .forecast import MethodSpec, check_plan, forecast_family
-from .mcmc import McmcConfig, chain_bytes, posterior_mean, run_mh_batch
+from .mcmc import McmcConfig, posterior_mean, run_mh_batch
 from .mle_fit import fit_l1, fit_ols
 from .order_select import build_ensemble
 from .scoring import MetricTable, crps_sample, mae, rmse
@@ -42,9 +42,9 @@ __all__ = [
     "run_backtest",
 ]
 
-# Bytes of chain state (``mcmc.chain_bytes``) one unit of MSE replications may
-# hold: 17 default chains (T=200, p=2, 40000 iterations) of about 2 MB each.
-_CHAIN_BYTE_BUDGET = 32 * 2**20
+# Chains one unit of MSE replications runs in lockstep: the cost per
+# chain-iteration levels off by 32 chains, and a unit's memory grows with it.
+_MSE_UNIT_CHAINS = 32
 
 @dataclass(frozen=True)
 class SimStudyConfig:
@@ -139,14 +139,12 @@ class MseStudyReport:
 def _mse_units(config: SimStudyConfig, n_jobs: int) -> list[range]:
     """Contiguous runs of replications, each sampled as one lockstep batch.
 
-    A run holds as many chains as fit in ``_CHAIN_BYTE_BUDGET``, and the study
-    is split at least ``n_jobs`` ways.  Every replication's chain has the same
+    A run holds at most ``_MSE_UNIT_CHAINS`` replications, and the study is
+    split at least ``n_jobs`` ways.  Every replication's chain has the same
     (n, p), so no chain is padded and the estimates do not depend on the split.
     """
     reps = config.replications
-    p = config.true_beta.order
-    per_chain = chain_bytes(config.series_length - p, p, config.mcmc)
-    size = max(1, min(_CHAIN_BYTE_BUDGET // per_chain, -(-reps // max(n_jobs, 1))))
+    size = min(_MSE_UNIT_CHAINS, -(-reps // max(n_jobs, 1)))
     return [range(i, min(i + size, reps)) for i in range(0, reps, size)]
 
 
@@ -173,8 +171,8 @@ def run_mse_study(config: SimStudyConfig, n_jobs: int = 1) -> MseStudyReport:
 
     Methods: "BayesMAR" (posterior mean at the true order), "QAR" (the L1
     point fit, which at the median is the same estimator quantile regression
-    uses), "AR" (Gaussian least squares).  The BayesMAR chains of a unit of
-    replications (``_mse_units``) run in lockstep; their rows are stacked in order.
+    uses), "AR" (Gaussian least squares).  A unit of at most 32 replications
+    (``_mse_units``) runs its BayesMAR chains in lockstep; rows stack in order.
     """
     tasks = [(config, reps) for reps in _mse_units(config, n_jobs)]
     rows = [row for unit in _run_units(_mse_replications, tasks, n_jobs) for row in unit]

@@ -34,19 +34,20 @@ All the Laplace chains of one ``run_mh_batch`` call run in lockstep
 1..K of one forecast.  Each step forms one (C x n) array of proposal
 residuals and one row-wise objective, and each chain still decides its
 accept through ``log_marginal``.  A chain keeps everything a lone run has:
-its own generator, seeded with its fit's seed, its pre-drawn steps and
-log-uniforms, its least-squares start and shape, its own n in -n log S, and
-its own step a, tuned on its own acceptance.  So a fit's draws do not depend
-on the other fits in its batch.  Chains of different (n, p) are zero-padded:
-design rows and targets at the front, coefficients at the end.  A padded row
-has residual 0 and a padded coefficient steps by 0, so padding adds 0 to
-every objective and every state.  (The zeros can regroup numpy's pairwise
-row sum in its last bit, which, like the window shifts, moves a draw only if
-a log ratio lands within rounding of its uniform draw.)  A chain holds
-``chain_bytes`` while it runs, about 2 MB for a default MSE chain (n=198,
-p=2, 40,000 iterations); ``harness`` caps a unit's chains by a byte budget.
-The scale draws need an n_kept x n objective block per fit (24 MB for that
-chain), so they are drawn one fit at a time after the chains, never stacked.
+its own generator, seeded with its fit's seed, its least-squares start and
+shape, its own n in -n log S, and its own step a, tuned on its own
+acceptance.  So a fit's draws do not depend on the other fits in its batch.
+Chains of different (n, p) are zero-padded: design rows and targets at the
+front, coefficients at the end.  A padded row has residual 0 and a padded
+coefficient steps by 0, so padding adds 0 to every objective and every
+state.  (The zeros can regroup numpy's pairwise row sum in its last bit,
+which, like the window shifts, moves a draw only if a log ratio lands within
+rounding of its uniform draw.)  A chain draws its steps and log-uniforms one
+segment at a time, so while it runs it holds its kept states and one window
+of residual shifts (0.4 + 0.3 MB for a default MSE chain: n=198, p=2, 15,000
+kept), never its whole run of random numbers.  The scale draws need an
+n_kept x n objective block per fit (24 MB for that chain), so they are drawn
+one fit at a time after the chains, never stacked.
 
 On 2 vCPUs a default MSE-study job (five replications in one batch) ran
 1.79x the replications per second of lone chains, and a backtest (orders
@@ -69,6 +70,7 @@ returned ``PosteriorDraws`` keep a chain's accept flags; the CLI's
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
@@ -87,7 +89,7 @@ from .core import (
     least_squares,
 )
 
-__all__ = ["McmcConfig", "run_mh", "run_mh_batch", "chain_bytes", "tune_step", "posterior_mean"]
+__all__ = ["McmcConfig", "run_mh", "run_mh_batch", "tune_step", "posterior_mean"]
 
 PROPOSAL_HALF_WIDTH = 0.1
 ADAPT_WINDOW = 200
@@ -131,15 +133,6 @@ def tune_step(current_a: float, window_acceptance: float, band: tuple[float, flo
     return current_a
 
 
-def chain_bytes(rows: int, order: int, config: McmcConfig) -> int:
-    """Bytes one chain of ``rows`` residuals at ``order`` holds in ``_lockstep_chains``:
-    its pre-drawn steps and log-uniforms, one window of residual shifts and its
-    kept states."""
-    dim = order + 1
-    n_kept = config.n_total - config.n_burn
-    return 8 * (config.n_total * (dim + 1) + ADAPT_WINDOW * rows + n_kept * dim)
-
-
 def _lockstep_chains(
     chains: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.random.Generator]],
     model: ErrorModel,  # one with a log_marginal: the Laplace model
@@ -149,36 +142,37 @@ def _lockstep_chains(
     on ``model``'s log marginal of ``targets ~ X beta``, all in lockstep;
     returns (kept, kept_accept_flags, final_a) per chain.
 
-    Chain c starts at its beta0, and its proposal i adds a_c shape u_i, with
-    the u_i and the log-uniforms drawn up front from its rng.  The chains run
-    in segments cut at every ``ADAPT_WINDOW`` boundary and at ``n_burn``
-    (which need not be a multiple of the window), so each a_c is fixed inside
-    a segment and a segment is wholly burn-in or wholly retained.  A segment
+    Chain c starts at its beta0, and its proposal i adds a_c shape u_i.  The
+    chains run in segments cut at every ``ADAPT_WINDOW`` boundary and at
+    ``n_burn`` (which need not be a multiple of the window), so each a_c is
+    fixed inside a segment and a segment is wholly burn-in or wholly retained.
+    A segment draws its u_i from a copy of the chain's rng and its
+    log-uniforms from the rng advanced past all n_total (p+1) u_i: the same
+    numbers, and the same final rng, as drawing both up front.  It then
     resyncs the residuals as targets - X beta, computes its proposals' residual
     shifts in one product, steps, rebuilds its states and, at the end of a
     full burn-in window, tunes each a_c.  The symmetric proposal contributes
     nothing to the log ratio, compared against log-uniform noise.  Chains of
-    different sizes are zero-padded as the module docstring describes.
+    different sizes are zero-padded as the module docstring describes; the
+    kept states are not.
     """
     n_chains = len(chains)
     rows = [targets.size for _, targets, _, _, _ in chains]
     dims = [beta0.size for _, _, beta0, _, _ in chains]
     n_max, dim_max = max(rows), max(dims)
     n_total, n_burn = config.n_total, config.n_burn
-    n_kept = n_total - n_burn
 
     X = np.zeros((n_chains, n_max, dim_max))
     targets = np.zeros((n_chains, n_max))
     current = np.zeros((n_chains, dim_max))
-    steps = np.zeros((n_chains, n_total, dim_max))
-    log_accept_noise = np.empty((n_chains, n_total))
+    streams = []
     for c, (X_c, targets_c, beta0, shape, rng) in enumerate(chains):
         X[c, n_max - rows[c] :, : dims[c]] = X_c
         targets[c, n_max - rows[c] :] = targets_c
         current[c, : dims[c]] = beta0
-        u = rng.uniform(-PROPOSAL_HALF_WIDTH, PROPOSAL_HALF_WIDTH, size=(n_total, dims[c]))
-        steps[c, :, : dims[c]] = u @ shape.T
-        log_accept_noise[c] = np.log(rng.random(n_total))
+        step_rng = copy.deepcopy(rng)
+        rng.bit_generator.advance(n_total * dims[c])  # one 64-bit output per double
+        streams.append((step_rng, shape.T, rng))
     Xt = X.transpose(0, 2, 1)
 
     objective, log_marginal = model.objective, model.log_marginal
@@ -186,13 +180,22 @@ def _lockstep_chains(
     # cost about a fifth more per step than on a vector.
     lone = n_chains == 1
     a = np.full(n_chains, INITIAL_STEP)
-    kept = np.empty((n_chains, n_kept, dim_max))
-    kept_accepted = np.zeros((n_chains, n_kept), dtype=bool)
+    kept = [np.empty((n_total - n_burn, dim)) for dim in dims]
+    kept_accepted = np.zeros((n_chains, n_total - n_burn), dtype=bool)
     bounds = sorted({*range(0, n_total, ADAPT_WINDOW), n_burn, n_total})
 
     for s0, s1 in zip(bounds[:-1], bounds[1:]):
         retained = s0 >= n_burn
-        a_steps = a[:, None, None] * steps[:, s0:s1]
+        m = s1 - s0
+        steps = np.zeros((n_chains, m, dim_max))
+        log_accept_noise = np.empty((n_chains, m))
+        for c, (step_rng, shape_t, rng) in enumerate(streams):
+            u = step_rng.uniform(-PROPOSAL_HALF_WIDTH, PROPOSAL_HALF_WIDTH, size=(m, dims[c]))
+            # numpy multiplies a single row by gemv, which rounds unlike the
+            # gemm of a longer block, so a one-step segment goes as two rows
+            steps[c, :, : dims[c]] = ((np.tile(u, (2, 1)) if m == 1 else u) @ shape_t)[:m]
+            log_accept_noise[c] = np.log(rng.random(m))
+        a_steps = a[:, None, None] * steps
         shifts = a_steps @ Xt
         resid = targets - (X @ current[:, :, None])[:, :, 0]
         current_lp = [log_marginal(s, n) for s, n in zip(objective(resid).tolist(), rows)]
@@ -200,8 +203,8 @@ def _lockstep_chains(
             resid, shifts = resid[0], shifts[0]
         else:
             shifts = shifts.transpose(1, 0, 2)  # shifts[j] is (chains, rows)
-        accepted = np.zeros((n_chains, s1 - s0), dtype=bool)
-        for j, (shift, log_us) in enumerate(zip(shifts, log_accept_noise[:, s0:s1].T.tolist())):
+        accepted = np.zeros((n_chains, m), dtype=bool)
+        for j, (shift, log_us) in enumerate(zip(shifts, log_accept_noise.T.tolist())):
             proposal_resid = resid - shift
             objectives = objective(proposal_resid)
             for c, s in enumerate([objectives] if lone else objectives.tolist()):
@@ -219,16 +222,14 @@ def _lockstep_chains(
         states = np.add.accumulate(path, axis=1)
         current = states[:, -1]
         if retained:
-            kept[:, s0 - n_burn : s1 - n_burn] = states
+            for c, dim in enumerate(dims):
+                kept[c][s0 - n_burn : s1 - n_burn] = states[c, :, :dim]
             kept_accepted[:, s0 - n_burn : s1 - n_burn] = accepted
         elif s1 % ADAPT_WINDOW == 0:
             rates = np.count_nonzero(accepted, axis=1) / ADAPT_WINDOW
             a = np.array([tune_step(a_c, r, config.target_band) for a_c, r in zip(a, rates)])
 
-    return [
-        (np.ascontiguousarray(kept[c, :, : dims[c]]), kept_accepted[c], float(a[c]))
-        for c in range(n_chains)
-    ]
+    return [(kept[c], kept_accepted[c], float(a[c])) for c in range(n_chains)]
 
 
 def run_mh_batch(

@@ -30,7 +30,6 @@ from bayesmar import (
 )
 from bayesmar import harness
 from bayesmar.cli import main
-from bayesmar.mcmc import chain_bytes
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
 
@@ -117,9 +116,13 @@ class TestMseStudy:
         np.testing.assert_array_equal(serial.acceptance_rates, parallel.acceptance_rates)
 
     def test_report_does_not_depend_on_the_units(self, monkeypatch):
-        # a unit's replications run as one lockstep batch; one batch of five,
-        # byte-budget batches of two, and two processes all give the report of
-        # five lone chains
+        # a unit's replications run as one lockstep batch of at most 32
+        # chains, or fewer so that every job gets one; one batch of five,
+        # batches of two, and two processes all give the report of five lone
+        # chains
+        many = SimStudyConfig(replications=70)
+        assert harness._mse_units(many, 1) == [range(0, 32), range(32, 64), range(64, 70)]
+        assert harness._mse_units(many, 3) == [range(0, 24), range(24, 48), range(48, 70)]
         config = SimStudyConfig(
             replications=5, series_length=60, seed=6, mcmc=McmcConfig(n_total=300, n_burn=100)
         )
@@ -127,7 +130,7 @@ class TestMseStudy:
         assert harness._mse_units(config, 1) == [range(0, 5)]
         assert harness._mse_units(config, 2) == [range(0, 3), range(3, 5)]
         reports = [run_mse_study(config, n_jobs=2)]
-        monkeypatch.setattr(harness, "_CHAIN_BYTE_BUDGET", 2 * chain_bytes(58, 2, config.mcmc))
+        monkeypatch.setattr(harness, "_MSE_UNIT_CHAINS", 2)
         assert harness._mse_units(config, 1) == [range(0, 2), range(2, 4), range(4, 5)]
         reports += [run_mse_study(config), run_mse_study(config, n_jobs=2)]
         for report in reports:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -339,6 +340,33 @@ class TestRunMh:
             assert np.array_equal(draws.tau_draws, lone.tau_draws)
             assert np.array_equal(draws.accepted, lone.accepted)
             assert draws.step_size == lone.step_size
+
+    def test_one_step_segments_match_sequential_chain_oracle(self):
+        # n_burn = 201 cuts a segment [200, 201) and n_total = 801 leaves
+        # [800, 801): a one-step segment's steps equal the up-front draws'
+        # (numpy's one-row product rounds differently; it moves orders 7 and 8)
+        y = laplace_series(90, seed=(33, 201))
+        cfg = McmcConfig(n_total=801, n_burn=201, seed=(33, 201))
+        for order in range(1, 9):
+            draws = run_mh(y, order, ErrorFamily.LAPLACE, cfg)
+            betas, taus, accepted, step = sequential_chain_oracle(y, order, cfg)
+            assert draws.beta_draws.tobytes() == betas.tobytes()
+            assert draws.tau_draws.tobytes() == taus.tobytes()
+            np.testing.assert_array_equal(draws.accepted, accepted)
+            assert draws.step_size == step
+
+    def test_batch_holds_no_predrawn_run(self):
+        # a chain draws its random numbers segment by segment, so its memory
+        # follows the kept draws, not n_total: drawn up front, the steps, the
+        # uniforms and their product would be 10000 x 21 doubles each (5 MiB)
+        y = laplace_series(80, seed=34)
+        tracemalloc.start()
+        try:
+            run_mh_batch([(y, 20, 4)], ErrorFamily.LAPLACE, McmcConfig(n_total=10_000, n_burn=9_800))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_trace_export(self, tmp_path):
         y = laplace_series(60, seed=13)
