@@ -267,8 +267,9 @@ class ErrorModel(ABC):
     noise_per_scale: float
 
     @abstractmethod
-    def objective(self, resid: np.ndarray) -> np.ndarray:
-        """Residual objective over the last axis of ``resid`` (S or RSS)."""
+    def objective(self, resid: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Residual objective over the last axis of ``resid`` (S or RSS); with
+        ``overwrite`` it may use ``resid`` as scratch instead of a temporary."""
 
     @abstractmethod
     def draw_scale(self, rng: np.random.Generator, objectives: np.ndarray, n: int) -> np.ndarray:
@@ -302,8 +303,8 @@ class _LaplaceModel(ErrorModel):
             )
         return -n * math.log(objective)
 
-    def objective(self, resid):
-        return 0.5 * np.add.reduce(np.abs(resid), axis=-1)
+    def objective(self, resid, overwrite=False):
+        return 0.5 * np.add.reduce(np.abs(resid, out=resid if overwrite else None), axis=-1)
 
     def draw_scale(self, rng, objectives, n):
         # tau | beta ~ InvGamma(shape n, rate S(beta))
@@ -325,7 +326,7 @@ class _GaussianModel(ErrorModel):
     family = ErrorFamily.GAUSSIAN
     noise_per_scale = 1.0
 
-    def objective(self, resid):
+    def objective(self, resid, overwrite=False):
         return np.vecdot(resid, resid)
 
     def draw_scale(self, rng, objectives, n):

@@ -2,36 +2,49 @@
 
 The L1 fit solves the median-regression problem
 
-    min_beta  sum_t |y_t - (1, y_{t-1}, ..., y_{t-p}) beta| / 2
+    min_beta  S(beta) = sum_t |y_t - (1, y_{t-1}, ..., y_{t-p}) beta| / 2
 
 exactly, through its linear-programming dual (Koenker & d'Orey 1987):
 
-    max_d  y' d   subject to  X' d = 0,  -1 <= d <= 1,
+    max_d  y' d / 2   subject to  X' d = 0,  -1 <= d <= 1,
 
-where X is the lag design and y the targets: one box-bounded variable per
-residual and one equality row per coefficient.  By LP duality the optimal
-value equals sum_t |residual_t|, and beta is the multiplier vector of the
-equality rows.  Both fits take their objective and closed-form scale from the
-family's ``ErrorModel``: the L1 scale divides the optimal half-absolute
-residual sum by the number of residual terms plus one, and the least-squares
-scale is sqrt(RSS / n).  ``point_fits`` picks the fit that matches a family.
+where X is the lag design and y the targets.  By LP duality the optimal
+values agree, and y' d / 2 <= S(beta) for every feasible d and every beta.
+Both fits take their objective and closed-form scale from the family's
+``ErrorModel``: the L1 scale divides the optimal objective by the number of
+residual terms plus one, and the least-squares scale is sqrt(RSS / n).
+``point_fits`` picks the fit that matches a family.
 
-Packing.  The duals of different orders share no variable, so the fits of
-consecutive orders are solved as one LP whose equality matrix is the block
-diagonal of their X_p', and beta_p is block p's slice of the multipliers.
-About half of a small HiGHS solve is fixed per-call cost, which packing pays
-once per LP instead of once per order: a K=20 ensemble on T=200 takes three
-LPs, a K=8 ensemble on T=100 one.  An LP takes orders while the sum of their
-design nonzeros n * (p + 1) stays within ``_LP_NONZERO_BUDGET``, because HiGHS
-memory grows with the nonzeros: the peak RSS of one solve rose by 70-125 B per
-nonzero (2 vCPUs, scipy 1.17.1; 4.8 MB for a whole T=200, K=20 ensemble, 53 MB
-for T=1000, K=40).  One LP per ensemble raised the order study's peak RSS from
-83.9 MB (separate fits) to 89.9 MB; with the budget it is 85.6 MB at nearly
-the same throughput (28.1-29.6 against 29.2-30.1 units/s), and one LP holds at
-most about 2 MB of solver state.  HiGHS presolve is off: its log reports these
-dense box-bounded duals "not reduced", yet it cost a T=200 single fit 4.9 ms
-against 3.6 ms without it, and 200 single fits returned bit-identical beta
-either way.
+Solver.  The dual, written with a = (d + 1) / 2 in [0, 1] and X' a = X' 1 / 2,
+is solved by the Frisch-Newton primal-dual interior point with Mehrotra
+predictor-corrector steps (Portnoy & Koenker 1997, "The Gaussian hare and the
+Laplacian tortoise", Statistical Science 12:279).  It starts from a = 1/2,
+which is feasible, and beta at the least-squares fit; each step solves one
+k x k normal system X' Q X per problem.  The orders of an ensemble share
+their aligned rows, so all of them are solved as one batch: order p uses the
+first p + 1 columns of the largest order's design, and the other columns are
+zero with a unit diagonal in the padded normal matrix, which keeps their
+coefficients at zero.  The iteration runs on (y - median) / mean|y - median|,
+whose optimal basis is the same, so it is free of the data's units; it stops
+at a duality gap of 1e-12 of S_med (below), after 7-15 steps on the study
+windows.
+
+Vertex and certificate.  The interior point ends near the optimum, not on a
+vertex.  The fit is the exact vertex through the k observations with the
+smallest |residual| there: the solution of X_h beta = y_h.  Every fit is then
+certified by its duality gap S(beta) - y' d / 2, where d is the interior
+point's dual, projected onto X' d = 0 and scaled into the box.  The gap is
+measured against S_med = sum |y - median(y)| / 2, the intercept-only fit's
+objective and so an upper bound of the optimum.  Over 7,600 fits of study
+windows (T = 200, orders 1-20) and backtest windows (T = 104, orders 1-8)
+the gaps stayed below 9.1e-13 of S_med, and below 8.3e-13 on Cauchy walks
+and tied (integer-valued) series; a series offset by 1e6 reached 1.8e-11
+from rounding alone.  A fit is accepted at ``GAP_TOLERANCE`` = 1e-9.  When
+the optimum is not unique (ties, or an exact fit of a lower order) the vertex
+may miss it; the interior-point beta is then returned if it certifies.  If neither does, ``RuntimeError`` names the
+orders, so no unchecked beta is ever returned.  A design of deficient rank is
+fitted on a maximal set of independent columns (the others' coefficients are
+zero), with a warning naming the order.
 """
 
 from __future__ import annotations
@@ -42,8 +55,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .core import (
     GAUSSIAN_MODEL,
@@ -61,8 +72,13 @@ __all__ = ["MleFit", "fit_l1", "fit_ols", "point_fits", "SCALE_FLOOR"]
 # Noiseless inputs give a zero objective; the scale is floored before any log.
 SCALE_FLOOR = 1e-10
 
-# Design nonzeros sum n * (p + 1) allowed in one packed L1 LP (see module docstring).
-_LP_NONZERO_BUDGET = 16_000
+# A fit is certified when its duality gap is at most this share of S_med.
+GAP_TOLERANCE = 1e-9
+
+_STOP_GAP = 1e-12  # the interior point stops at this duality gap, as a share of S_med
+_MAX_STEPS = 50
+_STEP_FRACTION = 0.99995  # of the way to the nearest bound that a step goes
+_RIDGE = 1e-13  # of the largest diagonal entry, added only to a singular normal matrix
 
 
 @dataclass(frozen=True)
@@ -84,75 +100,187 @@ class MleFit:
             raise ValueError("objective must be nonnegative")
 
 
-def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, ...]:
-    """Exact L1 fits of ``orders`` on rows t = start..T, a few orders per dual LP.
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A[b] @ v[b] for each b of a stack."""
+    return (A @ v[..., None])[..., 0]
 
-    Consecutive orders share one LP while the sum of their design sizes
-    n * (p + 1) stays within ``_LP_NONZERO_BUDGET``; an order whose block alone
-    exceeds it is solved alone.
+
+def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each normal system; if one is singular, solve all with a small ridge.
+
+    Near a face of optima (tied data) the rows that carry the weight can be
+    collinear, which makes the normal matrix singular in floating point.
     """
-    groups: list[list[tuple[int, np.ndarray, np.ndarray]]] = []
-    nonzeros = 0
+    try:
+        return np.linalg.solve(normal, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        ridge = _RIDGE * normal.diagonal(axis1=1, axis2=2).max(axis=1)[:, None, None] * np.eye(normal.shape[1])
+        return np.linalg.solve(normal + ridge, rhs[..., None])[..., 0]
+
+
+def _frisch_newton(
+    X: np.ndarray, targets: np.ndarray, masks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interior-point solves of the L1 duals of ``targets ~ X[:, mask]`` for each row of ``masks``.
+
+    Returns (d, beta): one dual point in [-1, 1]^n and one beta per problem,
+    beta zero outside its mask.  Problems leave the batch as they converge.
+    """
+    n, k = X.shape
+    median = np.median(targets)
+    spread = float(np.mean(np.abs(targets - median))) or 1.0
+    y = (targets - median) / spread
+    Xs = np.hstack([X[:, :1], (X[:, 1:] - median) / spread]) * masks[:, None, :]
+    pad = np.eye(k) * ~masks[:, None, :]
+    half_sums = 0.5 * Xs.sum(axis=1)
+
+    # a and s = 1 - a are kept apart, so neither loses its digits near a bound
+    a = np.full((masks.shape[0], n), 0.5)
+    s = a.copy()
+    beta = np.linalg.solve(Xs.transpose(0, 2, 1) @ Xs + pad, (y @ Xs)[..., None])[..., 0]
+    resid = y - _matvec(Xs, beta)
+    margin = np.maximum(np.abs(resid).mean(axis=1, keepdims=True), 1e-3)
+    z = np.maximum(-resid, 0.0) + margin  # multiplier of a >= 0
+    w = np.maximum(resid, 0.0) + margin  # multiplier of a <= 1
+
+    def step_length(rates):
+        # min(1, _STEP_FRACTION / the fastest approach to a bound), 1 if none approaches
+        return 1.0 / np.maximum(1.0, np.maximum(*(r.max(axis=1) for r in rates)) / _STEP_FRACTION)[:, None]
+
+    d_out, beta_out = np.empty_like(a), np.empty_like(beta)
+    problems = np.arange(masks.shape[0])
+    for step in range(_MAX_STEPS + 1):
+        gap = np.vecdot(a, z) + np.vecdot(s, w)
+        done = (gap <= _STOP_GAP * n / 2) | (step == _MAX_STEPS)
+        if done.any():  # write out and drop the converged problems
+            d_out[problems[done]], beta_out[problems[done]] = (a - s)[done], beta[done]
+            live = ~done
+            problems, gap, Xs, pad, half_sums, a, s, z, w, beta = (
+                v[live] for v in (problems, gap, Xs, pad, half_sums, a, s, z, w, beta)
+            )
+            if problems.size == 0:
+                break
+        Xt = Xs.transpose(0, 2, 1)
+        q = 1.0 / (z / a + w / s)
+        normal = Xt @ (q[:, :, None] * Xs) + pad
+        primal_resid = half_sums - _matvec(Xt, a)
+        dual_resid = y - _matvec(Xs, beta) - w + z
+
+        def newton(rz, rw):
+            # Newton step toward X'a = X'1/2, X beta + w - z = y, a z = rz + a z, s w = rw + s w
+            rt = dual_resid - rw / s + rz / a
+            db = _solve_normal(normal, _matvec(Xt, q * rt) - primal_resid)
+            da = q * (rt - _matvec(Xs, db))
+            return da, db, (rz - z * da) / a, (rw + w * da) / s
+
+        # Mehrotra: an affine predictor sets the centering, then one corrector
+        da, db, dz, dw = newton(-a * z, -s * w)
+        tp, td = step_length((-da / a, da / s)), step_length((-dz / z, -dw / w))
+        gap_affine = np.vecdot(a + tp * da, z + td * dz) + np.vecdot(s - tp * da, w + td * dw)
+        mu = ((gap_affine / gap) ** 3 * gap / (2 * n))[:, None]
+        da, db, dz, dw = newton(mu - a * z - da * dz, mu - s * w + da * dw)
+        tp, td = step_length((-da / a, da / s)), step_length((-dz / z, -dw / w))
+        a, s, beta = a + tp * da, s - tp * da, beta + td * db
+        z, w = z + td * dz, w + td * dw
+
+    beta_out[:, 0] = median * (1.0 - beta_out[:, 1:].sum(axis=1)) + spread * beta_out[:, 0]
+    return d_out, beta_out
+
+
+def _certified_beta(
+    X: np.ndarray, targets: np.ndarray, d: np.ndarray, beta_ip: np.ndarray, median: float, s_med: float
+) -> tuple[np.ndarray | None, float]:
+    """The exact vertex near ``beta_ip``, else ``beta_ip``, if its duality gap
+    certifies it; returns (beta or None, the last gap as a share of ``s_med``)."""
+    # project d onto X' d = 0 in the metric that moves each d_i in proportion
+    # to its room inside [-1, 1], so the coordinates at a bound stay put
+    room = 1.0 - d * d + 1e-12  # > 0, so X' room X is invertible with X' X
+    d = d - room * (X @ np.linalg.solve(X.T @ (room[:, None] * X), X.T @ d))
+    d /= max(1.0, float(np.abs(d).max()))
+    # sum(d) = 0 through the intercept column, so centring only cuts rounding
+    bound = max(0.0, 0.5 * float((targets - median) @ d))
+    basis = np.argsort(np.abs(targets - X @ beta_ip), kind="stable")[: X.shape[1]]
+    candidates = [beta_ip]
+    try:
+        candidates.insert(0, np.linalg.solve(X[basis], targets[basis]))
+    except np.linalg.LinAlgError:  # tied rows in the basis
+        pass
+    gap = math.inf
+    for beta in candidates:
+        gap = (float(LAPLACE_MODEL.objective(targets - X @ beta)) - bound) / s_med
+        if gap <= GAP_TOLERANCE:
+            return beta, gap
+    return None, gap
+
+
+def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, ...]:
+    """Certified exact L1 fits of ``orders`` on rows t = start..T, in one batched solve."""
+    orders = list(orders)
+    n = len(y) - start + 1
     for order in orders:
-        X, targets = lag_design(y.values, order, start)
-        n, k = X.shape
         check_window(n, order)
-        if np.linalg.matrix_rank(X) < k:
+    X, targets = lag_design(y.values, max(orders), start)
+    k = X.shape[1]
+    # Order p's columns are the first p + 1 of X's, so one pass over X keeps, for
+    # every order, each column that is independent of the kept ones before it.
+    kept: list[int] = list(range(k))
+    if np.linalg.matrix_rank(X) < k:
+        kept = []
+        for j in range(k):
+            if np.linalg.matrix_rank(X[:, kept + [j]]) > len(kept):
+                kept.append(j)
+    masks = np.isin(np.arange(k), kept) & (np.arange(k) <= np.array(orders)[:, None])
+    for order, mask in zip(orders, masks):
+        if mask.sum() < order + 1:
             warnings.warn(
                 f"rank-deficient design at order {order}: L1 optimum is non-unique, "
-                "returning one optimal vertex",
+                "returning one optimal fit",
                 RuntimeWarning,
                 stacklevel=3,
             )
-        if not groups or nonzeros + X.size > _LP_NONZERO_BUDGET:
-            groups.append([])
-            nonzeros = 0
-        groups[-1].append((order, X, targets))
-        nonzeros += X.size
-    return tuple(fit for group in groups for fit in _solve_block_lp(group))
 
-
-def _solve_block_lp(blocks: list[tuple[int, np.ndarray, np.ndarray]]) -> list[MleFit]:
-    """Solve the dual LPs of (order, X, targets) blocks as one block-diagonal LP."""
-    # maximize sum_p targets_p @ d_p  s.t.  X_p.T @ d_p = 0,  -1 <= d <= 1;
-    # beta_p is the multiplier slice of block p's equality rows (sign flipped:
-    # linprog minimizes)
-    res = linprog(
-        -np.concatenate([targets for _, _, targets in blocks]),
-        A_eq=sparse.block_diag([X.T for _, X, _ in blocks], format="csc"),
-        b_eq=np.zeros(sum(X.shape[1] for _, X, _ in blocks)),
-        bounds=(-1.0, 1.0),
-        method="highs",
-        options={"presolve": False},
-    )
-    if not res.success:
-        orders = [order for order, _, _ in blocks]
-        raise RuntimeError(f"L1 linear program failed for orders {orders}: {res.message}")
-    fits = []
-    row = 0
-    for _, X, targets in blocks:
-        n, k = X.shape
-        beta = -res.eqlin.marginals[row : row + k]
-        row += k
-        objective = float(LAPLACE_MODEL.objective(targets - X @ beta))
+    duals, betas = _frisch_newton(X, targets, masks)
+    median = float(np.median(targets))
+    # plus a rounding-level floor, so constant targets (S_med = 0) certify too
+    s_med = float(LAPLACE_MODEL.objective(targets - median) + np.finfo(float).eps * LAPLACE_MODEL.objective(targets))
+    fits, failed, worst = [], [], 0.0
+    for order, mask, d, beta_ip in zip(orders, masks, duals, betas):
+        beta, gap = _certified_beta(X[:, mask], targets, d, beta_ip[mask], median, s_med)
+        if beta is None:
+            failed.append(order)
+            worst = max(worst, gap)
+            continue
+        full = np.zeros(order + 1)
+        full[mask[: order + 1]] = beta
+        objective = float(LAPLACE_MODEL.objective(targets - X[:, mask] @ beta))
         fits.append(
             MleFit(
-                coeff=Coefficients(beta),
+                coeff=Coefficients(full),
                 scale=max(LAPLACE_MODEL.point_scale(objective, n), SCALE_FLOOR),
                 objective=objective,
             )
         )
-    return fits
+    if failed:
+        raise RuntimeError(
+            f"L1 fit failed for orders {failed}: duality gap {worst:.1e} of the median fit's "
+            f"objective exceeds {GAP_TOLERANCE:.0e}"
+        )
+    return tuple(fits)
 
 
 def fit_l1(y: TimeSeries, order: int, start: int) -> MleFit:
     """Exact L1 (median regression) fit on rows t = start..T.
 
     The scale slot carries tau = S / (n + 1) over the window's n rows; the
-    objective is S.  HiGHS solves the dual LP (one variable in [-1, 1] per
-    row, ``X' d = 0``) to global optimality and beta is read off its equality
-    multipliers.  With a rank-deficient design the optimum is non-unique, a
-    warning naming the order is emitted, and one optimal beta is returned.
+    objective is S.  A batch of one for the Frisch-Newton interior point (see
+    the module docstring): it solves the dual (one variable in [-1, 1] per
+    row, ``X' d = 0``) to a duality gap of 1e-12 of S_med, the intercept-only
+    fit's objective.  Beta is the exact vertex through the k rows of smallest
+    |residual| there, or else the interior-point beta, whichever first
+    certifies by a duality gap of at most ``GAP_TOLERANCE`` (1e-9) of S_med;
+    if neither does, ``RuntimeError`` names the order.  With a rank-deficient
+    design the optimum is non-unique, a warning naming the order is emitted,
+    and one optimal beta is returned, zero on the dependent columns.
     """
     return _l1_fits(y, (order,), start)[0]
 
@@ -179,8 +307,8 @@ def point_fits(
 ) -> tuple[MleFit, ...]:
     """The family's point fit of each order on rows t = start..T.
 
-    Laplace fits are exact L1 fits solved a few orders per LP; Gaussian fits
-    are least squares, one order at a time.
+    Laplace fits are exact L1 fits, all orders in one batched interior-point
+    solve; Gaussian fits are least squares, one order at a time.
     """
     if family is ErrorFamily.LAPLACE:
         return _l1_fits(y, orders, start)

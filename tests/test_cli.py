@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -390,16 +389,17 @@ class TestExitCodes:
         assert not (out / "fit.json").exists()
 
     def test_failed_l1_program_is_numeric_error_naming_orders(self, tmp_path, monkeypatch, capsys):
-        def failing_linprog(*args, **kwargs):
-            return SimpleNamespace(success=False, message="stub failure")
+        def uncertifiable_solver(X, targets, masks):
+            # beta = 0 and d = 0: no fit can be certified by the duality gap
+            return np.zeros((len(masks), targets.size)), np.zeros(masks.shape)
 
-        monkeypatch.setattr(mle_fit, "linprog", failing_linprog)
+        monkeypatch.setattr(mle_fit, "_frisch_newton", uncertifiable_solver)
         p = tmp_path / "s.csv"
         write_series_csv(p, n=80)
         code = main(["select-order", "--input", str(p), "--k", "4", "--out", str(tmp_path / "o")])
         assert code == 4
         err = capsys.readouterr().err
-        assert "L1 linear program failed for orders [1, 2, 3, 4]: stub failure" in err
+        assert "L1 fit failed for orders [1, 2, 3, 4]: duality gap" in err
 
     def test_invalid_config_is_config_error(self, tmp_path):
         p = tmp_path / "s.csv"

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -116,21 +119,21 @@ class TestFitL1:
 
 
 class TestPrimalOracle:
-    # aligned windows of three (series length, max order, packed LPs per
-    # ensemble): several orders per LP, orders 16-20 too large to share one,
-    # and the whole ensemble in one LP
+    # aligned windows of three (series length, max order): every ensemble is
+    # one batched interior-point solve over all of its orders
     @pytest.mark.parametrize(
-        "length, max_order, n_lps",
-        [(200, 20, 3), (1000, 20, 16), (100, 8, 1)],
+        "length, max_order",
+        [(200, 20), (1000, 20), (100, 8)],
         ids=["T200-K20", "T1000-K20", "T100-K8"],
     )
-    def test_study_windows_match_primal(self, monkeypatch, length, max_order, n_lps):
+    def test_study_windows_match_primal(self, monkeypatch, length, max_order):
         config = SimStudyConfig()
         solves = []
+        solver = mle_fit._frisch_newton
 
-        def counting_linprog(*args, **kwargs):
-            solves.append(kwargs["A_eq"].shape)
-            return linprog(*args, **kwargs)
+        def counting_solver(X, targets, masks):
+            solves.append(masks.shape)
+            return solver(X, targets, masks)
 
         for i in range(3):
             series = simulate_series(
@@ -138,9 +141,9 @@ class TestPrimalOracle:
             )
             solves.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(mle_fit, "linprog", counting_linprog)
+                patch.setattr(mle_fit, "_frisch_newton", counting_solver)
                 ensemble = build_ensemble(series, max_order, ErrorFamily.LAPLACE)
-            assert len(solves) == n_lps
+            assert solves == [(max_order, max_order + 1)]
             oracle_bics = []
             for p in range(1, max_order + 1):
                 X, targets = lag_design(series.values, p, max_order + 1)
@@ -165,6 +168,48 @@ class TestPrimalOracle:
         oracle_obj = float(LAPLACE_MODEL.objective(targets - X @ primal_l1_oracle(X, targets)))
         assert oracle_obj == pytest.approx(0.25, rel=1e-12)
         assert fit.objective == pytest.approx(oracle_obj, rel=1e-12)
+
+
+class TestCertificate:
+    def test_tied_integer_fits_certify_and_match_primal(self):
+        # rounded Laplace walks repeat design rows and residuals; the naive
+        # subgradient check (basis multipliers within [-1, 1]) rejects many of
+        # these optimal fits, the duality gap does not
+        rng = np.random.default_rng(2024)
+        naive_rejects = 0
+        for _ in range(20):
+            y = np.round(np.cumsum(rng.laplace(0.0, 2.0, 60)))
+            for order in range(1, 5):
+                fit = fit_l1(TimeSeries(y), order, start=order + 1)
+                X, targets = lag_design(y, order, order + 1)
+                oracle_obj = float(LAPLACE_MODEL.objective(targets - X @ primal_l1_oracle(X, targets)))
+                assert fit.objective == pytest.approx(oracle_obj, rel=1e-12)
+                resid = targets - X @ fit.coeff.beta
+                basis = np.argsort(np.abs(resid), kind="stable")[: order + 1]
+                rest = np.setdiff1d(np.arange(targets.size), basis)
+                try:
+                    d_basis = np.linalg.solve(X[basis].T, -X[rest].T @ np.sign(resid[rest]))
+                    naive_rejects += np.abs(d_basis).max() > 1.0 + 1e-9
+                except np.linalg.LinAlgError:
+                    naive_rejects += 1
+        assert naive_rejects > 0
+
+    def test_perfect_fit_certifies(self):
+        X, targets = lag_design(noiseless_series().values, 2, 3)
+        masks = np.ones((1, 3), dtype=bool)
+        (d,), (beta_ip,) = mle_fit._frisch_newton(X, targets, masks)
+        median = float(np.median(targets))
+        s_med = float(LAPLACE_MODEL.objective(targets - median))
+        beta, gap = mle_fit._certified_beta(X, targets, d, beta_ip, median, s_med)
+        assert beta is not None and gap <= mle_fit.GAP_TOLERANCE
+        assert float(LAPLACE_MODEL.objective(targets - X @ beta)) <= 1e-8
+
+
+def test_package_and_cli_import_no_scipy():
+    code = "import sys, bayesmar, bayesmar.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "[]"
 
 
 class TestFitOls:
