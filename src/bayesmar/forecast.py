@@ -7,18 +7,21 @@ requested horizon.  A forecast is its paths and a statistic: the point (the
 per-horizon mean or median) and equal-tailed intervals are read from the paths
 when asked for, and a BMA mixture resamples the orders' pooled paths.
 
-``forecast_family`` is the one planner from a series to its level-scale
-forecasts: it checks the plan before any fit, differences the series when
-asked, builds the order ensemble once, samples the union of the orders its
-methods need, and summarises each method's final BMA, MAP or fixed-order
-paths, on the level scale.  ``fit_and_forecast`` (one method, used by the
-CLI) and the backtest call it.  Writing results to files is the CLI's job.
+``forecast_family`` is the one planner from series to their level-scale
+forecasts: it takes a list of (series, seed) windows, checks the plan before
+any fit, differences each series when asked, builds each window's order
+ensemble once, samples the union of the orders each window's methods need,
+all windows' fits in one batch, and summarises each method's final BMA, MAP
+or fixed-order paths, on the level scale, one result map per window.  Each
+fit's draws are turned into paths and dropped one fit at a time.
+``fit_and_forecast`` (one method, used by the CLI) passes one window; the
+backtest passes a unit's windows.  Writing results to files is the CLI's job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +39,7 @@ __all__ = [
     "forecast_levels",
     "per_order_forecasts",
     "MethodSpec",
+    "sampled_orders",
     "forecast_family",
     "fit_and_forecast",
 ]
@@ -219,6 +223,37 @@ def forecast_levels(diff_result: ForecastResult, last_level: float) -> ForecastR
     return replace(diff_result, paths=level_paths, scale_note=SCALE_LEVEL)
 
 
+def _window_forecasts(
+    jobs: Sequence[tuple[TimeSeries, Sequence[int], Sequence[int]]],
+    family: ErrorFamily,
+    horizon: int,
+    config: McmcConfig,
+    interval_level: float,
+    scale_note: str,
+    thin: int,
+) -> Iterator[dict[int, ForecastResult]]:
+    """Yield one {order: result} per (y, seed_base, orders) in ``jobs``, in order.
+
+    Every window's fits are sampled as one batch (``run_mh_batch``; Laplace
+    chains in lockstep), and each fit's draws are dropped once its paths are
+    simulated.  Seeds derive from (seed_base..., order) for the chain and
+    (seed_base..., order, 1) for the path noise, so a window's result for one
+    order does not depend on which other orders or windows are requested.
+    """
+    jobs = [(y, tuple(seed_base), sorted(set(int(o) for o in orders))) for y, seed_base, orders in jobs]
+    batch = run_mh_batch([(y, p, base + (p,)) for y, base, orders in jobs for p in orders], family, config)
+    batch.reverse()
+    for y, base, orders in jobs:
+        yield {
+            p: ForecastResult(
+                sample_paths(y, batch.pop(), horizon, family, seed=base + (p, 1), thin=thin),
+                interval_level,
+                scale_note,
+            )
+            for p in orders
+        }
+
+
 def per_order_forecasts(
     y: TimeSeries,
     family: ErrorFamily,
@@ -230,25 +265,14 @@ def per_order_forecasts(
     seed_base: Sequence[int],
     thin: int = 1,
 ) -> dict[int, ForecastResult]:
-    """Run the sampler and path simulation for each requested order.
+    """Run the sampler and path simulation for each requested order of ``y``.
 
-    The orders' fits are sampled as one batch (``run_mh_batch``; Laplace
-    chains in lockstep); each result has the default statistic.  Seeds derive
-    from (seed_base..., order) for the chain and (seed_base..., order, 1) for
-    the path noise, so results for one order do not depend on which other
-    orders are requested.
+    Each result has the default statistic.  Seeds derive from (seed_base...,
+    order) for the chain and (seed_base..., order, 1) for the path noise, as
+    in the planner, which samples several windows' fits in one batch.
     """
-    base = tuple(seed_base)
-    orders = sorted(set(int(o) for o in orders))
-    batch = run_mh_batch([(y, p, base + (p,)) for p in orders], family, config)
-    return {
-        p: ForecastResult(
-            sample_paths(y, draws, horizon, family, seed=base + (p, 1), thin=thin),
-            interval_level,
-            scale_note,
-        )
-        for p, draws in zip(orders, batch)
-    }
+    jobs = [(y, seed_base, orders)]
+    return next(_window_forecasts(jobs, family, horizon, config, interval_level, scale_note, thin))
 
 
 _FAMILY_LABEL = {ErrorFamily.LAPLACE: "BayesMAR", ErrorFamily.GAUSSIAN: "BayesAR"}
@@ -286,28 +310,44 @@ class MethodSpec:
         return f"{base}-{self.order_rule.upper()}"
 
 
+def sampled_orders(methods: Sequence[MethodSpec], max_order: int, map_order: int | None) -> set[int]:
+    """The orders ``forecast_family`` samples for ``methods`` at a window whose
+    minimum-BIC order is ``map_order``: 1..max_order if a method mixes, else
+    the MAP order if one selects, plus each fixed order.  A placeholder such
+    as 0 for an unknown MAP order gives a set at least as large as any window's.
+    """
+    orders = {m.fixed_order for m in methods if m.order_rule == "fixed"}
+    if any(m.order_rule == "bma" for m in methods):
+        orders.update(range(1, max_order + 1))
+    elif any(m.order_rule == "map" for m in methods):
+        orders.add(map_order)
+    return orders
+
+
 def forecast_family(
-    y: TimeSeries,
+    windows: Sequence[tuple[TimeSeries, tuple[int, ...]]],
     methods: Sequence[MethodSpec],
     horizon: int,
     max_order: int,
     config: McmcConfig,
-    seed_base: tuple[int, ...],
     interval_level: float = 0.95,
     apply_diff: bool = False,
     statistic: str = "mean",
     thin: int = 1,
-) -> dict[MethodSpec, ForecastResult]:
-    """Forecast the series ``y`` with methods that share one error family.
+) -> list[dict[MethodSpec, ForecastResult]]:
+    """Forecast each (series, seed_base) in ``windows`` with methods that share
+    one error family; returns one {method: result} per window, in order.
 
     ``check_plan`` runs before any fit.  With ``apply_diff`` the methods model
-    the lag-1 changes of ``y`` and each forecast is rebuilt on the level scale
-    from the last observed value.  The order ensemble is built once if any
-    method selects orders, and ``per_order_forecasts`` runs once over the union
-    of the orders the methods need, seeded from ``seed_base``.  BMA mixes
-    orders 1..max_order by their weights with seed (seed_base..., 0, 2), MAP
-    takes the minimum-BIC order, and a fixed rule its own order.  Each method's
-    result carries ``statistic``, so its point is read from its final paths.
+    the lag-1 changes of a series and each forecast is rebuilt on the level
+    scale from its last observed value.  A window's order ensemble is built
+    once if any method selects orders, and the union of the orders its
+    methods need is sampled from its ``seed_base``, all windows' fits in one
+    batch.  BMA mixes orders 1..max_order by their weights with seed
+    (seed_base..., 0, 2), MAP takes the minimum-BIC order, and a fixed rule
+    its own order.  Each method's result carries ``statistic``, so its point
+    is read from its final paths.  A window's results do not depend on the
+    other windows.
     """
     check_plan(horizon, config, thin, interval_level, statistic)
     if not methods:
@@ -315,33 +355,33 @@ def forecast_family(
     family = methods[0].family
     if any(m.family is not family for m in methods):
         raise ValueError("forecast_family needs methods of one error family")
-    work = diff1(y) if apply_diff else y
     scale_note = SCALE_DIFFERENCED if apply_diff else SCALE_LEVEL
-    ensemble = None
-    orders = {m.fixed_order for m in methods if m.order_rule == "fixed"}
-    if any(m.order_rule != "fixed" for m in methods):
-        ensemble = build_ensemble(work, max_order, family)
-        if any(m.order_rule == "bma" for m in methods):
-            orders.update(range(1, max_order + 1))
-        else:
-            orders.add(ensemble.map_order)
-    by_order = per_order_forecasts(
-        work, family, orders, horizon, config, interval_level, scale_note, seed_base, thin=thin
-    )
-    planned: dict[MethodSpec, ForecastResult] = {}
-    for m in methods:
-        if m.order_rule == "bma":
-            result = bma_forecast(
-                [by_order[p] for p in range(1, max_order + 1)],
-                ensemble.weights,
-                seed=seed_base + (0, 2),
-            )
-        elif m.order_rule == "map":
-            result = by_order[ensemble.map_order]
-        else:
-            result = by_order[m.fixed_order]
-        result = replace(result, statistic=statistic)
-        planned[m] = forecast_levels(result, float(y.values[-1])) if apply_diff else result
+    selecting = any(m.order_rule != "fixed" for m in methods)
+    ensembles, jobs = [], []
+    for y, seed_base in windows:
+        work = diff1(y) if apply_diff else y
+        ensemble = build_ensemble(work, max_order, family) if selecting else None
+        ensembles.append(ensemble)
+        map_order = ensemble.map_order if selecting else None
+        jobs.append((work, seed_base, sampled_orders(methods, max_order, map_order)))
+    sampled = _window_forecasts(jobs, family, horizon, config, interval_level, scale_note, thin)
+    planned = []
+    for (y, seed_base), ensemble, by_order in zip(windows, ensembles, sampled):
+        results: dict[MethodSpec, ForecastResult] = {}
+        for m in methods:
+            if m.order_rule == "bma":
+                result = bma_forecast(
+                    [by_order[p] for p in range(1, max_order + 1)],
+                    ensemble.weights,
+                    seed=seed_base + (0, 2),
+                )
+            elif m.order_rule == "map":
+                result = by_order[ensemble.map_order]
+            else:
+                result = by_order[m.fixed_order]
+            result = replace(result, statistic=statistic)
+            results[m] = forecast_levels(result, float(y.values[-1])) if apply_diff else result
+        planned.append(results)
     return planned
 
 
@@ -365,7 +405,7 @@ def fit_and_forecast(
     """
     method = MethodSpec(family, order_rule, fixed_order)
     return forecast_family(
-        y, [method], horizon, max_order, config, as_seed_tuple(config.seed),
+        [(y, as_seed_tuple(config.seed))], [method], horizon, max_order, config,
         interval_level, apply_diff, statistic, thin,
-    )[method]
+    )[0][method]
 

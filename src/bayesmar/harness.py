@@ -6,12 +6,15 @@ reports per-coefficient mean squared errors with their standard errors.  The
 order study repeats the generation and records the BIC-selected order.
 
 The backtest walks a series of levels forward one period at a time: at each
-origin t it hands the history up to t to ``forecast_family`` (one call per
-error family, seeded with (seed, t, family code)), which models the lag-1
-changes unless differencing is off and returns level forecasts, and scores
-the point and density forecasts against the realized values.  All randomness
-derives from one master seed via per-unit seed tuples, so runs are
-reproducible and independent of evaluation order.  The reports hold arrays
+origin t it forecasts from the history up to t, seeded with (seed, t, family
+code), modelling the lag-1 changes unless differencing is off, and scores the
+point and density forecasts against the realized values.  Origins are
+grouped into contiguous units of at most 32 fits per family (``_units``, which
+also groups the MSE study's replications), at least one unit per job; a unit
+hands all its histories to ``forecast_family`` at once (one call per error
+family), which samples their fits in one batch.  All randomness derives from
+one master seed via per-fit seed tuples, so runs are reproducible and
+independent of evaluation order and of the units.  The reports hold arrays
 only; the CLI turns them into tables.
 """
 
@@ -24,7 +27,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .core import Coefficients, ErrorFamily, TimeSeries, check_window
-from .forecast import MethodSpec, check_plan, forecast_family
+from .forecast import MethodSpec, check_plan, forecast_family, sampled_orders
 from .mcmc import McmcConfig, posterior_mean, run_mh_batch
 from .mle_fit import fit_l1, fit_ols
 from .order_select import build_ensemble
@@ -42,9 +45,10 @@ __all__ = [
     "run_backtest",
 ]
 
-# Chains one unit of MSE replications runs in lockstep: the cost per
-# chain-iteration levels off by 32 chains, and a unit's memory grows with it.
-_MSE_UNIT_CHAINS = 32
+# Fits one unit samples in one batch (Laplace chains in lockstep, or Gaussian
+# draw sets): the cost per chain-iteration levels off by 32 chains, and a
+# unit's memory grows with its fits.
+_UNIT_FITS = 32
 
 @dataclass(frozen=True)
 class SimStudyConfig:
@@ -136,16 +140,16 @@ class MseStudyReport:
         return {m: self._sq_errors(m).std(axis=0, ddof=1) / np.sqrt(reps) for m in self.methods}
 
 
-def _mse_units(config: SimStudyConfig, n_jobs: int) -> list[range]:
-    """Contiguous runs of replications, each sampled as one lockstep batch.
+def _units(n_items: int, fits_per_item: int, n_jobs: int) -> list[range]:
+    """Contiguous runs of items (replications or backtest origins), each
+    sampled as one batch per error family.
 
-    A run holds at most ``_MSE_UNIT_CHAINS`` replications, and the study is
-    split at least ``n_jobs`` ways.  Every replication's chain has the same
-    (n, p), so no chain is padded and the estimates do not depend on the split.
+    A run holds at most ``_UNIT_FITS`` fits and at least one item, and the
+    items are split at least ``n_jobs`` ways.  A fit's draws do not depend on
+    its batch, so no result depends on the split.
     """
-    reps = config.replications
-    size = min(_MSE_UNIT_CHAINS, -(-reps // max(n_jobs, 1)))
-    return [range(i, min(i + size, reps)) for i in range(0, reps, size)]
+    size = max(1, min(_UNIT_FITS // max(fits_per_item, 1), -(-n_items // max(n_jobs, 1))))
+    return [range(i, min(i + size, n_items)) for i in range(0, n_items, size)]
 
 
 def _mse_replications(args: tuple[SimStudyConfig, range]):
@@ -172,9 +176,9 @@ def run_mse_study(config: SimStudyConfig, n_jobs: int = 1) -> MseStudyReport:
     Methods: "BayesMAR" (posterior mean at the true order), "QAR" (the L1
     point fit, which at the median is the same estimator quantile regression
     uses), "AR" (Gaussian least squares).  A unit of at most 32 replications
-    (``_mse_units``) runs its BayesMAR chains in lockstep; rows stack in order.
+    (``_units``) runs its BayesMAR chains in lockstep; rows stack in order.
     """
-    tasks = [(config, reps) for reps in _mse_units(config, n_jobs)]
+    tasks = [(config, reps) for reps in _units(config.replications, 1, n_jobs)]
     rows = [row for unit in _run_units(_mse_replications, tasks, n_jobs) for row in unit]
     *estimates, acceptance = (np.array(column) for column in zip(*rows))
     return MseStudyReport(dict(zip(MseStudyReport.methods, estimates)), acceptance)
@@ -327,51 +331,61 @@ class BacktestReport:
         return MetricTable(self.methods, self.horizons, values, self.baseline)
 
 
-def _forecast_origin(args: tuple[BacktestSpec, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Level points and CRPS of every method at origin t, each (methods, horizons)
-    in ``spec.methods`` order; a target past the end of the series has NaN CRPS.
+def _forecast_unit(args: tuple[BacktestSpec, range]) -> tuple[np.ndarray, np.ndarray]:
+    """Level points and CRPS of every method at each origin of a unit, each
+    (methods, origins, horizons) in ``spec.methods`` order; a target past the
+    end of the series has NaN CRPS.  Each family's fits at all the unit's
+    origins are sampled in one batch.
     """
-    spec, t = args
+    spec, origins = args
     values = spec.series.values
-    realized = values[t : t + spec.horizons]
-    planned = {}
+    points = np.empty((len(spec.methods), len(origins), spec.horizons))
+    crps = np.full(points.shape, np.nan)
     for family in dict.fromkeys(m.family for m in spec.methods):
-        planned.update(
+        windows = [(TimeSeries(values[:t]), (spec.seed, t, _FAMILY_CODE[family])) for t in origins]
+        methods = [m for m in spec.methods if m.family is family]
+        # only the loop holds the results, so they go before the next family's batch
+        for i, by_method in enumerate(
             forecast_family(
-                TimeSeries(values[:t]),
-                [m for m in spec.methods if m.family is family],
-                spec.horizons,
-                spec.max_order,
-                spec.mcmc,
-                (spec.seed, t, _FAMILY_CODE[family]),
-                apply_diff=spec.apply_diff,
-                thin=spec.thin,
+                windows, methods, spec.horizons, spec.max_order, spec.mcmc,
+                apply_diff=spec.apply_diff, thin=spec.thin,
             )
-        )
-    crps = np.full((len(spec.methods), spec.horizons), np.nan)
-    for mi, m in enumerate(spec.methods):
-        for h, truth in enumerate(realized.tolist()):
-            crps[mi, h] = crps_sample(planned[m].paths[:, h], truth)
-    return np.array([planned[m].point for m in spec.methods]), crps
+        ):
+            t = origins[i]
+            for m, result in by_method.items():
+                mi = spec.methods.index(m)
+                points[mi, i] = result.point
+                for h, truth in enumerate(values[t : t + spec.horizons].tolist()):
+                    crps[mi, i, h] = crps_sample(result.paths[:, h], truth)
+    return points, crps
 
 
 def run_backtest(spec: BacktestSpec, n_jobs: int = 1) -> BacktestReport:
     """Run the recursive backtest; the report aggregates RMSE, MAE, and CRPS per horizon.
 
-    Each origin's (methods, horizons) points and CRPS are stacked in origin order.
+    The origins are split into contiguous units (``_units``) of at most 32
+    fits per family, at least ``n_jobs`` of them; each unit's points and CRPS
+    are stacked in origin order.
     """
     values = spec.series.values
     origins = range(spec.t0 - 1, values.size)
-    results = _run_units(_forecast_origin, [(spec, t) for t in origins], n_jobs)
-    points, crps = zip(*results)
+    # 0 stands in for an origin's MAP order, not known yet, so each count bounds
+    # what one family samples at any origin
+    fits = max(
+        len(sampled_orders([m for m in spec.methods if m.family is f], spec.max_order, 0))
+        for f in {m.family for m in spec.methods}
+    )
+    units = _units(len(origins), fits, n_jobs)
+    tasks = [(spec, origins[u.start : u.stop]) for u in units]
+    points, crps = zip(*_run_units(_forecast_unit, tasks, n_jobs))
     padded = np.append(values, np.full(spec.horizons, np.nan))
     truths = np.array([padded[t : t + spec.horizons] for t in origins])
     return BacktestReport(
         methods=tuple(m.name for m in spec.methods),
         origins=tuple(origins),
-        forecasts=np.stack(points, axis=1),
+        forecasts=np.concatenate(points, axis=1),
         truths=truths,
-        crps=np.stack(crps, axis=1),
+        crps=np.concatenate(crps, axis=1),
         baseline=spec.baseline_name(),
     )
 

@@ -30,34 +30,48 @@ scores each proposal by its own residual unless a log ratio lands within
 rounding (about 1e-12) of its uniform draw.
 
 All the Laplace chains of one ``run_mh_batch`` call run in lockstep
-(``_lockstep_chains``): the replications of an MSE-study unit, or orders
-1..K of one forecast.  Each step forms one (C x n) array of proposal
-residuals and one row-wise objective, and each chain still decides its
-accept through ``log_marginal``.  A chain keeps everything a lone run has:
-its own generator, seeded with its fit's seed, its least-squares start and
-shape, its own n in -n log S, and its own step a, tuned on its own
-acceptance.  So a fit's draws do not depend on the other fits in its batch.
-Chains of different (n, p) are zero-padded: design rows and targets at the
-front, coefficients at the end.  A padded row has residual 0 and a padded
-coefficient steps by 0, so padding adds 0 to every objective and every
-state.  (The zeros can regroup numpy's pairwise row sum in its last bit,
-which, like the window shifts, moves a draw only if a log ratio lands within
-rounding of its uniform draw.)  A chain draws its steps and log-uniforms one
-segment at a time, so while it runs it holds its kept states and one window
-of residual shifts (0.4 + 0.3 MB for a default MSE chain: n=198, p=2, 15,000
-kept), never its whole run of random numbers.  The scale draws need an
-n_kept x n residual block per fit (24 MB for that chain), so they are drawn
-one fit at a time after the chains, never stacked, each block formed in place
-in one buffer sized for the largest fit: over six backtest-shaped runs
-(orders 1-8 per family, 5 origins, 8000/4000) that took 33k minor page
-faults against 142k with a fresh block per fit, and every draw was equal.
+(``_lockstep_chains``): the replications of an MSE-study unit, orders 1..K
+of one forecast, or orders 1..K at each origin of a backtest unit (at most
+32 chains in a study or backtest unit).  Each step forms one (C x n) array
+of proposal residuals and one row-wise objective, and each chain still
+decides its accept through ``log_marginal``.  A chain keeps everything a
+lone run has: its own generator, seeded with its fit's seed, its
+least-squares start and shape, its own n in -n log S, and its own step a,
+tuned on its own acceptance.  So a fit's draws do not depend on the other
+fits in its batch.  Chains of different (n, p) are zero-padded: design rows
+and targets at the front, coefficients at the end.  A padded row has
+residual 0 and a padded coefficient steps by 0, so padding adds 0 to every
+objective and every state.  (The zeros can regroup numpy's pairwise row sum
+in its last bit, which, like the window shifts, moves a draw only if a log
+ratio lands within rounding of its uniform draw.)
+
+A chain draws its steps and log-uniforms one segment at a time, so while it
+runs it holds its kept states, never its whole run of random numbers.  A
+window's residual shifts are formed in row blocks of at most
+``SHIFT_BLOCK_ROWS`` = 1600 (chains x steps), 8 chains' whole window: a
+batch of 40 backtest fits (n = 103) would otherwise form 6.6 MB of shifts at
+once.  The steps' own product is never split, since the states are built
+from it.  Blocking changes only the shifts' rounding, which the window-shift
+argument above covers; on backtest-shaped batches of 17, 32 and 40 chains
+every draw was equal to the whole-window product's.  Every segment reuses
+one buffer of steps and one of shifts, so no segment's arrays outlive it.
+The ``tracemalloc`` peak of that 40-fit batch (8000/4000) is 11.6 MiB, of
+which 8.1 MiB are the kept draws it returns, against 22.7 MiB with
+whole-window shifts formed afresh.  The scale draws need an n_kept x n
+residual block per fit (24 MB for a default MSE chain: n=198, p=2, 15,000
+kept), so they are drawn one fit at a time after the chains, never stacked,
+each block formed in place in one buffer sized for the largest fit: over six
+backtest-shaped runs (orders 1-8 per family, 5 origins, 8000/4000) that took
+33k minor page faults against 142k with a fresh block per fit, and every
+draw was equal.
 
 On 2 vCPUs a default MSE-study job (five replications in one batch) ran
-1.79x the replications per second of lone chains, and a backtest (orders
-1..8 per origin and family) 1.94x the origins.  A lone chain (C = 1, the
-``fit`` command's) steps on 1-D residuals, because numpy calls on a one-row
-2-D array cost about a fifth more per step; it costs 1.02-1.04x the time per
-iteration of the former single-chain loop.
+1.79x the replications per second of lone chains.  On backtest-shaped fits
+(orders 1-8 of a 105-point series, 8000/4000) a chain-iteration, scale draws
+included, cost 2.74 us in a batch of one origin (C = 8) and 1.96 us in a
+batch of four (C = 32), medians of 15 interleaved runs.  A lone chain
+(C = 1, the ``fit`` command's and a single fixed-order forecast's) steps on
+1-D residuals; on the 2-D path it costs 16-21% more per iteration.
 
 The Gaussian family's, RSS(beta)^(-n/2), is exactly a multivariate t with
 nu degrees of freedom, location beta_hat and scale matrix s^2 (X'X)^-1
@@ -97,6 +111,9 @@ __all__ = ["McmcConfig", "run_mh", "run_mh_batch", "tune_step", "posterior_mean"
 PROPOSAL_HALF_WIDTH = 0.1
 ADAPT_WINDOW = 200
 INITIAL_STEP = 16.0  # burn-in's first a; a L u is in least-squares standard errors
+# Most rows (chains x steps) of residual shifts formed in one product: 8
+# chains' whole window.  A wider batch splits its window into row blocks.
+SHIFT_BLOCK_ROWS = 1600
 
 
 @dataclass(frozen=True)
@@ -148,16 +165,17 @@ def _lockstep_chains(
     Chain c starts at its beta0, and its proposal i adds a_c shape u_i.  The
     chains run in segments cut at every ``ADAPT_WINDOW`` boundary and at
     ``n_burn`` (which need not be a multiple of the window), so each a_c is
-    fixed inside a segment and a segment is wholly burn-in or wholly retained.
-    A segment draws its u_i from a copy of the chain's rng and its
-    log-uniforms from the rng advanced past all n_total (p+1) u_i: the same
-    numbers, and the same final rng, as drawing both up front.  It then
-    resyncs the residuals as targets - X beta, computes its proposals' residual
-    shifts in one product, steps, rebuilds its states and, at the end of a
-    full burn-in window, tunes each a_c.  The symmetric proposal contributes
-    nothing to the log ratio, compared against log-uniform noise.  Chains of
-    different sizes are zero-padded as the module docstring describes; the
-    kept states are not.
+    fixed inside a segment and a segment is wholly burn-in or wholly
+    retained.  A segment draws its u_i from a copy of the chain's rng and
+    its log-uniforms from the rng advanced past all n_total (p+1) u_i: the
+    same numbers, and the same final rng, as drawing both up front.  It then
+    resyncs the residuals as targets - X beta, computes its proposals'
+    residual shifts in blocks of at most ``SHIFT_BLOCK_ROWS`` (chains x
+    steps), steps, rebuilds its states and, at the end of a full burn-in
+    window, tunes each a_c.  The symmetric proposal contributes nothing to
+    the log ratio, compared against log-uniform noise.  Chains of different
+    sizes are zero-padded as the module docstring describes; the kept states
+    are not.
     """
     n_chains = len(chains)
     rows = [targets.size for _, targets, _, _, _ in chains]
@@ -179,18 +197,26 @@ def _lockstep_chains(
     Xt = X.transpose(0, 2, 1)
 
     objective, log_marginal = model.objective, model.log_marginal
-    # A lone chain steps on 1-D residuals: numpy's calls on a one-row 2-D array
-    # cost about a fifth more per step than on a vector.
+    # A lone chain steps on 1-D residuals: on a one-row 2-D array a p=2,
+    # T=200, 40000/25000 chain took 16-21% more per iteration (six medians
+    # of 7-11 runs).
     lone = n_chains == 1
     a = np.full(n_chains, INITIAL_STEP)
     kept = [np.empty((n_total - n_burn, dim)) for dim in dims]
     kept_accepted = np.zeros((n_chains, n_total - n_burn), dtype=bool)
     bounds = sorted({*range(0, n_total, ADAPT_WINDOW), n_burn, n_total})
+    # Every segment reuses one window of steps (scaled in place to the
+    # proposals, then zeroed where rejected and summed into the states, so
+    # padded coefficients stay 0) and one block of residual shifts.
+    window = min(ADAPT_WINDOW, n_total)
+    block = max(1, SHIFT_BLOCK_ROWS // n_chains)
+    steps_buffer = np.zeros((n_chains, window, dim_max))
+    shift_buffer = np.empty((n_chains, min(block, window), n_max))
 
     for s0, s1 in zip(bounds[:-1], bounds[1:]):
         retained = s0 >= n_burn
         m = s1 - s0
-        steps = np.zeros((n_chains, m, dim_max))
+        steps = steps_buffer[:, :m]
         log_accept_noise = np.empty((n_chains, m))
         for c, (step_rng, shape_t, rng) in enumerate(streams):
             u = step_rng.uniform(-PROPOSAL_HALF_WIDTH, PROPOSAL_HALF_WIDTH, size=(m, dims[c]))
@@ -198,32 +224,36 @@ def _lockstep_chains(
             # gemm of a longer block, so a one-step segment goes as two rows
             steps[c, :, : dims[c]] = ((np.tile(u, (2, 1)) if m == 1 else u) @ shape_t)[:m]
             log_accept_noise[c] = np.log(rng.random(m))
-        a_steps = a[:, None, None] * steps
-        shifts = a_steps @ Xt
+        steps *= a[:, None, None]
         resid = targets - (X @ current[:, :, None])[:, :, 0]
         current_lp = [log_marginal(s, n) for s, n in zip(objective(resid).tolist(), rows)]
         if lone:
-            resid, shifts = resid[0], shifts[0]
-        else:
-            shifts = shifts.transpose(1, 0, 2)  # shifts[j] is (chains, rows)
+            resid = resid[0]
         accepted = np.zeros((n_chains, m), dtype=bool)
-        for j, (shift, log_us) in enumerate(zip(shifts, log_accept_noise.T.tolist())):
-            proposal_resid = resid - shift
-            objectives = objective(proposal_resid)
-            for c, s in enumerate([objectives] if lone else objectives.tolist()):
-                proposal_lp = log_marginal(s, rows[c])
-                log_ratio = proposal_lp - current_lp[c]
-                if log_ratio >= 0.0 or log_us[c] < log_ratio:
-                    current_lp[c] = proposal_lp
-                    accepted[c, j] = True
-                    if lone:
-                        resid = proposal_resid
-                    else:
-                        resid[c] = proposal_resid[c]
-        path = np.where(accepted[:, :, None], a_steps, 0.0)
-        path[:, 0] += current
-        states = np.add.accumulate(path, axis=1)
-        current = states[:, -1]
+        n_blocks = -(-m // block)
+        edges = [m * b // n_blocks for b in range(n_blocks + 1)]
+        for j0, j1 in zip(edges[:-1], edges[1:]):
+            shifts = np.matmul(steps[:, j0:j1], Xt, out=shift_buffer[:, : j1 - j0])
+            # shifts[j] is step j's (chains, rows), or a lone chain's rows
+            shifts = shifts[0] if lone else shifts.transpose(1, 0, 2)
+            noise = log_accept_noise[:, j0:j1].T.tolist()
+            for j, (shift, log_us) in enumerate(zip(shifts, noise), j0):
+                proposal_resid = resid - shift
+                objectives = objective(proposal_resid)
+                for c, s in enumerate([objectives] if lone else objectives.tolist()):
+                    proposal_lp = log_marginal(s, rows[c])
+                    log_ratio = proposal_lp - current_lp[c]
+                    if log_ratio >= 0.0 or log_us[c] < log_ratio:
+                        current_lp[c] = proposal_lp
+                        accepted[c, j] = True
+                        if lone:
+                            resid = proposal_resid
+                        else:
+                            resid[c] = proposal_resid[c]
+        steps[~accepted] = 0.0
+        steps[:, 0] += current
+        states = np.add.accumulate(steps, axis=1, out=steps)
+        current = states[:, -1].copy()
         if retained:
             for c, dim in enumerate(dims):
                 kept[c][s0 - n_burn : s1 - n_burn] = states[c, :, :dim]

@@ -308,7 +308,7 @@ class TestPipeline:
         config = McmcConfig(n_total=400, n_burn=200)
         with pytest.raises(ValueError, match="unknown point statistic"):
             forecast_family(
-                series, [MethodSpec(ErrorFamily.LAPLACE, "bma")], 2, 3, config, (0,),
+                [(series, (0,))], [MethodSpec(ErrorFamily.LAPLACE, "bma")], 2, 3, config,
                 statistic="mode",
             )
         assert calls == []
@@ -324,7 +324,7 @@ class TestPipeline:
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 90, burn=200, seed=49)
         config = McmcConfig(n_total=400, n_burn=200)
         with pytest.raises(ValueError, match="at least one method"):
-            forecast_family(series, [], 2, 3, config, (0,))
+            forecast_family([(series, (0,))], [], 2, 3, config)
 
     def test_fixed_rule_requires_order(self):
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 90, burn=200, seed=49)

@@ -28,7 +28,7 @@ from bayesmar import (
     run_order_study,
     simulate_series,
 )
-from bayesmar import harness
+from bayesmar import forecast, harness
 from bayesmar.cli import main
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
@@ -120,18 +120,17 @@ class TestMseStudy:
         # chains, or fewer so that every job gets one; one batch of five,
         # batches of two, and two processes all give the report of five lone
         # chains
-        many = SimStudyConfig(replications=70)
-        assert harness._mse_units(many, 1) == [range(0, 32), range(32, 64), range(64, 70)]
-        assert harness._mse_units(many, 3) == [range(0, 24), range(24, 48), range(48, 70)]
+        assert harness._units(70, 1, 1) == [range(0, 32), range(32, 64), range(64, 70)]
+        assert harness._units(70, 1, 3) == [range(0, 24), range(24, 48), range(48, 70)]
         config = SimStudyConfig(
             replications=5, series_length=60, seed=6, mcmc=McmcConfig(n_total=300, n_burn=100)
         )
         whole = run_mse_study(config)
-        assert harness._mse_units(config, 1) == [range(0, 5)]
-        assert harness._mse_units(config, 2) == [range(0, 3), range(3, 5)]
+        assert harness._units(5, 1, 1) == [range(0, 5)]
+        assert harness._units(5, 1, 2) == [range(0, 3), range(3, 5)]
         reports = [run_mse_study(config, n_jobs=2)]
-        monkeypatch.setattr(harness, "_MSE_UNIT_CHAINS", 2)
-        assert harness._mse_units(config, 1) == [range(0, 2), range(2, 4), range(4, 5)]
+        monkeypatch.setattr(harness, "_UNIT_FITS", 2)
+        assert harness._units(5, 1, 1) == [range(0, 2), range(2, 4), range(4, 5)]
         reports += [run_mse_study(config), run_mse_study(config, n_jobs=2)]
         for report in reports:
             for m in whole.methods:
@@ -351,6 +350,51 @@ class TestBacktest:
         run_mse_study(config, n_jobs=64)
         assert sizes == [5, 2]
         np.testing.assert_array_equal(pooled.forecasts, run_backtest(spec).forecasts)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 7])
+    def test_units_are_contiguous_batches_of_at_most_32_fits(self, monkeypatch, n_jobs):
+        # K=8 BMA and MAP need 8 fits per family at each of 7 origins: a unit
+        # holds at most 4 origins, and each job gets one; a serial stand-in
+        # for the pool lets the stub see every batch
+        batches = []
+        run = forecast.run_mh_batch
+
+        def recording(fits, family, config):
+            batches.append((family, [seed for _, _, seed in fits]))
+            return run(fits, family, config)
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(forecast, "run_mh_batch", recording)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=16)
+        methods = tuple(MethodSpec(f, rule) for f in ErrorFamily for rule in ("bma", "map"))
+        spec = small_backtest_spec(series, methods, t0=54, max_order=8)
+        report = run_backtest(spec, n_jobs=n_jobs)
+        units = []
+        for family in ErrorFamily:
+            seeds = [s for f, batch in batches if f is family for s in batch]
+            assert seeds == [(spec.seed, t, harness._FAMILY_CODE[family], p)
+                             for t in report.origins for p in range(1, 9)]
+            family_units = [sorted({t for _, t, _, _ in batch}) for f, batch in batches if f is family]
+            assert all(len(batch) <= 32 for f, batch in batches if f is family)
+            assert all(u == list(range(u[0], u[-1] + 1)) for u in family_units)
+            units.append(family_units)
+        assert units[0] == units[1]
+        assert [t for u in units[0] for t in u] == list(report.origins)
+        assert len(units[0]) >= min(n_jobs, len(report.origins))
+        np.testing.assert_array_equal(report.forecasts, run_backtest(spec).forecasts)
 
     def test_deterministic_under_master_seed(self):
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=10)

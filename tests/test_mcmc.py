@@ -27,6 +27,7 @@ from bayesmar.mcmc import (
     ADAPT_WINDOW,
     INITIAL_STEP,
     PROPOSAL_HALF_WIDTH,
+    SHIFT_BLOCK_ROWS,
     _lockstep_chains,
     run_mh_batch,
 )
@@ -341,6 +342,21 @@ class TestRunMh:
             assert np.array_equal(draws.accepted, lone.accepted)
             assert draws.step_size == lone.step_size
 
+    def test_wide_padded_batch_equals_lone_runs(self):
+        # orders 1..6 at three backtest origins: 18 chains padded in both n
+        # and p, whose windows' residual shifts are formed in row blocks
+        y = laplace_series(100, seed=36)
+        config = McmcConfig(n_total=1000, n_burn=500)
+        fits = [(TimeSeries(y.values[:t]), p, (36, t, p)) for t in (90, 95, 100) for p in range(1, 7)]
+        assert len(fits) * ADAPT_WINDOW > SHIFT_BLOCK_ROWS
+        batch = run_mh_batch(fits, ErrorFamily.LAPLACE, config)
+        for (window, p, fit_seed), draws in zip(fits, batch):
+            lone = run_mh(window, p, ErrorFamily.LAPLACE, replace(config, seed=fit_seed))
+            assert draws.beta_draws.tobytes() == lone.beta_draws.tobytes()
+            assert draws.tau_draws.tobytes() == lone.tau_draws.tobytes()
+            assert np.array_equal(draws.accepted, lone.accepted)
+            assert draws.step_size == lone.step_size
+
     def test_one_step_segments_match_sequential_chain_oracle(self):
         # n_burn = 201 cuts a segment [200, 201) and n_total = 801 leaves
         # [800, 801): a one-step segment's steps equal the up-front draws'
@@ -367,6 +383,21 @@ class TestRunMh:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_backtest_shaped_batch_memory_follows_its_kept_draws(self):
+        # orders 1..8 at five backtest origins, 8000/4000: the 40 chains' kept
+        # draws are 8.1 MiB, and the scale draws' buffer 3.2 MiB.  The shifts
+        # of a whole window (40 x 200 x 103 doubles, 6.6 MB) took the peak to
+        # 22.7 MiB; formed in row blocks in one buffer, it reads 11.6 MiB
+        y = laplace_series(105, seed=35)
+        fits = [(TimeSeries(y.values[:t]), p, (35, t, p)) for t in range(100, 105) for p in range(1, 9)]
+        tracemalloc.start()
+        try:
+            run_mh_batch(fits, ErrorFamily.LAPLACE, McmcConfig(n_total=8000, n_burn=4000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_trace_export(self, tmp_path):
         y = laplace_series(60, seed=13)
@@ -453,3 +484,4 @@ class TestMcmcConfig:
     def test_burn_in_bound(self):
         with pytest.raises(ValueError):
             McmcConfig(n_total=100, n_burn=100)
+

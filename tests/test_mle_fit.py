@@ -212,6 +212,44 @@ def test_package_and_cli_import_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.random.default_rng(1).laplace(size=101),
+        np.random.default_rng(2).laplace(size=100),
+        np.round(np.random.default_rng(3).laplace(size=60)),
+        -np.abs(np.random.default_rng(4).standard_cauchy(size=7)),
+        np.array([-3.0, -3.0, 5.0, 5.0]),
+        np.array([2.5]),
+        np.array([0.1, 0.2]),
+    ],
+    ids=["odd", "even", "tied", "negative-odd", "tied-even", "one", "two"],
+)
+def test_partition_median_equals_np_median(values):
+    before = values.copy()
+    assert mle_fit._median(values) == np.median(values)
+    np.testing.assert_array_equal(values, before)
+
+
+def test_fits_and_backtest_load_no_numpy_ma():
+    # np.median's NaN check imports numpy.ma (about 2 MB); the L1 fits use a
+    # partition median instead, and a backtest reads no quantile
+    code = (
+        "import sys, numpy as np\n"
+        "from bayesmar import (BacktestSpec, ErrorFamily, McmcConfig, MethodSpec, TimeSeries,\n"
+        "    build_ensemble, fit_l1, run_backtest)\n"
+        "y = TimeSeries(100 + np.cumsum(np.random.default_rng(5).laplace(0.3, 1, 60)))\n"
+        "build_ensemble(y, 4, ErrorFamily.LAPLACE); fit_l1(y, 2, start=3)\n"
+        "run_backtest(BacktestSpec(series=y, t0=57, horizons=2, max_order=3,\n"
+        "    methods=(MethodSpec(ErrorFamily.LAPLACE, 'bma'), MethodSpec(ErrorFamily.GAUSSIAN, 'map')),\n"
+        "    mcmc=McmcConfig(n_total=300, n_burn=100)))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "[]"
+
+
 class TestFitOls:
     def test_recovers_noiseless_recursion(self):
         fit = fit_ols(noiseless_series(), 2, start=3)
