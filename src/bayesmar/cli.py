@@ -39,6 +39,9 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+# The --family and --error choices, in ErrorFamily's order
+FAMILIES = [family.value for family in ErrorFamily]
+
 
 class CsvParseError(ValueError):
     """Malformed series CSV; the message cites the offending row."""
@@ -341,11 +344,7 @@ def _cmd_backtest(ns: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
-    families = (
-        [ErrorFamily.LAPLACE, ErrorFamily.GAUSSIAN]
-        if ns.error == "both"
-        else [ErrorFamily(ns.error)]
-    )
+    families = list(ErrorFamily) if ns.error == "both" else [ErrorFamily(ns.error)]
     echo = json.dumps(
         _echo(ns, ("preset", "error", "replications", "length", "max_order",
                    "n_total", "n_burn", "seed")),
@@ -405,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="sample the posterior at a fixed order")
     p_fit.add_argument("--input", required=True)
     p_fit.add_argument("--order", type=int, required=True)
-    p_fit.add_argument("--family", choices=["laplace", "gaussian"], default="laplace")
+    p_fit.add_argument("--family", choices=FAMILIES, default="laplace")
     p_fit.add_argument("--diff", action="store_true", help="model lag-1 changes")
     p_fit.add_argument("--n-total", dest="n_total", type=int, default=40_000)
     p_fit.add_argument("--n-burn", dest="n_burn", type=int, default=25_000)
@@ -415,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fc = sub.add_parser("forecast", help="point and density forecasts")
     p_fc.add_argument("--input", required=True)
-    p_fc.add_argument("--family", choices=["laplace", "gaussian"], default="laplace")
+    p_fc.add_argument("--family", choices=FAMILIES, default="laplace")
     p_fc.add_argument("--order-rule", dest="order_rule", choices=["bma", "map", "fixed"], default="bma")
     p_fc.add_argument("--order", type=int, default=None, help="order for --order-rule fixed")
     p_fc.add_argument("--k", dest="max_order", type=int, default=8, help="maximum candidate order")
@@ -435,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sel = sub.add_parser("select-order", help="BIC table and model weights")
     p_sel.add_argument("--input", required=True)
-    p_sel.add_argument("--family", choices=["laplace", "gaussian"], default="laplace")
+    p_sel.add_argument("--family", choices=FAMILIES, default="laplace")
     p_sel.add_argument("--k", dest="max_order", type=int, default=8)
     p_sel.add_argument("--diff", action="store_true", help="select on lag-1 changes")
     add_common(p_sel)
@@ -460,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="replicated simulation studies")
     p_sim.add_argument("--preset", choices=["table1", "orders"], required=True)
-    p_sim.add_argument("--error", choices=["laplace", "gaussian", "both"], default="both")
+    p_sim.add_argument("--error", choices=[*FAMILIES, "both"], default="both")
     p_sim.add_argument("--replications", type=int, default=100)
     p_sim.add_argument("--length", type=int, default=200)
     p_sim.add_argument("--k", dest="max_order", type=int, default=20)

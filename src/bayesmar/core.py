@@ -11,11 +11,10 @@ i.e. a standard Laplace with scale b = 2 tau.  The Gaussian family is the
 mean AR model with standard deviation sigma in the same scale slot.
 
 Each family's formulas live in one ``ErrorModel`` (``LAPLACE_MODEL``,
-``GAUSSIAN_MODEL``, or ``family.model``): the sampler's scale draws, the BIC,
-the point fits and the path and series noise all call it.  Only the Laplace
-model has a ``log_marginal``, the target of the random-walk chain; the
-Gaussian marginal posterior of beta is a multivariate t that ``mcmc.run_mh``
-draws exactly.
+``GAUSSIAN_MODEL``, or ``family.model``): the BIC, the point fits and the
+path and series noise all call it.  Only the Laplace model also holds its
+chain's residual objective, ``log_marginal`` and scale draw; ``mcmc.run_mh``
+draws the Gaussian (beta, sigma) exactly, from its Normal-Inverse-Gamma law.
 
 Everything in this module is a pure function of its inputs (random draws
 advance only the generator passed in); the dataclasses are frozen and the
@@ -259,21 +258,13 @@ class ErrorModel(ABC):
     RSS = sum r_t^2 for Gaussian.  Integrating the scale out under the prior
     1/tau (Laplace) or 1/sigma^2 (Gaussian) leaves the marginal posterior
     S(beta)^(-n) (Laplace, ``log_marginal``) or RSS(beta)^(-n/2) (Gaussian, a
-    multivariate t drawn exactly by ``mcmc.run_mh``).
+    multivariate t).  The Laplace model adds its chain's ``objective``,
+    ``log_marginal`` and ``draw_scale``.
     """
 
     family: ErrorFamily
     #: Standard noise scale (Laplace b, Gaussian sd) per unit of the scale.
     noise_per_scale: float
-
-    @abstractmethod
-    def objective(self, resid: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """Residual objective over the last axis of ``resid`` (S or RSS); with
-        ``overwrite`` it may use ``resid`` as scratch instead of a temporary."""
-
-    @abstractmethod
-    def draw_scale(self, rng: np.random.Generator, objectives: np.ndarray, n: int) -> np.ndarray:
-        """One exact draw of the scale given beta per objective, from its inverse-gamma law."""
 
     @abstractmethod
     def bic(self, n: int, order: int, scale: float, objective: float) -> float:
@@ -303,11 +294,13 @@ class _LaplaceModel(ErrorModel):
             )
         return -n * math.log(objective)
 
-    def objective(self, resid, overwrite=False):
+    def objective(self, resid: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """S = sum |r_t| / 2 over the last axis of ``resid``; with ``overwrite``
+        it may use ``resid`` as scratch instead of a temporary."""
         return 0.5 * np.add.reduce(np.abs(resid, out=resid if overwrite else None), axis=-1)
 
-    def draw_scale(self, rng, objectives, n):
-        # tau | beta ~ InvGamma(shape n, rate S(beta))
+    def draw_scale(self, rng: np.random.Generator, objectives: np.ndarray, n: int) -> np.ndarray:
+        """One exact draw of tau | beta ~ InvGamma(shape n, rate S(beta)) per objective."""
         return objectives / rng.gamma(shape=float(n), scale=1.0, size=objectives.size)
 
     def bic(self, n, order, scale, objective):
@@ -326,13 +319,6 @@ class _GaussianModel(ErrorModel):
     family = ErrorFamily.GAUSSIAN
     noise_per_scale = 1.0
 
-    def objective(self, resid, overwrite=False):
-        return np.vecdot(resid, resid)
-
-    def draw_scale(self, rng, objectives, n):
-        # sigma^2 | beta ~ InvGamma(shape n / 2, rate RSS(beta) / 2)
-        return np.sqrt(0.5 * objectives / rng.gamma(shape=0.5 * n, scale=1.0, size=objectives.size))
-
     def bic(self, n, order, scale, objective):
         return (
             (order + 2) * math.log(n)
@@ -347,6 +333,6 @@ class _GaussianModel(ErrorModel):
         return rng.normal(loc, b, size)
 
 
-LAPLACE_MODEL: ErrorModel = _LaplaceModel()
-GAUSSIAN_MODEL: ErrorModel = _GaussianModel()
+LAPLACE_MODEL = _LaplaceModel()
+GAUSSIAN_MODEL = _GaussianModel()
 _MODELS = {model.family: model for model in (LAPLACE_MODEL, GAUSSIAN_MODEL)}

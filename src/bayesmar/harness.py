@@ -50,6 +50,7 @@ __all__ = [
 # unit's memory grows with its fits.
 _UNIT_FITS = 32
 
+
 @dataclass(frozen=True)
 class SimStudyConfig:
     """Design of the replicated estimation experiment on the fixed AR(2) ``true_beta``.

@@ -57,13 +57,11 @@ every draw was equal to the whole-window product's.  Every segment reuses
 one buffer of steps and one of shifts, so no segment's arrays outlive it.
 The ``tracemalloc`` peak of that 40-fit batch (8000/4000) is 11.6 MiB, of
 which 8.1 MiB are the kept draws it returns, against 22.7 MiB with
-whole-window shifts formed afresh.  The scale draws need an n_kept x n
-residual block per fit (24 MB for a default MSE chain: n=198, p=2, 15,000
-kept), so they are drawn one fit at a time after the chains, never stacked,
-each block formed in place in one buffer sized for the largest fit: over six
-backtest-shaped runs (orders 1-8 per family, 5 origins, 8000/4000) that took
-33k minor page faults against 142k with a fresh block per fit, and every
-draw was equal.
+whole-window shifts formed afresh.  The chains' scale draws need an
+n_kept x n residual block per fit (24 MB for a default MSE chain: n=198,
+p=2, 15,000 kept), so they are drawn one fit at a time after the chains,
+never stacked, each block formed in place in one buffer sized for the
+largest fit (on backtest-shaped runs, 33k minor page faults against 142k).
 
 On 2 vCPUs a default MSE-study job (five replications in one batch) ran
 1.79x the replications per second of lone chains.  On backtest-shaped fits
@@ -77,10 +75,13 @@ The Gaussian family's, RSS(beta)^(-n/2), is exactly a multivariate t with
 nu degrees of freedom, location beta_hat and scale matrix s^2 (X'X)^-1
 (Zellner 1971, ch. 3).  Each draw is beta_hat + R^-1 z * s / sqrt(w / nu),
 z ~ N(0, I), w ~ chi2(nu): independent rows, no burn-in and no tuning.
+The joint posterior is Normal-Inverse-Gamma, and the mixing scale
+s / sqrt(w / nu) = sqrt(RSS(beta_hat) / w) is its exact sigma draw, given
+which beta is normal: each (beta, sigma) row is one conjugate step.
 
-For each retained beta the matching scale is reconstituted by an exact draw
-from its conditional posterior (``ErrorModel.draw_scale``, inverse gamma),
-which makes the retained (beta, scale) pairs joint posterior samples.  The
+For each retained Laplace beta the matching tau is an exact draw from its
+conditional posterior (``_LaplaceModel.draw_scale``, inverse gamma), which
+makes the retained (beta, tau) pairs joint posterior samples.  The
 returned ``PosteriorDraws`` keep a chain's accept flags; the CLI's
 ``fit --trace`` writes them out, and this module writes no files.
 """
@@ -99,6 +100,7 @@ from .core import (
     DegenerateDataError,
     ErrorFamily,
     ErrorModel,
+    LAPLACE_MODEL,
     PosteriorDraws,
     TimeSeries,
     check_window,
@@ -155,7 +157,7 @@ def tune_step(current_a: float, window_acceptance: float, band: tuple[float, flo
 
 def _lockstep_chains(
     chains: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.random.Generator]],
-    model: ErrorModel,  # one with a log_marginal: the Laplace model
+    model: ErrorModel,  # one with an objective and a log_marginal: the Laplace model
     config: McmcConfig,
 ) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Run one random-walk chain per (X, targets, beta0, shape, rng) in ``chains``
@@ -275,12 +277,12 @@ def run_mh_batch(
     Fit i is an order-p_i fit of y_i on its full usable window t = p_i+1..T,
     drawn from a generator seeded with seed_i (``config.seed`` is not read);
     a rank-deficient design or a perfect fit raises ``DegenerateDataError``.
-    Laplace runs all the chains in lockstep and keeps each one's
-    n_total - n_burn post-burn-in states; Gaussian draws n_total - n_burn exact
-    multivariate-t rows per fit.  Each kept beta_i then gets an exact
-    conditional scale draw: Laplace tau_i ~ InvGamma(shape T-p, rate
-    S(beta_i)), Gaussian sigma_i^2 ~ InvGamma((T-p)/2, RSS(beta_i)/2).  A
-    fit's draws do not depend on the other fits in the batch.
+    Gaussian draws n_total - n_burn exact (beta, sigma) pairs per fit, each
+    sigma the mixing scale of its multivariate-t beta.  Laplace runs all the
+    chains in lockstep, keeps each one's n_total - n_burn post-burn-in states,
+    and gives each kept beta_i an exact conditional scale draw
+    tau_i ~ InvGamma(shape T-p, rate S(beta_i)).  A fit's draws do not
+    depend on the other fits in the batch.
     """
     if not fits:
         return []
@@ -299,24 +301,22 @@ def run_mh_batch(
         nu = targets.size - order - 1
         rng = np.random.default_rng(seed)
         prepared.append((X, targets, beta_hat, np.linalg.inv(R), math.sqrt(rss / nu), nu, rng))
-    model = family.model
+    n_kept = config.n_total - config.n_burn
+    if family is ErrorFamily.GAUSSIAN:
+        draws = []
+        for _, _, beta_hat, R_inv, s_hat, nu, rng in prepared:
+            z = rng.standard_normal((n_kept, beta_hat.size))
+            w = rng.chisquare(nu, n_kept)
+            sigma = s_hat / np.sqrt(w / nu)  # sqrt(RSS / w): sigma^2 ~ InvGamma(nu/2, RSS/2)
+            beta = beta_hat + (z @ R_inv.T) * sigma[:, None]
+            draws.append(PosteriorDraws(beta, sigma, None, None, 0))
+        return draws
 
-    if family is ErrorFamily.LAPLACE:
-        chains = [(X, t, b, R_inv * s_hat, rng) for X, t, b, R_inv, s_hat, _, rng in prepared]
-        samples = _lockstep_chains(chains, model, config)
-        n_burn = config.n_burn
-    else:
-        samples = []
-        for X, _, beta_hat, R_inv, s_hat, nu, rng in prepared:
-            z = rng.standard_normal((config.n_total - config.n_burn, beta_hat.size))
-            w = rng.chisquare(nu, z.shape[0])
-            kept = beta_hat + (z @ R_inv.T) * (s_hat / np.sqrt(w / nu))[:, None]
-            samples.append((kept, None, None))
-        n_burn = 0
-
+    model = LAPLACE_MODEL
+    chains = [(X, t, b, R_inv * s_hat, rng) for X, t, b, R_inv, s_hat, _, rng in prepared]
+    samples = _lockstep_chains(chains, model, config)
     # Every fit's (n_kept x n) residual block is formed in one buffer: a fresh
     # array per fit would be a fresh mapping, faulted in page by page.
-    n_kept = config.n_total - config.n_burn
     buffer = np.empty(n_kept * max(targets.size for _, targets, *_ in prepared))
     draws = []
     for (X, targets, *_, rng), (kept, accepted, step_size) in zip(prepared, samples):
@@ -325,7 +325,7 @@ def run_mh_batch(
         if np.any(objectives <= 0.0):
             raise DegenerateDataError("retained draw with zero residual objective")
         tau = model.draw_scale(rng, objectives, targets.size)
-        draws.append(PosteriorDraws(kept, tau, accepted, step_size, n_burn))
+        draws.append(PosteriorDraws(kept, tau, accepted, step_size, config.n_burn))
     return draws
 
 

@@ -41,10 +41,11 @@ the gaps stayed below 9.1e-13 of S_med, and below 8.3e-13 on Cauchy walks
 and tied (integer-valued) series; a series offset by 1e6 reached 1.8e-11
 from rounding alone.  A fit is accepted at ``GAP_TOLERANCE`` = 1e-9.  When
 the optimum is not unique (ties, or an exact fit of a lower order) the vertex
-may miss it; the interior-point beta is then returned if it certifies.  If neither does, ``RuntimeError`` names the
-orders, so no unchecked beta is ever returned.  A design of deficient rank is
-fitted on a maximal set of independent columns (the others' coefficients are
-zero), with a warning naming the order.
+may miss it; the interior-point beta is then returned if it certifies.  If
+neither does, ``RuntimeError`` names the orders, so no unchecked beta is ever
+returned.  A design of deficient rank is fitted on a maximal set of
+independent columns (the others' coefficients are zero), with a warning
+naming the order.
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(normal, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        ridge = _RIDGE * normal.diagonal(axis1=1, axis2=2).max(axis=1)[:, None, None] * np.eye(normal.shape[1])
+        scale = normal.diagonal(axis1=1, axis2=2).max(axis=1)[:, None, None]
+        ridge = _RIDGE * scale * np.eye(normal.shape[1])
         return np.linalg.solve(normal + ridge, rhs[..., None])[..., 0]
 
 
@@ -252,7 +254,9 @@ def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, 
     duals, betas = _frisch_newton(X, targets, masks)
     median = _median(targets)
     # plus a rounding-level floor, so constant targets (S_med = 0) certify too
-    s_med = float(LAPLACE_MODEL.objective(targets - median) + np.finfo(float).eps * LAPLACE_MODEL.objective(targets))
+    s_med = float(
+        LAPLACE_MODEL.objective(targets - median) + np.finfo(float).eps * LAPLACE_MODEL.objective(targets)
+    )
     fits, failed, worst = [], [], 0.0
     for order, mask, d, beta_ip in zip(orders, masks, duals, betas):
         beta, gap = _certified_beta(X[:, mask], targets, d, beta_ip[mask], median, s_med)

@@ -43,12 +43,17 @@ def residuals(values, beta, order, start):
 
 
 def log_likelihood(model, resid, scale):
-    """log L of the residuals, read off the model's BIC (BIC - penalty = -2 log L)."""
+    """log L of the residuals, read off the model's BIC (BIC - penalty = -2 log L)
+    at the family's objective, S = sum |r| / 2 (Laplace) or RSS = sum r^2 (Gaussian)."""
     resid = np.atleast_1d(np.asarray(resid, dtype=float))
     n = resid.size
     order = 1
     penalty = (order + 2) * math.log(n)
-    return -0.5 * (model.bic(n, order, scale, float(model.objective(resid))) - penalty)
+    if model is LAPLACE_MODEL:
+        objective = 0.5 * float(np.abs(resid).sum())
+    else:
+        objective = float(resid @ resid)
+    return -0.5 * (model.bic(n, order, scale, objective) - penalty)
 
 
 def asymmetric_laplace_logpdf(x, mu, tau, theta):
@@ -168,18 +173,18 @@ class TestErrorModelsAgainstScipy:
         draws = model.noise(np.random.default_rng(52), 0.0, model.noise_per_scale * scale, 20_000)
         assert stats.kstest(draws, self.law(family, scale).cdf).pvalue > 0.01
 
-    @pytest.mark.parametrize("family", list(ErrorFamily))
+    # Only the Laplace chain draws a conditional scale and scores residual
+    # objectives; the Gaussian scale law is checked on run_mh's joint draws
+    # (test_mcmc.TestExactGaussianDraws).
+    @pytest.mark.parametrize("family", [ErrorFamily.LAPLACE])
     def test_scale_draws_match_inverse_gamma(self, family):
-        # Laplace tau | beta ~ InvGamma(n, S); Gaussian sigma^2 | beta ~ InvGamma(n/2, RSS/2)
+        # tau | beta ~ InvGamma(n, S)
         n, objective = 40, 13.0
         draws = family.model.draw_scale(np.random.default_rng(53), np.full(20_000, objective), n)
-        if family is ErrorFamily.LAPLACE:
-            law, sample = stats.invgamma(a=n, scale=objective), draws
-        else:
-            law, sample = stats.invgamma(a=n / 2, scale=objective / 2), draws**2
-        assert stats.kstest(sample, law.cdf).pvalue > 0.01
+        law = stats.invgamma(a=n, scale=objective)
+        assert stats.kstest(draws, law.cdf).pvalue > 0.01
 
-    @pytest.mark.parametrize("family", list(ErrorFamily))
+    @pytest.mark.parametrize("family", [ErrorFamily.LAPLACE])
     def test_rows_of_a_matrix_match_vectors(self, family):
         model = family.model
         rows = np.random.default_rng(54).normal(size=(30, 57))

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.stats import ks_2samp
 
 from bayesmar import (
@@ -42,7 +43,8 @@ def laplace_series(n=200, seed=0, burn=200):
 
 def t_draw_oracle(y, order, config):
     """Gaussian ``run_mh`` from the t-draw formula, one step per line: with
-    X = QR, beta = beta_hat + R^-1 z * s / sqrt(w / nu); returns (betas, sigmas)."""
+    X = QR, sigma = s / sqrt(w / nu) and beta = beta_hat + R^-1 z * sigma;
+    returns (betas, sigmas)."""
     X, targets = lag_design(y.values, order, order + 1)
     n, dim = X.shape
     nu = n - order - 1
@@ -53,9 +55,8 @@ def t_draw_oracle(y, order, config):
     s_hat = math.sqrt(rss / nu)
     z = rng.standard_normal((config.n_total - config.n_burn, dim))
     w = rng.chisquare(nu, config.n_total - config.n_burn)
-    betas = beta_hat + (z @ np.linalg.inv(R).T) * (s_hat / np.sqrt(w / nu))[:, None]
-    rss_i = np.vecdot(targets[None, :] - betas @ X.T, targets[None, :] - betas @ X.T)
-    sigmas = np.sqrt(0.5 * rss_i / rng.gamma(shape=0.5 * n, scale=1.0, size=rss_i.size))
+    sigmas = s_hat / np.sqrt(w / nu)
+    betas = beta_hat + (z @ np.linalg.inv(R).T) * sigmas[:, None]
     return betas, sigmas
 
 
@@ -118,6 +119,9 @@ class _FlatModel(type(LAPLACE_MODEL)):
 
 class _RssMarginalModel(type(GAUSSIAN_MODEL)):
     """The Gaussian marginal posterior RSS(beta)^(-n/2) as a chain target."""
+
+    def objective(self, resid):
+        return (resid * resid).sum(axis=-1)
 
     def log_marginal(self, objective, n):
         return -0.5 * n * math.log(objective)
@@ -399,23 +403,28 @@ class TestRunMh:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_trace_export(self, tmp_path):
+    @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
+    def test_trace_export(self, tmp_path, family):
+        # a chain's rows are numbered after its burn-in; exact (Gaussian)
+        # draws have none, and each reads as accepted
         y = laplace_series(60, seed=13)
         cfg = McmcConfig(n_total=500, n_burn=200, seed=7)
         data = tmp_path / "in.csv"
         data.write_text("".join(f"{float(v)!r}\n" for v in y.values))
         out = tmp_path / "out"
         code = main(
-            ["fit", "--input", str(data), "--order", "2", "--n-total", "500", "--n-burn", "200",
-             "--seed", "7", "--trace", "--out", str(out)]
+            ["fit", "--input", str(data), "--order", "2", "--family", family.value, "--n-total", "500",
+             "--n-burn", "200", "--seed", "7", "--trace", "--out", str(out)]
         )
         assert code == 0
-        draws = run_mh(y, 2, ErrorFamily.LAPLACE, cfg)
+        draws = run_mh(y, 2, family, cfg)
         with open(out / "trace.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iter", "beta_0", "beta_1", "beta_2", "scale", "accepted"]
         assert len(rows) - 1 == draws.n_kept
-        assert int(rows[1][0]) == cfg.n_burn + 1
+        assert int(rows[1][0]) == (1 if family is ErrorFamily.GAUSSIAN else cfg.n_burn + 1)
+        betas = np.array([[float(v) for v in r[1:-2]] for r in rows[1:]])
+        np.testing.assert_allclose(betas, draws.beta_draws)
         taus = np.array([float(r[-2]) for r in rows[1:]])
         np.testing.assert_allclose(taus, draws.tau_draws)
         accepted = [r[-1] for r in rows[1:]]
@@ -465,6 +474,42 @@ class TestExactGaussianDraws:
         q = [0.05, 0.5, 0.95]
         q_gap = np.abs(np.quantile(exact.beta_draws, q, axis=0) - np.quantile(chain, q, axis=0))
         assert np.all(q_gap <= 0.1 * sd)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_joint_draws_follow_normal_inverse_gamma(self, order):
+        # under the prior 1/sigma^2 the joint posterior is Normal-Inverse-Gamma:
+        # sigma^2 ~ InvGamma(nu/2, RSS(beta_hat)/2), R (beta - beta_hat) / sigma
+        # ~ N(0, I), and RSS(beta) / sigma^2 ~ chi2(n), whatever beta is, so
+        # the joint draws also have the conditional law sigma^2 | beta
+        y = simulate_series(AR2, ErrorFamily.GAUSSIAN, 80, burn=200, seed=(19, order))
+        X, targets = lag_design(y.values, order, order + 1)
+        n = targets.size
+        nu = n - order - 1
+        draws = run_mh(y, order, ErrorFamily.GAUSSIAN, McmcConfig(n_total=20_000, n_burn=0, seed=(19, order)))
+        Q, R = np.linalg.qr(X)
+        beta_hat = np.linalg.solve(R, Q.T @ targets)
+        rss_hat = float((targets - X @ beta_hat) @ (targets - X @ beta_hat))
+        sigma2 = draws.tau_draws**2
+        pvalues = [stats.kstest(sigma2, stats.invgamma(a=nu / 2, scale=rss_hat / 2).cdf).pvalue]
+        standardized = (draws.beta_draws - beta_hat) @ R.T / draws.tau_draws[:, None]
+        pvalues += [stats.kstest(col, stats.norm.cdf).pvalue for col in standardized.T]
+        resid = targets[None, :] - draws.beta_draws @ X.T
+        pvalues.append(stats.kstest((resid * resid).sum(axis=1) / sigma2, stats.chi2(n).cdf).pvalue)
+        assert min(pvalues) > 0.01
+
+    def test_backtest_shaped_batch_memory_holds_no_residual_block(self):
+        # orders 1..8 at five backtest origins, 8000/4000: the 40 fits' returned
+        # (beta, sigma) pairs are 7.9 MiB.  A second pass that formed each
+        # fit's 4000 x n residuals to redraw sigma took the peak to 11.7 MiB
+        y = simulate_series(AR2, ErrorFamily.GAUSSIAN, 105, burn=200, seed=37)
+        fits = [(TimeSeries(y.values[:t]), p, (37, t, p)) for t in range(100, 105) for p in range(1, 9)]
+        tracemalloc.start()
+        try:
+            run_mh_batch(fits, ErrorFamily.GAUSSIAN, McmcConfig(n_total=8000, n_burn=4000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestStationaryDistribution:
