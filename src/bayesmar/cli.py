@@ -44,7 +44,7 @@ FAMILIES = [family.value for family in ErrorFamily]
 
 
 class CsvParseError(ValueError):
-    """Malformed series CSV; the message cites the offending row."""
+    """Unreadable or malformed series CSV; the message cites the offending row."""
 
 
 def _parse_value(text: str, row: int) -> float:
@@ -67,9 +67,15 @@ def read_series_csv(path: str | Path) -> TimeSeries:
     row, header ``value`` with one column, or a headerless single numeric
     column.  Rows are parsed in order; any missing or non-numeric value fails
     with its 1-based row number.  A leading UTF-8 byte-order mark is skipped.
+    A path that cannot be read as a UTF-8 file fails too.
     """
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise CsvParseError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"{path}: byte {exc.start} is not UTF-8 text") from None
     if not rows:
         raise CsvParseError("empty file")
 
@@ -127,6 +133,15 @@ def _write_csv(path: Path, columns: list[str], rows, header_lines: tuple[str, ..
         writer.writerow(columns)
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+def _check_out(text: str) -> None:
+    """Reject an --out that cannot become a directory, before any work runs."""
+    path = Path(text)
+    # the nearest existing path, --out itself or an ancestor, must be a directory
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {text}: {existing} is not a directory")
 
 
 def _out_dir(ns: argparse.Namespace) -> Path:
@@ -476,8 +491,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        _check_out(ns.out)
         return ns.handler(ns)
-    except (CsvParseError, FileNotFoundError) as exc:
+    except CsvParseError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (DegenerateDataError, np.linalg.LinAlgError, RuntimeError) as exc:

@@ -259,7 +259,7 @@ class ErrorModel(ABC):
     1/tau (Laplace) or 1/sigma^2 (Gaussian) leaves the marginal posterior
     S(beta)^(-n) (Laplace, ``log_marginal``) or RSS(beta)^(-n/2) (Gaussian, a
     multivariate t).  The Laplace model adds its chain's ``objective``,
-    ``log_marginal`` and ``draw_scale``.
+    ``log_marginal`` with its ``exponent_per_row`` and ``draw_scale``.
     """
 
     family: ErrorFamily
@@ -282,6 +282,8 @@ class ErrorModel(ABC):
 class _LaplaceModel(ErrorModel):
     family = ErrorFamily.LAPLACE
     noise_per_scale = 2.0
+    #: The marginal posterior of n residuals is S^(-exponent_per_row * n).
+    exponent_per_row = 1.0
 
     def log_marginal(self, objective: float, n: int) -> float:
         """Log marginal posterior of beta, -n log S(beta), up to a zero constant.
@@ -292,12 +294,12 @@ class _LaplaceModel(ErrorModel):
             raise DegenerateDataError(
                 "zero residual objective: data admit a perfect fit and the posterior is improper"
             )
-        return -n * math.log(objective)
+        return -self.exponent_per_row * n * math.log(objective)
 
-    def objective(self, resid: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """S = sum |r_t| / 2 over the last axis of ``resid``; with ``overwrite``
-        it may use ``resid`` as scratch instead of a temporary."""
-        return 0.5 * np.add.reduce(np.abs(resid, out=resid if overwrite else None), axis=-1)
+    def objective(self, resid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """S = sum |r_t| / 2 over the last axis of ``resid``; |r_t| is formed in
+        ``out`` (which may be ``resid``) if given, else in a temporary."""
+        return 0.5 * np.add.reduce(np.abs(resid, out=out), axis=-1)
 
     def draw_scale(self, rng: np.random.Generator, objectives: np.ndarray, n: int) -> np.ndarray:
         """One exact draw of tau | beta ~ InvGamma(shape n, rate S(beta)) per objective."""

@@ -32,18 +32,32 @@ rounding (about 1e-12) of its uniform draw.
 All the Laplace chains of one ``run_mh_batch`` call run in lockstep
 (``_lockstep_chains``): the replications of an MSE-study unit, orders 1..K
 of one forecast, or orders 1..K at each origin of a backtest unit (at most
-32 chains in a study or backtest unit).  Each step forms one (C x n) array
-of proposal residuals and one row-wise objective, and each chain still
-decides its accept through ``log_marginal``.  A chain keeps everything a
-lone run has: its own generator, seeded with its fit's seed, its
-least-squares start and shape, its own n in -n log S, and its own step a,
-tuned on its own acceptance.  So a fit's draws do not depend on the other
-fits in its batch.  Chains of different (n, p) are zero-padded: design rows
-and targets at the front, coefficients at the end.  A padded row has
-residual 0 and a padded coefficient steps by 0, so padding adds 0 to every
-objective and every state.  (The zeros can regroup numpy's pairwise row sum
-in its last bit, which, like the window shifts, moves a draw only if a log
-ratio lands within rounding of its uniform draw.)
+32 chains in a study or backtest unit).  Each step forms the C proposals'
+residuals and their absolute values in two reused (C x n) arrays and takes
+one row-wise objective.  A chain keeps everything a lone run has: its own
+generator, seeded with its fit's seed, its least-squares start and shape,
+its own n in -n log S, and its own step a, tuned on its own acceptance.  So
+a fit's draws do not depend on the other fits in its batch.  Chains of
+different (n, p) are zero-padded: design rows and targets at the front,
+coefficients at the end.  A padded row has residual 0 and a padded
+coefficient steps by 0, so padding adds 0 to every objective and every
+state.  (The zeros can regroup numpy's pairwise row sum in its last bit,
+which, like the window shifts, moves a draw only if a log ratio lands
+within rounding of its uniform draw.)
+
+A chain decides its accepts on the objective, not the log target.  Its
+target is S^(-e), e = n for the Laplace model (the model's
+``exponent_per_row`` times n), so the Metropolis rule log u < e log(S / S')
+holds iff S' < S q with q = exp(-log u / e), and each segment turns its
+log-uniforms into thresholds q once.  A proposal with 0 < S' < S q (1 -
+``MARGIN``) is accepted and one with S' > S q (1 + ``MARGIN``) rejected, with
+no log; the rest (S' within ``MARGIN`` = 1e-9 of the threshold, zero, which
+raises, or NaN, which rejects) is decided by the exact rule on
+``log_marginal``.  The exact rule's log ratio rounds by about 1e-13
+relative, far inside the margin of n 1e-9 >= 3e-9 in log space, so every
+accept is the one the exact rule would make and the draws are unchanged.
+None of the 4.2 million proposals of 16 benchmark jobs (MSE study and
+backtest) reached the exact rule.
 
 A chain draws its steps and log-uniforms one segment at a time, so while it
 runs it holds its kept states, never its whole run of random numbers.  A
@@ -66,10 +80,11 @@ largest fit (on backtest-shaped runs, 33k minor page faults against 142k).
 On 2 vCPUs a default MSE-study job (five replications in one batch) ran
 1.79x the replications per second of lone chains.  On backtest-shaped fits
 (orders 1-8 of a 105-point series, 8000/4000) a chain-iteration, scale draws
-included, cost 2.74 us in a batch of one origin (C = 8) and 1.96 us in a
-batch of four (C = 32), medians of 15 interleaved runs.  A lone chain
-(C = 1, the ``fit`` command's and a single fixed-order forecast's) steps on
-1-D residuals; on the 2-D path it costs 16-21% more per iteration.
+included, costs 2.23 us in a batch of one origin (C = 8) and 1.66 us in a
+batch of four (C = 32), against 2.66 and 2.13 us when every accept took a
+log (medians of 15 interleaved runs).  A lone chain (C = 1, the ``fit``
+command's and a single fixed-order forecast's) steps on 1-D residuals; on
+the 2-D path it costs 17-27% more per iteration.
 
 The Gaussian family's, RSS(beta)^(-n/2), is exactly a multivariate t with
 nu degrees of freedom, location beta_hat and scale matrix s^2 (X'X)^-1
@@ -116,6 +131,10 @@ INITIAL_STEP = 16.0  # burn-in's first a; a L u is in least-squares standard err
 # Most rows (chains x steps) of residual shifts formed in one product: 8
 # chains' whole window.  A wider batch splits its window into row blocks.
 SHIFT_BLOCK_ROWS = 1600
+# Relative margin around a chain's accept threshold on the objective: a
+# proposal inside it is decided by the exact rule on log_marginal, whose log
+# ratio rounds by about 1e-13 relative.
+MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -157,7 +176,7 @@ def tune_step(current_a: float, window_acceptance: float, band: tuple[float, flo
 
 def _lockstep_chains(
     chains: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.random.Generator]],
-    model: ErrorModel,  # one with an objective and a log_marginal: the Laplace model
+    model: ErrorModel,  # one with objective, log_marginal and exponent_per_row: Laplace
     config: McmcConfig,
 ) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Run one random-walk chain per (X, targets, beta0, shape, rng) in ``chains``
@@ -175,7 +194,9 @@ def _lockstep_chains(
     residual shifts in blocks of at most ``SHIFT_BLOCK_ROWS`` (chains x
     steps), steps, rebuilds its states and, at the end of a full burn-in
     window, tunes each a_c.  The symmetric proposal contributes nothing to
-    the log ratio, compared against log-uniform noise.  Chains of different
+    the log ratio, compared against log-uniform noise through the objective
+    thresholds the module docstring describes, so each chain tracks its
+    current objective rather than its log target.  Chains of different
     sizes are zero-padded as the module docstring describes; the kept states
     are not.
     """
@@ -199,9 +220,11 @@ def _lockstep_chains(
     Xt = X.transpose(0, 2, 1)
 
     objective, log_marginal = model.objective, model.log_marginal
+    # chain c's target is S^(-e_c)
+    exponents = np.array([model.exponent_per_row * n for n in rows])[:, None]
     # A lone chain steps on 1-D residuals: on a one-row 2-D array a p=2,
-    # T=200, 40000/25000 chain took 16-21% more per iteration (six medians
-    # of 7-11 runs).
+    # T=200, 40000/25000 chain took 17-27% more per iteration (medians of
+    # per-pair ratios in five sets of 11-21 interleaved runs).
     lone = n_chains == 1
     a = np.full(n_chains, INITIAL_STEP)
     kept = [np.empty((n_total - n_burn, dim)) for dim in dims]
@@ -209,11 +232,15 @@ def _lockstep_chains(
     bounds = sorted({*range(0, n_total, ADAPT_WINDOW), n_burn, n_total})
     # Every segment reuses one window of steps (scaled in place to the
     # proposals, then zeroed where rejected and summed into the states, so
-    # padded coefficients stay 0) and one block of residual shifts.
+    # padded coefficients stay 0) and one block of residual shifts; every
+    # step reuses one proposal residual and one of its absolute values.
     window = min(ADAPT_WINDOW, n_total)
     block = max(1, SHIFT_BLOCK_ROWS // n_chains)
     steps_buffer = np.zeros((n_chains, window, dim_max))
-    shift_buffer = np.empty((n_chains, min(block, window), n_max))
+    # shifts are stored step-major, so step j's (chains, rows) are contiguous
+    shift_buffer = np.empty((min(block, window), n_chains, n_max))
+    proposal_buffer = np.empty(n_max if lone else (n_chains, n_max))
+    abs_buffer = np.empty_like(proposal_buffer)
 
     for s0, s1 in zip(bounds[:-1], bounds[1:]):
         retained = s0 >= n_burn
@@ -227,31 +254,41 @@ def _lockstep_chains(
             steps[c, :, : dims[c]] = ((np.tile(u, (2, 1)) if m == 1 else u) @ shape_t)[:m]
             log_accept_noise[c] = np.log(rng.random(m))
         steps *= a[:, None, None]
+        thresholds = np.exp(-log_accept_noise / exponents)
         resid = targets - (X @ current[:, :, None])[:, :, 0]
-        current_lp = [log_marginal(s, n) for s, n in zip(objective(resid).tolist(), rows)]
+        current_s = objective(resid).tolist()
         if lone:
             resid = resid[0]
         accepted = np.zeros((n_chains, m), dtype=bool)
         n_blocks = -(-m // block)
         edges = [m * b // n_blocks for b in range(n_blocks + 1)]
         for j0, j1 in zip(edges[:-1], edges[1:]):
-            shifts = np.matmul(steps[:, j0:j1], Xt, out=shift_buffer[:, : j1 - j0])
+            shifts = shift_buffer[: j1 - j0]
+            np.matmul(steps[:, j0:j1], Xt, out=shifts.transpose(1, 0, 2))
             # shifts[j] is step j's (chains, rows), or a lone chain's rows
-            shifts = shifts[0] if lone else shifts.transpose(1, 0, 2)
-            noise = log_accept_noise[:, j0:j1].T.tolist()
-            for j, (shift, log_us) in enumerate(zip(shifts, noise), j0):
-                proposal_resid = resid - shift
-                objectives = objective(proposal_resid)
-                for c, s in enumerate([objectives] if lone else objectives.tolist()):
-                    proposal_lp = log_marginal(s, rows[c])
-                    log_ratio = proposal_lp - current_lp[c]
-                    if log_ratio >= 0.0 or log_us[c] < log_ratio:
-                        current_lp[c] = proposal_lp
-                        accepted[c, j] = True
-                        if lone:
-                            resid = proposal_resid
-                        else:
-                            resid[c] = proposal_resid[c]
+            if lone:
+                shifts = shifts[:, 0]
+            below = (thresholds[:, j0:j1] * (1.0 - MARGIN)).T.tolist()
+            above = (thresholds[:, j0:j1] * (1.0 + MARGIN)).T.tolist()
+            for j, (shift, lo, hi) in enumerate(zip(shifts, below, above), j0):
+                proposal = np.subtract(resid, shift, out=proposal_buffer)
+                objectives = objective(proposal, out=abs_buffer)
+                for c, s in enumerate([float(objectives)] if lone else objectives.tolist()):
+                    s_c = current_s[c]
+                    if not 0.0 < s < s_c * lo[c]:
+                        if s > s_c * hi[c]:
+                            continue
+                        # within MARGIN of the threshold, zero or NaN: the exact rule
+                        n = rows[c]
+                        log_ratio = log_marginal(s, n) - log_marginal(s_c, n)
+                        if not (log_ratio >= 0.0 or log_accept_noise[c, j] < log_ratio):
+                            continue
+                    current_s[c] = s
+                    accepted[c, j] = True
+                    if lone:  # swap the two buffers rather than copy
+                        resid, proposal_buffer = proposal, resid
+                    else:
+                        resid[c] = proposal[c]
         steps[~accepted] = 0.0
         steps[:, 0] += current
         states = np.add.accumulate(steps, axis=1, out=steps)
@@ -321,7 +358,7 @@ def run_mh_batch(
     draws = []
     for (X, targets, *_, rng), (kept, accepted, step_size) in zip(prepared, samples):
         resid = np.matmul(kept, X.T, out=buffer[: n_kept * targets.size].reshape(n_kept, targets.size))
-        objectives = model.objective(np.subtract(targets, resid, out=resid), overwrite=True)
+        objectives = model.objective(np.subtract(targets, resid, out=resid), out=resid)
         if np.any(objectives <= 0.0):
             raise DegenerateDataError("retained draw with zero residual objective")
         tau = model.draw_scale(rng, objectives, targets.size)

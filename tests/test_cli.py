@@ -362,6 +362,39 @@ class TestExitCodes:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["fit", "--input", str(tmp_path / "nope.csv"), "--order", "1"]) == 3
 
+    def test_directory_input_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["forecast", "--input", str(tmp_path), "--out", str(out)]) == 3
+        assert "data error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"value\n1.0\n\xff\xfe2.0\n")
+        out = tmp_path / "o"
+        assert main(["forecast", "--input", str(p), "--out", str(out)]) == 3
+        assert f"data error: {p}: byte " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["forecast", "select-order"])
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    def test_unusable_out_is_config_error_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, under_file
+    ):
+        # --out names an existing file, or a path beneath one: nothing is read
+        # or fitted, and the file is left as it was
+        calls = []
+        monkeypatch.setattr(cli, "read_series_csv", lambda path: calls.append("read"))
+        p = tmp_path / "s.csv"
+        write_series_csv(p)
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        out = blocker / "o" if under_file else blocker
+        assert main([command, "--input", str(p), "--out", str(out)]) == 2
+        assert f"config error: --out {out}: {blocker} is not a directory" in capsys.readouterr().err
+        assert calls == []
+        assert blocker.read_text() == "keep\n"
+
     def test_nan_csv_is_data_error(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("period,value\nQ1,NaN\n")

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -24,9 +25,11 @@ from bayesmar import (
 )
 from bayesmar.cli import main
 from bayesmar.core import GAUSSIAN_MODEL, LAPLACE_MODEL, as_seed_tuple, lag_design
+from bayesmar import mcmc
 from bayesmar.mcmc import (
     ADAPT_WINDOW,
     INITIAL_STEP,
+    MARGIN,
     PROPOSAL_HALF_WIDTH,
     SHIFT_BLOCK_ROWS,
     _lockstep_chains,
@@ -113,6 +116,8 @@ def sequential_chain_oracle(y, order, config):
 class _FlatModel(type(LAPLACE_MODEL)):
     """A constant log marginal: every Metropolis log ratio is 0."""
 
+    exponent_per_row = 0.0
+
     def log_marginal(self, objective, n):
         return 0.0
 
@@ -120,11 +125,38 @@ class _FlatModel(type(LAPLACE_MODEL)):
 class _RssMarginalModel(type(GAUSSIAN_MODEL)):
     """The Gaussian marginal posterior RSS(beta)^(-n/2) as a chain target."""
 
-    def objective(self, resid):
-        return (resid * resid).sum(axis=-1)
+    exponent_per_row = 0.5
+
+    def objective(self, resid, out=None):
+        return np.multiply(resid, resid, out=out).sum(axis=-1)
 
     def log_marginal(self, objective, n):
         return -0.5 * n * math.log(objective)
+
+
+class _CountingModel(type(LAPLACE_MODEL)):
+    """The Laplace model, counting its ``log_marginal`` calls: the chain's
+    decisions that the objective screen left to the exact rule."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def log_marginal(self, objective, n):
+        self.calls += 1
+        return super().log_marginal(objective, n)
+
+
+class _CappedModel(_CountingModel):
+    """The Laplace model with every objective above ``cap`` replaced by ``fill``."""
+
+    def __init__(self, cap, fill):
+        super().__init__()
+        self.cap, self.fill, self.capped = cap, fill, 0
+
+    def objective(self, resid, out=None):
+        s = super().objective(resid, out=out)
+        self.capped += int(np.count_nonzero(s > self.cap))
+        return np.where(s > self.cap, self.fill, s)
 
 
 class TestTuneStep:
@@ -440,11 +472,108 @@ class TestProposalSymmetry:
         cfg = McmcConfig(n_total=500, n_burn=100, seed=1)
         rng = np.random.default_rng(0)
         X, targets = rng.normal(size=(30, 2)), rng.normal(size=30)
-        [(kept, kept_accepted, _)] = _lockstep_chains(
-            [(X, targets, np.zeros(2), np.eye(2), rng)], _FlatModel(), cfg
-        )
+        with np.errstate(divide="ignore"):  # a flat target's thresholds are -log u / 0 = inf
+            [(kept, kept_accepted, _)] = _lockstep_chains(
+                [(X, targets, np.zeros(2), np.eye(2), rng)], _FlatModel(), cfg
+            )
         assert kept_accepted.all()
         assert np.all(np.any(kept[1:] != kept[:-1], axis=1))
+
+
+class TestAcceptScreen:
+    """A chain accepts s' < s q (1 - MARGIN) and rejects s' > s q (1 + MARGIN),
+    q = u^(-1/n), without a log; the rest goes to the exact log rule."""
+
+    @pytest.mark.parametrize("margin", [MARGIN, 1e-3, 0.5])
+    def test_tied_integer_batches_match_sequential_chain_oracle(self, monkeypatch, margin):
+        # integer-valued series: many tied residuals and tied lags.  With the
+        # default margin no proposal here reaches the exact rule; 1e-3 sends
+        # 230 of the 8400 decisions to it and 0.5 all of them.  Every draw,
+        # flag, step and scale must stay the oracle's either way
+        model = _CountingModel()
+        monkeypatch.setattr(mcmc, "LAPLACE_MODEL", model)
+        monkeypatch.setattr(mcmc, "MARGIN", margin)
+        rng = np.random.default_rng(38)
+        walk = TimeSeries(np.cumsum(rng.integers(-2, 3, 70)).astype(float))
+        counts = TimeSeries(rng.poisson(3.0, 60).astype(float))
+        cfg = McmcConfig(n_total=1400, n_burn=601)
+        fits = [(y, p, (38, i, p)) for i, y in enumerate((walk, counts)) for p in (1, 2, 4)]
+        batch = run_mh_batch(fits, ErrorFamily.LAPLACE, cfg)
+        for (y, order, seed), draws in zip(fits, batch):
+            betas, taus, accepted, step = sequential_chain_oracle(y, order, replace(cfg, seed=seed))
+            assert draws.beta_draws.tobytes() == betas.tobytes()
+            assert draws.tau_draws.tobytes() == taus.tobytes()
+            np.testing.assert_array_equal(draws.accepted, accepted)
+            assert draws.step_size == step
+        if margin > MARGIN:
+            assert model.calls > 0
+
+    def test_zero_proposal_objective_raises(self):
+        # targets 3 on an intercept-only design, started at 3.5 (S = 0.25 n):
+        # the shape is chosen so that the first step is exactly -0.5, which
+        # lands the proposal on the perfect fit
+        seed = 39
+        u0 = np.random.default_rng(seed).uniform(-PROPOSAL_HALF_WIDTH, PROPOSAL_HALF_WIDTH)
+        shape = np.array([[-1.0 / (32.0 * u0)]])
+        assert INITIAL_STEP * (u0 * shape[0, 0]) == -0.5
+        chain = (np.ones((20, 1)), np.full(20, 3.0), np.array([3.5]), shape, np.random.default_rng(seed))
+        with pytest.raises(DegenerateDataError, match="zero residual objective"):
+            _lockstep_chains([chain], LAPLACE_MODEL, McmcConfig(n_total=400, n_burn=200))
+
+    def test_nan_objective_rejects(self):
+        # objectives above a cap read NaN in one run and +inf in the other:
+        # inf is rejected by the screen and NaN by the exact rule, so both
+        # runs make the same draws, and the NaN run's decisions reach the rule
+        y = laplace_series(90, seed=40)
+        cfg = McmcConfig(n_total=1200, n_burn=400)
+        runs = []
+        for fill in (np.nan, np.inf):
+            chains = []
+            for p in (1, 3):
+                X, targets = lag_design(y.values, p, p + 1)
+                beta_hat, L = least_squares_shape(X, targets)
+                chains.append((X, targets, beta_hat, L, np.random.default_rng((40, p))))
+            cap = 1.02 * max(float(LAPLACE_MODEL.objective(t - X @ b)) for X, t, b, _, _ in chains)
+            model = _CappedModel(cap, fill)
+            runs.append((_lockstep_chains(chains, model, cfg), model))
+        (nan_run, nan_model), (inf_run, inf_model) = runs
+        assert nan_model.capped == inf_model.capped > 100
+        assert nan_model.calls >= 2 * nan_model.capped
+        for (kept, accepted, a), (kept_inf, accepted_inf, a_inf) in zip(nan_run, inf_run):
+            assert kept.tobytes() == kept_inf.tobytes()
+            np.testing.assert_array_equal(accepted, accepted_inf)
+            assert a == a_inf
+
+    def test_log_uniform_of_minus_inf_accepts(self):
+        # a PCG64 state whose first log-uniform draw is log 0 = -inf (its
+        # successor state has equal halves, so the XSL-RR output is 0): the
+        # first proposal, tens of standard errors from the fit on a widened
+        # shape, is then accepted
+        y = laplace_series(90, seed=41)
+        X, targets = lag_design(y.values, 2, 3)
+        beta_hat, L = least_squares_shape(X, targets)
+        L = 25.0 * L
+        cfg = McmcConfig(n_total=400, n_burn=0)
+        bits = np.random.PCG64(41)
+        state = bits.state
+        half = 0x0123456789ABCDEF
+        state["state"]["state"] = (half << 64) | half
+        bits.state = state
+        bits.advance(2**128 - 1 - cfg.n_total * 3)  # back past the chain's steps
+        rng = np.random.Generator(bits)
+        replay = copy.deepcopy(rng)
+        replay.bit_generator.advance(cfg.n_total * 3)
+        assert replay.random() == 0.0
+        model = _CountingModel()
+        with np.errstate(divide="ignore"):
+            [(kept, accepted, _)] = _lockstep_chains([(X, targets, beta_hat, L, rng)], model, cfg)
+        assert accepted[0]
+        assert np.any(kept[0] != beta_hat)
+        assert model.calls == 0
+        # any other draw would accept this proposal with probability exp(lr) < 1e-8
+        n = targets.size
+        lr = LAPLACE_MODEL.log_marginal(float(LAPLACE_MODEL.objective(targets - X @ kept[0])), n)
+        assert lr - LAPLACE_MODEL.log_marginal(float(LAPLACE_MODEL.objective(targets - X @ beta_hat)), n) < -20
 
 
 class TestExactGaussianDraws:
