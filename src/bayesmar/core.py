@@ -13,8 +13,9 @@ mean AR model with standard deviation sigma in the same scale slot.
 Each family's formulas live in one ``ErrorModel`` (``LAPLACE_MODEL``,
 ``GAUSSIAN_MODEL``, or ``family.model``): the BIC, the point fits and the
 path and series noise all call it.  Only the Laplace model also holds its
-chain's residual objective, ``log_marginal`` and scale draw; ``mcmc.run_mh``
-draws the Gaussian (beta, sigma) exactly, from its Normal-Inverse-Gamma law.
+chain's residual objective S, whose S^(-n) is the chain's target, and its
+scale draw; ``mcmc.run_mh`` draws the Gaussian (beta, sigma) exactly, from
+its Normal-Inverse-Gamma law.
 
 Everything in this module is a pure function of its inputs (random draws
 advance only the generator passed in); the dataclasses are frozen and the
@@ -257,9 +258,9 @@ class ErrorModel(ABC):
     the family's residual objective: S = sum |r_t| / 2 for Laplace and
     RSS = sum r_t^2 for Gaussian.  Integrating the scale out under the prior
     1/tau (Laplace) or 1/sigma^2 (Gaussian) leaves the marginal posterior
-    S(beta)^(-n) (Laplace, ``log_marginal``) or RSS(beta)^(-n/2) (Gaussian, a
-    multivariate t).  The Laplace model adds its chain's ``objective``,
-    ``log_marginal`` with its ``exponent_per_row`` and ``draw_scale``.
+    S(beta)^(-n) (Laplace, sampled by a chain that compares objectives) or
+    RSS(beta)^(-n/2) (Gaussian, a multivariate t).  The Laplace model adds
+    its chain's ``objective`` and ``draw_scale``.
     """
 
     family: ErrorFamily
@@ -282,19 +283,6 @@ class ErrorModel(ABC):
 class _LaplaceModel(ErrorModel):
     family = ErrorFamily.LAPLACE
     noise_per_scale = 2.0
-    #: The marginal posterior of n residuals is S^(-exponent_per_row * n).
-    exponent_per_row = 1.0
-
-    def log_marginal(self, objective: float, n: int) -> float:
-        """Log marginal posterior of beta, -n log S(beta), up to a zero constant.
-
-        A zero objective is a perfect fit, where the posterior is improper.
-        """
-        if objective <= 0.0:
-            raise DegenerateDataError(
-                "zero residual objective: data admit a perfect fit and the posterior is improper"
-            )
-        return -self.exponent_per_row * n * math.log(objective)
 
     def objective(self, resid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """S = sum |r_t| / 2 over the last axis of ``resid``; |r_t| is formed in

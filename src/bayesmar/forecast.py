@@ -120,7 +120,9 @@ def sample_paths(
     Paths iterate the AR recursion forward from the last observed lags, feeding
     each sampled value back in as a lag.  The noise is the family's
     ``ErrorModel.noise`` with standard scale 2 * tau (Laplace) or sigma
-    (Gaussian).  ``thin`` keeps every thin-th draw.
+    (Gaussian).  ``thin`` keeps every thin-th draw.  Explosive draws can
+    overflow a path; a path that is not finite raises ``RuntimeError``,
+    naming the order and the first horizon at which one is not.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -138,11 +140,17 @@ def sample_paths(
     # lags[:, j] holds y_{t-j-1} for the value about to be drawn
     lags = np.tile(y.values[-1 : -p - 1 : -1], (m, 1))
     paths = np.empty((m, horizon))
-    for h in range(horizon):
-        location = beta[:, 0] + np.einsum("ij,ij->i", beta[:, 1:], lags)
-        draws_h = model.noise(rng, location, b)
-        paths[:, h] = draws_h
-        lags = np.column_stack([draws_h, lags[:, :-1]])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for h in range(horizon):
+            location = beta[:, 0] + np.einsum("ij,ij->i", beta[:, 1:], lags)
+            draws_h = model.noise(rng, location, b)
+            paths[:, h] = draws_h
+            lags = np.column_stack([draws_h, lags[:, :-1]])
+    finite = np.isfinite(paths).all(axis=0)
+    if not finite.all():
+        raise RuntimeError(
+            f"explosive posterior draws overflow the order-{p} paths at horizon {int(np.argmin(finite)) + 1}"
+        )
     return paths
 
 

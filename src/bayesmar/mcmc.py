@@ -6,14 +6,14 @@ posterior of beta alone.  Both families start from one least-squares fit
 (``core.least_squares``): beta_hat, X = QR and s^2 = RSS(beta_hat) / nu,
 nu = n - p - 1.  All of it scales exactly with the data, so under y -> 2^k y
 both samplers' intercept and scale draws scale by 2^k and the rest is equal
-(for the chain, unless a log ratio lands within rounding of its uniform draw).
-The perfect-fit screen is relative (RSS <= 1e-20 targets'targets) for the
-same reason.
+(for the chain, unless an objective lands within rounding of its accept
+threshold).  The perfect-fit screen is relative (RSS <= 1e-20 targets'targets)
+for the same reason.
 
 The Laplace family's, S(beta)^(-n) with S(beta) = sum |residual| / 2, is
-sampled by a random-walk Metropolis chain on ``log_marginal`` from beta_hat.
-Each proposal adds a L u, u ~ Uniform(-0.1, 0.1)^(p+1) and L = R^-1 s, whose
-L L' = s^2 (X'X)^-1 is the least-squares covariance.  The step size a starts
+sampled by a random-walk Metropolis chain from beta_hat.  Each proposal adds
+a L u, u ~ Uniform(-0.1, 0.1)^(p+1) and L = R^-1 s, whose L L' =
+s^2 (X'X)^-1 is the least-squares covariance.  The step size a starts
 at ``INITIAL_STEP`` and is adapted in multiplicative nudges once per
 ``ADAPT_WINDOW`` burn-in iterations until the window acceptance rate sits
 inside the target band, then frozen so the retained draws come from a fixed
@@ -26,8 +26,8 @@ window starts by recomputing the current residual exactly as
 targets - X beta, so rounding never accumulates past one window.  The states
 themselves are formed exactly as current + a step_i, one accepted step at a
 time, at the end of each window, so the draws equal those of a chain that
-scores each proposal by its own residual unless a log ratio lands within
-rounding (about 1e-12) of its uniform draw.
+scores each proposal by its own residual unless an objective lands within
+rounding (about 1e-12 relative) of its accept threshold.
 
 All the Laplace chains of one ``run_mh_batch`` call run in lockstep
 (``_lockstep_chains``): the replications of an MSE-study unit, orders 1..K
@@ -36,28 +36,28 @@ of one forecast, or orders 1..K at each origin of a backtest unit (at most
 residuals and their absolute values in two reused (C x n) arrays and takes
 one row-wise objective.  A chain keeps everything a lone run has: its own
 generator, seeded with its fit's seed, its least-squares start and shape,
-its own n in -n log S, and its own step a, tuned on its own acceptance.  So
+its own n in S^(-n), and its own step a, tuned on its own acceptance.  So
 a fit's draws do not depend on the other fits in its batch.  Chains of
 different (n, p) are zero-padded: design rows and targets at the front,
 coefficients at the end.  A padded row has residual 0 and a padded
 coefficient steps by 0, so padding adds 0 to every objective and every
 state.  (The zeros can regroup numpy's pairwise row sum in its last bit,
-which, like the window shifts, moves a draw only if a log ratio lands
-within rounding of its uniform draw.)
+which, like the window shifts, moves a draw only if an objective lands
+within rounding of its threshold.)
 
-A chain decides its accepts on the objective, not the log target.  Its
-target is S^(-e), e = n for the Laplace model (the model's
-``exponent_per_row`` times n), so the Metropolis rule log u < e log(S / S')
-holds iff S' < S q with q = exp(-log u / e), and each segment turns its
-log-uniforms into thresholds q once.  A proposal with 0 < S' < S q (1 -
-``MARGIN``) is accepted and one with S' > S q (1 + ``MARGIN``) rejected, with
-no log; the rest (S' within ``MARGIN`` = 1e-9 of the threshold, zero, which
-raises, or NaN, which rejects) is decided by the exact rule on
-``log_marginal``.  The exact rule's log ratio rounds by about 1e-13
-relative, far inside the margin of n 1e-9 >= 3e-9 in log space, so every
-accept is the one the exact rule would make and the draws are unchanged.
-None of the 4.2 million proposals of 16 benchmark jobs (MSE study and
-backtest) reached the exact rule.
+A chain decides every accept with one comparison on the objective, and
+takes no log.  Its target is S^(-n), so the Metropolis rule
+log u < n log(S / S') holds iff S' < S q with q = exp(-log u / n), and each
+segment turns its log-uniforms into thresholds q once.  A proposal is
+accepted iff 0 < S' < S q.  NaN and +inf fail the comparison and so reject;
+S' = 0 is a perfect fit, which raises ``DegenerateDataError``.  The rule
+differs from log u < n log(S / S') only by the rounding of q and of the
+log ratio, about 1e-13 relative, and the window-shift residuals already
+move S' by about 1e-12 with no guard.  So a band around the threshold
+that deferred to the log rule (1e-9 wide, say) would guard nothing the
+window shifts do not already move; none of the 4.2 million proposals of
+16 benchmark jobs (MSE study and backtest) came within 1e-9 of its
+threshold.
 
 A chain draws its steps and log-uniforms one segment at a time, so while it
 runs it holds its kept states, never its whole run of random numbers.  A
@@ -70,8 +70,7 @@ argument above covers; on backtest-shaped batches of 17, 32 and 40 chains
 every draw was equal to the whole-window product's.  Every segment reuses
 one buffer of steps and one of shifts, so no segment's arrays outlive it.
 The ``tracemalloc`` peak of that 40-fit batch (8000/4000) is 11.6 MiB, of
-which 8.1 MiB are the kept draws it returns, against 22.7 MiB with
-whole-window shifts formed afresh.  The chains' scale draws need an
+which 8.1 MiB are the kept draws it returns.  The chains' scale draws need an
 n_kept x n residual block per fit (24 MB for a default MSE chain: n=198,
 p=2, 15,000 kept), so they are drawn one fit at a time after the chains,
 never stacked, each block formed in place in one buffer sized for the
@@ -81,10 +80,9 @@ On 2 vCPUs a default MSE-study job (five replications in one batch) ran
 1.79x the replications per second of lone chains.  On backtest-shaped fits
 (orders 1-8 of a 105-point series, 8000/4000) a chain-iteration, scale draws
 included, costs 2.23 us in a batch of one origin (C = 8) and 1.66 us in a
-batch of four (C = 32), against 2.66 and 2.13 us when every accept took a
-log (medians of 15 interleaved runs).  A lone chain (C = 1, the ``fit``
-command's and a single fixed-order forecast's) steps on 1-D residuals; on
-the 2-D path it costs 17-27% more per iteration.
+batch of four (C = 32), medians of 15 interleaved runs.  A lone chain
+(C = 1, the ``fit`` command's and a single fixed-order forecast's) steps on
+1-D residuals; on the 2-D path it costs 17-27% more per iteration.
 
 The Gaussian family's, RSS(beta)^(-n/2), is exactly a multivariate t with
 nu degrees of freedom, location beta_hat and scale matrix s^2 (X'X)^-1
@@ -114,7 +112,6 @@ from .core import (
     Coefficients,
     DegenerateDataError,
     ErrorFamily,
-    ErrorModel,
     LAPLACE_MODEL,
     PosteriorDraws,
     TimeSeries,
@@ -131,10 +128,6 @@ INITIAL_STEP = 16.0  # burn-in's first a; a L u is in least-squares standard err
 # Most rows (chains x steps) of residual shifts formed in one product: 8
 # chains' whole window.  A wider batch splits its window into row blocks.
 SHIFT_BLOCK_ROWS = 1600
-# Relative margin around a chain's accept threshold on the objective: a
-# proposal inside it is decided by the exact rule on log_marginal, whose log
-# ratio rounds by about 1e-13 relative.
-MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -176,11 +169,11 @@ def tune_step(current_a: float, window_acceptance: float, band: tuple[float, flo
 
 def _lockstep_chains(
     chains: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.random.Generator]],
-    model: ErrorModel,  # one with objective, log_marginal and exponent_per_row: Laplace
     config: McmcConfig,
 ) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Run one random-walk chain per (X, targets, beta0, shape, rng) in ``chains``
-    on ``model``'s log marginal of ``targets ~ X beta``, all in lockstep;
+    on the Laplace marginal S(beta)^(-n) of ``targets ~ X beta``, n the
+    chain's row count and S ``LAPLACE_MODEL.objective``, all in lockstep;
     returns (kept, kept_accept_flags, final_a) per chain.
 
     Chain c starts at its beta0, and its proposal i adds a_c shape u_i.  The
@@ -194,11 +187,12 @@ def _lockstep_chains(
     residual shifts in blocks of at most ``SHIFT_BLOCK_ROWS`` (chains x
     steps), steps, rebuilds its states and, at the end of a full burn-in
     window, tunes each a_c.  The symmetric proposal contributes nothing to
-    the log ratio, compared against log-uniform noise through the objective
-    thresholds the module docstring describes, so each chain tracks its
-    current objective rather than its log target.  Chains of different
-    sizes are zero-padded as the module docstring describes; the kept states
-    are not.
+    the Metropolis ratio, so a proposal of objective s is accepted iff
+    0 < s < S q, S the current objective and q = u^(-1/n) its log-uniform's
+    threshold; each chain tracks its current objective, never a log target.
+    NaN and +inf reject, and an s of 0 raises ``DegenerateDataError``.
+    Chains of different sizes are zero-padded as the module docstring
+    describes; the kept states are not.
     """
     n_chains = len(chains)
     rows = [targets.size for _, targets, _, _, _ in chains]
@@ -219,9 +213,8 @@ def _lockstep_chains(
         streams.append((step_rng, shape.T, rng))
     Xt = X.transpose(0, 2, 1)
 
-    objective, log_marginal = model.objective, model.log_marginal
-    # chain c's target is S^(-e_c)
-    exponents = np.array([model.exponent_per_row * n for n in rows])[:, None]
+    objective = LAPLACE_MODEL.objective
+    exponents = np.array(rows, dtype=float)[:, None]  # chain c's target is S^(-n_c)
     # A lone chain steps on 1-D residuals: on a one-row 2-D array a p=2,
     # T=200, 40000/25000 chain took 17-27% more per iteration (medians of
     # per-pair ratios in five sets of 11-21 interleaved runs).
@@ -268,21 +261,16 @@ def _lockstep_chains(
             # shifts[j] is step j's (chains, rows), or a lone chain's rows
             if lone:
                 shifts = shifts[:, 0]
-            below = (thresholds[:, j0:j1] * (1.0 - MARGIN)).T.tolist()
-            above = (thresholds[:, j0:j1] * (1.0 + MARGIN)).T.tolist()
-            for j, (shift, lo, hi) in enumerate(zip(shifts, below, above), j0):
+            for j, (shift, q) in enumerate(zip(shifts, thresholds[:, j0:j1].T.tolist()), j0):
                 proposal = np.subtract(resid, shift, out=proposal_buffer)
                 objectives = objective(proposal, out=abs_buffer)
                 for c, s in enumerate([float(objectives)] if lone else objectives.tolist()):
-                    s_c = current_s[c]
-                    if not 0.0 < s < s_c * lo[c]:
-                        if s > s_c * hi[c]:
-                            continue
-                        # within MARGIN of the threshold, zero or NaN: the exact rule
-                        n = rows[c]
-                        log_ratio = log_marginal(s, n) - log_marginal(s_c, n)
-                        if not (log_ratio >= 0.0 or log_accept_noise[c, j] < log_ratio):
-                            continue
+                    if not 0.0 < s < current_s[c] * q[c]:  # NaN and +inf reject
+                        if s == 0.0:
+                            raise DegenerateDataError(
+                                "zero residual objective: data admit a perfect fit and the posterior is improper"
+                            )
+                        continue
                     current_s[c] = s
                     accepted[c, j] = True
                     if lone:  # swap the two buffers rather than copy
@@ -351,7 +339,7 @@ def run_mh_batch(
 
     model = LAPLACE_MODEL
     chains = [(X, t, b, R_inv * s_hat, rng) for X, t, b, R_inv, s_hat, _, rng in prepared]
-    samples = _lockstep_chains(chains, model, config)
+    samples = _lockstep_chains(chains, config)
     # Every fit's (n_kept x n) residual block is formed in one buffer: a fresh
     # array per fit would be a fresh mapping, faulted in page by page.
     buffer = np.empty(n_kept * max(targets.size for _, targets, *_ in prepared))

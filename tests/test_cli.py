@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -433,6 +434,25 @@ class TestExitCodes:
         assert code == 4
         err = capsys.readouterr().err
         assert "L1 fit failed for orders [1, 2, 3, 4]: duality gap" in err
+
+    def test_explosive_draws_are_numeric_error_leaving_no_out_dir(self, tmp_path, capsys):
+        # y_t = 1.15 y_{t-1} + Laplace noise: the order-1 draws are explosive,
+        # and 6000 steps overflow their paths before anything is written
+        rng = np.random.default_rng(3)
+        y = [0.0]
+        for _ in range(40):
+            y.append(1.15 * y[-1] + rng.laplace(0.0, 1.0))
+        p = tmp_path / "s.csv"
+        p.write_text("".join(f"{v!r}\n" for v in y))
+        out = tmp_path / "o"
+        code = main(
+            ["forecast", "--input", str(p), "--no-diff", "--order-rule", "fixed", "--order", "1",
+             "--h", "6000", "--n-total", "4000", "--n-burn", "2000", "--out", str(out)]
+        )
+        assert code == 4
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numeric error: explosive posterior draws overflow the order-1 paths at horizon \d+\n", err)
 
     def test_invalid_config_is_config_error(self, tmp_path):
         p = tmp_path / "s.csv"

@@ -268,59 +268,6 @@ class TestLogLikelihood:
         assert worse < base
 
 
-class TestLogMarginalPosterior:
-    def test_monotone_in_residual_sum(self):
-        rng = np.random.default_rng(5)
-        y = rng.normal(size=15)
-        s1 = LAPLACE_MODEL.objective(residuals(y, [0.0, 0.2], 1, 2))
-        s2 = LAPLACE_MODEL.objective(residuals(y, [5.0, -3.0], 1, 2))
-        assert s1 < s2
-        assert LAPLACE_MODEL.log_marginal(s1, 14) > LAPLACE_MODEL.log_marginal(s2, 14)
-
-    def test_zero_log_at_unit_residual_sum(self):
-        # scale the series so S(beta) = 1 exactly, then the log posterior is 0
-        s = LAPLACE_MODEL.objective(residuals([0.0, 2.0, 0.0], [0.0, 0.0], 1, 2))
-        assert s == 1.0
-        assert LAPLACE_MODEL.log_marginal(s, 2) == 0.0
-
-    def test_ratio_matches_direct_power_form(self):
-        # S^(-n) with each S summed by hand
-        rng = np.random.default_rng(9)
-        y = rng.normal(size=7)
-        b1, b2 = rng.normal(size=2), rng.normal(size=2)
-        n = 6  # terms for start=2 on 7 observations
-        objs = []
-        for beta in (b1, b2):
-            r = [y[t] - beta[0] - beta[1] * y[t - 1] for t in range(1, 7)]
-            objs.append(math.fsum(0.5 * abs(v) for v in r))
-        lp_ratio = math.exp(
-            LAPLACE_MODEL.log_marginal(LAPLACE_MODEL.objective(residuals(y, b1, 1, 2)), n)
-            - LAPLACE_MODEL.log_marginal(LAPLACE_MODEL.objective(residuals(y, b2, 1, 2)), n)
-        )
-        direct = (objs[0] ** -n) / (objs[1] ** -n)
-        assert lp_ratio == pytest.approx(direct, rel=1e-10)
-
-    def test_invariant_to_term_reordering(self):
-        # the kernel is a sum over residual terms; summing them in any order agrees
-        rng = np.random.default_rng(13)
-        y = rng.normal(size=12)
-        beta = np.array([0.2, 0.5, -0.1])
-        resid = [
-            0.5 * abs(y[t - 1] - (beta[0] + beta[1] * y[t - 2] + beta[2] * y[t - 3]))
-            for t in range(3, 13)
-        ]
-        s_forward = sum(resid)
-        s_shuffled = sum(np.asarray(resid)[rng.permutation(len(resid))])
-        got = LAPLACE_MODEL.log_marginal(LAPLACE_MODEL.objective(residuals(y, beta, 2, 3)), 10)
-        assert got == pytest.approx(-10 * math.log(s_forward), abs=1e-12)
-        assert got == pytest.approx(-10 * math.log(s_shuffled), abs=1e-9)
-
-    def test_perfect_fit_is_degenerate(self):
-        resid = residuals([1.0, 1.0, 1.0], [0.0, 1.0], 1, 2)
-        with pytest.raises(DegenerateDataError):
-            LAPLACE_MODEL.log_marginal(LAPLACE_MODEL.objective(resid), 2)
-
-
 class TestLeastSquares:
     def test_matches_normal_equations(self):
         X, targets = lag_design(np.random.default_rng(0).normal(size=40), 3, 4)

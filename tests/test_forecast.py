@@ -103,6 +103,21 @@ class TestSamplePaths:
         with pytest.raises(ValueError):
             sample_paths(y, draws, 0, ErrorFamily.LAPLACE, seed=0)
 
+    @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
+    def test_explosive_draw_raises_naming_order_and_horizon(self, family):
+        # one of 20 draws doubles each step from y_T = 1 with negligible
+        # noise, so its path is 2^h and overflows at h = 1024; the other
+        # draws' paths stay finite
+        betas = np.tile([0.0, 0.5], (20, 1))
+        betas[7] = [0.0, 2.0]
+        draws = PosteriorDraws(betas, np.full(20, 1e-300), np.ones(20, dtype=bool), 1.0, 0)
+        y = TimeSeries(np.array([3.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="order-1 paths at horizon 1024$"):
+                sample_paths(y, draws, 1100, family, seed=0)
+        assert np.all(np.isfinite(sample_paths(y, draws, 1023, family, seed=0)))
+
 
 class TestPointForecast:
     def test_constant_paths(self):

@@ -24,12 +24,11 @@ from bayesmar import (
     tune_step,
 )
 from bayesmar.cli import main
-from bayesmar.core import GAUSSIAN_MODEL, LAPLACE_MODEL, as_seed_tuple, lag_design
+from bayesmar.core import LAPLACE_MODEL, as_seed_tuple, lag_design
 from bayesmar import mcmc
 from bayesmar.mcmc import (
     ADAPT_WINDOW,
     INITIAL_STEP,
-    MARGIN,
     PROPOSAL_HALF_WIDTH,
     SHIFT_BLOCK_ROWS,
     _lockstep_chains,
@@ -37,6 +36,7 @@ from bayesmar.mcmc import (
 )
 from bayesmar.mle_fit import fit_l1
 
+AR1 = Coefficients.from_values([0.5, 0.6])
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
 
 
@@ -75,8 +75,9 @@ def least_squares_shape(X, targets):
 
 def sequential_chain_oracle(y, order, config):
     """Laplace ``run_mh`` as a plain loop that starts at the QR fit and scores
-    every proposal current + a L u_i by its own residual, targets - X @ proposal;
-    returns (betas, taus, accepted, step)."""
+    every proposal current + a L u_i by its own residual, targets - X @ proposal,
+    with the Metropolis rule on the log target -n log S; returns (betas, taus,
+    accepted, step)."""
     X, targets = lag_design(y.values, order, order + 1)
     n = targets.size
     model = LAPLACE_MODEL
@@ -87,7 +88,7 @@ def sequential_chain_oracle(y, order, config):
     log_accept_noise = np.log(rng.random(config.n_total))
 
     def log_target(beta):
-        return model.log_marginal(model.objective(targets - X @ beta), n)
+        return -n * math.log(model.objective(targets - X @ beta))
 
     a = INITIAL_STEP
     current, current_lp = beta_hat, log_target(beta_hat)
@@ -113,44 +114,59 @@ def sequential_chain_oracle(y, order, config):
     return kept, taus, np.array(accepted), a
 
 
+def grid_marginal_quantiles(X, targets, q):
+    """The q-quantiles of beta_0 and beta_1 under S(beta)^(-n), p = 1, by
+    quadrature; returns (quantiles (len(q), 2), posterior SDs).
+
+    A 201^2 grid over +-12 least-squares SDs finds the posterior mean and SD,
+    then an 801^2 grid over +-7 posterior SDs integrates the density, each
+    cell's mass taken at its centre, and each marginal CDF is interpolated
+    linearly between cell edges."""
+    n = targets.size
+
+    def marginals(center, sd, half_width, points):
+        b0, b1 = (c + s * np.linspace(-half_width, half_width, points) for c, s in zip(center, sd))
+        log_post = np.empty((points, points))  # rows beta_1, columns beta_0
+        for i in range(0, points, 32):
+            shifted = targets - b1[i : i + 32, None] * X[:, 1]
+            log_post[i : i + 32] = -n * np.log(0.5 * np.abs(shifted[:, None, :] - b0[:, None]).sum(axis=-1))
+        mass = np.exp(log_post - log_post.max())
+        return (b0, mass.sum(axis=0)), (b1, mass.sum(axis=1))
+
+    beta_hat, L = least_squares_shape(X, targets)
+    coarse = marginals(beta_hat, np.linalg.norm(L, axis=1), 12.0, 201)
+    mean = np.array([axis @ mass / mass.sum() for axis, mass in coarse])
+    sd = np.sqrt([(axis - m) ** 2 @ mass / mass.sum() for (axis, mass), m in zip(coarse, mean)])
+    quantiles = []
+    for axis, mass in marginals(mean, sd, 7.0, 801):
+        h = axis[1] - axis[0]
+        cdf = np.concatenate([[0.0], np.cumsum(mass) / mass.sum()])
+        quantiles.append(np.interp(q, cdf, np.append(axis - h / 2, axis[-1] + h / 2)))
+    return np.array(quantiles).T, sd
+
+
+# Chain targets for ``monkeypatch.setattr(mcmc, "LAPLACE_MODEL", fake)``: the
+# chain reads only the model's objective S and samples S^(-n).
+
+
 class _FlatModel(type(LAPLACE_MODEL)):
-    """A constant log marginal: every Metropolis log ratio is 0."""
-
-    exponent_per_row = 0.0
-
-    def log_marginal(self, objective, n):
-        return 0.0
-
-
-class _RssMarginalModel(type(GAUSSIAN_MODEL)):
-    """The Gaussian marginal posterior RSS(beta)^(-n/2) as a chain target."""
-
-    exponent_per_row = 0.5
+    """A constant objective: every Metropolis ratio is 1."""
 
     def objective(self, resid, out=None):
-        return np.multiply(resid, resid, out=out).sum(axis=-1)
-
-    def log_marginal(self, objective, n):
-        return -0.5 * n * math.log(objective)
+        return np.ones(resid.shape[:-1])
 
 
-class _CountingModel(type(LAPLACE_MODEL)):
-    """The Laplace model, counting its ``log_marginal`` calls: the chain's
-    decisions that the objective screen left to the exact rule."""
+class _RssMarginalModel(type(LAPLACE_MODEL)):
+    """The Gaussian marginal posterior RSS(beta)^(-n/2) = sqrt(RSS)^(-n)."""
 
-    def __init__(self):
-        self.calls = 0
-
-    def log_marginal(self, objective, n):
-        self.calls += 1
-        return super().log_marginal(objective, n)
+    def objective(self, resid, out=None):
+        return np.sqrt(np.multiply(resid, resid, out=out).sum(axis=-1))
 
 
-class _CappedModel(_CountingModel):
+class _CappedModel(type(LAPLACE_MODEL)):
     """The Laplace model with every objective above ``cap`` replaced by ``fill``."""
 
     def __init__(self, cap, fill):
-        super().__init__()
         self.cap, self.fill, self.capped = cap, fill, 0
 
     def objective(self, resid, out=None):
@@ -274,7 +290,7 @@ class TestRunMh:
 
     def test_chain_target_matches_marginal_posterior_op(self):
         # replaying run_mh's random stream through a chain on the Laplace
-        # log-marginal reproduces its draws bit for bit, scales included
+        # marginal S^(-n) reproduces its draws bit for bit, scales included
         y = laplace_series(50, seed=12)
         X, targets = lag_design(y.values, 2, 3)
         n = targets.size
@@ -284,7 +300,7 @@ class TestRunMh:
 
         beta_hat, L = least_squares_shape(X, targets)
         rng = np.random.default_rng(as_seed_tuple(cfg.seed))
-        [(kept, accepted, step)] = _lockstep_chains([(X, targets, beta_hat, L, rng)], model, cfg)
+        [(kept, accepted, step)] = _lockstep_chains([(X, targets, beta_hat, L, rng)], cfg)
         scales = model.draw_scale(rng, model.objective(targets[None, :] - kept @ X.T), n)
         np.testing.assert_array_equal(draws.beta_draws, kept)
         np.testing.assert_array_equal(draws.tau_draws, scales)
@@ -466,33 +482,24 @@ class TestRunMh:
 
 
 class TestProposalSymmetry:
-    def test_acceptance_uses_target_ratios_only(self):
-        # on a flat target every log ratio is 0, so with no proposal density
+    def test_acceptance_uses_target_ratios_only(self, monkeypatch):
+        # on a flat target every ratio is 1, so with no proposal density
         # terms in the ratio every proposal is accepted and the chain always moves
+        monkeypatch.setattr(mcmc, "LAPLACE_MODEL", _FlatModel())
         cfg = McmcConfig(n_total=500, n_burn=100, seed=1)
         rng = np.random.default_rng(0)
         X, targets = rng.normal(size=(30, 2)), rng.normal(size=30)
-        with np.errstate(divide="ignore"):  # a flat target's thresholds are -log u / 0 = inf
-            [(kept, kept_accepted, _)] = _lockstep_chains(
-                [(X, targets, np.zeros(2), np.eye(2), rng)], _FlatModel(), cfg
-            )
+        [(kept, kept_accepted, _)] = _lockstep_chains([(X, targets, np.zeros(2), np.eye(2), rng)], cfg)
         assert kept_accepted.all()
         assert np.all(np.any(kept[1:] != kept[:-1], axis=1))
 
 
 class TestAcceptScreen:
-    """A chain accepts s' < s q (1 - MARGIN) and rejects s' > s q (1 + MARGIN),
-    q = u^(-1/n), without a log; the rest goes to the exact log rule."""
+    """A chain accepts a proposal iff 0 < s' < s q, q = u^(-1/n), without a log."""
 
-    @pytest.mark.parametrize("margin", [MARGIN, 1e-3, 0.5])
-    def test_tied_integer_batches_match_sequential_chain_oracle(self, monkeypatch, margin):
-        # integer-valued series: many tied residuals and tied lags.  With the
-        # default margin no proposal here reaches the exact rule; 1e-3 sends
-        # 230 of the 8400 decisions to it and 0.5 all of them.  Every draw,
-        # flag, step and scale must stay the oracle's either way
-        model = _CountingModel()
-        monkeypatch.setattr(mcmc, "LAPLACE_MODEL", model)
-        monkeypatch.setattr(mcmc, "MARGIN", margin)
+    def test_tied_integer_batches_match_sequential_chain_oracle(self):
+        # integer-valued series: many tied residuals and tied lags.  Every
+        # draw, flag, step and scale must be the log rule's
         rng = np.random.default_rng(38)
         walk = TimeSeries(np.cumsum(rng.integers(-2, 3, 70)).astype(float))
         counts = TimeSeries(rng.poisson(3.0, 60).astype(float))
@@ -505,8 +512,6 @@ class TestAcceptScreen:
             assert draws.tau_draws.tobytes() == taus.tobytes()
             np.testing.assert_array_equal(draws.accepted, accepted)
             assert draws.step_size == step
-        if margin > MARGIN:
-            assert model.calls > 0
 
     def test_zero_proposal_objective_raises(self):
         # targets 3 on an intercept-only design, started at 3.5 (S = 0.25 n):
@@ -518,12 +523,12 @@ class TestAcceptScreen:
         assert INITIAL_STEP * (u0 * shape[0, 0]) == -0.5
         chain = (np.ones((20, 1)), np.full(20, 3.0), np.array([3.5]), shape, np.random.default_rng(seed))
         with pytest.raises(DegenerateDataError, match="zero residual objective"):
-            _lockstep_chains([chain], LAPLACE_MODEL, McmcConfig(n_total=400, n_burn=200))
+            _lockstep_chains([chain], McmcConfig(n_total=400, n_burn=200))
 
-    def test_nan_objective_rejects(self):
+    def test_nan_objective_rejects(self, monkeypatch):
         # objectives above a cap read NaN in one run and +inf in the other:
-        # inf is rejected by the screen and NaN by the exact rule, so both
-        # runs make the same draws, and the NaN run's decisions reach the rule
+        # both fail the comparison and are rejected, so both runs make the
+        # same draws
         y = laplace_series(90, seed=40)
         cfg = McmcConfig(n_total=1200, n_burn=400)
         runs = []
@@ -535,10 +540,10 @@ class TestAcceptScreen:
                 chains.append((X, targets, beta_hat, L, np.random.default_rng((40, p))))
             cap = 1.02 * max(float(LAPLACE_MODEL.objective(t - X @ b)) for X, t, b, _, _ in chains)
             model = _CappedModel(cap, fill)
-            runs.append((_lockstep_chains(chains, model, cfg), model))
+            monkeypatch.setattr(mcmc, "LAPLACE_MODEL", model)
+            runs.append((_lockstep_chains(chains, cfg), model))
         (nan_run, nan_model), (inf_run, inf_model) = runs
         assert nan_model.capped == inf_model.capped > 100
-        assert nan_model.calls >= 2 * nan_model.capped
         for (kept, accepted, a), (kept_inf, accepted_inf, a_inf) in zip(nan_run, inf_run):
             assert kept.tobytes() == kept_inf.tobytes()
             np.testing.assert_array_equal(accepted, accepted_inf)
@@ -564,20 +569,17 @@ class TestAcceptScreen:
         replay = copy.deepcopy(rng)
         replay.bit_generator.advance(cfg.n_total * 3)
         assert replay.random() == 0.0
-        model = _CountingModel()
         with np.errstate(divide="ignore"):
-            [(kept, accepted, _)] = _lockstep_chains([(X, targets, beta_hat, L, rng)], model, cfg)
+            [(kept, accepted, _)] = _lockstep_chains([(X, targets, beta_hat, L, rng)], cfg)
         assert accepted[0]
         assert np.any(kept[0] != beta_hat)
-        assert model.calls == 0
         # any other draw would accept this proposal with probability exp(lr) < 1e-8
-        n = targets.size
-        lr = LAPLACE_MODEL.log_marginal(float(LAPLACE_MODEL.objective(targets - X @ kept[0])), n)
-        assert lr - LAPLACE_MODEL.log_marginal(float(LAPLACE_MODEL.objective(targets - X @ beta_hat)), n) < -20
+        s_new, s_old = (float(LAPLACE_MODEL.objective(targets - X @ b)) for b in (kept[0], beta_hat))
+        assert -targets.size * math.log(s_new / s_old) < -20
 
 
 class TestExactGaussianDraws:
-    def test_match_long_chain_on_rss_marginal(self):
+    def test_match_long_chain_on_rss_marginal(self, monkeypatch):
         # the exact t draws against a long RW-MH chain on RSS(beta)^(-n/2),
         # with about 20,000 effective draws on each side.  Means agree within
         # 4 Monte Carlo SEs (the chain's from 300 batch means), SDs within 3%
@@ -589,9 +591,8 @@ class TestExactGaussianDraws:
         chain_cfg = McmcConfig(n_total=310_000, n_burn=10_000, seed=18)
         rng = np.random.default_rng(as_seed_tuple(chain_cfg.seed))
         beta_hat, L = least_squares_shape(X, targets)
-        [(chain, _, _)] = _lockstep_chains(
-            [(X, targets, beta_hat, L, rng)], _RssMarginalModel(), chain_cfg
-        )
+        monkeypatch.setattr(mcmc, "LAPLACE_MODEL", _RssMarginalModel())
+        [(chain, _, _)] = _lockstep_chains([(X, targets, beta_hat, L, rng)], chain_cfg)
 
         sd = exact.beta_draws.std(axis=0)
         batch_means = chain.reshape(300, -1, 3).mean(axis=1)
@@ -652,6 +653,29 @@ class TestStationaryDistribution:
         b = ref.beta_draws[::200, 1]
         stat = ks_2samp(a, b).statistic
         assert stat < 0.05
+
+
+class TestQuadratureOracle:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_chain_quantiles_match_the_grid(self, seed):
+        # the chain against its real target integrated on a grid, not against
+        # another chain: at p = 1 the 801^2 grid's quantiles move by under
+        # 1e-4 SD when its spacing is halved and its range widened to +-9 SDs.
+        # A lone chain's 5/50/95% quantiles of beta_0 and beta_1 over 100,000
+        # kept draws must agree within 4 Monte Carlo SEs, each SE from the
+        # quantiles of 50 batches of 2,000 draws.  A target of S^(-n/2) would
+        # move the outer quantiles by about 0.7 SD, and the bound is kept
+        # far below that
+        y = simulate_series(AR1, ErrorFamily.LAPLACE, 60, burn=200, seed=(50, seed))
+        X, targets = lag_design(y.values, 1, 2)
+        q = [0.05, 0.5, 0.95]
+        grid, sd = grid_marginal_quantiles(X, targets, q)
+        cfg = McmcConfig(n_total=110_000, n_burn=10_000, seed=(50, seed))
+        draws = run_mh(y, 1, ErrorFamily.LAPLACE, cfg).beta_draws
+        batches = np.quantile(draws.reshape(50, -1, 2), q, axis=1)
+        se = batches.std(axis=1, ddof=1) / math.sqrt(50)
+        assert np.all(4 * se < 0.15 * sd)
+        assert np.all(np.abs(np.quantile(draws, q, axis=0) - grid) <= 4 * se)
 
 
 class TestMcmcConfig:
