@@ -146,11 +146,15 @@ def sample_paths(
             draws_h = model.noise(rng, location, b)
             paths[:, h] = draws_h
             lags = np.column_stack([draws_h, lags[:, :-1]])
+    return _require_finite(paths, f"order-{p}")
+
+
+def _require_finite(paths: np.ndarray, name: str) -> np.ndarray:
+    """``paths``, or a ``RuntimeError`` naming the first horizon not finite on some path."""
     finite = np.isfinite(paths).all(axis=0)
     if not finite.all():
-        raise RuntimeError(
-            f"explosive posterior draws overflow the order-{p} paths at horizon {int(np.argmin(finite)) + 1}"
-        )
+        horizon = int(np.argmin(finite)) + 1
+        raise RuntimeError(f"explosive posterior draws overflow the {name} paths at horizon {horizon}")
     return paths
 
 
@@ -223,12 +227,14 @@ def forecast_levels(diff_result: ForecastResult, last_level: float) -> ForecastR
     """Rebuild level-scale forecasts from change-scale ones.
 
     Every path is cumulatively summed and shifted by the last observed level;
-    the interval level and statistic carry over.
+    the interval level and statistic carry over.  Finite changes can still
+    overflow as levels, which raises ``RuntimeError`` as in ``sample_paths``.
     """
     if diff_result.scale_note != SCALE_DIFFERENCED:
         raise ValueError("input forecast is not on the differenced scale")
-    level_paths = last_level + np.cumsum(diff_result.paths, axis=1)
-    return replace(diff_result, paths=level_paths, scale_note=SCALE_LEVEL)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        level_paths = last_level + np.cumsum(diff_result.paths, axis=1)
+    return replace(diff_result, paths=_require_finite(level_paths, "level"), scale_note=SCALE_LEVEL)
 
 
 def _window_forecasts(

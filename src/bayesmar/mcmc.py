@@ -52,12 +52,9 @@ segment turns its log-uniforms into thresholds q once.  A proposal is
 accepted iff 0 < S' < S q.  NaN and +inf fail the comparison and so reject;
 S' = 0 is a perfect fit, which raises ``DegenerateDataError``.  The rule
 differs from log u < n log(S / S') only by the rounding of q and of the
-log ratio, about 1e-13 relative, and the window-shift residuals already
-move S' by about 1e-12 with no guard.  So a band around the threshold
-that deferred to the log rule (1e-9 wide, say) would guard nothing the
-window shifts do not already move; none of the 4.2 million proposals of
-16 benchmark jobs (MSE study and backtest) came within 1e-9 of its
-threshold.
+log ratio, about 1e-13 relative, while the window-shift residuals already
+move S' by about 1e-12, so no band around the threshold defers to the log
+rule.
 
 A chain draws its steps and log-uniforms one segment at a time, so while it
 runs it holds its kept states, never its whole run of random numbers.  A
@@ -69,20 +66,15 @@ from it.  Blocking changes only the shifts' rounding, which the window-shift
 argument above covers; on backtest-shaped batches of 17, 32 and 40 chains
 every draw was equal to the whole-window product's.  Every segment reuses
 one buffer of steps and one of shifts, so no segment's arrays outlive it.
-The ``tracemalloc`` peak of that 40-fit batch (8000/4000) is 11.6 MiB, of
-which 8.1 MiB are the kept draws it returns.  The chains' scale draws need an
-n_kept x n residual block per fit (24 MB for a default MSE chain: n=198,
-p=2, 15,000 kept), so they are drawn one fit at a time after the chains,
-never stacked, each block formed in place in one buffer sized for the
-largest fit (on backtest-shaped runs, 33k minor page faults against 142k).
+The scale draws' objectives S(beta) are formed as each segment is kept, so
+no n_kept x n residual block exists (24 MB for a default MSE chain: n=198,
+p=2, 15,000 kept).  That 40-fit batch peaks at 11.1 MiB (``tracemalloc``),
+8.1 MiB of it the kept draws it returns.
 
 On 2 vCPUs a default MSE-study job (five replications in one batch) ran
-1.79x the replications per second of lone chains.  On backtest-shaped fits
-(orders 1-8 of a 105-point series, 8000/4000) a chain-iteration, scale draws
-included, costs 2.23 us in a batch of one origin (C = 8) and 1.66 us in a
-batch of four (C = 32), medians of 15 interleaved runs.  A lone chain
-(C = 1, the ``fit`` command's and a single fixed-order forecast's) steps on
-1-D residuals; on the 2-D path it costs 17-27% more per iteration.
+1.79x the replications per second of lone chains.  A lone chain (C = 1, the
+``fit`` command's and a single fixed-order forecast's) steps on 1-D
+residuals; on the 2-D path it costs 17-27% more per iteration.
 
 The Gaussian family's, RSS(beta)^(-n/2), is exactly a multivariate t with
 nu degrees of freedom, location beta_hat and scale matrix s^2 (X'X)^-1
@@ -170,11 +162,11 @@ def tune_step(current_a: float, window_acceptance: float, band: tuple[float, flo
 def _lockstep_chains(
     chains: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.random.Generator]],
     config: McmcConfig,
-) -> list[tuple[np.ndarray, np.ndarray, float]]:
+) -> list[tuple[np.ndarray, np.ndarray, float, np.ndarray]]:
     """Run one random-walk chain per (X, targets, beta0, shape, rng) in ``chains``
     on the Laplace marginal S(beta)^(-n) of ``targets ~ X beta``, n the
     chain's row count and S ``LAPLACE_MODEL.objective``, all in lockstep;
-    returns (kept, kept_accept_flags, final_a) per chain.
+    returns (kept, kept_accept_flags, final_a, kept_objectives) per chain.
 
     Chain c starts at its beta0, and its proposal i adds a_c shape u_i.  The
     chains run in segments cut at every ``ADAPT_WINDOW`` boundary and at
@@ -192,7 +184,11 @@ def _lockstep_chains(
     threshold; each chain tracks its current objective, never a log target.
     NaN and +inf reject, and an s of 0 raises ``DegenerateDataError``.
     Chains of different sizes are zero-padded as the module docstring
-    describes; the kept states are not.
+    describes; the kept states are not, and each retained segment forms its
+    kept objectives from the chain's own X and targets, so that, like the
+    states, they do not depend on the batch.  (The accept objectives carry
+    the shifts' and the padding's rounding: reused, they made a backtest
+    forecast differ by 4.4e-16 between one and two workers.)
     """
     n_chains = len(chains)
     rows = [targets.size for _, targets, _, _, _ in chains]
@@ -222,6 +218,7 @@ def _lockstep_chains(
     a = np.full(n_chains, INITIAL_STEP)
     kept = [np.empty((n_total - n_burn, dim)) for dim in dims]
     kept_accepted = np.zeros((n_chains, n_total - n_burn), dtype=bool)
+    kept_objectives = np.empty((n_chains, n_total - n_burn))
     bounds = sorted({*range(0, n_total, ADAPT_WINDOW), n_burn, n_total})
     # Every segment reuses one window of steps (scaled in place to the
     # proposals, then zeroed where rejected and summed into the states, so
@@ -282,14 +279,16 @@ def _lockstep_chains(
         states = np.add.accumulate(steps, axis=1, out=steps)
         current = states[:, -1].copy()
         if retained:
-            for c, dim in enumerate(dims):
-                kept[c][s0 - n_burn : s1 - n_burn] = states[c, :, :dim]
+            for c, (X_c, targets_c, *_) in enumerate(chains):
+                kept_c = kept[c][s0 - n_burn : s1 - n_burn]
+                kept_c[:] = states[c, :, : dims[c]]
+                kept_objectives[c, s0 - n_burn : s1 - n_burn] = objective(targets_c - kept_c @ X_c.T)
             kept_accepted[:, s0 - n_burn : s1 - n_burn] = accepted
         elif s1 % ADAPT_WINDOW == 0:
             rates = np.count_nonzero(accepted, axis=1) / ADAPT_WINDOW
             a = np.array([tune_step(a_c, r, config.target_band) for a_c, r in zip(a, rates)])
 
-    return [(kept[c], kept_accepted[c], float(a[c])) for c in range(n_chains)]
+    return [(kept[c], kept_accepted[c], float(a[c]), kept_objectives[c]) for c in range(n_chains)]
 
 
 def run_mh_batch(
@@ -305,9 +304,9 @@ def run_mh_batch(
     Gaussian draws n_total - n_burn exact (beta, sigma) pairs per fit, each
     sigma the mixing scale of its multivariate-t beta.  Laplace runs all the
     chains in lockstep, keeps each one's n_total - n_burn post-burn-in states,
-    and gives each kept beta_i an exact conditional scale draw
-    tau_i ~ InvGamma(shape T-p, rate S(beta_i)).  A fit's draws do not
-    depend on the other fits in the batch.
+    and gives each kept beta_i an exact conditional scale draw tau_i ~
+    InvGamma(shape T-p, rate S(beta_i)), S(beta_i) as the chain formed it on
+    keeping beta_i.  A fit's draws do not depend on the other fits in the batch.
     """
     if not fits:
         return []
@@ -337,19 +336,13 @@ def run_mh_batch(
             draws.append(PosteriorDraws(beta, sigma, None, None, 0))
         return draws
 
-    model = LAPLACE_MODEL
     chains = [(X, t, b, R_inv * s_hat, rng) for X, t, b, R_inv, s_hat, _, rng in prepared]
     samples = _lockstep_chains(chains, config)
-    # Every fit's (n_kept x n) residual block is formed in one buffer: a fresh
-    # array per fit would be a fresh mapping, faulted in page by page.
-    buffer = np.empty(n_kept * max(targets.size for _, targets, *_ in prepared))
     draws = []
-    for (X, targets, *_, rng), (kept, accepted, step_size) in zip(prepared, samples):
-        resid = np.matmul(kept, X.T, out=buffer[: n_kept * targets.size].reshape(n_kept, targets.size))
-        objectives = model.objective(np.subtract(targets, resid, out=resid), out=resid)
+    for (_, targets, *_, rng), (kept, accepted, step_size, objectives) in zip(prepared, samples):
         if np.any(objectives <= 0.0):
             raise DegenerateDataError("retained draw with zero residual objective")
-        tau = model.draw_scale(rng, objectives, targets.size)
+        tau = LAPLACE_MODEL.draw_scale(rng, objectives, targets.size)
         draws.append(PosteriorDraws(kept, tau, accepted, step_size, config.n_burn))
     return draws
 

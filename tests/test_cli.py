@@ -35,6 +35,15 @@ def write_series_csv(path, n=64, seed=3, labels=False):
     return ts
 
 
+def write_explosive_csv(path):
+    """41 points of y_t = 1.15 y_{t-1} + Laplace noise (seed 3), from y_0 = 0."""
+    rng = np.random.default_rng(3)
+    y = [0.0]
+    for _ in range(40):
+        y.append(1.15 * y[-1] + rng.laplace(0.0, 1.0))
+    path.write_text("".join(f"{v!r}\n" for v in y))
+
+
 class TestReadSeriesCsv:
     def test_labeled_two_column(self, tmp_path):
         # a leading byte-order mark (Excel's "CSV UTF-8") is not part of the header
@@ -438,12 +447,8 @@ class TestExitCodes:
     def test_explosive_draws_are_numeric_error_leaving_no_out_dir(self, tmp_path, capsys):
         # y_t = 1.15 y_{t-1} + Laplace noise: the order-1 draws are explosive,
         # and 6000 steps overflow their paths before anything is written
-        rng = np.random.default_rng(3)
-        y = [0.0]
-        for _ in range(40):
-            y.append(1.15 * y[-1] + rng.laplace(0.0, 1.0))
         p = tmp_path / "s.csv"
-        p.write_text("".join(f"{v!r}\n" for v in y))
+        write_explosive_csv(p)
         out = tmp_path / "o"
         code = main(
             ["forecast", "--input", str(p), "--no-diff", "--order-rule", "fixed", "--order", "1",
@@ -453,6 +458,21 @@ class TestExitCodes:
         assert not out.exists()
         err = capsys.readouterr().err
         assert re.fullmatch(r"numeric error: explosive posterior draws overflow the order-1 paths at horizon \d+\n", err)
+
+    def test_explosive_levels_are_numeric_error_leaving_no_out_dir(self, tmp_path, capsys):
+        # the explosive series, differenced by default: 4061 steps keep
+        # the change paths finite but overflow the level paths
+        p = tmp_path / "s.csv"
+        write_explosive_csv(p)
+        out = tmp_path / "o"
+        code = main(
+            ["forecast", "--input", str(p), "--order-rule", "fixed", "--order", "1",
+             "--h", "4061", "--n-total", "4000", "--n-burn", "2000", "--out", str(out)]
+        )
+        assert code == 4
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numeric error: explosive posterior draws overflow the level paths at horizon \d+\n", err)
 
     def test_invalid_config_is_config_error(self, tmp_path):
         p = tmp_path / "s.csv"

@@ -271,6 +271,15 @@ class TestForecastLevels:
         levels = forecast_levels(res, 3.0)
         np.testing.assert_allclose(levels.point, 3.0 + np.cumsum(res.point), atol=1e-10)
 
+    def test_overflowing_levels_raise_naming_the_horizon(self):
+        # every change is finite, but one path's running sum passes the
+        # largest double at horizon 2; no numpy warning comes first
+        res = result_with_paths(np.array([[1e308, 1e308, 1.0], [1.0, 1.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="overflow the level paths at horizon 2$"):
+                forecast_levels(res, 0.0)
+
     def test_requires_differenced_input(self):
         res = result_with_paths(np.zeros((10, 2)), scale=SCALE_LEVEL)
         with pytest.raises(ValueError):

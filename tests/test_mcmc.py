@@ -73,6 +73,16 @@ def least_squares_shape(X, targets):
     return beta_hat, np.linalg.inv(R) * s_hat
 
 
+def retained_objectives(X, targets, kept, config):
+    """S(beta) of each kept state, formed one retained segment at a time (the
+    segments are cut at n_burn and at every ``ADAPT_WINDOW``), as the chain does."""
+    cuts = sorted({*range(0, config.n_total, ADAPT_WINDOW), config.n_burn, config.n_total})
+    cuts = [c - config.n_burn for c in cuts if c >= config.n_burn]
+    return np.concatenate(
+        [LAPLACE_MODEL.objective(targets - kept[i:j] @ X.T) for i, j in zip(cuts[:-1], cuts[1:])]
+    )
+
+
 def sequential_chain_oracle(y, order, config):
     """Laplace ``run_mh`` as a plain loop that starts at the QR fit and scores
     every proposal current + a L u_i by its own residual, targets - X @ proposal,
@@ -110,7 +120,7 @@ def sequential_chain_oracle(y, order, config):
             kept.append(current)
             accepted.append(accept)
     kept = np.array(kept)
-    taus = model.draw_scale(rng, model.objective(targets[None, :] - kept @ X.T), n)
+    taus = model.draw_scale(rng, retained_objectives(X, targets, kept, config), n)
     return kept, taus, np.array(accepted), a
 
 
@@ -300,8 +310,8 @@ class TestRunMh:
 
         beta_hat, L = least_squares_shape(X, targets)
         rng = np.random.default_rng(as_seed_tuple(cfg.seed))
-        [(kept, accepted, step)] = _lockstep_chains([(X, targets, beta_hat, L, rng)], cfg)
-        scales = model.draw_scale(rng, model.objective(targets[None, :] - kept @ X.T), n)
+        [(kept, accepted, step, _)] = _lockstep_chains([(X, targets, beta_hat, L, rng)], cfg)
+        scales = model.draw_scale(rng, retained_objectives(X, targets, kept, cfg), n)
         np.testing.assert_array_equal(draws.beta_draws, kept)
         np.testing.assert_array_equal(draws.tau_draws, scales)
         np.testing.assert_array_equal(draws.accepted, accepted)
@@ -438,9 +448,9 @@ class TestRunMh:
 
     def test_backtest_shaped_batch_memory_follows_its_kept_draws(self):
         # orders 1..8 at five backtest origins, 8000/4000: the 40 chains' kept
-        # draws are 8.1 MiB, and the scale draws' buffer 3.2 MiB.  The shifts
-        # of a whole window (40 x 200 x 103 doubles, 6.6 MB) took the peak to
-        # 22.7 MiB; formed in row blocks in one buffer, it reads 11.6 MiB
+        # draws are 8.1 MiB.  The shifts of a whole window (40 x 200 x 103
+        # doubles, 6.6 MB) took the peak to 22.7 MiB; formed in row blocks in
+        # one buffer, it reads 11.1 MiB
         y = laplace_series(105, seed=35)
         fits = [(TimeSeries(y.values[:t]), p, (35, t, p)) for t in range(100, 105) for p in range(1, 9)]
         tracemalloc.start()
@@ -450,6 +460,19 @@ class TestRunMh:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_mse_shaped_batch_memory_holds_no_residual_block(self):
+        # five default MSE-study fits (T=200, p=2, 40000/25000): the returned
+        # (beta, tau) pairs are 2.3 MiB.  Forming each fit's 15000 x 198
+        # residuals to redraw tau took the peak to 25.3 MiB
+        fits = [(laplace_series(200, seed=(36, i)), 2, (36, i)) for i in range(5)]
+        tracemalloc.start()
+        try:
+            run_mh_batch(fits, ErrorFamily.LAPLACE, McmcConfig(n_total=40_000, n_burn=25_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
     def test_trace_export(self, tmp_path, family):
@@ -489,7 +512,7 @@ class TestProposalSymmetry:
         cfg = McmcConfig(n_total=500, n_burn=100, seed=1)
         rng = np.random.default_rng(0)
         X, targets = rng.normal(size=(30, 2)), rng.normal(size=30)
-        [(kept, kept_accepted, _)] = _lockstep_chains([(X, targets, np.zeros(2), np.eye(2), rng)], cfg)
+        [(kept, kept_accepted, _, _)] = _lockstep_chains([(X, targets, np.zeros(2), np.eye(2), rng)], cfg)
         assert kept_accepted.all()
         assert np.all(np.any(kept[1:] != kept[:-1], axis=1))
 
@@ -544,7 +567,7 @@ class TestAcceptScreen:
             runs.append((_lockstep_chains(chains, cfg), model))
         (nan_run, nan_model), (inf_run, inf_model) = runs
         assert nan_model.capped == inf_model.capped > 100
-        for (kept, accepted, a), (kept_inf, accepted_inf, a_inf) in zip(nan_run, inf_run):
+        for (kept, accepted, a, _), (kept_inf, accepted_inf, a_inf, _) in zip(nan_run, inf_run):
             assert kept.tobytes() == kept_inf.tobytes()
             np.testing.assert_array_equal(accepted, accepted_inf)
             assert a == a_inf
@@ -570,7 +593,7 @@ class TestAcceptScreen:
         replay.bit_generator.advance(cfg.n_total * 3)
         assert replay.random() == 0.0
         with np.errstate(divide="ignore"):
-            [(kept, accepted, _)] = _lockstep_chains([(X, targets, beta_hat, L, rng)], cfg)
+            [(kept, accepted, _, _)] = _lockstep_chains([(X, targets, beta_hat, L, rng)], cfg)
         assert accepted[0]
         assert np.any(kept[0] != beta_hat)
         # any other draw would accept this proposal with probability exp(lr) < 1e-8
@@ -592,7 +615,7 @@ class TestExactGaussianDraws:
         rng = np.random.default_rng(as_seed_tuple(chain_cfg.seed))
         beta_hat, L = least_squares_shape(X, targets)
         monkeypatch.setattr(mcmc, "LAPLACE_MODEL", _RssMarginalModel())
-        [(chain, _, _)] = _lockstep_chains([(X, targets, beta_hat, L, rng)], chain_cfg)
+        [(chain, _, _, _)] = _lockstep_chains([(X, targets, beta_hat, L, rng)], chain_cfg)
 
         sd = exact.beta_draws.std(axis=0)
         batch_means = chain.reshape(300, -1, 3).mean(axis=1)
