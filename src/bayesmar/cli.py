@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -136,12 +137,24 @@ def _write_csv(path: Path, columns: list[str], rows, header_lines: tuple[str, ..
 
 
 def _check_out(text: str) -> None:
-    """Reject an --out that cannot become a directory, before any work runs."""
+    """Reject an --out that cannot become a directory, before any work runs.
+
+    The nearest existing path, --out itself or an ancestor, must be a
+    directory, and each component still to be made must fit its filesystem's
+    name limit.  A path the filesystem refuses to look up is rejected too.
+    """
     path = Path(text)
-    # the nearest existing path, --out itself or an ancestor, must be a directory
-    existing = next(p for p in (path, *path.parents) if p.exists())
-    if not existing.is_dir():
-        raise ValueError(f"--out {text}: {existing} is not a directory")
+    try:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise ValueError(f"--out {text}: {existing} is not a directory")
+        name_max = os.pathconf(existing, "PC_NAME_MAX") if hasattr(os, "pathconf") else 255
+    except OSError as exc:
+        raise ValueError(f"--out {text}: {exc.strerror}") from None
+    for part in map(os.fsencode, path.relative_to(existing).parts):
+        if len(part) > name_max:
+            raise ValueError(f"--out {text}: a component of {len(part)} bytes exceeds "
+                             f"the filesystem's limit of {name_max}")
 
 
 def _out_dir(ns: argparse.Namespace) -> Path:
@@ -185,7 +198,11 @@ def _parse_methods(spec: str) -> tuple[MethodSpec, ...]:
 
 def _resolve_t0(token: str, series: TimeSeries) -> int:
     if series.labels is not None and token in series.labels:
-        return series.labels.index(token) + 1
+        periods = [t for t, label in enumerate(series.labels, start=1) if label == token]
+        if len(periods) > 1:  # period t is CSV row t + 1, below the period,value header
+            rows = " and ".join(str(t + 1) for t in periods)
+            raise ValueError(f"t0 label {token!r} names more than one period, at rows {rows}")
+        return periods[0]
     try:
         return int(token)
     except ValueError:

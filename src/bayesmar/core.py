@@ -46,6 +46,7 @@ __all__ = [
     "Coefficients",
     "PosteriorDraws",
     "lag_design",
+    "independent_columns",
     "least_squares",
     "check_window",
     "diff1",
@@ -212,14 +213,37 @@ def lag_design(values: np.ndarray, order: int, start: int) -> tuple[np.ndarray, 
     return np.column_stack(cols), targets
 
 
+def independent_columns(X: np.ndarray) -> list[int]:
+    """Indices of X's columns that are independent of the kept ones before them.
+
+    Rank is judged on X with each nonzero column scaled to max-abs 1, so the
+    verdict does not depend on the data's units: a lag column in units of
+    1e13 beside the unit intercept column reads as independent, as it does
+    in units of 1.  A full-rank X costs one ``matrix_rank``; otherwise each
+    column is tried in turn, so a prefix of columns keeps its own verdict.
+    """
+    size = np.abs(X).max(axis=0)
+    X = X / np.where(size > 0, size, 1.0)
+    k = X.shape[1]
+    if np.linalg.matrix_rank(X) == k:
+        return list(range(k))
+    kept: list[int] = []
+    for j in range(k):
+        if np.linalg.matrix_rank(X[:, kept + [j]]) > len(kept):
+            kept.append(j)
+    return kept
+
+
 def least_squares(X: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Least-squares fit of ``targets ~ X beta``: (beta_hat, R, RSS) with X = QR.
 
-    A rank-deficient design raises ``DegenerateDataError``.  Householder QR
-    scales exactly with the data: under y -> 2^k y, beta_hat's intercept and
-    R's lag columns scale by 2^k, the RSS by 4^k, and no other bit moves.
+    A design that ``independent_columns`` finds rank-deficient raises
+    ``DegenerateDataError``; that verdict does not depend on the data's
+    units.  Householder QR scales exactly with the data: under y -> 2^k y,
+    beta_hat's intercept and R's lag columns scale by 2^k, the RSS by 4^k,
+    and no other bit moves.
     """
-    if (rank := np.linalg.matrix_rank(X)) < X.shape[1]:
+    if (rank := len(independent_columns(X))) < X.shape[1]:
         raise DegenerateDataError(f"design of {X.shape[1]} columns has rank {rank}: fit not identified")
     Q, R = np.linalg.qr(X)
     beta_hat = np.linalg.solve(R, Q.T @ targets)

@@ -8,20 +8,21 @@ per-horizon mean or median) and equal-tailed intervals are read from the paths
 when asked for, and a BMA mixture resamples the orders' pooled paths.
 
 ``forecast_family`` is the one planner from series to their level-scale
-forecasts: it takes a list of (series, seed) windows, checks the plan before
-any fit, differences each series when asked, builds each window's order
-ensemble once, samples the union of the orders each window's methods need,
-all windows' fits in one batch, and summarises each method's final BMA, MAP
-or fixed-order paths, on the level scale, one result map per window.  Each
-fit's draws are turned into paths and dropped one fit at a time.
-``fit_and_forecast`` (one method, used by the CLI) passes one window; the
-backtest passes a unit's windows.  Writing results to files is the CLI's job.
+forecasts and the one place where forecasts are sampled.  It checks the plan
+before any fit, differences each series when asked, builds each window's
+order ensemble once, and samples every window's fits in one ``run_mh_batch``
+call: order p's chain from seed (seed_base..., p).  Each fit's paths then
+come from seed (seed_base..., p, 1), and its draws are dropped as soon as its
+paths exist.  BMA mixtures draw from seed (seed_base..., 0, 2).  ``fit_and_forecast`` (one
+method, used by the CLI) passes one window, the backtest passes a unit's
+windows, and ``per_order_forecasts`` is a fixed-order plan over one window.
+Writing results to files is the CLI's job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -237,58 +238,6 @@ def forecast_levels(diff_result: ForecastResult, last_level: float) -> ForecastR
     return replace(diff_result, paths=_require_finite(level_paths, "level"), scale_note=SCALE_LEVEL)
 
 
-def _window_forecasts(
-    jobs: Sequence[tuple[TimeSeries, Sequence[int], Sequence[int]]],
-    family: ErrorFamily,
-    horizon: int,
-    config: McmcConfig,
-    interval_level: float,
-    scale_note: str,
-    thin: int,
-) -> Iterator[dict[int, ForecastResult]]:
-    """Yield one {order: result} per (y, seed_base, orders) in ``jobs``, in order.
-
-    Every window's fits are sampled as one batch (``run_mh_batch``; Laplace
-    chains in lockstep), and each fit's draws are dropped once its paths are
-    simulated.  Seeds derive from (seed_base..., order) for the chain and
-    (seed_base..., order, 1) for the path noise, so a window's result for one
-    order does not depend on which other orders or windows are requested.
-    """
-    jobs = [(y, tuple(seed_base), sorted(set(int(o) for o in orders))) for y, seed_base, orders in jobs]
-    batch = run_mh_batch([(y, p, base + (p,)) for y, base, orders in jobs for p in orders], family, config)
-    batch.reverse()
-    for y, base, orders in jobs:
-        yield {
-            p: ForecastResult(
-                sample_paths(y, batch.pop(), horizon, family, seed=base + (p, 1), thin=thin),
-                interval_level,
-                scale_note,
-            )
-            for p in orders
-        }
-
-
-def per_order_forecasts(
-    y: TimeSeries,
-    family: ErrorFamily,
-    orders: Sequence[int],
-    horizon: int,
-    config: McmcConfig,
-    interval_level: float,
-    scale_note: str,
-    seed_base: Sequence[int],
-    thin: int = 1,
-) -> dict[int, ForecastResult]:
-    """Run the sampler and path simulation for each requested order of ``y``.
-
-    Each result has the default statistic.  Seeds derive from (seed_base...,
-    order) for the chain and (seed_base..., order, 1) for the path noise, as
-    in the planner, which samples several windows' fits in one batch.
-    """
-    jobs = [(y, seed_base, orders)]
-    return next(_window_forecasts(jobs, family, horizon, config, interval_level, scale_note, thin))
-
-
 _FAMILY_LABEL = {ErrorFamily.LAPLACE: "BayesMAR", ErrorFamily.GAUSSIAN: "BayesAR"}
 
 
@@ -355,13 +304,14 @@ def forecast_family(
     ``check_plan`` runs before any fit.  With ``apply_diff`` the methods model
     the lag-1 changes of a series and each forecast is rebuilt on the level
     scale from its last observed value.  A window's order ensemble is built
-    once if any method selects orders, and the union of the orders its
-    methods need is sampled from its ``seed_base``, all windows' fits in one
-    batch.  BMA mixes orders 1..max_order by their weights with seed
-    (seed_base..., 0, 2), MAP takes the minimum-BIC order, and a fixed rule
-    its own order.  Each method's result carries ``statistic``, so its point
-    is read from its final paths.  A window's results do not depend on the
-    other windows.
+    once if any method selects orders.  One ``run_mh_batch`` call samples the
+    ``sampled_orders`` of every window; then, window by window, each fit's
+    draws become paths and are dropped.  Seeds are those of the module
+    docstring.  BMA mixes orders 1..max_order by their weights, MAP takes the
+    minimum-BIC order, and a fixed rule its own order.  Each method's result
+    carries ``statistic``, so its point is read from its final paths.  A
+    window's results depend neither on the other windows nor on which other
+    orders are sampled.
     """
     check_plan(horizon, config, thin, interval_level, statistic)
     if not methods:
@@ -371,23 +321,25 @@ def forecast_family(
         raise ValueError("forecast_family needs methods of one error family")
     scale_note = SCALE_DIFFERENCED if apply_diff else SCALE_LEVEL
     selecting = any(m.order_rule != "fixed" for m in methods)
-    ensembles, jobs = [], []
+    plans = []
     for y, seed_base in windows:
         work = diff1(y) if apply_diff else y
         ensemble = build_ensemble(work, max_order, family) if selecting else None
-        ensembles.append(ensemble)
-        map_order = ensemble.map_order if selecting else None
-        jobs.append((work, seed_base, sampled_orders(methods, max_order, map_order)))
-    sampled = _window_forecasts(jobs, family, horizon, config, interval_level, scale_note, thin)
+        orders = sorted(sampled_orders(methods, max_order, ensemble.map_order if selecting else None))
+        plans.append((y, work, tuple(seed_base), ensemble, orders))
+    batch = run_mh_batch(
+        [(work, p, base + (p,)) for _, work, base, _, orders in plans for p in orders], family, config
+    )
+    batch.reverse()
     planned = []
-    for (y, seed_base), ensemble, by_order in zip(windows, ensembles, sampled):
+    for y, work, base, ensemble, orders in plans:
+        paths = {p: sample_paths(work, batch.pop(), horizon, family, base + (p, 1), thin) for p in orders}
+        by_order = {p: ForecastResult(v, interval_level, scale_note) for p, v in paths.items()}
         results: dict[MethodSpec, ForecastResult] = {}
         for m in methods:
             if m.order_rule == "bma":
                 result = bma_forecast(
-                    [by_order[p] for p in range(1, max_order + 1)],
-                    ensemble.weights,
-                    seed=seed_base + (0, 2),
+                    [by_order[p] for p in range(1, max_order + 1)], ensemble.weights, seed=base + (0, 2)
                 )
             elif m.order_rule == "map":
                 result = by_order[ensemble.map_order]
@@ -397,6 +349,34 @@ def forecast_family(
             results[m] = forecast_levels(result, float(y.values[-1])) if apply_diff else result
         planned.append(results)
     return planned
+
+
+def per_order_forecasts(
+    y: TimeSeries,
+    family: ErrorFamily,
+    orders: Sequence[int],
+    horizon: int,
+    config: McmcConfig,
+    interval_level: float,
+    scale_note: str,
+    seed_base: Sequence[int],
+    thin: int = 1,
+) -> dict[int, ForecastResult]:
+    """The fixed-order plan of ``forecast_family`` for each requested order of ``y``.
+
+    One window, one fixed-order method per order and no differencing, so
+    ``check_plan`` runs before any fit and the seeds are the planner's:
+    (seed_base..., order) for the chain and (seed_base..., order, 1) for the
+    path noise.  Each result has the default statistic and ``scale_note``.
+    """
+    methods = [MethodSpec(family, "fixed", int(p)) for p in orders]
+    if not methods:
+        return {}
+    (results,) = forecast_family(
+        [(y, tuple(seed_base))], methods, horizon, max(m.fixed_order for m in methods), config,
+        interval_level, thin=thin,
+    )
+    return {m.fixed_order: replace(r, scale_note=scale_note) for m, r in results.items()}
 
 
 def fit_and_forecast(

@@ -12,7 +12,10 @@ where X is the lag design and y the targets.  By LP duality the optimal
 values agree, and y' d / 2 <= S(beta) for every feasible d and every beta.
 Both fits take their objective and closed-form scale from the family's
 ``ErrorModel``: the L1 scale divides the optimal objective by the number of
-residual terms plus one, and the least-squares scale is sqrt(RSS / n).
+residual terms plus one, and the least-squares scale is sqrt(RSS / n).  A
+noiseless window attains a zero objective, so the scale is floored at
+``SCALE_FLOOR`` (1e-10) times the window's largest |target|, a floor in the
+data's units; a window whose targets are all 0 is floored at 1e-10 itself.
 ``point_fits`` picks the fit that matches a family.
 
 Solver.  The dual, written with a = (d + 1) / 2 in [0, 1] and X' a = X' 1 / 2,
@@ -45,7 +48,9 @@ may miss it; the interior-point beta is then returned if it certifies.  If
 neither does, ``RuntimeError`` names the orders, so no unchecked beta is ever
 returned.  A design of deficient rank is fitted on a maximal set of
 independent columns (the others' coefficients are zero), with a warning
-naming the order.
+naming the order.  Rank is judged by ``core.independent_columns``, on the
+design with each column scaled to max-abs 1, so it does not depend on the
+data's units.
 """
 
 from __future__ import annotations
@@ -64,13 +69,15 @@ from .core import (
     ErrorFamily,
     TimeSeries,
     check_window,
+    independent_columns,
     lag_design,
     least_squares,
 )
 
 __all__ = ["MleFit", "fit_l1", "fit_ols", "point_fits", "SCALE_FLOOR"]
 
-# Noiseless inputs give a zero objective; the scale is floored before any log.
+# Noiseless inputs give a zero objective, so a point fit's scale is floored
+# before any log at this share of the window's largest |target| (``_scale_floor``).
 SCALE_FLOOR = 1e-10
 
 # A fit is certified when its duality gap is at most this share of S_med.
@@ -99,6 +106,12 @@ class MleFit:
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
         if self.objective < 0:
             raise ValueError("objective must be nonnegative")
+
+
+def _scale_floor(targets: np.ndarray) -> float:
+    """``SCALE_FLOOR`` times the largest |target|, so the floor follows the
+    data's units; ``SCALE_FLOOR`` itself when every target is 0."""
+    return SCALE_FLOOR * (float(np.abs(targets).max()) or 1.0)
 
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -235,12 +248,7 @@ def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, 
     k = X.shape[1]
     # Order p's columns are the first p + 1 of X's, so one pass over X keeps, for
     # every order, each column that is independent of the kept ones before it.
-    kept: list[int] = list(range(k))
-    if np.linalg.matrix_rank(X) < k:
-        kept = []
-        for j in range(k):
-            if np.linalg.matrix_rank(X[:, kept + [j]]) > len(kept):
-                kept.append(j)
+    kept = independent_columns(X)
     masks = np.isin(np.arange(k), kept) & (np.arange(k) <= np.array(orders)[:, None])
     for order, mask in zip(orders, masks):
         if mask.sum() < order + 1:
@@ -253,10 +261,12 @@ def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, 
 
     duals, betas = _frisch_newton(X, targets, masks)
     median = _median(targets)
-    # plus a rounding-level floor, so constant targets (S_med = 0) certify too
+    # plus a rounding-level floor, so constant targets (S_med = 0) certify too,
+    # and 1 when every target is 0, as in _frisch_newton's spread
     s_med = float(
         LAPLACE_MODEL.objective(targets - median) + np.finfo(float).eps * LAPLACE_MODEL.objective(targets)
-    )
+    ) or 1.0
+    floor = _scale_floor(targets)
     fits, failed, worst = [], [], 0.0
     for order, mask, d, beta_ip in zip(orders, masks, duals, betas):
         beta, gap = _certified_beta(X[:, mask], targets, d, beta_ip[mask], median, s_med)
@@ -270,7 +280,7 @@ def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, 
         fits.append(
             MleFit(
                 coeff=Coefficients(full),
-                scale=max(LAPLACE_MODEL.point_scale(objective, n), SCALE_FLOOR),
+                scale=max(LAPLACE_MODEL.point_scale(objective, n), floor),
                 objective=objective,
             )
         )
@@ -285,8 +295,8 @@ def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, 
 def fit_l1(y: TimeSeries, order: int, start: int) -> MleFit:
     """Exact L1 (median regression) fit on rows t = start..T.
 
-    The scale slot carries tau = S / (n + 1) over the window's n rows; the
-    objective is S.  A batch of one for the Frisch-Newton interior point (see
+    The scale slot carries tau = S / (n + 1) over the window's n rows, at
+    least ``SCALE_FLOOR`` times the largest |target|; the objective is S.  A batch of one for the Frisch-Newton interior point (see
     the module docstring): it solves the dual (one variable in [-1, 1] per
     row, ``X' d = 0``) to a duality gap of 1e-12 of S_med, the intercept-only
     fit's objective.  Beta is the exact vertex through the k rows of smallest
@@ -302,8 +312,9 @@ def fit_l1(y: TimeSeries, order: int, start: int) -> MleFit:
 def fit_ols(y: TimeSeries, order: int, start: int) -> MleFit:
     """Gaussian MLE on rows t = start..T by ``core.least_squares``.
 
-    The scale slot carries sigma = sqrt(RSS / n) over the window's n rows; the
-    objective is the RSS.  A rank-deficient design raises ``DegenerateDataError``.
+    The scale slot carries sigma = sqrt(RSS / n) over the window's n rows, at
+    least ``SCALE_FLOOR`` times the largest |target|; the objective is the RSS.
+    A rank-deficient design raises ``DegenerateDataError``.
     """
     X, targets = lag_design(y.values, order, start)
     n = targets.size
@@ -311,7 +322,7 @@ def fit_ols(y: TimeSeries, order: int, start: int) -> MleFit:
     beta, _, rss = least_squares(X, targets)
     return MleFit(
         coeff=Coefficients(beta),
-        scale=max(GAUSSIAN_MODEL.point_scale(rss, n), SCALE_FLOOR),
+        scale=max(GAUSSIAN_MODEL.point_scale(rss, n), _scale_floor(targets)),
         objective=rss,
     )
 

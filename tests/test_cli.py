@@ -281,6 +281,22 @@ class TestBacktestCommand:
         header = (out / "backtest_metrics.csv").read_text().splitlines()[1]
         assert header == "# horizon_counts: [4, 3, 2, 1]"
 
+    def test_repeated_label_is_config_error(self, tmp_path, capsys):
+        # Q30 is the period of CSV rows 31 and 71: neither is taken silently
+        data = tmp_path / "in.csv"
+        ts = write_series_csv(data, n=80)
+        labels = [f"Q{i}" for i in range(1, 70)] + [f"Q{i}" for i in range(30, 41)]
+        data.write_text(
+            "period,value\n" + "".join(f"{p},{float(v)!r}\n" for p, v in zip(labels, ts.values))
+        )
+        out = tmp_path / "o"
+        code = main(["backtest", "--input", str(data), "--t0", "Q30", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: t0 label 'Q30' names more than one period, at rows 31 and 71\n"
+        )
+        assert not out.exists()
+
     def test_unknown_label_is_config_error(self, tmp_path):
         data = tmp_path / "in.csv"
         write_series_csv(data, labels=True)
@@ -404,6 +420,26 @@ class TestExitCodes:
         assert f"config error: --out {out}: {blocker} is not a directory" in capsys.readouterr().err
         assert calls == []
         assert blocker.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("parent_exists", [True, False], ids=["parent", "missing-parent"])
+    def test_out_name_too_long_is_config_error_before_any_work(
+        self, tmp_path, monkeypatch, capsys, parent_exists
+    ):
+        # a 300-character component: the lookup fails when its parent exists,
+        # and it exceeds the name limit when the parent is still to be made;
+        # either way no chain runs and no directory is made
+        calls = []
+        monkeypatch.setattr(forecast, "run_mh_batch", lambda *args: calls.append(args))
+        p = tmp_path / "s.csv"
+        write_series_csv(p)
+        parent = tmp_path if parent_exists else tmp_path / "missing"
+        out = parent / ("x" * 300)
+        before = sorted(tmp_path.iterdir())
+        assert main(["forecast", "--input", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out}: ") and err.count("\n") == 1
+        assert calls == []
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_nan_csv_is_data_error(self, tmp_path):
         p = tmp_path / "s.csv"

@@ -276,12 +276,13 @@ class TestLeastSquares:
         np.testing.assert_allclose(R.T @ R, X.T @ X, rtol=1e-12, atol=1e-12)
         assert rss == pytest.approx(float(np.sum((targets - X @ beta_hat) ** 2)), rel=1e-12)
 
-    @pytest.mark.parametrize("k", [-10, 3, 13])
+    @pytest.mark.parametrize("k", [-48, -10, 3, 13, 48])
     def test_follows_the_data_units(self, k):
         # y -> c y with c = 2^k: intercept and R's lag columns times c, RSS
-        # times c^2, every other bit unchanged
+        # times c^2, every other bit unchanged; at |k| = 48 the rank is judged
+        # on unit-scaled columns, not on the raw design
         c = 2.0**k
-        y = np.random.default_rng(k + 10).normal(size=40)
+        y = np.random.default_rng(abs(k + 10)).normal(size=40)
         beta_hat, R, rss = least_squares(*lag_design(y, 3, 4))
         beta_c, R_c, rss_c = least_squares(*lag_design(c * y, 3, 4))
         assert np.array_equal(beta_c, beta_hat * np.r_[c, 1.0, 1.0, 1.0])

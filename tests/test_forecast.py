@@ -337,6 +337,20 @@ class TestPipeline:
             )
         assert calls == []
 
+    @pytest.mark.parametrize("thin", [1, 3])
+    def test_per_order_plan_of_one_path_runs_no_chain(self, monkeypatch, thin):
+        # n_total - n_burn <= thin leaves 1 path per order: rejected by
+        # check_plan before any chain, as in every other plan
+        calls = []
+        monkeypatch.setattr(forecast_module, "run_mh_batch", lambda *args: calls.append(args))
+        series = simulate_series(AR2, ErrorFamily.LAPLACE, 90, burn=200, seed=49)
+        config = McmcConfig(n_total=400 + thin, n_burn=400)
+        with pytest.raises(ValueError, match="gives 1 path"):
+            per_order_forecasts(
+                series, ErrorFamily.LAPLACE, (1, 2), 2, config, 0.95, SCALE_LEVEL, (0,), thin=thin
+            )
+        assert calls == []
+
     @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
     def test_no_orders_sample_nothing(self, family):
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 90, burn=200, seed=49)

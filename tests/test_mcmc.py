@@ -358,11 +358,11 @@ class TestRunMh:
             assert np.array_equal(scaled.accepted, base.accepted)
             assert scaled.step_size == base.step_size
 
-    @pytest.mark.parametrize("k", [-10, 3, 13])
+    @pytest.mark.parametrize("k", [-50, -10, 3, 13, 48])
     def test_gaussian_draws_follow_the_data_units(self, k):
         self.check_draws_follow_the_data_units(ErrorFamily.GAUSSIAN, k)
 
-    @pytest.mark.parametrize("k", [-40, -10, 3, 13])
+    @pytest.mark.parametrize("k", [-50, -40, -10, 3, 13, 48])
     def test_laplace_draws_follow_the_data_units(self, k):
         self.check_draws_follow_the_data_units(ErrorFamily.LAPLACE, k)
 

@@ -19,7 +19,7 @@ from bayesmar import (
     simulate_series,
 )
 from bayesmar import mle_fit
-from bayesmar.core import LAPLACE_MODEL, lag_design
+from bayesmar.core import LAPLACE_MODEL, DegenerateDataError, lag_design
 from bayesmar.mle_fit import SCALE_FLOOR
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
@@ -46,12 +46,41 @@ def noiseless_series(n=60):
     return simulate_series(AR2, ErrorFamily.LAPLACE, n, burn=0, seed=0, scale=0.0)
 
 
+def noiseless_floor():
+    # the scale floor of noiseless_series at order 2: SCALE_FLOOR times the
+    # window's largest |target|
+    _, targets = lag_design(noiseless_series().values, 2, 3)
+    return SCALE_FLOOR * float(np.abs(targets).max())
+
+
+class TestScaleFloor:
+    @pytest.mark.parametrize("k", [48, -50])
+    @pytest.mark.parametrize("fit", [fit_l1, fit_ols], ids=["l1", "ols"])
+    def test_follows_the_data_units(self, fit, k):
+        # y -> 2^k y moves the floor, and so a noiseless fit's scale, by 2^k exactly
+        y = noiseless_series()
+        base = fit(y, 2, start=3)
+        scaled = fit(TimeSeries(2.0**k * y.values), 2, start=3)
+        assert scaled.scale == 2.0**k * base.scale == 2.0**k * noiseless_floor()
+
+    def test_all_zero_series_is_floored_or_degenerate(self):
+        # every column but the intercept is 0: the L1 fit warns and certifies
+        # beta = 0 at the floor 1e-10 (S_med = 0 no longer divides the gap by
+        # zero), and least squares finds the design rank-deficient
+        y = TimeSeries(np.zeros(30))
+        with pytest.warns(RuntimeWarning, match="rank-deficient design at order 2"):
+            result = fit_l1(y, 2, start=3)
+        assert result.objective == 0.0 and result.scale == SCALE_FLOOR
+        with pytest.raises(DegenerateDataError, match="rank 1"):
+            fit_ols(y, 2, start=3)
+
+
 class TestFitL1:
     def test_recovers_noiseless_recursion(self):
         fit = fit_l1(noiseless_series(), 2, start=3)
         np.testing.assert_allclose(fit.coeff.beta, AR2.beta, atol=1e-6)
         assert fit.objective <= 1e-8
-        assert fit.scale == SCALE_FLOOR
+        assert fit.scale == noiseless_floor()
 
     def test_objective_matches_grid_oracle(self):
         rng = np.random.default_rng(17)
@@ -255,7 +284,7 @@ class TestFitOls:
         fit = fit_ols(noiseless_series(), 2, start=3)
         np.testing.assert_allclose(fit.coeff.beta, AR2.beta, atol=1e-5)
         assert fit.objective <= 1e-8
-        assert fit.scale == SCALE_FLOOR
+        assert fit.scale == noiseless_floor()
 
     def test_hand_computed_two_by_two_solve(self):
         # rows: (1,1)->2, (1,2)->2, (1,2)->4; normal equations give beta=(1,1),

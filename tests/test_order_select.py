@@ -149,6 +149,32 @@ class TestBuildEnsemble:
         ens = build_ensemble(series, 6, ErrorFamily.GAUSSIAN)
         assert ens.map_order == 2
 
+    @pytest.mark.parametrize("k", [48, -50])
+    @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
+    def test_follows_the_data_units(self, family, k):
+        # y -> 2^k y leaves the MAP order, the weights (to rounding) and every
+        # lag coefficient as they are: rank and the scale floor follow the units
+        series = simulate_series(AR2, family, 220, burn=200, seed=10)
+        base = build_ensemble(series, 6, family)
+        scaled = build_ensemble(TimeSeries(2.0**k * series.values), 6, family)
+        assert scaled.map_order == base.map_order
+        np.testing.assert_allclose(scaled.weights, base.weights, rtol=0, atol=1e-12)
+        for fit, fit_c in zip(base.fits, scaled.fits):
+            assert np.array_equal(fit_c.coeff.beta[1:], fit.coeff.beta[1:])
+
+    @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
+    def test_all_zero_targets_are_fitted_at_the_absolute_floor(self, tmp_path, family):
+        # every target of the K=4 window is 0 and its lags are independent:
+        # each order fits exactly and its scale is floored at 1e-10
+        data = tmp_path / "in.csv"
+        data.write_text("value\n" + "".join(f"{v!r}\n" for v in [1.0, 2.0, 3.0, 4.0] + [0.0] * 26))
+        code = main(["select-order", "--input", str(data), "--k", "4", "--family", family.value,
+                     "--out", str(tmp_path)])
+        assert code == 0
+        with open(tmp_path / "ensemble.csv") as fh:
+            rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+        assert [float(r["scale"]) for r in rows] == [1e-10] * 4
+
     def test_csv_export(self, tmp_path):
         data = tmp_path / "in.csv"
         data.write_text("".join(f"{float(v)!r}\n" for v in laplace_series(seed=9).values))
