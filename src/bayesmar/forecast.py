@@ -9,14 +9,16 @@ when asked for, and a BMA mixture resamples the orders' pooled paths.
 
 ``forecast_family`` is the one planner from series to their level-scale
 forecasts and the one place where forecasts are sampled.  It checks the plan
-before any fit, differences each series when asked, builds each window's
-order ensemble once, and samples every window's fits in one ``run_mh_batch``
-call: order p's chain from seed (seed_base..., p).  Each fit's paths then
-come from seed (seed_base..., p, 1), and its draws are dropped as soon as its
-paths exist.  BMA mixtures draw from seed (seed_base..., 0, 2).  ``fit_and_forecast`` (one
-method, used by the CLI) passes one window, the backtest passes a unit's
-windows, and ``per_order_forecasts`` is a fixed-order plan over one window.
-Writing results to files is the CLI's job.
+before any fit, differences each series when asked, and builds each window's
+order ensemble once.  A BMA mixture's rows per order are then planned from
+the ensemble's weights alone, with seed (seed_base..., 0, 2), so an order
+that contributes no rows is never sampled.  One ``run_mh_batch`` call samples
+every window's remaining fits: order p's chain from seed (seed_base..., p).
+Each fit's paths then come from seed (seed_base..., p, 1), and its draws are
+dropped as soon as its paths exist.  ``fit_and_forecast`` (one method, used
+by the CLI) passes one window, the backtest passes a unit's windows, and
+``per_order_forecasts`` is a fixed-order plan over one window.  Writing
+results to files is the CLI's job.
 """
 
 from __future__ import annotations
@@ -206,7 +208,22 @@ def bma_forecast(
     if len({(r.scale_note, r.interval_level, r.statistic) for r in per_order_results}) > 1:
         raise ValueError("forecasts must share scale, interval level and statistic")
     first = per_order_results[0]
-    n_paths = first.n_paths
+    plan = _mixture_plan(weights, first.n_paths, seed)
+    blocks = [r.paths[rows] for rows, r in zip(plan, per_order_results) if rows is not None]
+    return replace(first, paths=np.vstack(blocks))
+
+
+def _mixture_plan(
+    weights: np.ndarray, n_paths: int, seed: int | Sequence[int]
+) -> list[np.ndarray | None]:
+    """The rows each order contributes to an ``n_paths`` mixture, or None for none.
+
+    Order i contributes floor(weight_i * n_paths) rows; the leftover slots
+    are one multinomial draw over the fractional remainders, and the rows of
+    each contributing order are then drawn uniformly, in order, from the same
+    generator.  The plan needs only the weights, so it is known before any
+    order is sampled.
+    """
     raw = weights / weights.sum() * n_paths
     counts = np.floor(raw).astype(int)
     leftover = n_paths - int(counts.sum())
@@ -215,13 +232,7 @@ def bma_forecast(
         # the remainders sum to leftover >= 1, up to rounding
         frac = raw - counts
         counts += rng.multinomial(leftover, frac / frac.sum())
-
-    blocks = []
-    for count, r in zip(counts, per_order_results):
-        if count > 0:
-            rows = rng.integers(0, r.n_paths, size=count)
-            blocks.append(r.paths[rows])
-    return replace(first, paths=np.vstack(blocks))
+    return [rng.integers(0, n_paths, size=count) if count > 0 else None for count in counts]
 
 
 def forecast_levels(diff_result: ForecastResult, last_level: float) -> ForecastResult:
@@ -274,10 +285,12 @@ class MethodSpec:
 
 
 def sampled_orders(methods: Sequence[MethodSpec], max_order: int, map_order: int | None) -> set[int]:
-    """The orders ``forecast_family`` samples for ``methods`` at a window whose
-    minimum-BIC order is ``map_order``: 1..max_order if a method mixes, else
-    the MAP order if one selects, plus each fixed order.  A placeholder such
-    as 0 for an unknown MAP order gives a set at least as large as any window's.
+    """The orders ``forecast_family`` may sample for ``methods`` at a window
+    whose minimum-BIC order is ``map_order``: 1..max_order if a method mixes,
+    else the MAP order if one selects, plus each fixed order.  With a mixing
+    method this is an upper bound; orders with no mixture rows are not
+    sampled.  A placeholder such as 0 for an unknown MAP order gives a set at
+    least as large as any window's.
     """
     orders = {m.fixed_order for m in methods if m.order_rule == "fixed"}
     if any(m.order_rule == "bma" for m in methods):
@@ -304,14 +317,18 @@ def forecast_family(
     ``check_plan`` runs before any fit.  With ``apply_diff`` the methods model
     the lag-1 changes of a series and each forecast is rebuilt on the level
     scale from its last observed value.  A window's order ensemble is built
-    once if any method selects orders.  One ``run_mh_batch`` call samples the
-    ``sampled_orders`` of every window; then, window by window, each fit's
-    draws become paths and are dropped.  Seeds are those of the module
-    docstring.  BMA mixes orders 1..max_order by their weights, MAP takes the
-    minimum-BIC order, and a fixed rule its own order.  Each method's result
-    carries ``statistic``, so its point is read from its final paths.  A
-    window's results depend neither on the other windows nor on which other
-    orders are sampled.
+    once if any method selects orders, and a BMA mixture is planned from its
+    weights, as ``bma_forecast`` plans it, before any fit.  Each window
+    samples the orders with mixture rows, the MAP order if a method takes it,
+    and each fixed order: an order with no mixture rows gets no chain and no
+    paths, so an overflow or a degenerate fit at that order alone does not
+    fail the forecast.  One ``run_mh_batch`` call samples every window's
+    orders; then, window by window, each fit's draws become paths and are
+    dropped.  Seeds are those of the module docstring.  BMA gathers the
+    planned rows of orders 1..max_order, MAP takes the minimum-BIC order, and
+    a fixed rule its own order.  Each method's result carries ``statistic``,
+    so its point is read from its final paths.  A window's results depend
+    neither on the other windows nor on which other orders are sampled.
     """
     check_plan(horizon, config, thin, interval_level, statistic)
     if not methods:
@@ -321,31 +338,34 @@ def forecast_family(
         raise ValueError("forecast_family needs methods of one error family")
     scale_note = SCALE_DIFFERENCED if apply_diff else SCALE_LEVEL
     selecting = any(m.order_rule != "fixed" for m in methods)
+    mixing = any(m.order_rule == "bma" for m in methods)
+    unmixed = [m for m in methods if m.order_rule != "bma"]
+    n_paths = -(-(config.n_total - config.n_burn) // thin)
     plans = []
     for y, seed_base in windows:
         work = diff1(y) if apply_diff else y
+        base = tuple(seed_base)
         ensemble = build_ensemble(work, max_order, family) if selecting else None
-        orders = sorted(sampled_orders(methods, max_order, ensemble.map_order if selecting else None))
-        plans.append((y, work, tuple(seed_base), ensemble, orders))
+        mixture = _mixture_plan(ensemble.weights, n_paths, base + (0, 2)) if mixing else []
+        orders = sampled_orders(unmixed, max_order, ensemble.map_order if selecting else None)
+        orders.update(p for p, rows in enumerate(mixture, 1) if rows is not None)
+        plans.append((y, work, base, ensemble, mixture, sorted(orders)))
     batch = run_mh_batch(
-        [(work, p, base + (p,)) for _, work, base, _, orders in plans for p in orders], family, config
+        [(work, p, base + (p,)) for _, work, base, _, _, orders in plans for p in orders], family, config
     )
     batch.reverse()
     planned = []
-    for y, work, base, ensemble, orders in plans:
+    for y, work, base, ensemble, mixture, orders in plans:
         paths = {p: sample_paths(work, batch.pop(), horizon, family, base + (p, 1), thin) for p in orders}
-        by_order = {p: ForecastResult(v, interval_level, scale_note) for p, v in paths.items()}
         results: dict[MethodSpec, ForecastResult] = {}
         for m in methods:
             if m.order_rule == "bma":
-                result = bma_forecast(
-                    [by_order[p] for p in range(1, max_order + 1)], ensemble.weights, seed=base + (0, 2)
-                )
+                chosen = np.vstack([paths[p][rows] for p, rows in enumerate(mixture, 1) if rows is not None])
             elif m.order_rule == "map":
-                result = by_order[ensemble.map_order]
+                chosen = paths[ensemble.map_order]
             else:
-                result = by_order[m.fixed_order]
-            result = replace(result, statistic=statistic)
+                chosen = paths[m.fixed_order]
+            result = ForecastResult(chosen, interval_level, scale_note, statistic)
             results[m] = forecast_levels(result, float(y.values[-1])) if apply_diff else result
         planned.append(results)
     return planned

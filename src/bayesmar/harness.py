@@ -14,15 +14,18 @@ also groups the MSE study's replications), at least one unit per job; a unit
 hands all its histories to ``forecast_family`` at once (one call per error
 family), which samples their fits in one batch.  All randomness derives from
 one master seed via per-fit seed tuples, so runs are reproducible and
-independent of evaluation order and of the units.  The reports hold arrays
-only; the CLI turns them into tables.
+independent of evaluation order and of the units.  A numeric or configuration
+failure inside a unit is re-raised with its type, its message prefixed by the
+unit's origins or replications, error family and seed base.  The reports
+hold arrays only; the CLI turns them into tables.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -159,7 +162,8 @@ def _mse_replications(args: tuple[SimStudyConfig, range]):
     p = config.true_beta.order
     series = [_replication_series(config, i) for i in reps]
     fits = [(y, p, (config.seed, i, 1)) for y, i in zip(series, reps)]
-    draws = run_mh_batch(fits, ErrorFamily.LAPLACE, config.mcmc)
+    with _naming(f"MSE study replications {_span(reps)}, laplace chains seeded ({config.seed}, i, 1)"):
+        draws = run_mh_batch(fits, ErrorFamily.LAPLACE, config.mcmc)
     return [
         (
             posterior_mean(d).beta,
@@ -207,7 +211,8 @@ class OrderStudyReport:
 def _order_replication(args: tuple[SimStudyConfig, int]) -> int:
     config, i = args
     series = _replication_series(config, i)
-    return build_ensemble(series, config.max_order, ErrorFamily.LAPLACE).map_order
+    with _naming(f"order study replication {i}, laplace series seeded ({config.seed}, {i})"):
+        return build_ensemble(series, config.max_order, ErrorFamily.LAPLACE).map_order
 
 
 def run_order_study(config: SimStudyConfig, n_jobs: int = 1) -> OrderStudyReport:
@@ -345,19 +350,24 @@ def _forecast_unit(args: tuple[BacktestSpec, range]) -> tuple[np.ndarray, np.nda
     for family in dict.fromkeys(m.family for m in spec.methods):
         windows = [(TimeSeries(values[:t]), (spec.seed, t, _FAMILY_CODE[family])) for t in origins]
         methods = [m for m in spec.methods if m.family is family]
+        unit = (
+            f"backtest origins {_span(origins)}, {family.value} fits seeded "
+            f"({spec.seed}, t, {_FAMILY_CODE[family]})"
+        )
         # only the loop holds the results, so they go before the next family's batch
-        for i, by_method in enumerate(
-            forecast_family(
-                windows, methods, spec.horizons, spec.max_order, spec.mcmc,
-                apply_diff=spec.apply_diff, thin=spec.thin,
-            )
-        ):
-            t = origins[i]
-            for m, result in by_method.items():
-                mi = spec.methods.index(m)
-                points[mi, i] = result.point
-                for h, truth in enumerate(values[t : t + spec.horizons].tolist()):
-                    crps[mi, i, h] = crps_sample(result.paths[:, h], truth)
+        with _naming(unit):
+            for i, by_method in enumerate(
+                forecast_family(
+                    windows, methods, spec.horizons, spec.max_order, spec.mcmc,
+                    apply_diff=spec.apply_diff, thin=spec.thin,
+                )
+            ):
+                t = origins[i]
+                for m, result in by_method.items():
+                    mi = spec.methods.index(m)
+                    points[mi, i] = result.point
+                    for h, truth in enumerate(values[t : t + spec.horizons].tolist()):
+                        crps[mi, i, h] = crps_sample(result.paths[:, h], truth)
     return points, crps
 
 
@@ -389,6 +399,21 @@ def run_backtest(spec: BacktestSpec, n_jobs: int = 1) -> BacktestReport:
         crps=np.concatenate(crps, axis=1),
         baseline=spec.baseline_name(),
     )
+
+
+def _span(items: Sequence[int]) -> str:
+    """``items`` (contiguous) as "a..b", or "a" for one."""
+    return f"{items[0]}..{items[-1]}" if len(items) > 1 else f"{items[0]}"
+
+
+@contextmanager
+def _naming(unit: str) -> Iterator[None]:
+    """Re-raise a numeric or configuration failure inside a unit with ``unit``
+    before its message; the type is kept, so the CLI's exit code is too."""
+    try:
+        yield
+    except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
+        raise type(exc)(f"{unit}: {exc}") from exc
 
 
 def _run_units(worker: Callable, tasks: list, n_jobs: int) -> list:

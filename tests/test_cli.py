@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -509,6 +510,27 @@ class TestExitCodes:
         assert not out.exists()
         err = capsys.readouterr().err
         assert re.fullmatch(r"numeric error: explosive posterior draws overflow the level paths at horizon \d+\n", err)
+
+    @pytest.mark.parametrize("threads, unit", [(1, "37..40"), (2, "37..38")])
+    def test_failed_backtest_unit_is_named(self, tmp_path, capsys, threads, unit):
+        # noiseless y_t = 1.15 y_{t-1}: every change window admits an exact
+        # order-1 fit, so the first unit's Laplace batch fails; the message
+        # names the unit's origins, the family and the seed base
+        p = tmp_path / "s.csv"
+        p.write_text("".join(f"{1.15**t!r}\n" for t in range(41)))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(
+                ["backtest", "--input", str(p), "--t0", "38", "--k", "2", "--h", "2", "--n-total", "600",
+                 "--n-burn", "300", "--threads", str(threads), "--out", str(out)]
+            )
+        assert code == 4
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"numeric error: backtest origins {unit}, laplace fits seeded (0, t, 0): "
+            "data admit an exact order-1 fit; the scale posterior is improper"
+        )
 
     def test_invalid_config_is_config_error(self, tmp_path):
         p = tmp_path / "s.csv"

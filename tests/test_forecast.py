@@ -1,5 +1,6 @@
 import csv
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bayesmar import (
     bma_forecast,
     build_ensemble,
     credible_interval,
+    diff1,
     fit_and_forecast,
     forecast_levels,
     point_forecast,
@@ -401,6 +403,89 @@ class TestPipeline:
         assert len(rows) == res.n_paths + 1
         assert [int(r[0]) for r in rows[1:]] == list(range(res.n_paths))
         np.testing.assert_array_equal([[float(v) for v in r[1:]] for r in rows[1:]], res.paths)
+
+
+def mixture_counts(weights, n_paths, seed):
+    """Each order's BMA row count: floor counts, then one multinomial over the remainders."""
+    raw = weights / weights.sum() * n_paths
+    counts = np.floor(raw).astype(int)
+    leftover = n_paths - int(counts.sum())
+    if leftover > 0:
+        frac = raw - counts
+        counts += np.random.default_rng(seed).multinomial(leftover, frac / frac.sum())
+    return counts
+
+
+class TestMixturePlan:
+    @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
+    @pytest.mark.parametrize("thin", [1, 3])
+    @pytest.mark.parametrize("apply_diff", [False, True], ids=["levels", "diff"])
+    @pytest.mark.parametrize("statistic", ["mean", "median"])
+    def test_planned_orders_equal_all_orders_oracle(self, monkeypatch, family, thin, apply_diff, statistic):
+        # the oracle samples orders 1..6 and mixes them with bma_forecast;
+        # forecast_family samples only the orders with mixture rows, the MAP
+        # order and a fixed order that has no rows, and gives the same bytes
+        K, horizon, base = 6, 3, (56,)
+        series = simulate_series(AR2, family, 90, burn=200, seed=61)
+        config = McmcConfig(n_total=600, n_burn=300)
+        work = diff1(series) if apply_diff else series
+        scale = SCALE_DIFFERENCED if apply_diff else SCALE_LEVEL
+        ens = build_ensemble(work, K, family)
+        counts = mixture_counts(ens.weights, -(-300 // thin), base + (0, 2))
+        unmixed = [p for p, count in enumerate(counts, 1) if count == 0]
+        assert unmixed
+        methods = [
+            MethodSpec(family, "bma"), MethodSpec(family, "map"), MethodSpec(family, "fixed", unmixed[0])
+        ]
+        by_order = per_order_forecasts(work, family, range(1, K + 1), horizon, config, 0.95, scale, base, thin)
+        oracle = {
+            methods[0]: bma_forecast([by_order[p] for p in range(1, K + 1)], ens.weights, base + (0, 2)),
+            methods[1]: by_order[ens.map_order],
+            methods[2]: by_order[unmixed[0]],
+        }
+
+        sampled, pathed = [], []
+        run, paths = forecast_module.run_mh_batch, forecast_module.sample_paths
+        monkeypatch.setattr(
+            forecast_module, "run_mh_batch",
+            lambda fits, *a: sampled.extend(p for _, p, _ in fits) or run(fits, *a),
+        )
+        monkeypatch.setattr(
+            forecast_module, "sample_paths",
+            lambda y, draws, *a: pathed.append(draws.order) or paths(y, draws, *a),
+        )
+        (got,) = forecast_family(
+            [(series, base)], methods, horizon, K, config,
+            apply_diff=apply_diff, statistic=statistic, thin=thin,
+        )
+        mixed = {p for p, count in enumerate(counts, 1) if count > 0}
+        assert sampled == pathed == sorted(mixed | {ens.map_order, unmixed[0]})
+
+        for m, want in oracle.items():
+            want = replace(want, statistic=statistic)
+            if apply_diff:
+                want = forecast_levels(want, float(series.values[-1]))
+            assert got[m].paths.tobytes() == want.paths.tobytes()
+            assert got[m].point.tobytes() == want.point.tobytes()
+            assert (got[m].scale_note, got[m].statistic, got[m].interval_level) == (
+                want.scale_note, want.statistic, want.interval_level
+            )
+
+    @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
+    def test_mixture_alone_samples_only_orders_with_rows(self, monkeypatch, family):
+        series = simulate_series(AR2, family, 90, burn=200, seed=57)
+        config = McmcConfig(n_total=500, n_burn=300)
+        ens = build_ensemble(series, 8, family)
+        counts = mixture_counts(ens.weights, 200, (58, 0, 2))
+        assert 0 in counts
+        sampled = []
+        run = forecast_module.run_mh_batch
+        monkeypatch.setattr(
+            forecast_module, "run_mh_batch",
+            lambda fits, *a: sampled.extend(p for _, p, _ in fits) or run(fits, *a),
+        )
+        forecast_family([(series, (58,))], [MethodSpec(family, "bma")], 2, 8, config)
+        assert sampled == [p for p, count in enumerate(counts, 1) if count > 0]
 
 
 class TestForecastResultValidation:

@@ -16,6 +16,7 @@ from bayesmar import (
     SimStudyConfig,
     TimeSeries,
     build_ensemble,
+    diff1,
     fit_and_forecast,
     fit_l1,
     fit_ols,
@@ -32,6 +33,20 @@ from bayesmar import forecast, harness
 from bayesmar.cli import main
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
+
+
+def mixture_orders(series, t, family, spec, mixture_seed):
+    """The orders with a nonzero BMA count at origin t, plus the MAP order:
+    floor counts, then one multinomial over the remainders."""
+    ensemble = build_ensemble(diff1(TimeSeries(series.values[:t])), spec.max_order, family)
+    n_paths = -(-(spec.mcmc.n_total - spec.mcmc.n_burn) // spec.thin)
+    raw = ensemble.weights / ensemble.weights.sum() * n_paths
+    counts = np.floor(raw).astype(int)
+    leftover = n_paths - int(counts.sum())
+    if leftover > 0:
+        frac = raw - counts
+        counts += np.random.default_rng(mixture_seed).multinomial(leftover, frac / frac.sum())
+    return sorted({p for p, count in enumerate(counts, 1) if count > 0} | {ensemble.map_order})
 
 
 def small_backtest_spec(series, methods, **kwargs):
@@ -183,6 +198,18 @@ class TestMseStudy:
             np.testing.assert_array_equal(report.mse[m], sq.mean(axis=0))
             np.testing.assert_array_equal(report.se[m], sq.std(axis=0, ddof=1) / np.sqrt(5))
 
+    def test_failed_unit_is_named_keeping_the_type(self, monkeypatch):
+        def degenerate(fits, family, config):
+            raise DegenerateDataError("no scale")
+
+        monkeypatch.setattr(harness, "run_mh_batch", degenerate)
+        config = SimStudyConfig(replications=3, series_length=40, seed=6)
+        with pytest.raises(
+            DegenerateDataError,
+            match=r"^MSE study replications 0\.\.2, laplace chains seeded \(6, i, 1\): no scale$",
+        ):
+            run_mse_study(config)
+
 
 class TestOrderStudy:
     def test_counts_and_accuracy_follow_the_map_orders(self):
@@ -211,6 +238,17 @@ class TestOrderStudy:
             for i in range(5)
         ]
         assert parallel.map_orders.tolist() == want
+
+    def test_failed_replication_is_named_keeping_the_type(self, monkeypatch):
+        def failing(y, max_order, family):
+            raise RuntimeError("no fit")
+
+        monkeypatch.setattr(harness, "build_ensemble", failing)
+        config = SimStudyConfig(replications=3, series_length=40, max_order=4, seed=6)
+        with pytest.raises(
+            RuntimeError, match=r"^order study replication 0, laplace series seeded \(6, 0\): no fit$"
+        ):
+            run_order_study(config)
 
     def test_csv(self, tmp_path):
         config = SimStudyConfig(replications=3, series_length=48, max_order=4, seed=5)
@@ -353,9 +391,11 @@ class TestBacktest:
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 7])
     def test_units_are_contiguous_batches_of_at_most_32_fits(self, monkeypatch, n_jobs):
-        # K=8 BMA and MAP need 8 fits per family at each of 7 origins: a unit
-        # holds at most 4 origins, and each job gets one; a serial stand-in
-        # for the pool lets the stub see every batch
+        # K=8 BMA and MAP may need 8 fits per family at each of 7 origins: a
+        # unit holds at most 4 origins, and each job gets one; a serial
+        # stand-in for the pool lets the stub see every batch.  Each origin
+        # samples only the orders its BMA mixture draws rows from, plus the
+        # MAP order
         batches = []
         run = forecast.run_mh_batch
 
@@ -383,10 +423,16 @@ class TestBacktest:
         spec = small_backtest_spec(series, methods, t0=54, max_order=8)
         report = run_backtest(spec, n_jobs=n_jobs)
         units = []
+        skipped = 0
         for family in ErrorFamily:
+            code = harness._FAMILY_CODE[family]
             seeds = [s for f, batch in batches if f is family for s in batch]
-            assert seeds == [(spec.seed, t, harness._FAMILY_CODE[family], p)
-                             for t in report.origins for p in range(1, 9)]
+            want = []
+            for t in report.origins:
+                orders = mixture_orders(series, t, family, spec, (spec.seed, t, code, 0, 2))
+                skipped += 8 - len(orders)
+                want += [(spec.seed, t, code, p) for p in orders]
+            assert seeds == want
             family_units = [sorted({t for _, t, _, _ in batch}) for f, batch in batches if f is family]
             assert all(len(batch) <= 32 for f, batch in batches if f is family)
             assert all(u == list(range(u[0], u[-1] + 1)) for u in family_units)
@@ -394,6 +440,7 @@ class TestBacktest:
         assert units[0] == units[1]
         assert [t for u in units[0] for t in u] == list(report.origins)
         assert len(units[0]) >= min(n_jobs, len(report.origins))
+        assert skipped > 0
         np.testing.assert_array_equal(report.forecasts, run_backtest(spec).forecasts)
 
     def test_deterministic_under_master_seed(self):

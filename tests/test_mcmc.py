@@ -419,6 +419,21 @@ class TestRunMh:
             assert np.array_equal(draws.accepted, lone.accepted)
             assert draws.step_size == lone.step_size
 
+    def test_gapped_order_batch_equals_lone_runs(self):
+        # the batch shapes of a planned BMA mixture: each window samples only
+        # some orders, with gaps, and the widest order is not the last fit
+        y = laplace_series(100, seed=37)
+        config = McmcConfig(n_total=1000, n_burn=500)
+        plan = {90: (1, 2, 5, 8), 95: (3,), 100: (1, 7)}
+        fits = [(TimeSeries(y.values[:t]), p, (37, t, p)) for t, orders in plan.items() for p in orders]
+        batch = run_mh_batch(fits, ErrorFamily.LAPLACE, config)
+        for (window, p, fit_seed), draws in zip(fits, batch):
+            lone = run_mh(window, p, ErrorFamily.LAPLACE, replace(config, seed=fit_seed))
+            assert draws.beta_draws.tobytes() == lone.beta_draws.tobytes()
+            assert draws.tau_draws.tobytes() == lone.tau_draws.tobytes()
+            assert np.array_equal(draws.accepted, lone.accepted)
+            assert draws.step_size == lone.step_size
+
     def test_one_step_segments_match_sequential_chain_oracle(self):
         # n_burn = 201 cuts a segment [200, 201) and n_total = 801 leaves
         # [800, 801): a one-step segment's steps equal the up-front draws'
