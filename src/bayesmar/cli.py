@@ -1,12 +1,15 @@
 """Command-line front end: CSV ingestion and subcommands over the library.
 
 Subcommands are thin adapters: they parse flags, validate configuration,
-delegate to the library, and write self-describing JSON/CSV artifacts (every
-output embeds the statistical configuration and the seed, so a table can be
-reproduced from its own header).  This is the only module that writes files,
-every CSV through ``_write_csv`` and every JSON through ``_write_json``.  Exit
-codes: 0 success, 2 configuration error, 3 data error, 4 numeric or
-degeneracy error.
+delegate to the library, and return self-describing artifacts (every output
+embeds the statistical configuration and the seed, so a table can be
+reproduced from its own header).  A subcommand never touches the file system:
+it returns a list of file names, each with a JSON payload or a CSV table.
+``main`` alone, once the subcommand has returned, creates ``--out``, writes
+each artifact (every CSV through ``_write_csv``, every JSON through
+``_write_json``) and prints its path, so a failure anywhere leaves nothing
+behind.  This is the only module that writes files.  Exit codes: 0 success,
+2 configuration error, 3 data error, 4 numeric or degeneracy error.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ EXIT_NUMERIC = 4
 
 # The --family and --error choices, in ErrorFamily's order
 FAMILIES = [family.value for family in ErrorFamily]
+
+# A subcommand's output: a file name, then a JSON payload or a CSV table
+# (columns, rows, header_lines)
+Artifact = tuple[str, "dict | tuple"]
 
 
 class CsvParseError(ValueError):
@@ -157,12 +164,6 @@ def _check_out(text: str) -> None:
                              f"the filesystem's limit of {name_max}")
 
 
-def _out_dir(ns: argparse.Namespace) -> Path:
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _worker_count(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -212,14 +213,19 @@ def _resolve_t0(token: str, series: TimeSeries) -> int:
     raise ValueError(f"t0 label {token!r} not found in the input periods")
 
 
-def _cmd_fit(ns: argparse.Namespace) -> int:
+def _read_input(ns: argparse.Namespace) -> TimeSeries:
     series = read_series_csv(ns.input)
-    if ns.diff:
-        series = diff1(series)
-    config = McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn, seed=ns.seed)
-    draws = run_mh(series, ns.order, ErrorFamily(ns.family), config)
+    return diff1(series) if ns.diff else series
+
+
+def _mcmc(ns: argparse.Namespace, seed: int = 0) -> McmcConfig:
+    return McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn, seed=seed)
+
+
+def _cmd_fit(ns: argparse.Namespace) -> list[Artifact]:
+    draws = run_mh(_read_input(ns), ns.order, ErrorFamily(ns.family), _mcmc(ns, ns.seed))
     mean = posterior_mean(draws)
-    payload = {
+    artifacts: list[Artifact] = [("fit.json", {
         "config": _echo(ns, ("input", "order", "family", "diff", "n_total", "n_burn")),
         "seed": ns.seed,
         "order": draws.order,
@@ -228,44 +234,26 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
         "acceptance_rate": draws.acceptance_rate,
         "step_size": draws.step_size,
         "n_kept": draws.n_kept,
-    }
-    out = _out_dir(ns)
-    path = out / "fit.json"
-    _write_json(path, payload)
-    print(path)
+    })]
     if ns.trace:
-        trace = out / "trace.csv"
         # every exact (Gaussian) draw is a new state, so it reads as accepted
         accepted = np.ones(draws.n_kept, dtype=bool) if draws.accepted is None else draws.accepted
         kept = zip(draws.beta_draws, draws.tau_draws, accepted)
-        _write_csv(
-            trace,
+        artifacts.append(("trace.csv", (
             ["iter"] + [f"beta_{j}" for j in range(draws.order + 1)] + ["scale", "accepted"],
             ([k, *b, sc, int(a)] for k, (b, sc, a) in enumerate(kept, start=draws.n_burn + 1)),
-        )
-        print(trace)
-    return EXIT_OK
+            (),
+        )))
+    return artifacts
 
 
-def _cmd_forecast(ns: argparse.Namespace) -> int:
-    series = read_series_csv(ns.input)
-    config = McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn, seed=ns.seed)
+def _cmd_forecast(ns: argparse.Namespace) -> list[Artifact]:
     result = fit_and_forecast(
-        series,
-        ErrorFamily(ns.family),
-        ns.horizon,
-        ns.order_rule,
-        ns.max_order,
-        config,
-        interval_level=ns.level,
-        fixed_order=ns.order,
-        apply_diff=not ns.no_diff,
-        statistic=ns.point_statistic,
-        thin=ns.thin,
+        read_series_csv(ns.input), ErrorFamily(ns.family), ns.horizon, ns.order_rule,
+        ns.max_order, _mcmc(ns, ns.seed), interval_level=ns.level, fixed_order=ns.order,
+        apply_diff=not ns.no_diff, statistic=ns.point_statistic, thin=ns.thin,
     )
-    intervals = result.intervals  # before _out_dir: a failure leaves no --out directory
-    out = _out_dir(ns)
-    payload = {
+    artifacts: list[Artifact] = [("forecast.json", {
         "config": _echo(
             ns,
             ("input", "family", "order_rule", "order", "max_order", "horizon",
@@ -274,37 +262,27 @@ def _cmd_forecast(ns: argparse.Namespace) -> int:
         "seed": ns.seed,
         "horizons": [
             {"horizon": h, "point": float(point), "lower": float(lo), "upper": float(hi)}
-            for h, (point, (lo, hi)) in enumerate(zip(result.point, intervals), start=1)
+            for h, (point, (lo, hi)) in enumerate(zip(result.point, result.intervals), start=1)
         ],
-    }
-    path = out / "forecast.json"
-    _write_json(path, payload)
-    print(path)
+    })]
     if ns.paths_csv:
-        ppath = out / "forecast_paths.csv"
-        _write_csv(
-            ppath,
+        artifacts.append(("forecast_paths.csv", (
             ["path_id"] + [f"h{h + 1}" for h in range(result.horizons)],
             ([i, *row] for i, row in enumerate(result.paths)),
-        )
-        print(ppath)
-    return EXIT_OK
+            (),
+        )))
+    return artifacts
 
 
-def _cmd_select_order(ns: argparse.Namespace) -> int:
-    series = read_series_csv(ns.input)
-    if ns.diff:
-        series = diff1(series)
-    ensemble = build_ensemble(series, ns.max_order, ErrorFamily(ns.family))
+def _cmd_select_order(ns: argparse.Namespace) -> list[Artifact]:
+    ensemble = build_ensemble(_read_input(ns), ns.max_order, ErrorFamily(ns.family))
     header = (
         f"config: {json.dumps(_echo(ns, ('input', 'family', 'max_order', 'diff')), sort_keys=True)}",
         f"map_order: {ensemble.map_order}",
     )
     k_max = ensemble.max_order
     weights = ensemble.weights
-    path = _out_dir(ns) / "ensemble.csv"
-    _write_csv(
-        path,
+    return [("ensemble.csv", (
         ["order", "bic", "weight"] + [f"beta_{j}" for j in range(k_max + 1)] + ["scale"],
         # betas beyond an order's own p + 1 are padded with blanks
         (
@@ -314,111 +292,85 @@ def _cmd_select_order(ns: argparse.Namespace) -> int:
             for p, fit in enumerate(ensemble.fits, start=1)
         ),
         header,
-    )
-    print(path)
-    return EXIT_OK
+    ))]
 
 
-def _cmd_backtest(ns: argparse.Namespace) -> int:
+def _cmd_backtest(ns: argparse.Namespace) -> list[Artifact]:
     series = read_series_csv(ns.input)
-    t0 = _resolve_t0(ns.t0, series)
-    methods = _parse_methods(ns.methods)
     spec = BacktestSpec(
-        series=series,
-        t0=t0,
-        horizons=ns.horizon,
-        methods=methods,
-        mcmc=McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn),
-        max_order=ns.max_order,
-        seed=ns.seed,
-        apply_diff=not ns.no_diff,
-        baseline=ns.baseline,
-        thin=ns.thin,
+        series=series, t0=_resolve_t0(ns.t0, series), horizons=ns.horizon,
+        methods=_parse_methods(ns.methods), mcmc=_mcmc(ns), max_order=ns.max_order,
+        seed=ns.seed, apply_diff=not ns.no_diff, baseline=ns.baseline, thin=ns.thin,
     )
     report = run_backtest(spec, n_jobs=ns.threads)
     config = f"config: {json.dumps(spec.config_dict(), sort_keys=True)}"
     table = report.metrics
-    out = _out_dir(ns)
-    metrics_path = out / "backtest_metrics.csv"
-    _write_csv(
-        metrics_path,
-        ["metric", "method"]
-        + [f"h{h}" for h in table.horizons]
-        + [f"relchg_h{h}" for h in table.horizons],
-        (
-            [metric, method, *values, *rel]
-            for metric in sorted(table.values)
-            for method, values, rel in zip(
-                table.methods, table.values[metric], table.relative(metric)
-            )
-        ),
-        (config, f"horizon_counts: {report.counts.tolist()}"),
-    )
-    # one row per realized (origin, method, horizon) target
-    origins_path = out / "backtest_origins.csv"
     errors = report.errors
-    _write_csv(
-        origins_path,
-        ["origin", "method", "horizon", "forecast", "truth", "error", "crps"],
-        (
-            [t, m, h, report.forecasts[mi, i, h - 1], report.truths[i, h - 1],
-             errors[mi, i, h - 1], report.crps[mi, i, h - 1]]
-            for i, t in enumerate(report.origins)
-            for mi, m in enumerate(report.methods)
-            for h in table.horizons
-            if not np.isnan(report.truths[i, h - 1])
-        ),
-        (config,),
-    )
-    print(metrics_path)
-    print(origins_path)
-    return EXIT_OK
+    return [
+        ("backtest_metrics.csv", (
+            ["metric", "method"]
+            + [f"h{h}" for h in table.horizons]
+            + [f"relchg_h{h}" for h in table.horizons],
+            (
+                [metric, method, *values, *rel]
+                for metric in sorted(table.values)
+                for method, values, rel in zip(
+                    table.methods, table.values[metric], table.relative(metric)
+                )
+            ),
+            (config, f"horizon_counts: {report.counts.tolist()}"),
+        )),
+        # one row per realized (origin, method, horizon) target
+        ("backtest_origins.csv", (
+            ["origin", "method", "horizon", "forecast", "truth", "error", "crps"],
+            (
+                [t, m, h, report.forecasts[mi, i, h - 1], report.truths[i, h - 1],
+                 errors[mi, i, h - 1], report.crps[mi, i, h - 1]]
+                for i, t in enumerate(report.origins)
+                for mi, m in enumerate(report.methods)
+                for h in table.horizons
+                if not np.isnan(report.truths[i, h - 1])
+            ),
+            (config,),
+        )),
+    ]
 
 
-def _cmd_simulate(ns: argparse.Namespace) -> int:
+def _cmd_simulate(ns: argparse.Namespace) -> list[Artifact]:
     families = list(ErrorFamily) if ns.error == "both" else [ErrorFamily(ns.error)]
     echo = json.dumps(
         _echo(ns, ("preset", "error", "replications", "length", "max_order",
                    "n_total", "n_burn", "seed")),
         sort_keys=True,
     )
+    artifacts: list[Artifact] = []
+    # rows are built eagerly: a lazy generator here would read the last family's report
     for family in families:
         config = SimStudyConfig(
-            error=family,
-            series_length=ns.length,
-            replications=ns.replications,
-            max_order=ns.max_order,
-            seed=ns.seed,
-            mcmc=McmcConfig(n_total=ns.n_total, n_burn=ns.n_burn),
+            error=family, series_length=ns.length, replications=ns.replications,
+            max_order=ns.max_order, seed=ns.seed, mcmc=_mcmc(ns),
         )
         header = (f"config: {echo}", f"noise: {family.value}")
         if ns.preset == "table1":
             report = run_mse_study(config, n_jobs=ns.threads)
             summaries = (report.mse, report.se)
-            path = _out_dir(ns) / f"table1_{family.value}.csv"
             n_coef = report.true_beta.size
             # method-by-coefficient MSE/SE, scaled by 100 like the reference layout
-            _write_csv(
-                path,
+            artifacts.append((f"table1_{family.value}.csv", (
                 ["method"] + [f"{s}_beta{j}_x100" for j in range(n_coef) for s in ("mse", "se")],
-                (
-                    [m] + [v[m][j] * 100.0 for j in range(n_coef) for v in summaries]
-                    for m in report.methods
-                ),
+                [[m] + [v[m][j] * 100.0 for j in range(n_coef) for v in summaries]
+                 for m in report.methods],
                 header,
-            )
+            )))
         else:
             report = run_order_study(config, n_jobs=ns.threads)
             counts = report.counts
-            path = _out_dir(ns) / f"orders_{family.value}.csv"
-            _write_csv(
-                path,
+            artifacts.append((f"orders_{family.value}.csv", (
                 ["order", "count"],
-                ([p, int(counts[p])] for p in range(1, counts.size)),
+                [[p, int(counts[p])] for p in range(1, counts.size)],
                 header + (f"accuracy_at_true_order: {report.accuracy}",),
-            )
-        print(path)
-    return EXIT_OK
+            )))
+    return artifacts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,13 +385,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed, default=0, help="master RNG seed, at least 0")
         p.add_argument("--out", default=".", help="output directory")
 
+    def add_budget(p: argparse.ArgumentParser, n_total: int, n_burn: int) -> None:
+        p.add_argument("--n-total", dest="n_total", type=int, default=n_total)
+        p.add_argument("--n-burn", dest="n_burn", type=int, default=n_burn)
+
     p_fit = sub.add_parser("fit", help="sample the posterior at a fixed order")
     p_fit.add_argument("--input", required=True)
     p_fit.add_argument("--order", type=int, required=True)
     p_fit.add_argument("--family", choices=FAMILIES, default="laplace")
     p_fit.add_argument("--diff", action="store_true", help="model lag-1 changes")
-    p_fit.add_argument("--n-total", dest="n_total", type=int, default=40_000)
-    p_fit.add_argument("--n-burn", dest="n_burn", type=int, default=25_000)
+    add_budget(p_fit, 40_000, 25_000)
     p_fit.add_argument("--trace", action="store_true", help="export retained draws as CSV")
     add_common(p_fit)
     p_fit.set_defaults(handler=_cmd_fit)
@@ -454,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.add_argument("--level", type=float, default=0.95)
     p_fc.add_argument("--no-diff", dest="no_diff", action="store_true",
                       help="forecast the series itself instead of lag-1 changes")
-    p_fc.add_argument("--n-total", dest="n_total", type=int, default=8000)
-    p_fc.add_argument("--n-burn", dest="n_burn", type=int, default=4000)
+    add_budget(p_fc, 8000, 4000)
     p_fc.add_argument("--thin", type=int, default=1)
     p_fc.add_argument("--point-statistic", dest="point_statistic",
                       choices=POINT_STATISTICS, default="mean")
@@ -480,8 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bt.add_argument("--k", dest="max_order", type=int, default=8)
     p_bt.add_argument("--methods", default="mar-bma,mar-map,ar-bma,ar-map",
                       help="comma list of mar-bma|mar-map|mar-fixed:P|ar-bma|ar-map|ar-fixed:P")
-    p_bt.add_argument("--n-total", dest="n_total", type=int, default=8000)
-    p_bt.add_argument("--n-burn", dest="n_burn", type=int, default=4000)
+    add_budget(p_bt, 8000, 4000)
     p_bt.add_argument("--no-diff", dest="no_diff", action="store_true")
     p_bt.add_argument("--baseline", default=None, help="method name for relative changes")
     p_bt.add_argument("--thin", type=int, default=1)
@@ -495,8 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--replications", type=int, default=100)
     p_sim.add_argument("--length", type=int, default=200)
     p_sim.add_argument("--k", dest="max_order", type=int, default=20)
-    p_sim.add_argument("--n-total", dest="n_total", type=int, default=40_000)
-    p_sim.add_argument("--n-burn", dest="n_burn", type=int, default=25_000)
+    add_budget(p_sim, 40_000, 25_000)
     p_sim.add_argument("--threads", type=_worker_count, default=1)
     add_common(p_sim)
     p_sim.set_defaults(handler=_cmd_simulate)
@@ -505,11 +457,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         _check_out(ns.out)
-        return ns.handler(ns)
+        artifacts = ns.handler(ns)
+        out = Path(ns.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in artifacts:
+            path = out / name
+            if isinstance(content, dict):
+                _write_json(path, content)
+            else:
+                _write_csv(path, *content)
+            print(path)
+        return EXIT_OK
     except CsvParseError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

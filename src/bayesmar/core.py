@@ -14,8 +14,8 @@ Each family's formulas live in one ``ErrorModel`` (``LAPLACE_MODEL``,
 ``GAUSSIAN_MODEL``, or ``family.model``): the BIC, the point fits and the
 path and series noise all call it.  Only the Laplace model also holds its
 chain's residual objective S, whose S^(-n) is the chain's target, and its
-scale draw; ``mcmc.run_mh`` draws the Gaussian (beta, sigma) exactly, from
-its Normal-Inverse-Gamma law.
+scale draw; ``mcmc.run_mh_batch`` draws the Gaussian (beta, sigma) exactly,
+from its Normal-Inverse-Gamma law.
 
 Everything in this module is a pure function of its inputs (random draws
 advance only the generator passed in); the dataclasses are frozen and the

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,7 @@ from bayesmar import (
     simulate_series,
 )
 from bayesmar import cli, forecast, harness, mle_fit
-from bayesmar.cli import CsvParseError, main, read_series_csv
+from bayesmar.cli import CsvParseError, build_parser, main, read_series_csv
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
 
@@ -334,7 +335,7 @@ class TestSimulateCommand:
         assert "accuracy_at_true_order" in text
 
 
-def test_every_csv_data_cell_is_a_number(tmp_path):
+def test_every_csv_data_cell_is_a_number(tmp_path, capsys):
     # floats are written as repr(float(v)), never as a numpy scalar's repr
     data = tmp_path / "in.csv"
     write_series_csv(data, n=64, labels=True)
@@ -348,8 +349,20 @@ def test_every_csv_data_cell_is_a_number(tmp_path):
          *small],
         ["simulate", "--preset", "orders", "--replications", "2", "--length", "50", "--k", "5"],
     ]
-    for i, args in enumerate(runs):
-        assert main(args + ["--out", str(tmp_path / str(i))]) == 0
+    written = [
+        ["fit.json", "trace.csv"],
+        ["forecast.json", "forecast_paths.csv"],
+        ["ensemble.csv"],
+        ["backtest_metrics.csv", "backtest_origins.csv"],
+        ["table1_laplace.csv", "table1_gaussian.csv"],
+        ["orders_laplace.csv", "orders_gaussian.csv"],
+    ]
+    for i, (args, names) in enumerate(zip(runs, written)):
+        out = tmp_path / str(i)
+        assert main(args + ["--out", str(out)]) == 0
+        # each file in --out is printed once, in the order it was written
+        assert capsys.readouterr().out == "".join(f"{out / name}\n" for name in names)
+        assert sorted(f.name for f in out.iterdir()) == sorted(names)
     files = sorted(tmp_path.glob("*/*.csv"))
     assert {f.name for f in files} == {
         "trace.csv", "forecast_paths.csv", "ensemble.csv", "backtest_metrics.csv",
@@ -368,6 +381,24 @@ def test_every_csv_data_cell_is_a_number(tmp_path):
                 if f.name == "ensemble.csv" and col.startswith("beta_") and cell == "":
                     continue
                 float(cell)  # raises on e.g. "np.float64(0.5)"
+
+
+def test_readme_commands_parse():
+    # every command in the README's command-line block names real flags
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("bayesmar ")
+    ]
+    assert [c[1] for c in commands] == [
+        "fit", "forecast", "select-order", "backtest", "simulate", "simulate",
+    ]
+    parser = build_parser()
+    for command in commands:
+        ns = parser.parse_args(command[1:])
+        assert ns.command == command[1]
 
 
 def test_module_invocation_runs_the_cli(tmp_path):
@@ -531,6 +562,26 @@ class TestExitCodes:
             f"numeric error: backtest origins {unit}, laplace fits seeded (0, t, 0): "
             "data admit an exact order-1 fit; the scale posterior is improper"
         )
+
+    def test_second_family_failure_leaves_no_out_dir(self, tmp_path, monkeypatch, capsys):
+        # the Laplace study succeeds and the Gaussian one fails: neither
+        # family's file is written nor printed
+        run_order_study = cli.run_order_study
+
+        def gaussian_fails(config, n_jobs=1):
+            if config.error is ErrorFamily.GAUSSIAN:
+                raise RuntimeError("gaussian study failed")
+            return run_order_study(config, n_jobs)
+
+        monkeypatch.setattr(cli, "run_order_study", gaussian_fails)
+        out = tmp_path / "o"
+        code = main(["simulate", "--preset", "orders", "--error", "both", "--replications", "3",
+                     "--length", "60", "--k", "5", "--out", str(out)])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.err == "numeric error: gaussian study failed\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_invalid_config_is_config_error(self, tmp_path):
         p = tmp_path / "s.csv"
