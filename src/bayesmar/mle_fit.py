@@ -27,10 +27,16 @@ k x k normal system X' Q X per problem.  The orders of an ensemble share
 their aligned rows, so all of them are solved as one batch: order p uses the
 first p + 1 columns of the largest order's design, and the other columns are
 zero with a unit diagonal in the padded normal matrix, which keeps their
-coefficients at zero.  The iteration runs on (y - median) / mean|y - median|,
-whose optimal basis is the same, so it is free of the data's units; it stops
-at a duality gap of 1e-12 of S_med (below), after 7-15 steps on the study
-windows.
+coefficients at zero.
+
+Units.  ``_l1_fits`` alone sees the data's units.  It standardises the
+window once: targets and lag columns less the targets' median, over their
+mean absolute deviation from it (1 if that is 0).  The optimal basis is the
+same, so the solve, the dual projection, the vertex and the certificate all
+run on that window, and rank is judged there too, by
+``core.independent_columns``; each certified beta and objective is mapped
+back once.  A level offset or a power-of-two scale thus moves no lag
+coefficient beyond the rounding of the data themselves.
 
 Vertex and certificate.  The interior point ends near the optimum, not on a
 vertex.  The fit is the exact vertex through the k observations with the
@@ -38,19 +44,18 @@ smallest |residual| there: the solution of X_h beta = y_h.  Every fit is then
 certified by its duality gap S(beta) - y' d / 2, where d is the interior
 point's dual, projected onto X' d = 0 and scaled into the box.  The gap is
 measured against S_med = sum |y - median(y)| / 2, the intercept-only fit's
-objective and so an upper bound of the optimum.  Over 7,600 fits of study
-windows (T = 200, orders 1-20) and backtest windows (T = 104, orders 1-8)
-the gaps stayed below 9.1e-13 of S_med, and below 8.3e-13 on Cauchy walks
-and tied (integer-valued) series; a series offset by 1e6 reached 1.8e-11
-from rounding alone.  A fit is accepted at ``GAP_TOLERANCE`` = 1e-9.  When
-the optimum is not unique (ties, or an exact fit of a lower order) the vertex
-may miss it; the interior-point beta is then returned if it certifies.  If
-neither does, ``RuntimeError`` names the orders, so no unchecked beta is ever
-returned.  A design of deficient rank is fitted on a maximal set of
-independent columns (the others' coefficients are zero), with a warning
-naming the order.  Rank is judged by ``core.independent_columns``, on the
-design with each column scaled to max-abs 1, so it does not depend on the
-data's units.
+objective and so an upper bound of the optimum; on the standardised window
+S_med = n / 2.  The interior point stops at a gap of 1e-12 of S_med, after
+7-15 steps on the study windows.  Over 7,600 fits of study windows (T = 200,
+orders 1-20) and backtest windows (T = 104, orders 1-8) the certified gaps
+stayed below 9.6e-13 of S_med, below 8.2e-13 on Cauchy walks and tied
+(integer-valued) series, and below 9.5e-13 on study windows offset by up to
+3e9.  A fit is accepted at ``GAP_TOLERANCE`` = 1e-9.  When the optimum is not
+unique (ties, or an exact fit of a lower order) the vertex may miss it; the
+interior-point beta is then returned if it certifies.  If neither does,
+``RuntimeError`` names the orders, so no unchecked beta is ever returned.  A
+design of deficient rank is fitted on a maximal set of independent columns
+(the others' coefficients are zero), with one warning naming its orders.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ from .core import (
     GAUSSIAN_MODEL,
     LAPLACE_MODEL,
     Coefficients,
+    DegenerateDataError,
     ErrorFamily,
     TimeSeries,
     check_window,
@@ -143,19 +149,15 @@ def _median(v: np.ndarray) -> float:
     return float((part[k - 1] + part[k]) / 2.0)
 
 
-def _frisch_newton(
-    X: np.ndarray, targets: np.ndarray, masks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interior-point solves of the L1 duals of ``targets ~ X[:, mask]`` for each row of ``masks``.
+def _frisch_newton(X: np.ndarray, y: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interior-point solves of the L1 duals of ``y ~ X[:, mask]`` for each row of ``masks``.
 
-    Returns (d, beta): one dual point in [-1, 1]^n and one beta per problem,
-    beta zero outside its mask.  Problems leave the batch as they converge.
+    ``X`` and ``y`` are the standardised window of ``_l1_fits``.  Returns (d, beta):
+    one dual point in [-1, 1]^n and one beta per problem, beta zero outside its
+    mask.  Problems leave the batch as they converge.
     """
     n, k = X.shape
-    median = _median(targets)
-    spread = float(np.mean(np.abs(targets - median))) or 1.0
-    y = (targets - median) / spread
-    Xs = np.hstack([X[:, :1], (X[:, 1:] - median) / spread]) * masks[:, None, :]
+    Xs = X * masks[:, None, :]
     pad = np.eye(k) * ~masks[:, None, :]
     half_sums = 0.5 * Xs.sum(axis=1)
 
@@ -208,82 +210,73 @@ def _frisch_newton(
         a, s, beta = a + tp * da, s - tp * da, beta + td * db
         z, w = z + td * dz, w + td * dw
 
-    beta_out[:, 0] = median * (1.0 - beta_out[:, 1:].sum(axis=1)) + spread * beta_out[:, 0]
     return d_out, beta_out
 
 
 def _certified_beta(
-    X: np.ndarray, targets: np.ndarray, d: np.ndarray, beta_ip: np.ndarray, median: float, s_med: float
+    X: np.ndarray, y: np.ndarray, d: np.ndarray, beta_ip: np.ndarray
 ) -> tuple[np.ndarray | None, float]:
     """The exact vertex near ``beta_ip``, else ``beta_ip``, if its duality gap
-    certifies it; returns (beta or None, the last gap as a share of ``s_med``)."""
+    certifies it; returns (beta or None, the last gap as a share of S_med,
+    which is n / 2 on the standardised window ``X``, ``y`` of ``_l1_fits``)."""
     # project d onto X' d = 0 in the metric that moves each d_i in proportion
     # to its room inside [-1, 1], so the coordinates at a bound stay put
     room = 1.0 - d * d + 1e-12  # > 0, so X' room X is invertible with X' X
     d = d - room * (X @ np.linalg.solve(X.T @ (room[:, None] * X), X.T @ d))
     d /= max(1.0, float(np.abs(d).max()))
-    # sum(d) = 0 through the intercept column, so centring only cuts rounding
-    bound = max(0.0, 0.5 * float((targets - median) @ d))
-    basis = np.argsort(np.abs(targets - X @ beta_ip), kind="stable")[: X.shape[1]]
+    bound = max(0.0, 0.5 * float(y @ d))
+    basis = np.argsort(np.abs(y - X @ beta_ip), kind="stable")[: X.shape[1]]
     candidates = [beta_ip]
     try:
-        candidates.insert(0, np.linalg.solve(X[basis], targets[basis]))
+        candidates.insert(0, np.linalg.solve(X[basis], y[basis]))
     except np.linalg.LinAlgError:  # tied rows in the basis
         pass
     gap = math.inf
     for beta in candidates:
-        gap = (float(LAPLACE_MODEL.objective(targets - X @ beta)) - bound) / s_med
+        gap = (float(LAPLACE_MODEL.objective(y - X @ beta)) - bound) / (y.size / 2)
         if gap <= GAP_TOLERANCE:
             return beta, gap
     return None, gap
 
 
 def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, ...]:
-    """Certified exact L1 fits of ``orders`` on rows t = start..T, in one batched solve."""
+    """Certified exact L1 fits of ``orders`` on rows t = start..T, in one batched
+    solve on the standardised window (see "Units" in the module docstring)."""
     orders = list(orders)
     n = len(y) - start + 1
     for order in orders:
         check_window(n, order)
-    X, targets = lag_design(y.values, max(orders), start)
-    k = X.shape[1]
-    # Order p's columns are the first p + 1 of X's, so one pass over X keeps, for
-    # every order, each column that is independent of the kept ones before it.
-    kept = independent_columns(X)
-    masks = np.isin(np.arange(k), kept) & (np.arange(k) <= np.array(orders)[:, None])
-    for order, mask in zip(orders, masks):
-        if mask.sum() < order + 1:
-            warnings.warn(
-                f"rank-deficient design at order {order}: L1 optimum is non-unique, "
-                "returning one optimal fit",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-    duals, betas = _frisch_newton(X, targets, masks)
+    X_lag, targets = lag_design(y.values, max(orders), start)
     median = _median(targets)
-    # plus a rounding-level floor, so constant targets (S_med = 0) certify too,
-    # and 1 when every target is 0, as in _frisch_newton's spread
-    s_med = float(
-        LAPLACE_MODEL.objective(targets - median) + np.finfo(float).eps * LAPLACE_MODEL.objective(targets)
-    ) or 1.0
+    spread = float(np.mean(np.abs(targets - median))) or 1.0
+    y_s = (targets - median) / spread
+    X_s = np.hstack([X_lag[:, :1], (X_lag[:, 1:] - median) / spread])
+    k = X_s.shape[1]
+    # Order p's columns are the first p + 1 of X_s's, so one pass over X_s keeps,
+    # for every order, each column that is independent of the kept ones before it.
+    kept = independent_columns(X_s)
+    masks = np.isin(np.arange(k), kept) & (np.arange(k) <= np.array(orders)[:, None])
+    deficient = [order for order, mask in zip(orders, masks) if mask.sum() < order + 1]
+    if deficient:  # one warning naming every such order
+        at = "order" + "s" * (len(deficient) > 1) + " " + ", ".join(map(str, deficient))
+        warnings.warn(f"rank-deficient design at {at}: L1 optimum is non-unique, returning one optimal fit",
+                      RuntimeWarning, stacklevel=3)
+
+    duals, betas = _frisch_newton(X_s, y_s, masks)
     floor = _scale_floor(targets)
     fits, failed, worst = [], [], 0.0
     for order, mask, d, beta_ip in zip(orders, masks, duals, betas):
-        beta, gap = _certified_beta(X[:, mask], targets, d, beta_ip[mask], median, s_med)
+        beta, gap = _certified_beta(X_s[:, mask], y_s, d, beta_ip[mask])
         if beta is None:
             failed.append(order)
             worst = max(worst, gap)
             continue
+        objective = spread * float(LAPLACE_MODEL.objective(y_s - X_s[:, mask] @ beta))
         full = np.zeros(order + 1)
         full[mask[: order + 1]] = beta
-        objective = float(LAPLACE_MODEL.objective(targets - X[:, mask] @ beta))
-        fits.append(
-            MleFit(
-                coeff=Coefficients(full),
-                scale=max(LAPLACE_MODEL.point_scale(objective, n), floor),
-                objective=objective,
-            )
-        )
+        full[0] = median * (1.0 - full[1:].sum()) + spread * full[0]
+        scale = max(LAPLACE_MODEL.point_scale(objective, n), floor)
+        fits.append(MleFit(coeff=Coefficients(full), scale=scale, objective=objective))
     if failed:
         raise RuntimeError(
             f"L1 fit failed for orders {failed}: duality gap {worst:.1e} of the median fit's "
@@ -293,18 +286,17 @@ def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, 
 
 
 def fit_l1(y: TimeSeries, order: int, start: int) -> MleFit:
-    """Exact L1 (median regression) fit on rows t = start..T.
+    """Exact L1 (median regression) fit on rows t = start..T, a batch of one
+    for the interior point of the module docstring.
 
     The scale slot carries tau = S / (n + 1) over the window's n rows, at
-    least ``SCALE_FLOOR`` times the largest |target|; the objective is S.  A batch of one for the Frisch-Newton interior point (see
-    the module docstring): it solves the dual (one variable in [-1, 1] per
-    row, ``X' d = 0``) to a duality gap of 1e-12 of S_med, the intercept-only
-    fit's objective.  Beta is the exact vertex through the k rows of smallest
-    |residual| there, or else the interior-point beta, whichever first
+    least ``SCALE_FLOOR`` times the largest |target|; the objective is S.
+    Beta is the exact vertex through the k rows of smallest |residual| at the
+    interior point, or else the interior-point beta, whichever first
     certifies by a duality gap of at most ``GAP_TOLERANCE`` (1e-9) of S_med;
     if neither does, ``RuntimeError`` names the order.  With a rank-deficient
-    design the optimum is non-unique, a warning naming the order is emitted,
-    and one optimal beta is returned, zero on the dependent columns.
+    design a warning names the order, and one optimal beta is returned, zero
+    on the dependent columns.
     """
     return _l1_fits(y, (order,), start)[0]
 
@@ -314,17 +306,21 @@ def fit_ols(y: TimeSeries, order: int, start: int) -> MleFit:
 
     The scale slot carries sigma = sqrt(RSS / n) over the window's n rows, at
     least ``SCALE_FLOOR`` times the largest |target|; the objective is the RSS.
-    A rank-deficient design raises ``DegenerateDataError``.
+    A rank-deficient design raises ``DegenerateDataError``, and so does an RSS
+    or sigma^2 that over- or underflows (0 and normal floats pass).
     """
     X, targets = lag_design(y.values, order, start)
     n = targets.size
     check_window(n, order)
-    beta, _, rss = least_squares(X, targets)
-    return MleFit(
-        coeff=Coefficients(beta),
-        scale=max(GAUSSIAN_MODEL.point_scale(rss, n), _scale_floor(targets)),
-        objective=rss,
-    )
+    with np.errstate(all="ignore"):  # an RSS that overflows is reported below
+        beta, _, rss = least_squares(X, targets)
+    scale = max(GAUSSIAN_MODEL.point_scale(rss, n), _scale_floor(targets))
+    tiny = np.finfo(float).tiny
+    if not (rss == 0 or tiny <= rss < math.inf) or not tiny <= scale * scale < math.inf:
+        raise DegenerateDataError(
+            f"Gaussian fit of order {order}: RSS {rss:.3g} or sigma^2 {scale * scale:.3g} over- or underflows"
+        )
+    return MleFit(coeff=Coefficients(beta), scale=scale, objective=rss)
 
 
 def point_fits(

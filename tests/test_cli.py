@@ -383,6 +383,74 @@ def test_every_csv_data_cell_is_a_number(tmp_path, capsys):
                 float(cell)  # raises on e.g. "np.float64(0.5)"
 
 
+def _sweep_series():
+    """Seeded adversarial inputs: degenerate, exact, explosive, offset and extreme in magnitude."""
+    t = np.arange(60.0)
+
+    def walk(seed, n=60):
+        return np.cumsum(np.random.default_rng(seed).laplace(0.3, 1.0, n))
+
+    noise = np.random.default_rng(2).normal(0.0, 1.0, 60)
+    return {
+        "constant": np.full(40, 5.0),
+        "all-zero": np.zeros(40),
+        "too-short": np.array([1.0, 2.0, 0.5, 3.0, 2.5]),
+        "tied-integers": np.round(0.5 * walk(1)),
+        "spike": np.r_[noise[:30], 1e6, noise[31:]],
+        "linear-trend": 1.0 + 2.0 * t,
+        "quadratic-trend": 0.5 * t**2,
+        "period-4": np.tile([1.0, 3.0, -2.0, 0.5], 15),
+        "alternating": np.tile([1.0, -1.0], 30),
+        "explosive": 1.5**t,
+        "offset-1e12": 1e12 + walk(4),
+        "scale-1e300": 1e300 * walk(5),
+        "scale-1e-300": 1e-300 * walk(6),
+        "scale-1e299": 1e299 * walk(7, 80),
+        "scale-1e-298": 1e-298 * walk(8, 80),
+        "scale-1e-313": 1e-313 * walk(9, 80),
+        "cauchy-walk": np.cumsum(np.random.default_rng(10).standard_cauchy(60)),
+        "step": np.r_[np.zeros(30), np.ones(30)] + 1e-3 * noise,
+    }
+
+
+SWEEP_SERIES = _sweep_series()
+
+
+# The chain's set-up squares data near 1e300 before its perfect-fit screen
+# rejects them, and numpy warns of that overflow; the exit code is the contract.
+@pytest.mark.filterwarnings("ignore:rank-deficient design", "ignore:overflow encountered in matmul")
+@pytest.mark.parametrize("name", list(SWEEP_SERIES))
+def test_input_sweep_exits_with_documented_codes(tmp_path, capsys, name):
+    # every subcommand on each input, at tiny budgets: a documented exit code,
+    # 2 only for the series too short to fit, no non-finite number in any
+    # output, and nothing left behind by a failure
+    values = SWEEP_SERIES[name]
+    data = tmp_path / "in.csv"
+    data.write_text("value\n" + "".join(f"{float(v)!r}\n" for v in values))
+    small = ["--n-total", "200", "--n-burn", "100"]
+    runs = [["backtest", "--t0", str(values.size - 1), "--h", "2", "--k", "3", *small]]
+    for family in ("laplace", "gaussian"):
+        fam = ["--family", family]
+        runs += [
+            ["fit", "--order", "2", *fam, *small],
+            ["forecast", "--order-rule", "bma", "--k", "3", "--h", "2", *fam, *small],
+            ["forecast", "--order-rule", "map", "--k", "3", "--h", "2", *fam, *small],
+            ["forecast", "--order-rule", "fixed", "--order", "2", "--h", "2", *fam, *small],
+            ["select-order", "--k", "3", *fam],
+        ]
+    for i, args in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        code = main([*args, "--input", str(data), "--out", str(out)])
+        assert code in (0, 2, 3, 4), args
+        assert code != 2 or name == "too-short", args
+        printed = capsys.readouterr().out
+        if code:
+            assert not out.exists(), args
+            continue
+        for text in [printed, *(f.read_text() for f in out.iterdir())]:
+            assert not re.search(r"\b(Infinity|NaN|inf|nan)\b", text), args
+
+
 def test_readme_commands_parse():
     # every command in the README's command-line block names real flags
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -582,6 +650,25 @@ class TestExitCodes:
         assert captured.err == "numeric error: gaussian study failed\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["forecast", "select-order"])
+    @pytest.mark.parametrize("factor", [1e299, 1e-298, 1e-313])
+    def test_gaussian_magnitude_overflow_is_numeric_error(self, tmp_path, capsys, command, factor):
+        # an 80-point walk whose squares overflow (1e299) or underflow
+        # (1e-298, and 1e-313 of subnormal data): the point fit names its
+        # order before any BIC is formed, and numpy warns of nothing
+        p = tmp_path / "s.csv"
+        walk = factor * np.cumsum(np.random.default_rng(5).normal(0.3, 1.0, 80))
+        p.write_text("".join(f"{float(v)!r}\n" for v in walk))
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--input", str(p), "--family", "gaussian", "--k", "3",
+                         "--out", str(out)])
+        assert code == 4
+        assert not out.exists()
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.startswith("numeric error: Gaussian fit of order 1: RSS ")
 
     def test_invalid_config_is_config_error(self, tmp_path):
         p = tmp_path / "s.csv"

@@ -224,12 +224,15 @@ class TestCertificate:
         assert naive_rejects > 0
 
     def test_perfect_fit_certifies(self):
+        # the solver's own units: targets and lag columns less the median, over
+        # the mean absolute deviation
         X, targets = lag_design(noiseless_series().values, 2, 3)
+        median = float(np.median(targets))
+        spread = float(np.mean(np.abs(targets - median)))
+        X[:, 1:], targets = (X[:, 1:] - median) / spread, (targets - median) / spread
         masks = np.ones((1, 3), dtype=bool)
         (d,), (beta_ip,) = mle_fit._frisch_newton(X, targets, masks)
-        median = float(np.median(targets))
-        s_med = float(LAPLACE_MODEL.objective(targets - median))
-        beta, gap = mle_fit._certified_beta(X, targets, d, beta_ip, median, s_med)
+        beta, gap = mle_fit._certified_beta(X, targets, d, beta_ip)
         assert beta is not None and gap <= mle_fit.GAP_TOLERANCE
         assert float(LAPLACE_MODEL.objective(targets - X @ beta)) <= 1e-8
 
