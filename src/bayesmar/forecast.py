@@ -42,7 +42,6 @@ __all__ = [
     "forecast_levels",
     "per_order_forecasts",
     "MethodSpec",
-    "sampled_orders",
     "forecast_family",
     "fit_and_forecast",
 ]
@@ -284,22 +283,6 @@ class MethodSpec:
         return f"{base}-{self.order_rule.upper()}"
 
 
-def sampled_orders(methods: Sequence[MethodSpec], max_order: int, map_order: int | None) -> set[int]:
-    """The orders ``forecast_family`` may sample for ``methods`` at a window
-    whose minimum-BIC order is ``map_order``: 1..max_order if a method mixes,
-    else the MAP order if one selects, plus each fixed order.  With a mixing
-    method this is an upper bound; orders with no mixture rows are not
-    sampled.  A placeholder such as 0 for an unknown MAP order gives a set at
-    least as large as any window's.
-    """
-    orders = {m.fixed_order for m in methods if m.order_rule == "fixed"}
-    if any(m.order_rule == "bma" for m in methods):
-        orders.update(range(1, max_order + 1))
-    elif any(m.order_rule == "map" for m in methods):
-        orders.add(map_order)
-    return orders
-
-
 def forecast_family(
     windows: Sequence[tuple[TimeSeries, tuple[int, ...]]],
     methods: Sequence[MethodSpec],
@@ -339,7 +322,6 @@ def forecast_family(
     scale_note = SCALE_DIFFERENCED if apply_diff else SCALE_LEVEL
     selecting = any(m.order_rule != "fixed" for m in methods)
     mixing = any(m.order_rule == "bma" for m in methods)
-    unmixed = [m for m in methods if m.order_rule != "bma"]
     n_paths = -(-(config.n_total - config.n_burn) // thin)
     plans = []
     for y, seed_base in windows:
@@ -347,7 +329,8 @@ def forecast_family(
         base = tuple(seed_base)
         ensemble = build_ensemble(work, max_order, family) if selecting else None
         mixture = _mixture_plan(ensemble.weights, n_paths, base + (0, 2)) if mixing else []
-        orders = sampled_orders(unmixed, max_order, ensemble.map_order if selecting else None)
+        orders = {m.fixed_order if m.order_rule == "fixed" else ensemble.map_order
+                  for m in methods if m.order_rule != "bma"}
         orders.update(p for p, rows in enumerate(mixture, 1) if rows is not None)
         plans.append((y, work, base, ensemble, mixture, sorted(orders)))
     batch = run_mh_batch(

@@ -9,15 +9,16 @@ The backtest walks a series of levels forward one period at a time: at each
 origin t it forecasts from the history up to t, seeded with (seed, t, family
 code), modelling the lag-1 changes unless differencing is off, and scores the
 point and density forecasts against the realized values.  Origins are
-grouped into contiguous units of at most 32 fits per family (``_units``, which
-also groups the MSE study's replications), at least one unit per job; a unit
-hands all its histories to ``forecast_family`` at once (one call per error
-family), which samples their fits in one batch.  All randomness derives from
-one master seed via per-fit seed tuples, so runs are reproducible and
-independent of evaluation order and of the units.  A numeric or configuration
-failure inside a unit is re-raised with its type, its message prefixed by the
-unit's origins or replications, error family and seed base.  The reports
-hold arrays only; the CLI turns them into tables.
+grouped into contiguous units of at most 32 fits per family, as bounded by
+``_fits_per_origin`` (``_units``, which also groups the MSE study's
+replications), at least one unit per job; a unit hands all its histories to
+``forecast_family`` at once (one call per error family), which samples their
+fits in one batch.  All randomness derives from one master seed via per-fit
+seed tuples, so runs are reproducible and independent of evaluation order and
+of the units.  A numeric or configuration failure inside a unit is re-raised
+with its type, its message prefixed by the unit's origins or replications,
+error family and seed base.  The reports hold arrays only; the CLI turns them
+into tables.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, ClassVar, Iterator, Sequence
 import numpy as np
 
 from .core import Coefficients, ErrorFamily, TimeSeries, check_window
-from .forecast import MethodSpec, check_plan, forecast_family, sampled_orders
+from .forecast import MethodSpec, check_plan, forecast_family
 from .mcmc import McmcConfig, posterior_mean, run_mh_batch
 from .mle_fit import fit_l1, fit_ols
 from .order_select import build_ensemble
@@ -371,6 +372,19 @@ def _forecast_unit(args: tuple[BacktestSpec, range]) -> tuple[np.ndarray, np.nda
     return points, crps
 
 
+def _fits_per_origin(methods: Sequence[MethodSpec], max_order: int) -> int:
+    """The most fits one error family of ``methods`` samples at any backtest
+    origin, whose MAP order and mixture rows are not known yet: orders
+    1..max_order if one of its methods mixes, else one per MAP rule, plus each
+    fixed order."""
+    def fits(rules: list[MethodSpec]) -> int:
+        fixed = {m.fixed_order for m in rules if m.order_rule == "fixed"}
+        if any(m.order_rule == "bma" for m in rules):
+            return len(fixed.union(range(1, max_order + 1)))
+        return len(fixed) + sum(m.order_rule == "map" for m in rules)
+    return max(fits([m for m in methods if m.family is f]) for f in {m.family for m in methods})
+
+
 def run_backtest(spec: BacktestSpec, n_jobs: int = 1) -> BacktestReport:
     """Run the recursive backtest; the report aggregates RMSE, MAE, and CRPS per horizon.
 
@@ -380,13 +394,7 @@ def run_backtest(spec: BacktestSpec, n_jobs: int = 1) -> BacktestReport:
     """
     values = spec.series.values
     origins = range(spec.t0 - 1, values.size)
-    # 0 stands in for an origin's MAP order, not known yet, so each count bounds
-    # what one family samples at any origin
-    fits = max(
-        len(sampled_orders([m for m in spec.methods if m.family is f], spec.max_order, 0))
-        for f in {m.family for m in spec.methods}
-    )
-    units = _units(len(origins), fits, n_jobs)
+    units = _units(len(origins), _fits_per_origin(spec.methods, spec.max_order), n_jobs)
     tasks = [(spec, origins[u.start : u.stop]) for u in units]
     points, crps = zip(*_run_units(_forecast_unit, tasks, n_jobs))
     padded = np.append(values, np.full(spec.horizons, np.nan))

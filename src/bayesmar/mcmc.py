@@ -300,7 +300,8 @@ def run_mh_batch(
 
     Fit i is an order-p_i fit of y_i on its full usable window t = p_i+1..T,
     drawn from a generator seeded with seed_i (``config.seed`` is not read);
-    a rank-deficient design or a perfect fit raises ``DegenerateDataError``.
+    a rank-deficient design, a window whose squares over- or underflow, or a
+    perfect fit raises ``DegenerateDataError``.
     Gaussian draws n_total - n_burn exact (beta, sigma) pairs per fit, each
     sigma the mixing scale of its multivariate-t beta.  Laplace runs all the
     chains in lockstep, keeps each one's n_total - n_burn post-burn-in states,
@@ -314,11 +315,16 @@ def run_mh_batch(
     for y, order, seed in fits:
         check_window(len(y) - order, order, f"series of length {len(y)}: ")
         X, targets = lag_design(y.values, order, order + 1)
-        beta_hat, R, rss = least_squares(X, targets)
+        with np.errstate(all="ignore"):  # squares that over- or underflow are reported below
+            beta_hat, R, rss = least_squares(X, targets)
+            energy = float(targets @ targets)
+        if not np.isfinite([rss, energy]).all() or (energy < np.finfo(float).tiny and targets.any()):
+            raise DegenerateDataError(f"order-{order} fit: squares of the window over- or underflow "
+                                      f"(RSS {rss:.3g}, targets'targets {energy:.3g})")
         # A perfect fit anywhere in beta space makes the marginal posterior
         # improper; reject such data up front rather than letting the chain
         # wander.  The test is relative, so it holds in any units.
-        if rss <= 1e-20 * float(targets @ targets):
+        if rss <= 1e-20 * energy:
             raise DegenerateDataError(
                 f"data admit an exact order-{order} fit; the scale posterior is improper"
             )

@@ -23,11 +23,12 @@ is solved by the Frisch-Newton primal-dual interior point with Mehrotra
 predictor-corrector steps (Portnoy & Koenker 1997, "The Gaussian hare and the
 Laplacian tortoise", Statistical Science 12:279).  It starts from a = 1/2,
 which is feasible, and beta at the least-squares fit; each step solves one
-k x k normal system X' Q X per problem.  The orders of an ensemble share
-their aligned rows, so all of them are solved as one batch: order p uses the
-first p + 1 columns of the largest order's design, and the other columns are
-zero with a unit diagonal in the padded normal matrix, which keeps their
-coefficients at zero.
+k x k normal system X' Q X per problem.  Every normal system, the start's
+and the dual projection's too, retries a singular matrix with a small ridge.
+The orders of an ensemble share their aligned rows, so all of them are solved
+as one batch: order p uses the first p + 1 columns of the largest order's
+design, and the other columns are zero with a unit diagonal in the padded
+normal matrix, which keeps their coefficients at zero.
 
 Units.  ``_l1_fits`` alone sees the data's units.  It standardises the
 window once: targets and lag columns less the targets' median, over their
@@ -126,7 +127,7 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve each normal system; if one is singular, solve all with a small ridge.
+    """Solve a normal system or a stack of them; if one is singular, solve all with a small ridge.
 
     Near a face of optima (tied data) the rows that carry the weight can be
     collinear, which makes the normal matrix singular in floating point.
@@ -134,8 +135,8 @@ def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(normal, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        scale = normal.diagonal(axis1=1, axis2=2).max(axis=1)[:, None, None]
-        ridge = _RIDGE * scale * np.eye(normal.shape[1])
+        scale = normal.diagonal(axis1=-2, axis2=-1).max(axis=-1)[..., None, None]
+        ridge = _RIDGE * scale * np.eye(normal.shape[-1])
         return np.linalg.solve(normal + ridge, rhs[..., None])[..., 0]
 
 
@@ -164,7 +165,7 @@ def _frisch_newton(X: np.ndarray, y: np.ndarray, masks: np.ndarray) -> tuple[np.
     # a and s = 1 - a are kept apart, so neither loses its digits near a bound
     a = np.full((masks.shape[0], n), 0.5)
     s = a.copy()
-    beta = np.linalg.solve(Xs.transpose(0, 2, 1) @ Xs + pad, (y @ Xs)[..., None])[..., 0]
+    beta = _solve_normal(Xs.transpose(0, 2, 1) @ Xs + pad, y @ Xs)
     resid = y - _matvec(Xs, beta)
     margin = np.maximum(np.abs(resid).mean(axis=1, keepdims=True), 1e-3)
     z = np.maximum(-resid, 0.0) + margin  # multiplier of a >= 0
@@ -222,7 +223,7 @@ def _certified_beta(
     # project d onto X' d = 0 in the metric that moves each d_i in proportion
     # to its room inside [-1, 1], so the coordinates at a bound stay put
     room = 1.0 - d * d + 1e-12  # > 0, so X' room X is invertible with X' X
-    d = d - room * (X @ np.linalg.solve(X.T @ (room[:, None] * X), X.T @ d))
+    d = d - room * (X @ _solve_normal(X.T @ (room[:, None] * X), X.T @ d))
     d /= max(1.0, float(np.abs(d).max()))
     bound = max(0.0, 0.5 * float(y @ d))
     basis = np.argsort(np.abs(y - X @ beta_ip), kind="stable")[: X.shape[1]]

@@ -30,7 +30,7 @@ from bayesmar import (
     simulate_series,
 )
 from bayesmar import forecast, harness
-from bayesmar.cli import main
+from bayesmar.cli import _parse_methods, main
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
 
@@ -442,6 +442,59 @@ class TestBacktest:
         assert len(units[0]) >= min(n_jobs, len(report.origins))
         assert skipped > 0
         np.testing.assert_array_equal(report.forecasts, run_backtest(spec).forecasts)
+
+    @pytest.mark.parametrize(
+        "methods, fits",
+        [("mar-map", 1), ("mar-fixed:2,mar-map", 2), ("mar-fixed:2,mar-fixed:3", 2),
+         ("mar-bma,mar-fixed:10", 9), ("mar-bma,mar-map", 8)],
+    )
+    def test_fits_per_origin_bounds_each_mix(self, methods, fits):
+        # at K=8: orders 1..K if a method mixes, else one per MAP rule, plus
+        # each fixed order
+        assert harness._fits_per_origin(_parse_methods(methods), 8) == fits
+
+    @pytest.mark.parametrize("methods", ["mar-map", "mar-fixed:2,mar-map", "mar-bma,mar-map,ar-fixed:2"])
+    def test_units_of_several_origins_sample_at_most_the_unit_fits(self, monkeypatch, methods):
+        # 4 fits per unit over 8 origins: each family's batch covers contiguous
+        # origins, a batch of several origins samples at most 4 fits, and one
+        # MAP rule packs 4 origins into each unit
+        batches = []
+        run = forecast.run_mh_batch
+
+        def recording(fits, family, config):
+            batches.append((family, [seed for _, _, seed in fits]))
+            return run(fits, family, config)
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=16)
+        spec = small_backtest_spec(series, _parse_methods(methods), t0=53)
+        reference = run_backtest(spec)
+        monkeypatch.setattr(harness, "_UNIT_FITS", 4)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(forecast, "run_mh_batch", recording)
+        report = run_backtest(spec, n_jobs=2)
+        assert len(report.origins) == 8
+        for family in {m.family for m in spec.methods}:
+            units = [(sorted({t for _, t, _, _ in batch}), len(batch)) for f, batch in batches if f is family]
+            assert [t for u, _ in units for t in u] == list(report.origins)
+            assert all(u == list(range(u[0], u[-1] + 1)) for u, _ in units)
+            assert all(fits <= 4 for u, fits in units if len(u) > 1)
+            if methods == "mar-map":
+                assert [len(u) for u, _ in units] == [4, 4]
+        np.testing.assert_array_equal(report.forecasts, reference.forecasts)
+        np.testing.assert_array_equal(report.crps, reference.crps)
 
     def test_deterministic_under_master_seed(self):
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=10)

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -374,6 +375,26 @@ class TestRunMh:
         trend = TimeSeries(2.0**k * np.arange(1.0, 41.0))
         with pytest.raises(DegenerateDataError, match="exact order-1 fit"):
             run_mh(trend, 1, family, McmcConfig(n_total=200, n_burn=100))
+
+    @pytest.mark.parametrize("c", [1e299, 1e-298, 1e-313])
+    @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
+    def test_overflowed_squares_are_not_an_exact_fit(self, family, c):
+        # squares of data near 1e299 overflow and near 1e-298 underflow to 0;
+        # the set-up names that, without a numpy warning, instead of reading
+        # inf <= inf or 0 <= 0 as a perfect fit
+        walk = np.cumsum(np.random.default_rng(7).laplace(0.3, 1.0, 80)) + 5.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DegenerateDataError, match="order-2 fit: squares of the window over- or underflow"):
+                run_mh(TimeSeries(c * walk), 2, family, McmcConfig(n_total=200, n_burn=100))
+        assert not caught
+
+    @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
+    def test_all_zero_targets_are_an_exact_fit(self, family):
+        # targets'targets = 0 with every target 0 is a genuine exact fit
+        y = TimeSeries(np.r_[1.0, np.zeros(39)])
+        with pytest.raises(DegenerateDataError, match="exact order-1 fit"):
+            run_mh(y, 1, family, McmcConfig(n_total=200, n_burn=100))
 
     def test_batch_equals_lone_runs(self):
         # five same-shape chains stepped together: each one's draws, accept

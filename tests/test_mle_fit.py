@@ -236,6 +236,20 @@ class TestCertificate:
         assert beta is not None and gap <= mle_fit.GAP_TOLERANCE
         assert float(LAPLACE_MODEL.objective(targets - X @ beta)) <= 1e-8
 
+    @pytest.mark.parametrize("c", [1e6, 1e7, 1e8, 1e9])
+    def test_offset_noiseless_fits_name_their_order_or_fit(self, c):
+        # a noiseless window far from 0 leaves near-singular normal systems;
+        # each solve retries with a ridge, so a fit either certifies or its
+        # RuntimeError names the order, never a bare LinAlgError
+        y = TimeSeries(noiseless_series().values + c)
+        for order in range(1, 5):
+            try:
+                fit = fit_l1(y, order, start=order + 1)
+            except RuntimeError as exc:
+                assert f"orders [{order}]" in str(exc)
+            else:
+                assert np.isfinite(fit.coeff.beta).all() and fit.scale > 0
+
 
 def test_package_and_cli_import_no_scipy():
     code = "import sys, bayesmar, bayesmar.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
