@@ -13,9 +13,9 @@ mean AR model with standard deviation sigma in the same scale slot.
 Each family's formulas live in one ``ErrorModel`` (``LAPLACE_MODEL``,
 ``GAUSSIAN_MODEL``, or ``family.model``): the BIC, the point fits and the
 path and series noise all call it.  Only the Laplace model also holds its
-chain's residual objective S, whose S^(-n) is the chain's target, and its
-scale draw; ``mcmc.run_mh_batch`` draws the Gaussian (beta, sigma) exactly,
-from its Normal-Inverse-Gamma law.
+chain's L1 norm N = 2 S, the one sum behind its residual objective S, whose
+S^(-n) is the chain's target, and its scale draw; ``mcmc.run_mh_batch``
+draws the Gaussian (beta, sigma) exactly, from its Normal-Inverse-Gamma law.
 
 Everything in this module is a pure function of its inputs (random draws
 advance only the generator passed in); the dataclasses are frozen and the
@@ -282,9 +282,9 @@ class ErrorModel(ABC):
     the family's residual objective: S = sum |r_t| / 2 for Laplace and
     RSS = sum r_t^2 for Gaussian.  Integrating the scale out under the prior
     1/tau (Laplace) or 1/sigma^2 (Gaussian) leaves the marginal posterior
-    S(beta)^(-n) (Laplace, sampled by a chain that compares objectives) or
+    S(beta)^(-n) (Laplace, sampled by a chain that compares L1 norms) or
     RSS(beta)^(-n/2) (Gaussian, a multivariate t).  The Laplace model adds
-    its chain's ``objective`` and ``draw_scale``.
+    its ``norm`` (2 S), ``objective`` and ``draw_scale``.
     """
 
     family: ErrorFamily
@@ -308,10 +308,14 @@ class _LaplaceModel(ErrorModel):
     family = ErrorFamily.LAPLACE
     noise_per_scale = 2.0
 
-    def objective(self, resid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """S = sum |r_t| / 2 over the last axis of ``resid``; |r_t| is formed in
-        ``out`` (which may be ``resid``) if given, else in a temporary."""
-        return 0.5 * np.add.reduce(np.abs(resid, out=out), axis=-1)
+    def norm(self, resid: np.ndarray, out: np.ndarray | None = None, total: np.ndarray | None = None) -> np.ndarray:
+        """N = sum |r_t| = 2 S over the last axis of ``resid``, |r_t| formed in
+        ``out`` (which may be ``resid``) and N in ``total`` if given."""
+        return np.add.reduce(np.abs(resid, out), -1, None, total)
+
+    def objective(self, resid: np.ndarray) -> np.ndarray:
+        """S = sum |r_t| / 2 over the last axis of ``resid``."""
+        return 0.5 * self.norm(resid)
 
     def draw_scale(self, rng: np.random.Generator, objectives: np.ndarray, n: int) -> np.ndarray:
         """One exact draw of tau | beta ~ InvGamma(shape n, rate S(beta)) per objective."""

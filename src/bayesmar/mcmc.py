@@ -33,28 +33,31 @@ All the Laplace chains of one ``run_mh_batch`` call run in lockstep
 (``_lockstep_chains``): the replications of an MSE-study unit, orders 1..K
 of one forecast, or orders 1..K at each origin of a backtest unit (at most
 32 chains in a study or backtest unit).  Each step forms the C proposals'
-residuals and their absolute values in two reused (C x n) arrays and takes
-one row-wise objective.  A chain keeps everything a lone run has: its own
-generator, seeded with its fit's seed, its least-squares start and shape,
-its own n in S^(-n), and its own step a, tuned on its own acceptance.  So
-a fit's draws do not depend on the other fits in its batch.  Chains of
-different (n, p) are zero-padded: design rows and targets at the front,
-coefficients at the end.  A padded row has residual 0 and a padded
-coefficient steps by 0, so padding adds 0 to every objective and every
-state.  (The zeros can regroup numpy's pairwise row sum in its last bit,
-which, like the window shifts, moves a draw only if an objective lands
-within rounding of its threshold.)
+residuals, their absolute values and their L1 norms N = 2 S in three reused
+arrays (``LAPLACE_MODEL.norm``), so it allocates no array.  A chain keeps
+everything a lone run has: its own generator, seeded with its fit's seed,
+its least-squares start and shape, its own n in S^(-n), and its own step a,
+tuned on its own acceptance.  So a fit's draws do not depend on the other
+fits in its batch.  Chains of different (n, p) are zero-padded: design rows
+and targets at the front, coefficients at the end.  A padded row has
+residual 0 and a padded coefficient steps by 0, so padding adds 0 to every
+norm and every state.  (The zeros can regroup numpy's pairwise row sum in
+its last bit, which, like the window shifts, moves a draw only if an
+objective lands within rounding of its threshold.)
 
-A chain decides every accept with one comparison on the objective, and
-takes no log.  Its target is S^(-n), so the Metropolis rule
-log u < n log(S / S') holds iff S' < S q with q = exp(-log u / n), and each
-segment turns its log-uniforms into thresholds q once.  A proposal is
-accepted iff 0 < S' < S q.  NaN and +inf fail the comparison and so reject;
-S' = 0 is a perfect fit, which raises ``DegenerateDataError``.  The rule
-differs from log u < n log(S / S') only by the rounding of q and of the
-log ratio, about 1e-13 relative, while the window-shift residuals already
-move S' by about 1e-12, so no band around the threshold defers to the log
-rule.
+A chain decides every accept with one comparison, and takes no log.  Its
+target is S^(-n), so the Metropolis rule log u < n log(S / S') holds iff
+S' < S q with q = exp(-log u / n), and each segment turns its log-uniforms
+into thresholds q once, in place.  A chain tracks its current norm N = 2 S
+and accepts iff 0 < N' < N q: exactly the decisions of 0 < S' < S q, as
+halving is exact for every norm it can meet.  The set-up's exact-fit screen
+gives N >= sqrt(RSS(beta_hat)) >= sqrt(1e-20 targets'targets) >= 1.5e-164,
+far above the subnormals; and if N q overflows, S q > max/2 >= S' for every
+finite S', so both accept.  NaN and +inf reject; N' = 0 is a perfect fit,
+which raises ``DegenerateDataError``.  The rule differs from the log rule
+only by the rounding of q and of the log ratio, about 1e-13 relative, less
+than the 1e-12 by which the window shifts move N', so no band around the
+threshold defers to the log rule.
 
 A chain draws its steps and log-uniforms one segment at a time, so while it
 runs it holds its kept states, never its whole run of random numbers.  A
@@ -65,16 +68,18 @@ once.  The steps' own product is never split, since the states are built
 from it.  Blocking changes only the shifts' rounding, which the window-shift
 argument above covers; on backtest-shaped batches of 17, 32 and 40 chains
 every draw was equal to the whole-window product's.  Every segment reuses
-one buffer of steps and one of shifts, so no segment's arrays outlive it.
-The scale draws' objectives S(beta) are formed as each segment is kept, so
-no n_kept x n residual block exists (24 MB for a default MSE chain: n=198,
-p=2, 15,000 kept).  That 40-fit batch peaks at 11.1 MiB (``tracemalloc``),
-8.1 MiB of it the kept draws it returns.
+one buffer of steps, one of thresholds and one of shifts, so no segment's
+arrays outlive it.  The scale draws' objectives S(beta) are formed as each
+segment is kept, as the norms of its residuals in a contiguous (m x n_c)
+view of one flat buffer, and halved once at the end, so no n_kept x n
+residual block exists (24 MB for a default MSE chain: n=198, p=2, 15,000
+kept).  That 40-fit batch peaks at 11.2 MiB (``tracemalloc``), 8.1 MiB of it
+the kept draws it returns.
 
-On 2 vCPUs a default MSE-study job (five replications in one batch) ran
-1.79x the replications per second of lone chains.  A lone chain (C = 1, the
-``fit`` command's and a single fixed-order forecast's) steps on 1-D
-residuals; on the 2-D path it costs 17-27% more per iteration.
+On 2 vCPUs a default MSE-study job's five chains cost 2.46 us per
+chain-iteration in one batch and 4.67 us as lone chains (2.26x); backtest
+batches of 8 and 32 chains cost 1.60 and 1.21 us.  A lone chain (the
+``fit`` command's) takes the 2-D path too: a 1-D one saved it only 8%.
 
 The Gaussian family's, RSS(beta)^(-n/2), is exactly a multivariate t with
 nu degrees of freedom, location beta_hat and scale matrix s^2 (X'X)^-1
@@ -165,8 +170,9 @@ def _lockstep_chains(
 ) -> list[tuple[np.ndarray, np.ndarray, float, np.ndarray]]:
     """Run one random-walk chain per (X, targets, beta0, shape, rng) in ``chains``
     on the Laplace marginal S(beta)^(-n) of ``targets ~ X beta``, n the
-    chain's row count and S ``LAPLACE_MODEL.objective``, all in lockstep;
-    returns (kept, kept_accept_flags, final_a, kept_objectives) per chain.
+    chain's row count and S = N / 2, N the L1 norm ``LAPLACE_MODEL.norm`` of
+    the residuals, all in lockstep; returns (kept, kept_accept_flags,
+    final_a, kept_objectives) per chain.
 
     Chain c starts at its beta0, and its proposal i adds a_c shape u_i.  The
     chains run in segments cut at every ``ADAPT_WINDOW`` boundary and at
@@ -179,16 +185,20 @@ def _lockstep_chains(
     residual shifts in blocks of at most ``SHIFT_BLOCK_ROWS`` (chains x
     steps), steps, rebuilds its states and, at the end of a full burn-in
     window, tunes each a_c.  The symmetric proposal contributes nothing to
-    the Metropolis ratio, so a proposal of objective s is accepted iff
-    0 < s < S q, S the current objective and q = u^(-1/n) its log-uniform's
-    threshold; each chain tracks its current objective, never a log target.
-    NaN and +inf reject, and an s of 0 raises ``DegenerateDataError``.
-    Chains of different sizes are zero-padded as the module docstring
-    describes; the kept states are not, and each retained segment forms its
-    kept objectives from the chain's own X and targets, so that, like the
-    states, they do not depend on the batch.  (The accept objectives carry
-    the shifts' and the padding's rounding: reused, they made a backtest
-    forecast differ by 4.4e-16 between one and two workers.)
+    the Metropolis ratio, so a proposal of norm N' is accepted iff
+    0 < N' < N q, N the current norm and q = u^(-1/n) its log-uniform's
+    threshold: exactly the decisions of 0 < S' < S q (module docstring).
+    Each chain tracks its current norm, never a log target, and a step
+    allocates no array: it subtracts into one reused proposal buffer and
+    sums into one reused buffer of norms.  NaN and +inf reject, and an N' of
+    0 raises ``DegenerateDataError``.  Chains of different sizes are
+    zero-padded as the module docstring describes; the kept states are not,
+    and each retained segment forms its kept norms from the chain's own X
+    and targets, in a contiguous (m x n_c) view of one flat buffer, so that,
+    like the states, they do not depend on the batch; they are halved to
+    objectives once, at return.  (The accept norms carry the shifts' and
+    the padding's rounding: reused, they made a backtest forecast differ by
+    4.4e-16 between one and two workers.)
     """
     n_chains = len(chains)
     rows = [targets.size for _, targets, _, _, _ in chains]
@@ -207,73 +217,68 @@ def _lockstep_chains(
         step_rng = copy.deepcopy(rng)
         rng.bit_generator.advance(n_total * dims[c])  # one 64-bit output per double
         streams.append((step_rng, shape.T, rng))
-    Xt = X.transpose(0, 2, 1)
+    Xt = np.ascontiguousarray(X.transpose(0, 2, 1))
 
-    objective = LAPLACE_MODEL.objective
-    exponents = np.array(rows, dtype=float)[:, None]  # chain c's target is S^(-n_c)
-    # A lone chain steps on 1-D residuals: on a one-row 2-D array a p=2,
-    # T=200, 40000/25000 chain took 17-27% more per iteration (medians of
-    # per-pair ratios in five sets of 11-21 interleaved runs).
-    lone = n_chains == 1
+    norm = LAPLACE_MODEL.norm
+    # chain c's target is N^(-n_c), and a log-uniform's threshold q = exp(log u / -n_c)
+    exponents = -np.array(rows, dtype=float)[:, None]
     a = np.full(n_chains, INITIAL_STEP)
     kept = [np.empty((n_total - n_burn, dim)) for dim in dims]
     kept_accepted = np.zeros((n_chains, n_total - n_burn), dtype=bool)
-    kept_objectives = np.empty((n_chains, n_total - n_burn))
+    kept_norms = np.empty((n_chains, n_total - n_burn))
     bounds = sorted({*range(0, n_total, ADAPT_WINDOW), n_burn, n_total})
     # Every segment reuses one window of steps (scaled in place to the
     # proposals, then zeroed where rejected and summed into the states, so
-    # padded coefficients stay 0) and one block of residual shifts; every
-    # step reuses one proposal residual and one of its absolute values.
+    # padded coefficients stay 0), one of thresholds, one block of residual
+    # shifts and one flat buffer of a kept chain's residuals; every step
+    # reuses one proposal residual, its absolute values and their sums.
     window = min(ADAPT_WINDOW, n_total)
     block = max(1, SHIFT_BLOCK_ROWS // n_chains)
-    steps_buffer = np.zeros((n_chains, window, dim_max))
+    steps_buffer = np.zeros((n_chains, max(window, 2), dim_max))  # 2 rows for a one-step segment
+    threshold_buffer = np.empty((n_chains, window))
+    fit_buffer = np.empty(window * n_max)
     # shifts are stored step-major, so step j's (chains, rows) are contiguous
     shift_buffer = np.empty((min(block, window), n_chains, n_max))
-    proposal_buffer = np.empty(n_max if lone else (n_chains, n_max))
+    proposal_buffer = np.empty((n_chains, n_max))
     abs_buffer = np.empty_like(proposal_buffer)
+    sum_buffer = np.empty(n_chains)
 
     for s0, s1 in zip(bounds[:-1], bounds[1:]):
         retained = s0 >= n_burn
         m = s1 - s0
         steps = steps_buffer[:, :m]
-        log_accept_noise = np.empty((n_chains, m))
+        thresholds = threshold_buffer[:, :m]
         for c, (step_rng, shape_t, rng) in enumerate(streams):
             u = step_rng.uniform(-PROPOSAL_HALF_WIDTH, PROPOSAL_HALF_WIDTH, size=(m, dims[c]))
             # numpy multiplies a single row by gemv, which rounds unlike the
             # gemm of a longer block, so a one-step segment goes as two rows
-            steps[c, :, : dims[c]] = ((np.tile(u, (2, 1)) if m == 1 else u) @ shape_t)[:m]
-            log_accept_noise[c] = np.log(rng.random(m))
+            u = np.tile(u, (2, 1)) if m == 1 else u
+            np.matmul(u, shape_t, out=steps_buffer[c, : len(u), : dims[c]])
+            rng.random(out=thresholds[c])
         steps *= a[:, None, None]
-        thresholds = np.exp(-log_accept_noise / exponents)
+        np.log(thresholds, out=thresholds)
+        thresholds /= exponents
+        np.exp(thresholds, out=thresholds)
         resid = targets - (X @ current[:, :, None])[:, :, 0]
-        current_s = objective(resid).tolist()
-        if lone:
-            resid = resid[0]
+        current_n = norm(resid).tolist()
         accepted = np.zeros((n_chains, m), dtype=bool)
         n_blocks = -(-m // block)
         edges = [m * b // n_blocks for b in range(n_blocks + 1)]
         for j0, j1 in zip(edges[:-1], edges[1:]):
             shifts = shift_buffer[: j1 - j0]
             np.matmul(steps[:, j0:j1], Xt, out=shifts.transpose(1, 0, 2))
-            # shifts[j] is step j's (chains, rows), or a lone chain's rows
-            if lone:
-                shifts = shifts[:, 0]
             for j, (shift, q) in enumerate(zip(shifts, thresholds[:, j0:j1].T.tolist()), j0):
-                proposal = np.subtract(resid, shift, out=proposal_buffer)
-                objectives = objective(proposal, out=abs_buffer)
-                for c, s in enumerate([float(objectives)] if lone else objectives.tolist()):
-                    if not 0.0 < s < current_s[c] * q[c]:  # NaN and +inf reject
-                        if s == 0.0:
+                proposal = np.subtract(resid, shift, proposal_buffer)
+                for c, n_c in enumerate(norm(proposal, abs_buffer, sum_buffer).tolist()):
+                    if not 0.0 < n_c < current_n[c] * q[c]:  # NaN and +inf reject
+                        if n_c == 0.0:
                             raise DegenerateDataError(
                                 "zero residual objective: data admit a perfect fit and the posterior is improper"
                             )
                         continue
-                    current_s[c] = s
+                    current_n[c] = n_c
                     accepted[c, j] = True
-                    if lone:  # swap the two buffers rather than copy
-                        resid, proposal_buffer = proposal, resid
-                    else:
-                        resid[c] = proposal[c]
+                    resid[c] = proposal[c]
         steps[~accepted] = 0.0
         steps[:, 0] += current
         states = np.add.accumulate(steps, axis=1, out=steps)
@@ -282,13 +287,16 @@ def _lockstep_chains(
             for c, (X_c, targets_c, *_) in enumerate(chains):
                 kept_c = kept[c][s0 - n_burn : s1 - n_burn]
                 kept_c[:] = states[c, :, : dims[c]]
-                kept_objectives[c, s0 - n_burn : s1 - n_burn] = objective(targets_c - kept_c @ X_c.T)
+                fits = fit_buffer[: m * rows[c]].reshape(m, rows[c])  # contiguous, unlike an (m, n_max) view
+                np.matmul(kept_c, X_c.T, out=fits)
+                kept_norms[c, s0 - n_burn : s1 - n_burn] = norm(np.subtract(targets_c, fits, out=fits), fits)
             kept_accepted[:, s0 - n_burn : s1 - n_burn] = accepted
         elif s1 % ADAPT_WINDOW == 0:
             rates = np.count_nonzero(accepted, axis=1) / ADAPT_WINDOW
             a = np.array([tune_step(a_c, r, config.target_band) for a_c, r in zip(a, rates)])
 
-    return [(kept[c], kept_accepted[c], float(a[c]), kept_objectives[c]) for c in range(n_chains)]
+    kept_norms *= 0.5  # the objectives S = N / 2
+    return [(kept[c], kept_accepted[c], float(a[c]), kept_norms[c]) for c in range(n_chains)]
 
 
 def run_mh_batch(

@@ -30,14 +30,17 @@ as one batch: order p uses the first p + 1 columns of the largest order's
 design, and the other columns are zero with a unit diagonal in the padded
 normal matrix, which keeps their coefficients at zero.
 
-Units.  ``_l1_fits`` alone sees the data's units.  It standardises the
-window once: targets and lag columns less the targets' median, over their
-mean absolute deviation from it (1 if that is 0).  The optimal basis is the
-same, so the solve, the dual projection, the vertex and the certificate all
-run on that window, and rank is judged there too, by
-``core.independent_columns``; each certified beta and objective is mapped
-back once.  A level offset or a power-of-two scale thus moves no lag
-coefficient beyond the rounding of the data themselves.
+Units.  ``_l1_fits`` alone sees the data's units.  It scales the window
+exactly by 2^(-e), e the binary exponent of its largest |value|, so no
+median or sum overflows, then standardises it once: targets and lag columns
+less the targets' median, over their mean absolute deviation from it (1 if
+that is 0).  The optimal basis is the same, so the solve, the dual
+projection, the vertex and the certificate all run on that window, and rank
+is judged there too, by ``core.independent_columns``; each certified beta
+and objective is mapped back once (an overflow there raises
+``DegenerateDataError`` naming the orders).  A level offset or a
+power-of-two scale thus moves no lag coefficient beyond the rounding of the
+data themselves.
 
 Vertex and certificate.  The interior point ends near the optimum, not on a
 vertex.  The fit is the exact vertex through the k observations with the
@@ -248,10 +251,13 @@ def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, 
     for order in orders:
         check_window(n, order)
     X_lag, targets = lag_design(y.values, max(orders), start)
+    floor = _scale_floor(targets)
+    e = math.frexp(max(float(np.abs(targets).max()), float(np.abs(X_lag[:, 1:]).max())))[1]
+    targets, lags = np.ldexp(targets, -e), np.ldexp(X_lag[:, 1:], -e)
     median = _median(targets)
     spread = float(np.mean(np.abs(targets - median))) or 1.0
     y_s = (targets - median) / spread
-    X_s = np.hstack([X_lag[:, :1], (X_lag[:, 1:] - median) / spread])
+    X_s = np.hstack([X_lag[:, :1], (lags - median) / spread])
     k = X_s.shape[1]
     # Order p's columns are the first p + 1 of X_s's, so one pass over X_s keeps,
     # for every order, each column that is independent of the kept ones before it.
@@ -264,18 +270,21 @@ def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, 
                       RuntimeWarning, stacklevel=3)
 
     duals, betas = _frisch_newton(X_s, y_s, masks)
-    floor = _scale_floor(targets)
-    fits, failed, worst = [], [], 0.0
+    fits, failed, worst, overflowed = [], [], 0.0, []
     for order, mask, d, beta_ip in zip(orders, masks, duals, betas):
         beta, gap = _certified_beta(X_s[:, mask], y_s, d, beta_ip[mask])
         if beta is None:
             failed.append(order)
             worst = max(worst, gap)
             continue
-        objective = spread * float(LAPLACE_MODEL.objective(y_s - X_s[:, mask] @ beta))
         full = np.zeros(order + 1)
         full[mask[: order + 1]] = beta
-        full[0] = median * (1.0 - full[1:].sum()) + spread * full[0]
+        try:  # back to the data's units, 2^e times the fitted window's
+            objective = math.ldexp(spread * float(LAPLACE_MODEL.objective(y_s - X_s[:, mask] @ beta)), e)
+            full[0] = math.ldexp(median * (1.0 - full[1:].sum()) + spread * full[0], e)
+        except OverflowError:
+            overflowed.append(order)
+            continue
         scale = max(LAPLACE_MODEL.point_scale(objective, n), floor)
         fits.append(MleFit(coeff=Coefficients(full), scale=scale, objective=objective))
     if failed:
@@ -283,6 +292,8 @@ def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, 
             f"L1 fit failed for orders {failed}: duality gap {worst:.1e} of the median fit's "
             f"objective exceeds {GAP_TOLERANCE:.0e}"
         )
+    if overflowed:
+        raise DegenerateDataError(f"L1 fit of orders {overflowed}: the intercept or objective overflows")
     return tuple(fits)
 
 

@@ -449,6 +449,22 @@ def test_input_sweep_exits_with_documented_codes(tmp_path, capsys, name):
             assert not re.search(r"\b(Infinity|NaN|inf|nan)\b", text), args
 
 
+@pytest.mark.parametrize("k", [1010, 1015])
+def test_laplace_data_near_the_float_maximum_exit_0_or_4(tmp_path, capsys, k):
+    # the L1 fits of a walk scaled by 2^k run on the window at 2^(-e) y and map
+    # back, so no numeric failure reads as a config error (exit 2)
+    y = np.ldexp(100 + np.cumsum(np.random.default_rng(3).laplace(0.3, 1, 80)), k)
+    data = tmp_path / "in.csv"
+    data.write_text("value\n" + "".join(f"{float(v)!r}\n" for v in y))
+    runs = [["select-order", "--k", "4"], ["forecast", "--no-diff", "--k", "3", "--n-total", "400", "--n-burn", "200"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = [main([*args, "--input", str(data), "--out", str(tmp_path / f"out{i}")])
+                 for i, args in enumerate(runs)]
+    assert codes[0] == 0 and codes[1] in (0, 4)
+    assert "config error" not in capsys.readouterr().err
+
+
 def test_readme_commands_parse():
     # every command in the README's command-line block names real flags
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

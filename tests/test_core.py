@@ -192,6 +192,21 @@ class TestErrorModelsAgainstScipy:
         assert got.shape == (30,)
         assert all(got[i] == model.objective(rows[i]) for i in range(30))
 
+    def test_norm_rows_of_a_matrix_match_vectors(self):
+        # the chain's one L1 kernel: a block's row sums, formed in reused
+        # buffers or not, are each row's lone norm bit for bit
+        rows = np.random.default_rng(54).normal(size=(30, 57))
+        got = LAPLACE_MODEL.norm(rows)
+        assert got.shape == (30,)
+        assert all(got[i] == LAPLACE_MODEL.norm(rows[i]) for i in range(30))
+        out, total = np.empty_like(rows), np.empty(30)
+        assert LAPLACE_MODEL.norm(rows, out, total) is total
+        assert total.tobytes() == got.tobytes()
+
+    def test_objective_is_half_the_norm(self):
+        rows = np.random.default_rng(55).laplace(size=(20, 103))
+        assert LAPLACE_MODEL.objective(rows).tobytes() == (0.5 * LAPLACE_MODEL.norm(rows)).tobytes()
+
     def test_point_scales(self):
         assert LAPLACE_MODEL.point_scale(6.0, 5) == 1.0
         assert GAUSSIAN_MODEL.point_scale(20.0, 5) == 2.0

@@ -157,31 +157,31 @@ def grid_marginal_quantiles(X, targets, q):
 
 
 # Chain targets for ``monkeypatch.setattr(mcmc, "LAPLACE_MODEL", fake)``: the
-# chain reads only the model's objective S and samples S^(-n).
+# chain reads only the model's L1 norm N = 2 S and samples N^(-n).
 
 
 class _FlatModel(type(LAPLACE_MODEL)):
     """A constant objective: every Metropolis ratio is 1."""
 
-    def objective(self, resid, out=None):
+    def norm(self, resid, out=None, total=None):
         return np.ones(resid.shape[:-1])
 
 
 class _RssMarginalModel(type(LAPLACE_MODEL)):
     """The Gaussian marginal posterior RSS(beta)^(-n/2) = sqrt(RSS)^(-n)."""
 
-    def objective(self, resid, out=None):
+    def norm(self, resid, out=None, total=None):
         return np.sqrt(np.multiply(resid, resid, out=out).sum(axis=-1))
 
 
 class _CappedModel(type(LAPLACE_MODEL)):
-    """The Laplace model with every objective above ``cap`` replaced by ``fill``."""
+    """The Laplace model with every norm above ``cap`` replaced by ``fill``."""
 
     def __init__(self, cap, fill):
         self.cap, self.fill, self.capped = cap, fill, 0
 
-    def objective(self, resid, out=None):
-        s = super().objective(resid, out=out)
+    def norm(self, resid, out=None, total=None):
+        s = super().norm(resid, out, total)
         self.capped += int(np.count_nonzero(s > self.cap))
         return np.where(s > self.cap, self.fill, s)
 
@@ -597,7 +597,7 @@ class TestAcceptScreen:
                 X, targets = lag_design(y.values, p, p + 1)
                 beta_hat, L = least_squares_shape(X, targets)
                 chains.append((X, targets, beta_hat, L, np.random.default_rng((40, p))))
-            cap = 1.02 * max(float(LAPLACE_MODEL.objective(t - X @ b)) for X, t, b, _, _ in chains)
+            cap = 1.02 * max(float(LAPLACE_MODEL.norm(t - X @ b)) for X, t, b, _, _ in chains)
             model = _CappedModel(cap, fill)
             monkeypatch.setattr(mcmc, "LAPLACE_MODEL", model)
             runs.append((_lockstep_chains(chains, cfg), model))
@@ -607,6 +607,25 @@ class TestAcceptScreen:
             assert kept.tobytes() == kept_inf.tobytes()
             np.testing.assert_array_equal(accepted, accepted_inf)
             assert a == a_inf
+
+    def test_halved_norms_decide_as_objectives(self):
+        # the chain compares norms N = 2 S: 0.5 a < (0.5 b) q iff a < b q,
+        # since halving is exact above the subnormals, and where b q overflows
+        # (0.5 b) q exceeds half the largest float, so every finite a passes both
+        rng = np.random.default_rng(56)
+        b = np.exp(rng.uniform(-360.0, 709.7, 100_000))
+        q = rng.uniform(1.0, 2.0, b.size)
+        with np.errstate(over="ignore"):
+            bq = b * q
+            near = bq * (1.0 + rng.integers(-3, 4, b.size) * np.finfo(float).eps)
+            a = np.where(rng.random(b.size) < 0.5, near, b * rng.uniform(0.5, 2.5, b.size))
+        big = np.finfo(float).max
+        b = np.r_[b, np.full(5, big / 1.5), big, big]
+        q = np.r_[q, np.full(5, 1.9), np.nextafter(1.0, 2.0), 1.0]
+        a = np.r_[a, big, big / 1.5, np.inf, np.nan, 0.0, big, big]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isinf(b * q).sum() > 10
+            assert np.array_equal(0.5 * a < (0.5 * b) * q, a < b * q)
 
     def test_log_uniform_of_minus_inf_accepts(self):
         # a PCG64 state whose first log-uniform draw is log 0 = -inf (its

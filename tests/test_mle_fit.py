@@ -251,6 +251,38 @@ class TestCertificate:
                 assert np.isfinite(fit.coeff.beta).all() and fit.scale > 0
 
 
+class TestMagnitude:
+    """``_l1_fits`` fits each window at 2^(-e) y, e the binary exponent of its
+    largest |value|, and maps the intercept and objective back exactly."""
+
+    @pytest.mark.parametrize("k", [1010, 1015])
+    def test_fits_near_the_float_maximum_follow_the_data_units(self, k):
+        # at 2^1015 the window's median and spread overflowed in the data's
+        # units; now the lags are bit-equal and the rest scales by 2^k exactly
+        y = 100 + np.cumsum(np.random.default_rng(3).laplace(0.3, 1, 80))
+        base = build_ensemble(TimeSeries(y), 4, ErrorFamily.LAPLACE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = build_ensemble(TimeSeries(np.ldexp(y, k)), 4, ErrorFamily.LAPLACE)
+        assert scaled.map_order == base.map_order
+        for fit, fit_k in zip(base.fits, scaled.fits):
+            assert np.array_equal(fit_k.coeff.beta[1:], fit.coeff.beta[1:])
+            assert fit_k.coeff.beta[0] == math.ldexp(fit.coeff.beta[0], k)
+            assert fit_k.objective == math.ldexp(fit.objective, k)
+            assert fit_k.scale == math.ldexp(fit.scale, k)
+
+    def test_an_intercept_that_overflows_names_its_order(self):
+        # a walk alternating about 3/4 of the largest float: its AR(1) lag is
+        # near -1, so the intercept is near 1.5x the largest float
+        t = np.arange(60)
+        noise = np.random.default_rng(0).laplace(size=60)
+        y = 0.75 * np.finfo(float).max * (1 + 0.1 * (-1.0) ** t + 0.01 * noise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDataError, match=r"orders \[1\]: the intercept or objective overflows"):
+                mle_fit.point_fits(TimeSeries(y), (1, 2), 3, ErrorFamily.LAPLACE)
+
+
 def test_package_and_cli_import_no_scipy():
     code = "import sys, bayesmar, bayesmar.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
