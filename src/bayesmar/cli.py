@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DegenerateDataError, ErrorFamily, TimeSeries, diff1
+from .core import DegenerateDataError, ErrorFamily, TimeSeries, binary_scale, diff1, unscale
 from .forecast import POINT_STATISTICS, MethodSpec, fit_and_forecast
 from .harness import (
     BacktestSpec,
@@ -224,13 +224,13 @@ def _mcmc(ns: argparse.Namespace, seed: int = 0) -> McmcConfig:
 
 def _cmd_fit(ns: argparse.Namespace) -> list[Artifact]:
     draws = run_mh(_read_input(ns), ns.order, ErrorFamily(ns.family), _mcmc(ns, ns.seed))
-    mean = posterior_mean(draws)
+    mean, (tau, e) = posterior_mean(draws), binary_scale(draws.tau_draws)  # tau's mean formed as beta's
     artifacts: list[Artifact] = [("fit.json", {
         "config": _echo(ns, ("input", "order", "family", "diff", "n_total", "n_burn")),
         "seed": ns.seed,
         "order": draws.order,
         "posterior_mean": [float(b) for b in mean.beta],
-        "scale_posterior_mean": float(draws.tau_draws.mean()),
+        "scale_posterior_mean": float(unscale(tau.mean(), e, "the scale's posterior mean")),
         "acceptance_rate": draws.acceptance_rate,
         "step_size": draws.step_size,
         "n_kept": draws.n_kept,

@@ -46,6 +46,9 @@ __all__ = [
     "Coefficients",
     "PosteriorDraws",
     "lag_design",
+    "fit_window",
+    "binary_scale",
+    "unscale",
     "independent_columns",
     "least_squares",
     "check_window",
@@ -213,6 +216,44 @@ def lag_design(values: np.ndarray, order: int, start: int) -> tuple[np.ndarray, 
     return np.column_stack(cols), targets
 
 
+def binary_scale(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values * 2^(-e), e), exactly: e the binary exponent of the largest |value|,
+    per column of a 2-D array (0 if it is 0 or not finite), which lands in [0.5, 1)."""
+    e = np.frexp(np.abs(values).max(axis=0))[1]
+    return np.ldexp(values, -e), e
+
+
+def fit_window(values: np.ndarray, order: int, start: int, context: str = "") -> tuple[np.ndarray, np.ndarray, int]:
+    """(X, targets, e): ``check_window`` (with ``context``) and ``lag_design``
+    of rows t = start..T on the window y_{start-order}..y_T at ``binary_scale``.
+
+    This is the one set of units of every fit.  No square, sum or median of
+    the window overflows, and power-of-two scaling is exact, so a fit of it
+    has the data's lag coefficients and 2^(-e) times their intercept, scale,
+    objective and draws, bit for bit unless a value leaves the normal floats.
+    ``unscale`` maps those back.
+    """
+    check_window(len(values) - start + 1, order, context)
+    lo = max(start - 1 - order, 0)  # lag_design rejects start <= order
+    window, e = binary_scale(np.asarray(values, dtype=float)[lo:])
+    return (*lag_design(window, order, start - lo), e)
+
+
+def unscale(values, e, what: str | None = None, rows: Sequence = ()) -> np.ndarray:
+    """``values`` times 2^e, from ``fit_window``'s units to the data's, with no
+    numpy warning.  With ``what`` an overflow raises one ``DegenerateDataError``,
+    "``what`` overflows", ``what`` formatted with the labels in ``rows`` of the
+    rows that overflow; without, it reads inf."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(values, e)
+    overflow = np.isinf(out) > np.isinf(values)
+    if what is not None and overflow.any():
+        rows = [row for row, bad in zip(rows, overflow.reshape(len(rows), -1).any(axis=1)) if bad] if rows else []
+        raise DegenerateDataError(f"{what.format(rows)} overflows")
+    return out
+
+
 def independent_columns(X: np.ndarray) -> list[int]:
     """Indices of X's columns that are independent of the kept ones before them.
 
@@ -239,9 +280,7 @@ def least_squares(X: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nd
 
     A design that ``independent_columns`` finds rank-deficient raises
     ``DegenerateDataError``; that verdict does not depend on the data's
-    units.  Householder QR scales exactly with the data: under y -> 2^k y,
-    beta_hat's intercept and R's lag columns scale by 2^k, the RSS by 4^k,
-    and no other bit moves.
+    units.  Householder QR is exact under ``fit_window``'s scaling.
     """
     if (rank := len(independent_columns(X))) < X.shape[1]:
         raise DegenerateDataError(f"design of {X.shape[1]} columns has rank {rank}: fit not identified")

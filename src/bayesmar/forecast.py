@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ErrorFamily, PosteriorDraws, TimeSeries, as_seed_tuple, diff1
+from .core import ErrorFamily, PosteriorDraws, TimeSeries, as_seed_tuple, binary_scale, diff1, unscale
 from .mcmc import McmcConfig, run_mh_batch
 from .order_select import build_ensemble
 
@@ -161,13 +161,14 @@ def _require_finite(paths: np.ndarray, name: str) -> np.ndarray:
 
 
 def point_forecast(paths: np.ndarray, statistic: str = "mean") -> np.ndarray:
-    """Per-horizon summary of the path samples (predictive mean by default)."""
+    """Per-horizon summary of the path samples (predictive mean by default), formed as ``scoring``'s metrics are."""
     paths = np.asarray(paths, dtype=float)
     if paths.size == 0:
         raise ValueError("paths must be non-empty")
     if statistic not in POINT_STATISTICS:
         raise ValueError(f"unknown point statistic {statistic!r}")
-    return POINT_STATISTICS[statistic](paths, axis=0)
+    paths, e = binary_scale(paths)
+    return unscale(POINT_STATISTICS[statistic](paths, axis=0), e, "the point forecast")
 
 
 def credible_interval(paths: np.ndarray, level: float) -> np.ndarray:

@@ -2,13 +2,10 @@
 several fits at once and ``run_mh`` one.
 
 The scale parameter is integrated out analytically, leaving a marginal
-posterior of beta alone.  Both families start from one least-squares fit
-(``core.least_squares``): beta_hat, X = QR and s^2 = RSS(beta_hat) / nu,
-nu = n - p - 1.  All of it scales exactly with the data, so under y -> 2^k y
-both samplers' intercept and scale draws scale by 2^k and the rest is equal
-(for the chain, unless an objective lands within rounding of its accept
-threshold).  The perfect-fit screen is relative (RSS <= 1e-20 targets'targets)
-for the same reason.
+posterior of beta alone.  Both families sample ``core.fit_window``'s window
+from one least-squares fit of it (``core.least_squares``): beta_hat, X = QR
+and s^2 = RSS(beta_hat) / nu, nu = n - p - 1, with a relative perfect-fit
+screen, RSS <= 1e-20 targets'targets.
 
 The Laplace family's, S(beta)^(-n) with S(beta) = sum |residual| / 2, is
 sampled by a random-walk Metropolis chain from beta_hat.  Each proposal adds
@@ -112,9 +109,10 @@ from .core import (
     LAPLACE_MODEL,
     PosteriorDraws,
     TimeSeries,
-    check_window,
-    lag_design,
+    binary_scale,
+    fit_window,
     least_squares,
+    unscale,
 )
 
 __all__ = ["McmcConfig", "run_mh", "run_mh_batch", "tune_step", "posterior_mean"]
@@ -169,10 +167,9 @@ def _lockstep_chains(
     config: McmcConfig,
 ) -> list[tuple[np.ndarray, np.ndarray, float, np.ndarray]]:
     """Run one random-walk chain per (X, targets, beta0, shape, rng) in ``chains``
-    on the Laplace marginal S(beta)^(-n) of ``targets ~ X beta``, n the
-    chain's row count and S = N / 2, N the L1 norm ``LAPLACE_MODEL.norm`` of
-    the residuals, all in lockstep; returns (kept, kept_accept_flags,
-    final_a, kept_objectives) per chain.
+    on the Laplace marginal S(beta)^(-n) of ``targets ~ X beta``, all in
+    lockstep as the module docstring describes; returns (kept,
+    kept_accept_flags, final_a, kept_objectives) per chain.
 
     Chain c starts at its beta0, and its proposal i adds a_c shape u_i.  The
     chains run in segments cut at every ``ADAPT_WINDOW`` boundary and at
@@ -183,22 +180,12 @@ def _lockstep_chains(
     same numbers, and the same final rng, as drawing both up front.  It then
     resyncs the residuals as targets - X beta, computes its proposals'
     residual shifts in blocks of at most ``SHIFT_BLOCK_ROWS`` (chains x
-    steps), steps, rebuilds its states and, at the end of a full burn-in
-    window, tunes each a_c.  The symmetric proposal contributes nothing to
-    the Metropolis ratio, so a proposal of norm N' is accepted iff
-    0 < N' < N q, N the current norm and q = u^(-1/n) its log-uniform's
-    threshold: exactly the decisions of 0 < S' < S q (module docstring).
-    Each chain tracks its current norm, never a log target, and a step
-    allocates no array: it subtracts into one reused proposal buffer and
-    sums into one reused buffer of norms.  NaN and +inf reject, and an N' of
-    0 raises ``DegenerateDataError``.  Chains of different sizes are
-    zero-padded as the module docstring describes; the kept states are not,
-    and each retained segment forms its kept norms from the chain's own X
-    and targets, in a contiguous (m x n_c) view of one flat buffer, so that,
-    like the states, they do not depend on the batch; they are halved to
-    objectives once, at return.  (The accept norms carry the shifts' and
-    the padding's rounding: reused, they made a backtest forecast differ by
-    4.4e-16 between one and two workers.)
+    steps), steps by the norm rule 0 < N' < N q of the module docstring,
+    rebuilds its states and, at the end of a full burn-in window, tunes each
+    a_c.  The kept states and kept norms are formed from the chain's own X
+    and targets, so they do not depend on the batch.  (The accept norms
+    carry the shifts' and the padding's rounding: reused, they made a
+    backtest forecast differ by 4.4e-16 between one and two workers.)
     """
     n_chains = len(chains)
     rows = [targets.size for _, targets, _, _, _ in chains]
@@ -308,8 +295,9 @@ def run_mh_batch(
 
     Fit i is an order-p_i fit of y_i on its full usable window t = p_i+1..T,
     drawn from a generator seeded with seed_i (``config.seed`` is not read);
-    a rank-deficient design, a window whose squares over- or underflow, or a
-    perfect fit raises ``DegenerateDataError``.
+    a rank-deficient design, a targets'targets that underflows, a perfect fit or
+    an intercept or scale draw that overflows in the data's units raises
+    ``DegenerateDataError``.
     Gaussian draws n_total - n_burn exact (beta, sigma) pairs per fit, each
     sigma the mixing scale of its multivariate-t beta.  Laplace runs all the
     chains in lockstep, keeps each one's n_total - n_burn post-burn-in states,
@@ -321,43 +309,42 @@ def run_mh_batch(
         return []
     prepared = []
     for y, order, seed in fits:
-        check_window(len(y) - order, order, f"series of length {len(y)}: ")
-        X, targets = lag_design(y.values, order, order + 1)
-        with np.errstate(all="ignore"):  # squares that over- or underflow are reported below
-            beta_hat, R, rss = least_squares(X, targets)
-            energy = float(targets @ targets)
-        if not np.isfinite([rss, energy]).all() or (energy < np.finfo(float).tiny and targets.any()):
-            raise DegenerateDataError(f"order-{order} fit: squares of the window over- or underflow "
-                                      f"(RSS {rss:.3g}, targets'targets {energy:.3g})")
-        # A perfect fit anywhere in beta space makes the marginal posterior
-        # improper; reject such data up front rather than letting the chain
-        # wander.  The test is relative, so it holds in any units.
+        X, targets, e = fit_window(y.values, order, order + 1, f"series of length {len(y)}: ")
+        beta_hat, R, rss = least_squares(X, targets)
+        energy = float(targets @ targets)
+        if energy < np.finfo(float).tiny and targets.any():
+            raise DegenerateDataError(f"order-{order} fit: targets'targets underflows to {energy:.3g}")
+        # a perfect fit anywhere in beta space makes the marginal posterior improper
         if rss <= 1e-20 * energy:
-            raise DegenerateDataError(
-                f"data admit an exact order-{order} fit; the scale posterior is improper"
-            )
+            raise DegenerateDataError(f"data admit an exact order-{order} fit; the scale posterior is improper")
         nu = targets.size - order - 1
         rng = np.random.default_rng(seed)
-        prepared.append((X, targets, beta_hat, np.linalg.inv(R), math.sqrt(rss / nu), nu, rng))
+        prepared.append((X, targets, beta_hat, np.linalg.inv(R), math.sqrt(rss / nu), nu, rng, order, e))
     n_kept = config.n_total - config.n_burn
+    samples, n_burn = [], 0
     if family is ErrorFamily.GAUSSIAN:
-        draws = []
-        for _, _, beta_hat, R_inv, s_hat, nu, rng in prepared:
+        for _, _, beta_hat, R_inv, s_hat, nu, rng, *_ in prepared:
             z = rng.standard_normal((n_kept, beta_hat.size))
             w = rng.chisquare(nu, n_kept)
             sigma = s_hat / np.sqrt(w / nu)  # sqrt(RSS / w): sigma^2 ~ InvGamma(nu/2, RSS/2)
-            beta = beta_hat + (z @ R_inv.T) * sigma[:, None]
-            draws.append(PosteriorDraws(beta, sigma, None, None, 0))
-        return draws
-
-    chains = [(X, t, b, R_inv * s_hat, rng) for X, t, b, R_inv, s_hat, _, rng in prepared]
-    samples = _lockstep_chains(chains, config)
+            samples.append((beta_hat + (z @ R_inv.T) * sigma[:, None], sigma, None, None))
+    else:
+        chains = [(X, t, b, R_inv * s_hat, rng) for X, t, b, R_inv, s_hat, _, rng, *_ in prepared]
+        for (_, targets, *_, rng, _, _), (kept, accepted, step_size, objectives) in zip(
+            prepared, _lockstep_chains(chains, config)
+        ):
+            if np.any(objectives <= 0.0):
+                raise DegenerateDataError("retained draw with zero residual objective")
+            tau = LAPLACE_MODEL.draw_scale(rng, objectives, targets.size)
+            samples.append((kept, tau, accepted, step_size))
+        n_burn = config.n_burn
     draws = []
-    for (_, targets, *_, rng), (kept, accepted, step_size, objectives) in zip(prepared, samples):
-        if np.any(objectives <= 0.0):
-            raise DegenerateDataError("retained draw with zero residual objective")
-        tau = LAPLACE_MODEL.draw_scale(rng, objectives, targets.size)
-        draws.append(PosteriorDraws(kept, tau, accepted, step_size, config.n_burn))
+    for (*_, order, e), (beta, scale, accepted, step_size) in zip(prepared, samples):
+        # back to the data's units, one draw array at a time
+        what = f"order-{order} fit: an intercept or scale draw"
+        beta[:, 0] = unscale(beta[:, 0], e, what)
+        scale[:] = unscale(scale, e, what)
+        draws.append(PosteriorDraws(beta, scale, accepted, step_size, n_burn))
     return draws
 
 
@@ -373,6 +360,7 @@ def run_mh(
 
 
 def posterior_mean(draws: PosteriorDraws) -> Coefficients:
-    """Componentwise mean of the retained beta draws (the Bayes estimate)."""
-    return Coefficients(draws.beta_draws.mean(axis=0))
+    """Componentwise mean of the retained beta draws (the Bayes estimate), formed at 2^(-e)."""
+    beta, e = binary_scale(draws.beta_draws)
+    return Coefficients(unscale(beta.mean(axis=0), e, "the posterior mean"))
 

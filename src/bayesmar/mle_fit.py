@@ -30,17 +30,13 @@ as one batch: order p uses the first p + 1 columns of the largest order's
 design, and the other columns are zero with a unit diagonal in the padded
 normal matrix, which keeps their coefficients at zero.
 
-Units.  ``_l1_fits`` alone sees the data's units.  It scales the window
-exactly by 2^(-e), e the binary exponent of its largest |value|, so no
-median or sum overflows, then standardises it once: targets and lag columns
-less the targets' median, over their mean absolute deviation from it (1 if
-that is 0).  The optimal basis is the same, so the solve, the dual
-projection, the vertex and the certificate all run on that window, and rank
-is judged there too, by ``core.independent_columns``; each certified beta
-and objective is mapped back once (an overflow there raises
-``DegenerateDataError`` naming the orders).  A level offset or a
-power-of-two scale thus moves no lag coefficient beyond the rounding of the
-data themselves.
+Units.  Both fits run on ``core.fit_window``'s window and map back with
+``core.unscale``.  ``_l1_fits`` standardises that window once more: targets
+and lag columns less the targets' median, over their mean absolute deviation
+from it (1 if that is 0).  The optimal basis is the same, so the solve, the
+dual projection, the vertex, the certificate and the rank verdict
+(``core.independent_columns``) all run there, and a level offset moves no
+lag coefficient beyond the rounding of the data themselves.
 
 Vertex and certificate.  The interior point ends near the optimum, not on a
 vertex.  The fit is the exact vertex through the k observations with the
@@ -78,10 +74,10 @@ from .core import (
     DegenerateDataError,
     ErrorFamily,
     TimeSeries,
-    check_window,
+    fit_window,
     independent_columns,
-    lag_design,
     least_squares,
+    unscale,
 )
 
 __all__ = ["MleFit", "fit_l1", "fit_ols", "point_fits", "SCALE_FLOOR"]
@@ -247,17 +243,12 @@ def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, 
     """Certified exact L1 fits of ``orders`` on rows t = start..T, in one batched
     solve on the standardised window (see "Units" in the module docstring)."""
     orders = list(orders)
-    n = len(y) - start + 1
-    for order in orders:
-        check_window(n, order)
-    X_lag, targets = lag_design(y.values, max(orders), start)
-    floor = _scale_floor(targets)
-    e = math.frexp(max(float(np.abs(targets).max()), float(np.abs(X_lag[:, 1:]).max())))[1]
-    targets, lags = np.ldexp(targets, -e), np.ldexp(X_lag[:, 1:], -e)
+    X, targets, e = fit_window(y.values, max(orders), start)
+    n = targets.size
     median = _median(targets)
     spread = float(np.mean(np.abs(targets - median))) or 1.0
     y_s = (targets - median) / spread
-    X_s = np.hstack([X_lag[:, :1], (lags - median) / spread])
+    X_s = np.hstack([X[:, :1], (X[:, 1:] - median) / spread])
     k = X_s.shape[1]
     # Order p's columns are the first p + 1 of X_s's, so one pass over X_s keeps,
     # for every order, each column that is independent of the kept ones before it.
@@ -270,7 +261,7 @@ def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, 
                       RuntimeWarning, stacklevel=3)
 
     duals, betas = _frisch_newton(X_s, y_s, masks)
-    fits, failed, worst, overflowed = [], [], 0.0, []
+    fulls, ends, failed, worst = [], [], [], 0.0
     for order, mask, d, beta_ip in zip(orders, masks, duals, betas):
         beta, gap = _certified_beta(X_s[:, mask], y_s, d, beta_ip[mask])
         if beta is None:
@@ -279,22 +270,18 @@ def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, 
             continue
         full = np.zeros(order + 1)
         full[mask[: order + 1]] = beta
-        try:  # back to the data's units, 2^e times the fitted window's
-            objective = math.ldexp(spread * float(LAPLACE_MODEL.objective(y_s - X_s[:, mask] @ beta)), e)
-            full[0] = math.ldexp(median * (1.0 - full[1:].sum()) + spread * full[0], e)
-        except OverflowError:
-            overflowed.append(order)
-            continue
-        scale = max(LAPLACE_MODEL.point_scale(objective, n), floor)
-        fits.append(MleFit(coeff=Coefficients(full), scale=scale, objective=objective))
+        fulls.append(full)  # with its intercept and objective on fit_window's window:
+        ends.append((median * (1.0 - full[1:].sum()) + spread * full[0],
+                     spread * float(LAPLACE_MODEL.objective(y_s - X_s[:, mask] @ beta))))
     if failed:
         raise RuntimeError(
             f"L1 fit failed for orders {failed}: duality gap {worst:.1e} of the median fit's "
             f"objective exceeds {GAP_TOLERANCE:.0e}"
         )
-    if overflowed:
-        raise DegenerateDataError(f"L1 fit of orders {overflowed}: the intercept or objective overflows")
-    return tuple(fits)
+    ends = unscale(ends, e, "L1 fit of orders {}: the intercept or objective", orders).tolist()
+    floor = _scale_floor(y.values[start - 1 :])
+    return tuple(MleFit(Coefficients(np.r_[b0, full[1:]]), max(LAPLACE_MODEL.point_scale(obj, n), floor), obj)
+                 for full, (b0, obj) in zip(fulls, ends))
 
 
 def fit_l1(y: TimeSeries, order: int, start: int) -> MleFit:
@@ -303,12 +290,9 @@ def fit_l1(y: TimeSeries, order: int, start: int) -> MleFit:
 
     The scale slot carries tau = S / (n + 1) over the window's n rows, at
     least ``SCALE_FLOOR`` times the largest |target|; the objective is S.
-    Beta is the exact vertex through the k rows of smallest |residual| at the
-    interior point, or else the interior-point beta, whichever first
-    certifies by a duality gap of at most ``GAP_TOLERANCE`` (1e-9) of S_med;
-    if neither does, ``RuntimeError`` names the order.  With a rank-deficient
-    design a warning names the order, and one optimal beta is returned, zero
-    on the dependent columns.
+    Beta is certified as "Vertex and certificate" describes, or else
+    ``RuntimeError`` names the order; a rank-deficient design warns and
+    returns one optimal beta, zero on the dependent columns.
     """
     return _l1_fits(y, (order,), start)[0]
 
@@ -319,19 +303,20 @@ def fit_ols(y: TimeSeries, order: int, start: int) -> MleFit:
     The scale slot carries sigma = sqrt(RSS / n) over the window's n rows, at
     least ``SCALE_FLOOR`` times the largest |target|; the objective is the RSS.
     A rank-deficient design raises ``DegenerateDataError``, and so does an RSS
-    or sigma^2 that over- or underflows (0 and normal floats pass).
+    or sigma^2 that over- or underflows in the data's units, where the BIC
+    takes log sigma^2 (0 and normal floats pass).
     """
-    X, targets = lag_design(y.values, order, start)
+    X, targets, e = fit_window(y.values, order, start)
     n = targets.size
-    check_window(n, order)
-    with np.errstate(all="ignore"):  # an RSS that overflows is reported below
-        beta, _, rss = least_squares(X, targets)
-    scale = max(GAUSSIAN_MODEL.point_scale(rss, n), _scale_floor(targets))
+    beta, _, rss = least_squares(X, targets)
+    rss = float(unscale(rss, 2 * e))
+    scale = max(GAUSSIAN_MODEL.point_scale(rss, n), _scale_floor(y.values[start - 1 :]))
     tiny = np.finfo(float).tiny
     if not (rss == 0 or tiny <= rss < math.inf) or not tiny <= scale * scale < math.inf:
         raise DegenerateDataError(
             f"Gaussian fit of order {order}: RSS {rss:.3g} or sigma^2 {scale * scale:.3g} over- or underflows"
         )
+    beta[0] = unscale(beta[0], e, f"Gaussian fit of order {order}: the intercept")
     return MleFit(coeff=Coefficients(beta), scale=scale, objective=rss)
 
 

@@ -6,7 +6,8 @@ The CRPS uses the energy form
 
 with the pairwise term computed from the sorted sample in O(M log M).  A
 closed-form Laplace CRPS is provided as an independent oracle for the sample
-estimator.
+estimator.  Each metric is formed at 2^(-e) (``core.binary_scale``) and
+mapped back (``core.unscale``), so no square or sum of it overflows.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import binary_scale, unscale
 
 __all__ = [
     "rmse",
@@ -30,7 +33,8 @@ def rmse(errors: np.ndarray) -> float:
     errors = np.asarray(errors, dtype=float)
     if errors.size == 0:
         raise ValueError("errors must be non-empty")
-    return math.sqrt(float((errors * errors).mean()))
+    errors, e = binary_scale(errors)
+    return float(unscale(math.sqrt(float((errors * errors).mean())), e, "RMSE"))
 
 
 def mae(errors: np.ndarray) -> float:
@@ -38,7 +42,8 @@ def mae(errors: np.ndarray) -> float:
     errors = np.asarray(errors, dtype=float)
     if errors.size == 0:
         raise ValueError("errors must be non-empty")
-    return float(np.abs(errors).mean())
+    errors, e = binary_scale(errors)
+    return float(unscale(np.abs(errors).mean(), e, "MAE"))
 
 
 def crps_sample(samples: np.ndarray, observed: float) -> float:
@@ -47,11 +52,13 @@ def crps_sample(samples: np.ndarray, observed: float) -> float:
     m = x.size
     if m < 2:
         raise ValueError("need at least 2 samples")
+    x, e = binary_scale(np.append(x, observed))
+    x, observed = x[:-1], x[-1]
     term_abs = float(np.abs(x - observed).mean())
     # sum_ij |x_i - x_j| = 2 * sum_k (2k - m + 1) x_(k) over the sorted sample
     k = np.arange(m)
     term_pair = float(((2.0 * k - m + 1.0) * x).sum()) / (m * m)
-    return term_abs - term_pair
+    return float(unscale(term_abs - term_pair, e, "CRPS"))
 
 
 def crps_laplace_closed(mu: float, b: float, observed: float) -> float:

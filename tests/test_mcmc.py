@@ -359,11 +359,11 @@ class TestRunMh:
             assert np.array_equal(scaled.accepted, base.accepted)
             assert scaled.step_size == base.step_size
 
-    @pytest.mark.parametrize("k", [-50, -10, 3, 13, 48])
+    @pytest.mark.parametrize("k", [-1000, -50, -10, 3, 13, 48, 1000])
     def test_gaussian_draws_follow_the_data_units(self, k):
         self.check_draws_follow_the_data_units(ErrorFamily.GAUSSIAN, k)
 
-    @pytest.mark.parametrize("k", [-50, -40, -10, 3, 13, 48])
+    @pytest.mark.parametrize("k", [-1000, -50, -40, -10, 3, 13, 48, 1000])
     def test_laplace_draws_follow_the_data_units(self, k):
         self.check_draws_follow_the_data_units(ErrorFamily.LAPLACE, k)
 
@@ -378,16 +378,24 @@ class TestRunMh:
 
     @pytest.mark.parametrize("c", [1e299, 1e-298, 1e-313])
     @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
-    def test_overflowed_squares_are_not_an_exact_fit(self, family, c):
-        # squares of data near 1e299 overflow and near 1e-298 underflow to 0;
-        # the set-up names that, without a numpy warning, instead of reading
-        # inf <= inf or 0 <= 0 as a perfect fit
+    def test_data_whose_squares_over_or_underflow_sample(self, family, c):
+        # the squares of data near 1e299 overflow and those near 1e-298 underflow
+        # to 0, but the sampler fits the window at 2^(-e) y and maps back
         walk = np.cumsum(np.random.default_rng(7).laplace(0.3, 1.0, 80)) + 5.0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(DegenerateDataError, match="order-2 fit: squares of the window over- or underflow"):
-                run_mh(TimeSeries(c * walk), 2, family, McmcConfig(n_total=200, n_burn=100))
-        assert not caught
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = run_mh(TimeSeries(c * walk), 2, family, McmcConfig(n_total=200, n_burn=100))
+        assert np.isfinite(draws.beta_draws).all()
+        assert np.isfinite(draws.tau_draws).all() and (draws.tau_draws > 0).all()
+
+    @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
+    def test_targets_whose_squares_underflow_are_not_an_exact_fit(self, family):
+        # beside a lag of 1 the targets are 1e-200 of it, so targets'targets
+        # underflows to 0 on the window; that is named, not read as 0 <= 0
+        walk = np.cumsum(np.random.default_rng(7).laplace(0.3, 1.0, 80)) + 5.0
+        y = TimeSeries(np.r_[1.0, 1e-200 * walk])
+        with pytest.raises(DegenerateDataError, match="order-1 fit: targets'targets underflows to 0"):
+            run_mh(y, 1, family, McmcConfig(n_total=200, n_burn=100))
 
     @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
     def test_all_zero_targets_are_an_exact_fit(self, family):
