@@ -47,6 +47,7 @@ __all__ = [
     "PosteriorDraws",
     "lag_design",
     "fit_window",
+    "SCALE_FLOOR",
     "binary_scale",
     "unscale",
     "independent_columns",
@@ -216,6 +217,12 @@ def lag_design(values: np.ndarray, order: int, start: int) -> tuple[np.ndarray, 
     return np.column_stack(cols), targets
 
 
+#: The one degeneracy rule, on ``fit_window``'s window: a point fit's scale is floored at it,
+#: and a window whose least-squares scale sqrt(RSS / n) is at or below it is an exact fit;
+#: rounding leaves an exact window 2^-50.8 to 2^-55.6 (AR(2) offset by up to 1e10, trends).
+SCALE_FLOOR = 2.0**-40
+
+
 def binary_scale(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values * 2^(-e), e), exactly: e the binary exponent of the largest |value|,
     per column of a 2-D array (0 if it is 0 or not finite), which lands in [0.5, 1)."""
@@ -236,7 +243,7 @@ def fit_window(values: np.ndarray, order: int, start: int, context: str = "") ->
     check_window(len(values) - start + 1, order, context)
     lo = max(start - 1 - order, 0)  # lag_design rejects start <= order
     window, e = binary_scale(np.asarray(values, dtype=float)[lo:])
-    return (*lag_design(window, order, start - lo), e)
+    return (*lag_design(window, order, start - lo), int(e))
 
 
 def unscale(values, e, what: str | None = None, rows: Sequence = ()) -> np.ndarray:
@@ -247,10 +254,11 @@ def unscale(values, e, what: str | None = None, rows: Sequence = ()) -> np.ndarr
     values = np.asarray(values, dtype=float)
     with np.errstate(over="ignore"):
         out = np.ldexp(values, e)
-    overflow = np.isinf(out) > np.isinf(values)
-    if what is not None and overflow.any():
-        rows = [row for row, bad in zip(rows, overflow.reshape(len(rows), -1).any(axis=1)) if bad] if rows else []
-        raise DegenerateDataError(f"{what.format(rows)} overflows")
+    if what is not None and np.isinf(out).any():  # the mask only when something may overflow
+        overflow = np.isinf(out) > np.isinf(values)
+        if overflow.any():
+            rows = [row for row, bad in zip(rows, overflow.reshape(len(rows), -1).any(axis=1)) if bad] if rows else []
+            raise DegenerateDataError(f"{what.format(rows)} overflows")
     return out
 
 

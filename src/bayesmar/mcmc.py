@@ -4,8 +4,8 @@ several fits at once and ``run_mh`` one.
 The scale parameter is integrated out analytically, leaving a marginal
 posterior of beta alone.  Both families sample ``core.fit_window``'s window
 from one least-squares fit of it (``core.least_squares``): beta_hat, X = QR
-and s^2 = RSS(beta_hat) / nu, nu = n - p - 1, with a relative perfect-fit
-screen, RSS <= 1e-20 targets'targets.
+and s^2 = RSS(beta_hat) / nu, nu = n - p - 1.  A window whose least-squares
+scale sqrt(RSS / n) is at or below ``core.SCALE_FLOOR`` is an exact fit.
 
 The Laplace family's, S(beta)^(-n) with S(beta) = sum |residual| / 2, is
 sampled by a random-walk Metropolis chain from beta_hat.  Each proposal adds
@@ -48,7 +48,7 @@ S' < S q with q = exp(-log u / n), and each segment turns its log-uniforms
 into thresholds q once, in place.  A chain tracks its current norm N = 2 S
 and accepts iff 0 < N' < N q: exactly the decisions of 0 < S' < S q, as
 halving is exact for every norm it can meet.  The set-up's exact-fit screen
-gives N >= sqrt(RSS(beta_hat)) >= sqrt(1e-20 targets'targets) >= 1.5e-164,
+gives N >= sqrt(RSS(beta_hat)) > sqrt(n) SCALE_FLOOR >= 2^-40 on the window,
 far above the subnormals; and if N q overflows, S q > max/2 >= S' for every
 finite S', so both accept.  NaN and +inf reject; N' = 0 is a perfect fit,
 which raises ``DegenerateDataError``.  The rule differs from the log rule
@@ -106,7 +106,9 @@ from .core import (
     Coefficients,
     DegenerateDataError,
     ErrorFamily,
+    GAUSSIAN_MODEL,
     LAPLACE_MODEL,
+    SCALE_FLOOR,
     PosteriorDraws,
     TimeSeries,
     binary_scale,
@@ -295,8 +297,8 @@ def run_mh_batch(
 
     Fit i is an order-p_i fit of y_i on its full usable window t = p_i+1..T,
     drawn from a generator seeded with seed_i (``config.seed`` is not read);
-    a rank-deficient design, a targets'targets that underflows, a perfect fit or
-    an intercept or scale draw that overflows in the data's units raises
+    a rank-deficient design, an exact fit (see the module docstring) or an
+    intercept or scale draw that overflows in the data's units raises
     ``DegenerateDataError``.
     Gaussian draws n_total - n_burn exact (beta, sigma) pairs per fit, each
     sigma the mixing scale of its multivariate-t beta.  Laplace runs all the
@@ -311,11 +313,8 @@ def run_mh_batch(
     for y, order, seed in fits:
         X, targets, e = fit_window(y.values, order, order + 1, f"series of length {len(y)}: ")
         beta_hat, R, rss = least_squares(X, targets)
-        energy = float(targets @ targets)
-        if energy < np.finfo(float).tiny and targets.any():
-            raise DegenerateDataError(f"order-{order} fit: targets'targets underflows to {energy:.3g}")
         # a perfect fit anywhere in beta space makes the marginal posterior improper
-        if rss <= 1e-20 * energy:
+        if GAUSSIAN_MODEL.point_scale(rss, targets.size) <= SCALE_FLOOR:
             raise DegenerateDataError(f"data admit an exact order-{order} fit; the scale posterior is improper")
         nu = targets.size - order - 1
         rng = np.random.default_rng(seed)

@@ -14,9 +14,8 @@ Both fits take their objective and closed-form scale from the family's
 ``ErrorModel``: the L1 scale divides the optimal objective by the number of
 residual terms plus one, and the least-squares scale is sqrt(RSS / n).  A
 noiseless window attains a zero objective, so the scale is floored at
-``SCALE_FLOOR`` (1e-10) times the window's largest |target|, a floor in the
-data's units; a window whose targets are all 0 is floored at 1e-10 itself.
-``point_fits`` picks the fit that matches a family.
+``core.SCALE_FLOOR`` on the window of "Units".  ``point_fits`` picks the fits
+that match a family and returns them with their BICs.
 
 Solver.  The dual, written with a = (d + 1) / 2 in [0, 1] and X' a = X' 1 / 2,
 is solved by the Frisch-Newton primal-dual interior point with Mehrotra
@@ -30,13 +29,18 @@ as one batch: order p uses the first p + 1 columns of the largest order's
 design, and the other columns are zero with a unit diagonal in the padded
 normal matrix, which keeps their coefficients at zero.
 
-Units.  Both fits run on ``core.fit_window``'s window and map back with
-``core.unscale``.  ``_l1_fits`` standardises that window once more: targets
-and lag columns less the targets' median, over their mean absolute deviation
-from it (1 if that is 0).  The optimal basis is the same, so the solve, the
-dual projection, the vertex, the certificate and the rank verdict
-(``core.independent_columns``) all run there, and a level offset moves no
-lag coefficient beyond the rounding of the data themselves.
+Units.  The fits of an ensemble share one ``core.fit_window`` window, where
+each scale is floored and each BIC formed: at 2^e times the window's scale
+and objective (4^e for the RSS), -2 log L gains 2 n e log 2, which the BIC
+adds to ``ErrorModel.bic`` on the window.  ``core.unscale`` maps the
+intercept, objective and scale back; a scale that maps back to 0 raises
+``DegenerateDataError`` naming its orders.  ``_l1_fits`` standardises the
+window once more: targets and lag columns less the targets' median, over
+their mean absolute deviation from it (1 if that is 0).  The optimal basis
+is the same, so the solve, the dual projection, the vertex, the certificate
+and the rank verdict (``core.independent_columns``) all run there, and a
+level offset moves no lag coefficient beyond the rounding of the data
+themselves.
 
 Vertex and certificate.  The interior point ends near the optimum, not on a
 vertex.  The fit is the exact vertex through the k observations with the
@@ -70,6 +74,7 @@ import numpy as np
 from .core import (
     GAUSSIAN_MODEL,
     LAPLACE_MODEL,
+    SCALE_FLOOR,
     Coefficients,
     DegenerateDataError,
     ErrorFamily,
@@ -80,11 +85,7 @@ from .core import (
     unscale,
 )
 
-__all__ = ["MleFit", "fit_l1", "fit_ols", "point_fits", "SCALE_FLOOR"]
-
-# Noiseless inputs give a zero objective, so a point fit's scale is floored
-# before any log at this share of the window's largest |target| (``_scale_floor``).
-SCALE_FLOOR = 1e-10
+__all__ = ["MleFit", "fit_l1", "fit_ols", "point_fits"]
 
 # A fit is certified when its duality gap is at most this share of S_med.
 GAP_TOLERANCE = 1e-9
@@ -112,12 +113,6 @@ class MleFit:
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
         if self.objective < 0:
             raise ValueError("objective must be nonnegative")
-
-
-def _scale_floor(targets: np.ndarray) -> float:
-    """``SCALE_FLOOR`` times the largest |target|, so the floor follows the
-    data's units; ``SCALE_FLOOR`` itself when every target is 0."""
-    return SCALE_FLOOR * (float(np.abs(targets).max()) or 1.0)
 
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -239,9 +234,21 @@ def _certified_beta(
     return None, gap
 
 
-def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, ...]:
-    """Certified exact L1 fits of ``orders`` on rows t = start..T, in one batched
-    solve on the standardised window (see "Units" in the module docstring)."""
+def _scales_and_bics(model, orders, objectives, n: int, e: int, name: str) -> tuple[list[float], np.ndarray]:
+    """Each order's scale, floored on ``fit_window``'s window and mapped back by
+    2^e, and its BIC, from its objective on that window (see "Units")."""
+    scales = [max(model.point_scale(obj, n), SCALE_FLOOR) for obj in objectives]
+    shift = 2 * n * e * math.log(2.0)
+    bics = np.array([model.bic(n, p, scale, obj) + shift for p, scale, obj in zip(orders, scales, objectives)])
+    if not (scales := unscale(scales, e)).all():  # as a floored scale of subnormal data does
+        zeros = [p for p, s in zip(orders, scales) if not s]
+        raise DegenerateDataError(f"{name} fit of orders {zeros}: the scale underflows to 0")
+    return scales.tolist(), bics
+
+
+def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[tuple[MleFit, ...], np.ndarray]:
+    """Certified exact L1 fits of ``orders`` on rows t = start..T and their BICs,
+    in one batched solve on the standardised window (see "Units")."""
     orders = list(orders)
     X, targets, e = fit_window(y.values, max(orders), start)
     n = targets.size
@@ -278,56 +285,45 @@ def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[MleFit, 
             f"L1 fit failed for orders {failed}: duality gap {worst:.1e} of the median fit's "
             f"objective exceeds {GAP_TOLERANCE:.0e}"
         )
+    scales, bics = _scales_and_bics(LAPLACE_MODEL, orders, [obj for _, obj in ends], n, e, "L1")
     ends = unscale(ends, e, "L1 fit of orders {}: the intercept or objective", orders).tolist()
-    floor = _scale_floor(y.values[start - 1 :])
-    return tuple(MleFit(Coefficients(np.r_[b0, full[1:]]), max(LAPLACE_MODEL.point_scale(obj, n), floor), obj)
-                 for full, (b0, obj) in zip(fulls, ends))
+    return tuple(MleFit(Coefficients(np.r_[b0, full[1:]]), scale, obj)
+                 for full, (b0, obj), scale in zip(fulls, ends, scales)), bics
 
 
 def fit_l1(y: TimeSeries, order: int, start: int) -> MleFit:
     """Exact L1 (median regression) fit on rows t = start..T, a batch of one
-    for the interior point of the module docstring.
+    for the interior point of the module docstring: tau = S / (n + 1) over the
+    window's n rows, floored as "Units" describes, and beta certified as
+    "Vertex and certificate" describes (a rank-deficient design warns and
+    returns one optimal beta, zero on the dependent columns)."""
+    return _l1_fits(y, (order,), start)[0][0]
 
-    The scale slot carries tau = S / (n + 1) over the window's n rows, at
-    least ``SCALE_FLOOR`` times the largest |target|; the objective is S.
-    Beta is certified as "Vertex and certificate" describes, or else
-    ``RuntimeError`` names the order; a rank-deficient design warns and
-    returns one optimal beta, zero on the dependent columns.
-    """
-    return _l1_fits(y, (order,), start)[0]
+
+def _ols_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[tuple[MleFit, ...], np.ndarray]:
+    """Least-squares fits of ``orders`` on rows t = start..T, order p on the first
+    p + 1 columns of one window (see "Units" in the module docstring), and their BICs."""
+    X, targets, e = fit_window(y.values, max(orders), start)
+    betas, rss = zip(*(least_squares(X[:, : order + 1], targets)[::2] for order in orders))
+    scales, bics = _scales_and_bics(GAUSSIAN_MODEL, orders, rss, targets.size, e, "Gaussian")
+    b0 = unscale([beta[0] for beta in betas], e, "Gaussian fit of orders {}: the intercept", orders).tolist()
+    rss = unscale(rss, 2 * e).tolist()
+    return tuple(MleFit(Coefficients(np.r_[b, beta[1:]]), scale, obj)
+                 for beta, b, scale, obj in zip(betas, b0, scales, rss)), bics
 
 
 def fit_ols(y: TimeSeries, order: int, start: int) -> MleFit:
-    """Gaussian MLE on rows t = start..T by ``core.least_squares``.
-
-    The scale slot carries sigma = sqrt(RSS / n) over the window's n rows, at
-    least ``SCALE_FLOOR`` times the largest |target|; the objective is the RSS.
-    A rank-deficient design raises ``DegenerateDataError``, and so does an RSS
-    or sigma^2 that over- or underflows in the data's units, where the BIC
-    takes log sigma^2 (0 and normal floats pass).
-    """
-    X, targets, e = fit_window(y.values, order, start)
-    n = targets.size
-    beta, _, rss = least_squares(X, targets)
-    rss = float(unscale(rss, 2 * e))
-    scale = max(GAUSSIAN_MODEL.point_scale(rss, n), _scale_floor(y.values[start - 1 :]))
-    tiny = np.finfo(float).tiny
-    if not (rss == 0 or tiny <= rss < math.inf) or not tiny <= scale * scale < math.inf:
-        raise DegenerateDataError(
-            f"Gaussian fit of order {order}: RSS {rss:.3g} or sigma^2 {scale * scale:.3g} over- or underflows"
-        )
-    beta[0] = unscale(beta[0], e, f"Gaussian fit of order {order}: the intercept")
-    return MleFit(coeff=Coefficients(beta), scale=scale, objective=rss)
+    """Gaussian MLE on rows t = start..T by ``core.least_squares``: sigma =
+    sqrt(RSS / n) over the window's n rows, floored as "Units" describes.  The
+    objective, the RSS, may read inf or 0 near the ends of the float range;
+    nothing in the pipeline reads it.  A rank-deficient design raises
+    ``DegenerateDataError``."""
+    return _ols_fits(y, (order,), start)[0][0]
 
 
 def point_fits(
     y: TimeSeries, orders: Sequence[int], start: int, family: ErrorFamily
-) -> tuple[MleFit, ...]:
-    """The family's point fit of each order on rows t = start..T.
-
-    Laplace fits are exact L1 fits, all orders in one batched interior-point
-    solve; Gaussian fits are least squares, one order at a time.
-    """
-    if family is ErrorFamily.LAPLACE:
-        return _l1_fits(y, orders, start)
-    return tuple(fit_ols(y, order, start) for order in orders)
+) -> tuple[tuple[MleFit, ...], np.ndarray]:
+    """(fits, BICs) of ``orders`` on rows t = start..T, all on one window: exact
+    L1 fits in one batched solve (Laplace) or least squares (Gaussian)."""
+    return (_l1_fits if family is ErrorFamily.LAPLACE else _ols_fits)(y, orders, start)

@@ -7,7 +7,8 @@ size.  The per-order criterion is
     BIC_p = (p + 2) log(T - K) - 2 log L(beta_hat, scale_hat)
 
 with p + 2 counting the intercept, the p lag coefficients, and the scale; the
-likelihood is the family's ``ErrorModel.bic`` at the point fit.
+likelihood is the family's ``ErrorModel.bic`` at the point fit, which
+``mle_fit.point_fits`` forms with the fits, on their window.
 Model weights are exp(-BIC/2) normalized across orders, computed after
 subtracting the minimum BIC so that realistic magnitudes cannot underflow.
 """
@@ -62,10 +63,5 @@ def bma_weights(bics: np.ndarray) -> np.ndarray:
 def build_ensemble(y: TimeSeries, max_order: int, family: ErrorFamily) -> OrderEnsemble:
     """Fit every order 1..max_order on the aligned window and score each by BIC."""
     T = len(y)
-    n = T - max_order
-    check_window(n, max_order, f"aligned window of series length {T}: ")
-    fits = point_fits(y, range(1, max_order + 1), max_order + 1, family)
-    bics = np.array(
-        [family.model.bic(n, p, fit.scale, fit.objective) for p, fit in enumerate(fits, start=1)]
-    )
-    return OrderEnsemble(fits, bics)
+    check_window(T - max_order, max_order, f"aligned window of series length {T}: ")
+    return OrderEnsemble(*point_fits(y, range(1, max_order + 1), max_order + 1, family))

@@ -694,23 +694,53 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["forecast", "select-order"])
-    @pytest.mark.parametrize("factor", [1e299, 1e-298, 1e-313])
-    def test_gaussian_magnitude_overflow_is_numeric_error(self, tmp_path, capsys, command, factor):
-        # an 80-point walk whose squares overflow (1e299) or underflow
-        # (1e-298, and 1e-313 of subnormal data): the point fit names its
-        # order before any BIC is formed, and numpy warns of nothing
+    @pytest.mark.parametrize("walk", ["1e+299", "1e-298", "1e-313", "2^1010"])
+    def test_gaussian_selection_runs_at_any_magnitude(self, tmp_path, capsys, command, walk):
+        # walks whose squares overflow (1e299, 2^1010) or underflow (1e-298, and
+        # 1e-313 of subnormal data): each order's scale and BIC are formed on
+        # the fit's window, so selection runs, numpy warns of nothing and no
+        # output holds inf or NaN
+        if walk == "2^1010":
+            values = np.ldexp(100 + np.cumsum(np.random.default_rng(3).laplace(0.3, 1, 80)), 1010)
+        else:
+            values = float(walk) * np.cumsum(np.random.default_rng(5).normal(0.3, 1.0, 80))
         p = tmp_path / "s.csv"
-        walk = factor * np.cumsum(np.random.default_rng(5).normal(0.3, 1.0, 80))
-        p.write_text("".join(f"{float(v)!r}\n" for v in walk))
+        p.write_text("".join(f"{float(v)!r}\n" for v in values))
         out = tmp_path / "o"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main([command, "--input", str(p), "--family", "gaussian", "--k", "3",
                          "--out", str(out)])
-        assert code == 4
-        assert not out.exists()
-        assert [str(w.message) for w in caught] == []
-        assert capsys.readouterr().err.startswith("numeric error: Gaussian fit of order 1: RSS ")
+        assert code == 0, capsys.readouterr().err
+        for text in [capsys.readouterr().out, *(f.read_text() for f in out.iterdir())]:
+            assert not re.search(r"\b(Infinity|NaN|inf|nan)\b", text)
+
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    @pytest.mark.parametrize("series", ["trend-1e-318", "period-4-1e-316"])
+    def test_subnormal_exact_fits_exit_0_or_4(self, tmp_path, capsys, family, series):
+        # exact fits of subnormal data: the floored scale maps back below the
+        # smallest float, which names its order (exit 4) and is never a
+        # config error (exit 2); whatever runs writes no inf or NaN
+        if series == "trend-1e-318":
+            values = 1e-318 * np.arange(1.0, 41.0)
+        else:
+            values = 1e-316 * np.tile([1.0, 3.0, -2.0, 0.5], 10)
+        p = tmp_path / "s.csv"
+        p.write_text("".join(f"{float(v)!r}\n" for v in values))
+        small = ["--n-total", "400", "--n-burn", "200"]
+        runs = [["select-order", "--k", "3"], ["forecast", "--no-diff", "--k", "3", *small],
+                ["fit", "--order", "2", *small]]
+        for i, args in enumerate(runs):
+            out = tmp_path / f"o{i}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # rank-deficient period-4 designs
+                code = main([*args, "--family", family, "--input", str(p), "--out", str(out)])
+            assert code in (0, 4), args
+            printed = capsys.readouterr()
+            assert "config error" not in printed.err, args
+            if code == 0:
+                for text in [printed.out, *(f.read_text() for f in out.iterdir())]:
+                    assert not re.search(r"\b(Infinity|NaN|inf|nan)\b", text), args
 
     def test_invalid_config_is_config_error(self, tmp_path):
         p = tmp_path / "s.csv"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from bayesmar import (
     lag_design,
     run_mh,
 )
-from bayesmar.core import least_squares
+from bayesmar.core import least_squares, unscale
 from bayesmar.forecast import SCALE_DIFFERENCED, ForecastResult
 from bayesmar.mle_fit import point_fits
 
@@ -159,12 +160,14 @@ class TestErrorModelsAgainstScipy:
     def test_bic_minus_penalty_is_scipy_likelihood_at_point_fit(self, family):
         rng = np.random.default_rng(51)
         y = rng.normal(size=60).cumsum() * 0.3
-        (fit,) = point_fits(make_series(y), (2,), 5, family)
+        (fit,), bics = point_fits(make_series(y), (2,), 5, family)
         resid = residuals(y, fit.coeff.beta, 2, 5)
         n = resid.size
         got = family.model.bic(n, 2, fit.scale, fit.objective) - 4 * math.log(n)
         want = -2.0 * float(self.law(family, fit.scale).logpdf(resid).sum())
         assert got == pytest.approx(want, rel=1e-12)
+        assert bics.shape == (1,)
+        assert bics[0] - 4 * math.log(n) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("family", list(ErrorFamily))
     def test_noise_matches_scipy_law(self, family):
@@ -311,6 +314,32 @@ class TestLeastSquares:
         with pytest.raises(DegenerateDataError) as excinfo:
             least_squares(X, targets)
         assert isinstance(excinfo.value, np.linalg.LinAlgError)
+
+
+class TestUnscale:
+    @pytest.mark.parametrize("e", [-1000, -60, 0, 60, 1000])
+    def test_exact_power_of_two(self, e):
+        v = np.random.default_rng(4).normal(size=(5, 3))
+        out = unscale(v, e)
+        assert np.array_equal(unscale(out, -e), v)
+        if abs(e) <= 60:
+            assert np.array_equal(out, v * 2.0**e)
+
+    def test_what_names_only_the_rows_that_overflow(self):
+        # at 2^1024, 1.0 overflows and 0.75 does not
+        v = np.array([[0.5, 0.75], [1.0, 0.25], [0.5, 1.0]])
+        with pytest.raises(DegenerateDataError, match=r"^fit of orders \[2, 3\]: x overflows$"):
+            unscale(v, 1024, "fit of orders {}: x", [1, 2, 3])
+
+    def test_overflow_without_what_reads_inf_and_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = unscale([1.0, 0.75], 1024)
+        assert out[0] == math.inf and out[1] == math.ldexp(0.75, 1024)
+
+    def test_inf_in_the_input_is_not_an_overflow(self):
+        out = unscale([[math.inf, 0.5], [-math.inf, 0.25]], 3, "row {}", ["a", "b"])
+        assert np.array_equal(out, [[math.inf, 4.0], [-math.inf, 2.0]])
 
 
 class TestDifferencing:

@@ -389,12 +389,23 @@ class TestRunMh:
         assert np.isfinite(draws.tau_draws).all() and (draws.tau_draws > 0).all()
 
     @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
-    def test_targets_whose_squares_underflow_are_not_an_exact_fit(self, family):
-        # beside a lag of 1 the targets are 1e-200 of it, so targets'targets
-        # underflows to 0 on the window; that is named, not read as 0 <= 0
+    def test_unit_noise_under_a_large_level_offset_samples(self, family):
+        # a walk with unit Laplace noise offset by 1e11: on the window its
+        # least-squares scale is about 2^-36.5, above SCALE_FLOOR = 2^-40, so it samples
+        walk = 1e11 + 100 + np.cumsum(np.random.default_rng(3).laplace(0.3, 1.0, 80))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = run_mh(TimeSeries(walk), 2, family, McmcConfig(n_total=600, n_burn=300))
+        assert np.isfinite(draws.beta_draws).all()
+        assert np.isfinite(draws.tau_draws).all() and (draws.tau_draws > 0).all()
+
+    @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
+    def test_targets_far_below_their_lags_are_an_exact_fit(self, family):
+        # beside a lag of 1 the targets are 1e-200 of it, so on the window the
+        # least-squares scale lies far below SCALE_FLOOR: an exact fit
         walk = np.cumsum(np.random.default_rng(7).laplace(0.3, 1.0, 80)) + 5.0
         y = TimeSeries(np.r_[1.0, 1e-200 * walk])
-        with pytest.raises(DegenerateDataError, match="order-1 fit: targets'targets underflows to 0"):
+        with pytest.raises(DegenerateDataError, match="exact order-1 fit"):
             run_mh(y, 1, family, McmcConfig(n_total=200, n_burn=100))
 
     @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)

@@ -19,8 +19,7 @@ from bayesmar import (
     simulate_series,
 )
 from bayesmar import mle_fit
-from bayesmar.core import LAPLACE_MODEL, DegenerateDataError, lag_design
-from bayesmar.mle_fit import SCALE_FLOOR
+from bayesmar.core import LAPLACE_MODEL, SCALE_FLOOR, DegenerateDataError, fit_window, lag_design
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
 
@@ -47,10 +46,10 @@ def noiseless_series(n=60):
 
 
 def noiseless_floor():
-    # the scale floor of noiseless_series at order 2: SCALE_FLOOR times the
-    # window's largest |target|
-    _, targets = lag_design(noiseless_series().values, 2, 3)
-    return SCALE_FLOOR * float(np.abs(targets).max())
+    # the scale floor of noiseless_series at order 2: SCALE_FLOOR on the fit's
+    # window, mapped back by 2^e
+    *_, e = fit_window(noiseless_series().values, 2, 3)
+    return math.ldexp(SCALE_FLOOR, e)
 
 
 class TestScaleFloor:
@@ -65,8 +64,9 @@ class TestScaleFloor:
 
     def test_all_zero_series_is_floored_or_degenerate(self):
         # every column but the intercept is 0: the L1 fit warns and certifies
-        # beta = 0 at the floor 1e-10 (S_med = 0 no longer divides the gap by
-        # zero), and least squares finds the design rank-deficient
+        # beta = 0 at SCALE_FLOOR itself, as the window is all 0 (S_med = 0 no
+        # longer divides the gap by zero), and least squares finds the design
+        # rank-deficient
         y = TimeSeries(np.zeros(30))
         with pytest.warns(RuntimeWarning, match="rank-deficient design at order 2"):
             result = fit_l1(y, 2, start=3)

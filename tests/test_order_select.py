@@ -19,6 +19,7 @@ from bayesmar import (
     simulate_series,
 )
 from bayesmar.cli import main
+from bayesmar.core import SCALE_FLOOR, fit_window
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
 
@@ -53,13 +54,17 @@ class TestBicValue:
 
     def test_bic_function_matches_ensemble(self):
         # each ensemble BIC is the Laplace kernel's BIC at the ensemble's own
-        # aligned L1 fit; that fit comes from a packed LP, so it matches a
-        # separate fit_l1 to rounding, not bit for bit
+        # aligned L1 fit, formed on the fit's window at 2^(-e) plus 2 n e log 2;
+        # that fit comes from a packed LP, so it matches a separate fit_l1 to
+        # rounding, not bit for bit
         series = laplace_series(seed=5)
         ens = build_ensemble(series, 6, ErrorFamily.LAPLACE)
+        *_, e = fit_window(series.values, 6, 7)
+        n = len(series) - 6
         for p in range(1, 7):
             fit = ens.fits[p - 1]
-            assert LAPLACE_MODEL.bic(len(series) - 6, p, fit.scale, fit.objective) == ens.bics[p - 1]
+            on_window = LAPLACE_MODEL.bic(n, p, math.ldexp(fit.scale, -e), math.ldexp(fit.objective, -e))
+            assert on_window + 2 * n * e * math.log(2) == ens.bics[p - 1]
             assert fit.objective == pytest.approx(fit_l1(series, p, start=7).objective, rel=1e-12)
 
     def test_rank_deficient_orders_each_warn_once(self):
@@ -170,25 +175,30 @@ class TestBuildEnsemble:
             assert fit_c.scale == 2.0**k * fit.scale
             assert fit_c.objective == (2.0**k if family is ErrorFamily.LAPLACE else 4.0**k) * fit.objective
 
-    @pytest.mark.parametrize("c", [273.15, 1e8, 3e9])
+    @pytest.mark.parametrize("c", [273.15, 1e8, 3e9, 1e10, 1e11])
     def test_laplace_fits_follow_a_level_offset(self, c):
         # y -> y + c moves only the intercept: the MAP order, the weights and the
-        # lags stay (to rounding of the shifted data), and nothing raises or warns
-        for seed in range(11, 21):
-            series = simulate_series(AR2, ErrorFamily.LAPLACE, 120, burn=200, seed=seed)
+        # lags stay (to rounding of the shifted data, eps c), and nothing raises
+        # or warns.  Measured up to 1e11: weights within 0.45 eps c, lags 4.4 eps c.
+        eps = np.finfo(float).eps
+        walk = TimeSeries(100 + np.cumsum(np.random.default_rng(3).laplace(0.3, 1, 80)))
+        for series in [*(simulate_series(AR2, ErrorFamily.LAPLACE, 120, burn=200, seed=seed) for seed in range(11, 21)),
+                       walk]:
             base = build_ensemble(series, 6, ErrorFamily.LAPLACE)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 shifted = build_ensemble(TimeSeries(series.values + c), 6, ErrorFamily.LAPLACE)
             assert shifted.map_order == base.map_order
-            np.testing.assert_allclose(shifted.weights, base.weights, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(shifted.weights, base.weights, rtol=0, atol=max(1e-6, eps * c))
             for fit, fit_c in zip(base.fits, shifted.fits):
-                np.testing.assert_allclose(fit_c.coeff.beta[1:], fit.coeff.beta[1:], rtol=0, atol=1e-5)
+                np.testing.assert_allclose(fit_c.coeff.beta[1:], fit.coeff.beta[1:], rtol=0,
+                                           atol=max(1e-5, 10 * eps * c))
 
     @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
-    def test_all_zero_targets_are_fitted_at_the_absolute_floor(self, tmp_path, family):
+    def test_all_zero_targets_fit_at_the_window_floor(self, tmp_path, family):
         # every target of the K=4 window is 0 and its lags are independent:
-        # each order fits exactly and its scale is floored at 1e-10
+        # each order fits exactly and its scale is floored at SCALE_FLOOR on
+        # the window, whose largest |value| 4 is 2^3 times 0.5
         data = tmp_path / "in.csv"
         data.write_text("value\n" + "".join(f"{v!r}\n" for v in [1.0, 2.0, 3.0, 4.0] + [0.0] * 26))
         code = main(["select-order", "--input", str(data), "--k", "4", "--family", family.value,
@@ -196,7 +206,7 @@ class TestBuildEnsemble:
         assert code == 0
         with open(tmp_path / "ensemble.csv") as fh:
             rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
-        assert [float(r["scale"]) for r in rows] == [1e-10] * 4
+        assert [float(r["scale"]) for r in rows] == [math.ldexp(SCALE_FLOOR, 3)] * 4
 
     def test_csv_export(self, tmp_path):
         data = tmp_path / "in.csv"
