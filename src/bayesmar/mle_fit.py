@@ -22,12 +22,23 @@ is solved by the Frisch-Newton primal-dual interior point with Mehrotra
 predictor-corrector steps (Portnoy & Koenker 1997, "The Gaussian hare and the
 Laplacian tortoise", Statistical Science 12:279).  It starts from a = 1/2,
 which is feasible, and beta at the least-squares fit; each step solves one
-k x k normal system X' Q X per problem.  Every normal system, the start's
-and the dual projection's too, retries a singular matrix with a small ridge.
-The orders of an ensemble share their aligned rows, so all of them are solved
-as one batch: order p uses the first p + 1 columns of the largest order's
-design, and the other columns are zero with a unit diagonal in the padded
-normal matrix, which keeps their coefficients at zero.
+k x k normal system X' Q X per problem.  The orders of an ensemble share
+their aligned rows, so all of them are solved as one batch on the one design
+of the largest order.  Order p's mask keeps its first p + 1 columns (less
+any dependent one, see below) and zeroes its other coefficients and Newton
+directions; their rows and columns of its normal matrix read the identity.
+Each step forms every live problem's normal matrix from one product, the
+problems' weights Q times the rows' outer products x x' (upper triangle,
+mirrored by one gather), and every mat-vec is one product with X or X'.
+Every normal system, the start's and the dual projection's too, retries a
+singular matrix with a small ridge.  Only the matrices that fail are
+ridged, so one degenerate order leaves the Newton steps of the others as
+they are.  The last steps are ill-conditioned (the weights Q span some 24
+orders of magnitude), and their rounding, which depends on the batch, can
+leave a dual too far from X' d = 0 for the certificate below: one order-18
+window in 16,600 study ensembles (T = 200, orders 1-20) failed so, by a gap
+of 3e-6.  An order that fails in its batch is therefore solved once more
+alone before it is rejected.
 
 Units.  The fits of an ensemble share one ``core.fit_window`` window, where
 each scale is floored and each BIC formed: at 2^e times the window's scale
@@ -44,7 +55,11 @@ themselves.
 
 Vertex and certificate.  The interior point ends near the optimum, not on a
 vertex.  The fit is the exact vertex through the k observations with the
-smallest |residual| there: the solution of X_h beta = y_h.  Every fit is then
+smallest |residual| there: the solution of X_h beta = y_h, with the basis
+rows h in index order.  The interior point's last bits depend on its batch,
+but the optimum, not that rounding, picks the rows with the k smallest
+residuals, so a vertex fitted in its ensemble equals, bit for bit, the same
+order's vertex fitted alone on the same window.  Every fit is then
 certified by its duality gap S(beta) - y' d / 2, where d is the interior
 point's dual, projected onto X' d = 0 and scaled into the box.  The gap is
 measured against S_med = sum |y - median(y)| / 2, the intercept-only fit's
@@ -115,23 +130,20 @@ class MleFit:
             raise ValueError("objective must be nonnegative")
 
 
-def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A[b] @ v[b] for each b of a stack."""
-    return (A @ v[..., None])[..., 0]
-
-
 def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a normal system or a stack of them; if one is singular, solve all with a small ridge.
+    """Solve a normal system or each of a stack; retry a singular matrix alone with a small ridge.
 
     Near a face of optima (tied data) the rows that carry the weight can be
-    collinear, which makes the normal matrix singular in floating point.
+    collinear, which makes the normal matrix singular in floating point.  Only
+    the matrices that fail are ridged, so the others keep their lone solutions.
     """
     try:
         return np.linalg.solve(normal, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        scale = normal.diagonal(axis1=-2, axis2=-1).max(axis=-1)[..., None, None]
-        ridge = _RIDGE * scale * np.eye(normal.shape[-1])
-        return np.linalg.solve(normal + ridge, rhs[..., None])[..., 0]
+        if normal.ndim > 2:
+            return np.stack([_solve_normal(m, r) for m, r in zip(normal, rhs)])
+        ridge = _RIDGE * normal.diagonal().max() * np.eye(normal.shape[-1])
+        return np.linalg.solve(normal + ridge, rhs[:, None])[:, 0]
 
 
 def _median(v: np.ndarray) -> float:
@@ -152,15 +164,20 @@ def _frisch_newton(X: np.ndarray, y: np.ndarray, masks: np.ndarray) -> tuple[np.
     mask.  Problems leave the batch as they converge.
     """
     n, k = X.shape
-    Xs = X * masks[:, None, :]
-    pad = np.eye(k) * ~masks[:, None, :]
-    half_sums = 0.5 * Xs.sum(axis=1)
+    # every problem's X' diag(q) X is its row of q times ``outer``, the rows' x x'
+    # upper triangles, mirrored by the gather ``flat``; outside the mask it reads I
+    rows, cols = np.nonzero(np.arange(k)[:, None] <= np.arange(k))
+    outer = X[:, rows] * X[:, cols]
+    flat = np.empty((k, k), dtype=np.intp)
+    flat[rows, cols] = flat[cols, rows] = np.arange(rows.size)
+    pair, eye, keep = masks[:, :, None] & masks[:, None, :], np.eye(k), masks.astype(float)
+    half_sums = 0.5 * X.sum(axis=0)
 
     # a and s = 1 - a are kept apart, so neither loses its digits near a bound
     a = np.full((masks.shape[0], n), 0.5)
     s = a.copy()
-    beta = _solve_normal(Xs.transpose(0, 2, 1) @ Xs + pad, y @ Xs)
-    resid = y - _matvec(Xs, beta)
+    beta = _solve_normal(np.where(pair, X.T @ X, eye), y @ X) * keep
+    resid = y - beta @ X.T
     margin = np.maximum(np.abs(resid).mean(axis=1, keepdims=True), 1e-3)
     z = np.maximum(-resid, 0.0) + margin  # multiplier of a >= 0
     w = np.maximum(resid, 0.0) + margin  # multiplier of a <= 1
@@ -177,22 +194,21 @@ def _frisch_newton(X: np.ndarray, y: np.ndarray, masks: np.ndarray) -> tuple[np.
         if done.any():  # write out and drop the converged problems
             d_out[problems[done]], beta_out[problems[done]] = (a - s)[done], beta[done]
             live = ~done
-            problems, gap, Xs, pad, half_sums, a, s, z, w, beta = (
-                v[live] for v in (problems, gap, Xs, pad, half_sums, a, s, z, w, beta)
+            problems, gap, pair, keep, a, s, z, w, beta = (
+                v[live] for v in (problems, gap, pair, keep, a, s, z, w, beta)
             )
             if problems.size == 0:
                 break
-        Xt = Xs.transpose(0, 2, 1)
         q = 1.0 / (z / a + w / s)
-        normal = Xt @ (q[:, :, None] * Xs) + pad
-        primal_resid = half_sums - _matvec(Xt, a)
-        dual_resid = y - _matvec(Xs, beta) - w + z
+        normal = np.where(pair, (q @ outer)[:, flat], eye)
+        primal_resid = half_sums - a @ X
+        dual_resid = y - beta @ X.T - w + z
 
         def newton(rz, rw):
             # Newton step toward X'a = X'1/2, X beta + w - z = y, a z = rz + a z, s w = rw + s w
             rt = dual_resid - rw / s + rz / a
-            db = _solve_normal(normal, _matvec(Xt, q * rt) - primal_resid)
-            da = q * (rt - _matvec(Xs, db))
+            db = _solve_normal(normal, (q * rt) @ X - primal_resid) * keep
+            da = q * (rt - db @ X.T)
             return da, db, (rz - z * da) / a, (rw + w * da) / s
 
         # Mehrotra: an affine predictor sets the centering, then one corrector
@@ -220,7 +236,7 @@ def _certified_beta(
     d = d - room * (X @ _solve_normal(X.T @ (room[:, None] * X), X.T @ d))
     d /= max(1.0, float(np.abs(d).max()))
     bound = max(0.0, 0.5 * float(y @ d))
-    basis = np.argsort(np.abs(y - X @ beta_ip), kind="stable")[: X.shape[1]]
+    basis = np.sort(np.argsort(np.abs(y - X @ beta_ip), kind="stable")[: X.shape[1]])
     candidates = [beta_ip]
     try:
         candidates.insert(0, np.linalg.solve(X[basis], y[basis]))
@@ -248,7 +264,8 @@ def _scales_and_bics(model, orders, objectives, n: int, e: int, name: str) -> tu
 
 def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[tuple[MleFit, ...], np.ndarray]:
     """Certified exact L1 fits of ``orders`` on rows t = start..T and their BICs,
-    in one batched solve on the standardised window (see "Units")."""
+    in one batched solve on the standardised window (see "Units"); an order
+    that fails to certify there is solved once more alone (see "Solver")."""
     orders = list(orders)
     X, targets, e = fit_window(y.values, max(orders), start)
     n = targets.size
@@ -259,32 +276,36 @@ def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[tuple[Ml
     k = X_s.shape[1]
     # Order p's columns are the first p + 1 of X_s's, so one pass over X_s keeps,
     # for every order, each column that is independent of the kept ones before it.
-    kept = independent_columns(X_s)
-    masks = np.isin(np.arange(k), kept) & (np.arange(k) <= np.array(orders)[:, None])
+    kept = np.zeros(k, dtype=bool)  # a boolean index, at a fifth of np.isin's cost
+    kept[independent_columns(X_s)] = True
+    masks = kept & (np.arange(k) <= np.array(orders)[:, None])
     deficient = [order for order, mask in zip(orders, masks) if mask.sum() < order + 1]
     if deficient:  # one warning naming every such order
         at = "order" + "s" * (len(deficient) > 1) + " " + ", ".join(map(str, deficient))
         warnings.warn(f"rank-deficient design at {at}: L1 optimum is non-unique, returning one optimal fit",
                       RuntimeWarning, stacklevel=3)
 
-    duals, betas = _frisch_newton(X_s, y_s, masks)
-    fulls, ends, failed, worst = [], [], [], 0.0
-    for order, mask, d, beta_ip in zip(orders, masks, duals, betas):
-        beta, gap = _certified_beta(X_s[:, mask], y_s, d, beta_ip[mask])
-        if beta is None:
-            failed.append(order)
-            worst = max(worst, gap)
-            continue
+    certified, gaps = [None] * len(orders), [0.0] * len(orders)
+    batches = [list(range(len(orders)))]
+    for batch in batches:  # the ensemble, then alone each order that fails in it (see "Solver")
+        duals, betas = _frisch_newton(X_s, y_s, masks[batch])
+        for i, d, beta_ip in zip(batch, duals, betas):
+            certified[i], gaps[i] = _certified_beta(X_s[:, masks[i]], y_s, d, beta_ip[masks[i]])
+            if certified[i] is None and len(batch) > 1:
+                batches.append([i])
+    failed = [i for i, beta in enumerate(certified) if beta is None]
+    if failed:
+        raise RuntimeError(
+            f"L1 fit failed for orders {[orders[i] for i in failed]}: duality gap "
+            f"{max(gaps[i] for i in failed):.1e} of the median fit's objective exceeds {GAP_TOLERANCE:.0e}"
+        )
+    fulls, ends = [], []
+    for order, mask, beta in zip(orders, masks, certified):
         full = np.zeros(order + 1)
         full[mask[: order + 1]] = beta
         fulls.append(full)  # with its intercept and objective on fit_window's window:
         ends.append((median * (1.0 - full[1:].sum()) + spread * full[0],
                      spread * float(LAPLACE_MODEL.objective(y_s - X_s[:, mask] @ beta))))
-    if failed:
-        raise RuntimeError(
-            f"L1 fit failed for orders {failed}: duality gap {worst:.1e} of the median fit's "
-            f"objective exceeds {GAP_TOLERANCE:.0e}"
-        )
     scales, bics = _scales_and_bics(LAPLACE_MODEL, orders, [obj for _, obj in ends], n, e, "L1")
     ends = unscale(ends, e, "L1 fit of orders {}: the intercept or objective", orders).tolist()
     return tuple(MleFit(Coefficients(np.r_[b0, full[1:]]), scale, obj)

@@ -251,6 +251,96 @@ class TestCertificate:
                 assert np.isfinite(fit.coeff.beta).all() and fit.scale > 0
 
 
+class TestSolveNormal:
+    def test_a_singular_matrix_ridges_only_itself(self):
+        # a stack of one exactly singular and one regular matrix: the ridge
+        # retry touches only the singular one, so the regular one keeps its
+        # lone solution bit for bit
+        singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        regular = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]])
+        rhs = np.array([[1.0, 2.0, 3.0], [0.3, -0.7, 0.11]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(singular, rhs[0])
+        out = mle_fit._solve_normal(np.stack([singular, regular]), rhs)
+        assert np.array_equal(out[1], np.linalg.solve(regular, rhs[1]))
+        assert np.isfinite(out[0]).all()
+
+
+class TestBatchIndependence:
+    """An order fitted in its ensemble equals the same order fitted alone on
+    the same window: the batch moves only the interior point's last bits."""
+
+    @pytest.mark.parametrize("length, max_order", [(200, 20), (100, 8)], ids=["T200-K20", "T100-K8"])
+    def test_study_ensembles_equal_lone_fits(self, length, max_order):
+        config = SimStudyConfig()
+        orders = range(1, max_order + 1)
+        for seed in range(10):
+            y = simulate_series(config.true_beta, config.error, length, burn=0, seed=seed)
+            fits, bics = mle_fit.point_fits(y, orders, max_order + 1, ErrorFamily.LAPLACE)
+            for p, fit, bic in zip(orders, fits, bics):
+                (lone,), (lone_bic,) = mle_fit.point_fits(y, [p], max_order + 1, ErrorFamily.LAPLACE)
+                assert np.array_equal(fit.coeff.beta, lone.coeff.beta), (seed, p)
+                assert (fit.scale, fit.objective, bic) == (lone.scale, lone.objective, lone_bic), (seed, p)
+
+    def test_an_order_that_fails_in_its_batch_is_solved_alone(self, monkeypatch):
+        # the ill-conditioned last steps of one batch left order 18 of this
+        # window a dual too infeasible to certify (gap 3e-6); alone it certifies
+        config = SimStudyConfig()
+        y = simulate_series(config.true_beta, config.error, 200, burn=0, seed=(5039, 0))
+        fits, bics = mle_fit.point_fits(y, range(1, 21), 21, ErrorFamily.LAPLACE)
+        (lone,), (lone_bic,) = mle_fit.point_fits(y, [18], 21, ErrorFamily.LAPLACE)
+        assert np.array_equal(fits[17].coeff.beta, lone.coeff.beta) and bics[17] == lone_bic
+        # the retry path itself, forced: the first certificate of order 3 fails
+        solves, rejected = [], []
+        solver, certify = mle_fit._frisch_newton, mle_fit._certified_beta
+
+        def counting_solver(X, targets, masks):
+            solves.append(masks.shape)
+            return solver(X, targets, masks)
+
+        def failing_once(X, targets, d, beta_ip):
+            if X.shape[1] == 4 and not rejected:
+                rejected.append(True)
+                return None, 1.0
+            return certify(X, targets, d, beta_ip)
+
+        monkeypatch.setattr(mle_fit, "_frisch_newton", counting_solver)
+        monkeypatch.setattr(mle_fit, "_certified_beta", failing_once)
+        retried, retried_bics = mle_fit.point_fits(y, range(1, 9), 9, ErrorFamily.LAPLACE)
+        assert solves == [(8, 9), (1, 9)]
+        monkeypatch.undo()
+        batch, batch_bics = mle_fit.point_fits(y, range(1, 9), 9, ErrorFamily.LAPLACE)
+        assert np.array_equal(retried_bics, batch_bics)
+        for fit, fit_b in zip(retried, batch):
+            assert np.array_equal(fit.coeff.beta, fit_b.coeff.beta)
+
+    def test_an_order_that_fails_alone_too_names_itself(self, monkeypatch):
+        monkeypatch.setattr(mle_fit, "_certified_beta", lambda X, targets, d, beta_ip: (None, 2e-6)
+                            if X.shape[1] == 3 else (beta_ip, 0.0))
+        y = simulate_series(SimStudyConfig().true_beta, ErrorFamily.LAPLACE, 100, burn=0, seed=1)
+        with pytest.raises(RuntimeError, match=r"orders \[2\]: duality gap 2.0e-06"):
+            mle_fit.point_fits(y, range(1, 5), 5, ErrorFamily.LAPLACE)
+
+    def test_tied_integer_ensembles_match_lone_objectives(self):
+        # the walks of TestCertificate: where ties leave the optimum non-unique
+        # the certified beta may differ, but not its objective
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            y = TimeSeries(np.round(np.cumsum(rng.laplace(0.0, 2.0, 60))))
+            fits, _ = mle_fit.point_fits(y, range(1, 5), 5, ErrorFamily.LAPLACE)
+            for p, fit in zip(range(1, 5), fits):
+                (lone,), _ = mle_fit.point_fits(y, [p], 5, ErrorFamily.LAPLACE)
+                assert fit.objective == pytest.approx(lone.objective, rel=1e-12)
+
+    def test_betas_are_zero_outside_their_masks(self):
+        config = SimStudyConfig()
+        y = simulate_series(config.true_beta, config.error, 100, burn=0, seed=0)
+        X, targets, _ = fit_window(y.values, 8, 9)
+        masks = np.arange(9) <= np.arange(1, 9)[:, None]
+        _, betas = mle_fit._frisch_newton(X, targets, masks)
+        assert not betas[~masks].any()
+
+
 class TestMagnitude:
     """``_l1_fits`` fits each window at 2^(-e) y, e the binary exponent of its
     largest |value|, and maps the intercept and objective back exactly."""
