@@ -30,15 +30,12 @@ directions; their rows and columns of its normal matrix read the identity.
 Each step forms every live problem's normal matrix from one product, the
 problems' weights Q times the rows' outer products x x' (upper triangle,
 mirrored by one gather), and every mat-vec is one product with X or X'.
-Every normal system, the start's and the dual projection's too, retries a
-singular matrix with a small ridge.  Only the matrices that fail are
-ridged, so one degenerate order leaves the Newton steps of the others as
-they are.  The last steps are ill-conditioned (the weights Q span some 24
-orders of magnitude), and their rounding, which depends on the batch, can
-leave a dual too far from X' d = 0 for the certificate below: one order-18
-window in 16,600 study ensembles (T = 200, orders 1-20) failed so, by a gap
-of 3e-6.  An order that fails in its batch is therefore solved once more
-alone before it is rejected.
+Every normal system, the start's too, retries a singular matrix with a
+small ridge.  Only the matrices that fail are ridged, so one degenerate
+order leaves the Newton steps of the others as they are.  The interior
+point only starts the crossover below: its last steps are ill-conditioned
+(the weights Q span some 24 orders of magnitude), and their rounding,
+which depends on the batch, can end it by a neighbouring vertex.
 
 Units.  The fits of an ensemble share one ``core.fit_window`` window, where
 each scale is floored and each BIC formed: at 2^e times the window's scale
@@ -48,33 +45,35 @@ intercept, objective and scale back; a scale that maps back to 0 raises
 ``DegenerateDataError`` naming its orders.  ``_l1_fits`` standardises the
 window once more: targets and lag columns less the targets' median, over
 their mean absolute deviation from it (1 if that is 0).  The optimal basis
-is the same, so the solve, the dual projection, the vertex, the certificate
-and the rank verdict (``core.independent_columns``) all run there, and a
-level offset moves no lag coefficient beyond the rounding of the data
-themselves.
+is the same, so the solve, the crossover, the certificate and the rank
+verdict (``core.independent_columns``) all run there, and a level offset
+moves no lag coefficient beyond the rounding of the data themselves.
 
 Vertex and certificate.  The interior point ends near the optimum, not on a
-vertex.  The fit is the exact vertex through the k observations with the
-smallest |residual| there: the solution of X_h beta = y_h, with the basis
-rows h in index order.  The interior point's last bits depend on its batch,
-but the optimum, not that rounding, picks the rows with the k smallest
-residuals, so a vertex fitted in its ensemble equals, bit for bit, the same
-order's vertex fitted alone on the same window.  Every fit is then
-certified by its duality gap S(beta) - y' d / 2, where d is the interior
-point's dual, projected onto X' d = 0 and scaled into the box.  The gap is
-measured against S_med = sum |y - median(y)| / 2, the intercept-only fit's
-objective and so an upper bound of the optimum; on the standardised window
-S_med = n / 2.  The interior point stops at a gap of 1e-12 of S_med, after
-7-15 steps on the study windows.  Over 7,600 fits of study windows (T = 200,
-orders 1-20) and backtest windows (T = 104, orders 1-8) the certified gaps
-stayed below 9.6e-13 of S_med, below 8.2e-13 on Cauchy walks and tied
-(integer-valued) series, and below 9.5e-13 on study windows offset by up to
-3e9.  A fit is accepted at ``GAP_TOLERANCE`` = 1e-9.  When the optimum is not
-unique (ties, or an exact fit of a lower order) the vertex may miss it; the
-interior-point beta is then returned if it certifies.  If neither does,
-``RuntimeError`` names the orders, so no unchecked beta is ever returned.  A
-design of deficient rank is fitted on a maximal set of independent columns
-(the others' coefficients are zero), with one warning naming its orders.
+vertex.  A crossover (Barrodale & Roberts 1973; Koenker & d'Orey 1987)
+starts from the basis h of the k rows with the smallest |residual| there,
+in index order, and its vertex, the solution of X_h beta = y_h.  Its basis
+dual is d_i = sign(r_i) off the basis, and d_h from X_h' d_h = -X_N' d_N,
+so X' d = 0; a row tied at |r_i| <= 1e-11 keeps the interior point's own
+d_i in [-1, 1] (sign 0 there made tied walks cycle).  Scaled into the box, d
+certifies beta by the duality gap S(beta) - y' d / 2.  While it fails, the
+basis row with the largest |d_j| > 1 leaves along the edge on which S falls
+at rate (|d_j| - 1) / 2, and the row at the weighted median of the edge's
+breakpoints enters.  Where the start's rows tie or repeat (the next residual
+also <= 1e-9, or a singular X_h), the start is instead the first k rows by
+|residual| that ``core.independent_columns`` keeps.  On untied windows the
+optimum, not the batch's rounding, picks the rows, so a vertex fitted in its
+ensemble equals, bit for bit, the same order's lone fit.  The gap is measured
+against S_med = sum |y - median(y)| / 2, an upper bound of the optimum, n / 2
+on the standardised window.  On 3,360 fits of study (T = 200, orders 1-20),
+backtest (T = 104, orders 1-8), Cauchy and 3e9-offset windows the start
+certified with no pivot, at gaps below 5e-16 of S_med; one of 320,000
+study-ensemble fits took a pivot, and 3,600 fits of tied walks at most 2.
+A fit is accepted at ``GAP_TOLERANCE`` = 1e-9.  A revisited basis or n pivots
+end the crossover, and ``RuntimeError`` names the orders, so no unchecked
+beta is ever returned.  A design of deficient rank is fitted on a maximal set
+of independent columns (the others' coefficients are zero), with one warning
+naming its orders.
 """
 
 from __future__ import annotations
@@ -109,6 +108,7 @@ _STOP_GAP = 1e-12  # the interior point stops at this duality gap, as a share of
 _MAX_STEPS = 50
 _STEP_FRACTION = 0.99995  # of the way to the nearest bound that a step goes
 _RIDGE = 1e-13  # of the largest diagonal entry, added only to a singular normal matrix
+_TIED = 1e-11  # a residual at most this is tied at 0: its dual is the interior point's, not its sign
 
 
 @dataclass(frozen=True)
@@ -227,27 +227,47 @@ def _frisch_newton(X: np.ndarray, y: np.ndarray, masks: np.ndarray) -> tuple[np.
 def _certified_beta(
     X: np.ndarray, y: np.ndarray, d: np.ndarray, beta_ip: np.ndarray
 ) -> tuple[np.ndarray | None, float]:
-    """The exact vertex near ``beta_ip``, else ``beta_ip``, if its duality gap
-    certifies it; returns (beta or None, the last gap as a share of S_med,
+    """The exact vertex that a crossover from ``beta_ip`` reaches, if its basis
+    dual certifies it; returns (beta or None, the last gap as a share of S_med,
     which is n / 2 on the standardised window ``X``, ``y`` of ``_l1_fits``)."""
-    # project d onto X' d = 0 in the metric that moves each d_i in proportion
-    # to its room inside [-1, 1], so the coordinates at a bound stay put
-    room = 1.0 - d * d + 1e-12  # > 0, so X' room X is invertible with X' X
-    d = d - room * (X @ _solve_normal(X.T @ (room[:, None] * X), X.T @ d))
-    d /= max(1.0, float(np.abs(d).max()))
-    bound = max(0.0, 0.5 * float(y @ d))
-    basis = np.sort(np.argsort(np.abs(y - X @ beta_ip), kind="stable")[: X.shape[1]])
-    candidates = [beta_ip]
-    try:
-        candidates.insert(0, np.linalg.solve(X[basis], y[basis]))
-    except np.linalg.LinAlgError:  # tied rows in the basis
-        pass
-    gap = math.inf
-    for beta in candidates:
-        gap = (float(LAPLACE_MODEL.objective(y - X @ beta)) - bound) / (y.size / 2)
-        if gap <= GAP_TOLERANCE:
-            return beta, gap
-    return None, gap
+    n, k = X.shape
+    resid = np.abs(y - X @ beta_ip)
+    rows = np.argsort(resid, kind="stable")
+    basis, seen, gap = np.sort(rows[:k]), set(), math.inf
+    restart = resid[rows[k]] <= 1e-9  # ties: the k smallest rows may be dependent
+    for _ in range(n):
+        if restart:  # from the first k rows by |residual| that are independent
+            basis, restart = np.sort(rows[independent_columns(X[rows].T)][:k]), False
+        if basis.tobytes() in seen:
+            break
+        seen.add(basis.tobytes())
+        try:
+            beta = np.linalg.solve(X[basis], y[basis])
+            r = y - X @ beta
+            tied = np.abs(r) <= _TIED
+            dual = np.where(tied, d, np.sign(r))  # d = a - s lies in [-1, 1]
+            dual[basis] = 0.0
+            dual[basis] = np.linalg.solve(X[basis].T, -(X.T @ dual))  # so X' dual = 0
+        except np.linalg.LinAlgError:  # a singular basis, such as repeated rows
+            restart = True
+            continue
+        bound = max(0.0, 0.5 * float(y @ dual) / max(1.0, float(np.abs(dual).max())))
+        gap = (float(LAPLACE_MODEL.objective(r)) - bound) / (n / 2)
+        j = int(np.argmax(np.abs(dual[basis])))
+        if gap <= GAP_TOLERANCE or abs(dual[basis[j]]) <= 1.0:
+            break
+        # row basis[j] leaves along the edge on which S falls at rate
+        # (|dual| - 1) / 2; each row the edge crosses raises that slope
+        g = X @ np.linalg.solve(X[basis], -np.sign(dual[basis[j]]) * np.eye(k)[j])
+        rise = 0.5 * (np.abs(g) + dual * g)
+        rise[basis] = 0.0
+        crossed = np.flatnonzero(rise > 0)
+        crossed = crossed[np.argsort(np.where(tied[crossed], 0.0, r[crossed] / g[crossed]), kind="stable")]
+        enters = np.flatnonzero(0.5 * (1.0 - abs(dual[basis[j]])) + np.cumsum(rise[crossed]) >= 0)
+        if enters.size == 0:
+            break
+        basis = np.sort(np.r_[np.delete(basis, j), crossed[enters[0]]])
+    return (beta, gap) if gap <= GAP_TOLERANCE else (None, gap)
 
 
 def _scales_and_bics(model, orders, objectives, n: int, e: int, name: str) -> tuple[list[float], np.ndarray]:
@@ -264,8 +284,7 @@ def _scales_and_bics(model, orders, objectives, n: int, e: int, name: str) -> tu
 
 def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[tuple[MleFit, ...], np.ndarray]:
     """Certified exact L1 fits of ``orders`` on rows t = start..T and their BICs,
-    in one batched solve on the standardised window (see "Units"); an order
-    that fails to certify there is solved once more alone (see "Solver")."""
+    from one batched solve on the standardised window (see "Units")."""
     orders = list(orders)
     X, targets, e = fit_window(y.values, max(orders), start)
     n = targets.size
@@ -285,14 +304,9 @@ def _l1_fits(y: TimeSeries, orders: Sequence[int], start: int) -> tuple[tuple[Ml
         warnings.warn(f"rank-deficient design at {at}: L1 optimum is non-unique, returning one optimal fit",
                       RuntimeWarning, stacklevel=3)
 
-    certified, gaps = [None] * len(orders), [0.0] * len(orders)
-    batches = [list(range(len(orders)))]
-    for batch in batches:  # the ensemble, then alone each order that fails in it (see "Solver")
-        duals, betas = _frisch_newton(X_s, y_s, masks[batch])
-        for i, d, beta_ip in zip(batch, duals, betas):
-            certified[i], gaps[i] = _certified_beta(X_s[:, masks[i]], y_s, d, beta_ip[masks[i]])
-            if certified[i] is None and len(batch) > 1:
-                batches.append([i])
+    duals, betas = _frisch_newton(X_s, y_s, masks)
+    certified, gaps = zip(*(_certified_beta(X_s[:, mask], y_s, d, beta[mask])
+                            for mask, d, beta in zip(masks, duals, betas)))
     failed = [i for i, beta in enumerate(certified) if beta is None]
     if failed:
         raise RuntimeError(

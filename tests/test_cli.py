@@ -610,11 +610,8 @@ class TestExitCodes:
         assert not (out / "fit.json").exists()
 
     def test_failed_l1_program_is_numeric_error_naming_orders(self, tmp_path, monkeypatch, capsys):
-        def uncertifiable_solver(X, targets, masks):
-            # beta = 0 and d = 0: no fit can be certified by the duality gap
-            return np.zeros((len(masks), targets.size)), np.zeros(masks.shape)
-
-        monkeypatch.setattr(mle_fit, "_frisch_newton", uncertifiable_solver)
+        # no fit's vertex certifies: every order fails by its duality gap
+        monkeypatch.setattr(mle_fit, "_certified_beta", lambda X, targets, d, beta_ip: (None, 1.0))
         p = tmp_path / "s.csv"
         write_series_csv(p, n=80)
         code = main(["select-order", "--input", str(p), "--k", "4", "--out", str(tmp_path / "o")])

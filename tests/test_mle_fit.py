@@ -201,27 +201,45 @@ class TestPrimalOracle:
 
 class TestCertificate:
     def test_tied_integer_fits_certify_and_match_primal(self):
-        # rounded Laplace walks repeat design rows and residuals; the naive
-        # subgradient check (basis multipliers within [-1, 1]) rejects many of
-        # these optimal fits, the duality gap does not
+        # rounded Laplace walks, each order fitted alone, and small-integer-step
+        # walks, each as one order-1-8 ensemble, repeat design rows and
+        # residuals, so the optimum is often a face: every fit is still a
+        # vertex of it (at least k zero residuals) with the primal objective.
+        # The naive subgradient check (basis multipliers of the residuals'
+        # signs within [-1, 1]) rejects many of these optimal fits
         rng = np.random.default_rng(2024)
+        fits = [(y, order, order + 1, fit_l1(TimeSeries(y), order, start=order + 1))
+                for y in (np.round(np.cumsum(rng.laplace(0.0, 2.0, 60))) for _ in range(20))
+                for order in range(1, 5)]
+        for y in (100.0 + np.cumsum(rng.integers(-2, 3, 80)) for _ in range(10)):
+            ensemble, _ = mle_fit.point_fits(TimeSeries(y), range(1, 9), 9, ErrorFamily.LAPLACE)
+            fits += [(y, order, 9, fit) for order, fit in enumerate(ensemble, 1)]
         naive_rejects = 0
-        for _ in range(20):
-            y = np.round(np.cumsum(rng.laplace(0.0, 2.0, 60)))
-            for order in range(1, 5):
-                fit = fit_l1(TimeSeries(y), order, start=order + 1)
-                X, targets = lag_design(y, order, order + 1)
-                oracle_obj = float(LAPLACE_MODEL.objective(targets - X @ primal_l1_oracle(X, targets)))
-                assert fit.objective == pytest.approx(oracle_obj, rel=1e-12)
-                resid = targets - X @ fit.coeff.beta
-                basis = np.argsort(np.abs(resid), kind="stable")[: order + 1]
-                rest = np.setdiff1d(np.arange(targets.size), basis)
-                try:
-                    d_basis = np.linalg.solve(X[basis].T, -X[rest].T @ np.sign(resid[rest]))
-                    naive_rejects += np.abs(d_basis).max() > 1.0 + 1e-9
-                except np.linalg.LinAlgError:
-                    naive_rejects += 1
+        for y, order, start, fit in fits:
+            X, targets = lag_design(y, order, start)
+            oracle_obj = float(LAPLACE_MODEL.objective(targets - X @ primal_l1_oracle(X, targets)))
+            assert fit.objective == pytest.approx(oracle_obj, rel=1e-13)
+            resid = targets - X @ fit.coeff.beta
+            assert (np.abs(resid) <= 1e-12 * np.abs(targets).max()).sum() >= order + 1
+            basis = np.argsort(np.abs(resid), kind="stable")[: order + 1]
+            rest = np.setdiff1d(np.arange(targets.size), basis)
+            try:
+                d_basis = np.linalg.solve(X[basis].T, -X[rest].T @ np.sign(resid[rest]))
+                naive_rejects += np.abs(d_basis).max() > 1.0 + 1e-9
+            except np.linalg.LinAlgError:
+                naive_rejects += 1
         assert naive_rejects > 0
+
+    def test_a_bad_start_is_repaired(self, monkeypatch):
+        # beta = 0 and d = 0 from the interior point: the crossover pivots
+        # from the k rows nearest 0 to the optimum of every order
+        y = TimeSeries(100 + np.cumsum(np.random.default_rng(0).laplace(0.3, 1, 80)))
+        fits, _ = mle_fit.point_fits(y, range(1, 5), 5, ErrorFamily.LAPLACE)
+        monkeypatch.setattr(mle_fit, "_frisch_newton", lambda X, targets, masks: (
+            np.zeros((len(masks), targets.size)), np.zeros(masks.shape)))
+        repaired, _ = mle_fit.point_fits(y, range(1, 5), 5, ErrorFamily.LAPLACE)
+        for fit, fit_r in zip(fits, repaired):
+            assert fit_r.objective == pytest.approx(fit.objective, rel=1e-12)
 
     def test_perfect_fit_certifies(self):
         # the solver's own units: targets and lag columns less the median, over
@@ -282,37 +300,26 @@ class TestBatchIndependence:
                 assert np.array_equal(fit.coeff.beta, lone.coeff.beta), (seed, p)
                 assert (fit.scale, fit.objective, bic) == (lone.scale, lone.objective, lone_bic), (seed, p)
 
-    def test_an_order_that_fails_in_its_batch_is_solved_alone(self, monkeypatch):
-        # the ill-conditioned last steps of one batch left order 18 of this
-        # window a dual too infeasible to certify (gap 3e-6); alone it certifies
+    def test_an_order_that_once_failed_in_its_batch_certifies_there(self, monkeypatch):
+        # the ill-conditioned last steps of this batch end order 18's interior
+        # point on a neighbouring vertex; the crossover pivots from there to
+        # the optimum, in the one ensemble solve, and equals the lone fit
         config = SimStudyConfig()
         y = simulate_series(config.true_beta, config.error, 200, burn=0, seed=(5039, 0))
-        fits, bics = mle_fit.point_fits(y, range(1, 21), 21, ErrorFamily.LAPLACE)
-        (lone,), (lone_bic,) = mle_fit.point_fits(y, [18], 21, ErrorFamily.LAPLACE)
-        assert np.array_equal(fits[17].coeff.beta, lone.coeff.beta) and bics[17] == lone_bic
-        # the retry path itself, forced: the first certificate of order 3 fails
-        solves, rejected = [], []
-        solver, certify = mle_fit._frisch_newton, mle_fit._certified_beta
+        solves = []
+        solver = mle_fit._frisch_newton
 
         def counting_solver(X, targets, masks):
             solves.append(masks.shape)
             return solver(X, targets, masks)
 
-        def failing_once(X, targets, d, beta_ip):
-            if X.shape[1] == 4 and not rejected:
-                rejected.append(True)
-                return None, 1.0
-            return certify(X, targets, d, beta_ip)
-
-        monkeypatch.setattr(mle_fit, "_frisch_newton", counting_solver)
-        monkeypatch.setattr(mle_fit, "_certified_beta", failing_once)
-        retried, retried_bics = mle_fit.point_fits(y, range(1, 9), 9, ErrorFamily.LAPLACE)
-        assert solves == [(8, 9), (1, 9)]
-        monkeypatch.undo()
-        batch, batch_bics = mle_fit.point_fits(y, range(1, 9), 9, ErrorFamily.LAPLACE)
-        assert np.array_equal(retried_bics, batch_bics)
-        for fit, fit_b in zip(retried, batch):
-            assert np.array_equal(fit.coeff.beta, fit_b.coeff.beta)
+        with monkeypatch.context() as patch:
+            patch.setattr(mle_fit, "_frisch_newton", counting_solver)
+            fits, bics = mle_fit.point_fits(y, range(1, 21), 21, ErrorFamily.LAPLACE)
+        assert solves == [(20, 21)]
+        (lone,), (lone_bic,) = mle_fit.point_fits(y, [18], 21, ErrorFamily.LAPLACE)
+        assert np.array_equal(fits[17].coeff.beta, lone.coeff.beta)
+        assert (fits[17].scale, fits[17].objective, bics[17]) == (lone.scale, lone.objective, lone_bic)
 
     def test_an_order_that_fails_alone_too_names_itself(self, monkeypatch):
         monkeypatch.setattr(mle_fit, "_certified_beta", lambda X, targets, d, beta_ip: (None, 2e-6)
