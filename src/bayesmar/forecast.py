@@ -24,7 +24,7 @@ results to files is the CLI's job.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -294,9 +294,9 @@ def forecast_family(
     apply_diff: bool = False,
     statistic: str = "mean",
     thin: int = 1,
-) -> list[dict[MethodSpec, ForecastResult]]:
+) -> Iterator[dict[MethodSpec, ForecastResult]]:
     """Forecast each (series, seed_base) in ``windows`` with methods that share
-    one error family; returns one {method: result} per window, in order.
+    one error family; yields one {method: result} per window, in order.
 
     ``check_plan`` runs before any fit.  With ``apply_diff`` the methods model
     the lag-1 changes of a series and each forecast is rebuilt on the level
@@ -306,11 +306,12 @@ def forecast_family(
     samples the orders with mixture rows, the MAP order if a method takes it,
     and each fixed order: an order with no mixture rows gets no chain and no
     paths, so an overflow or a degenerate fit at that order alone does not
-    fail the forecast.  One ``run_mh_batch`` call samples every window's
-    orders; then, window by window, each fit's draws become paths and are
-    dropped.  Seeds are those of the module docstring.  BMA gathers the
-    planned rows of orders 1..max_order, MAP takes the minimum-BIC order, and
-    a fixed rule its own order.  Each method's result carries ``statistic``,
+    fail the forecast.  The plans and one ``run_mh_batch`` call, which sets
+    up every window's fits, run on the call; the draws then stream in the
+    sampler's batches, and each window's fits become paths, their draws
+    dropped, before its results are yielded.  Seeds are those of the module
+    docstring.  BMA gathers the planned rows of orders 1..max_order, MAP
+    takes the minimum-BIC order, and a fixed rule its own order.  Each method's result carries ``statistic``,
     so its point is read from its final paths.  A window's results depend
     neither on the other windows nor on which other orders are sampled.
     """
@@ -334,25 +335,28 @@ def forecast_family(
                   for m in methods if m.order_rule != "bma"}
         orders.update(p for p, rows in enumerate(mixture, 1) if rows is not None)
         plans.append((y, work, base, ensemble, mixture, sorted(orders)))
-    batch = run_mh_batch(
+    draws = run_mh_batch(
         [(work, p, base + (p,)) for _, work, base, _, _, orders in plans for p in orders], family, config
     )
-    batch.reverse()
-    planned = []
-    for y, work, base, ensemble, mixture, orders in plans:
-        paths = {p: sample_paths(work, batch.pop(), horizon, family, base + (p, 1), thin) for p in orders}
-        results: dict[MethodSpec, ForecastResult] = {}
-        for m in methods:
-            if m.order_rule == "bma":
-                chosen = np.vstack([paths[p][rows] for p, rows in enumerate(mixture, 1) if rows is not None])
-            elif m.order_rule == "map":
-                chosen = paths[ensemble.map_order]
-            else:
-                chosen = paths[m.fixed_order]
-            result = ForecastResult(chosen, interval_level, scale_note, statistic)
-            results[m] = forecast_levels(result, float(y.values[-1])) if apply_diff else result
-        planned.append(results)
-    return planned
+    plans.reverse()
+
+    def results() -> Iterator[dict[MethodSpec, ForecastResult]]:
+        while plans:  # each window's plan is dropped once its results are out
+            y, work, base, ensemble, mixture, orders = plans.pop()
+            paths = {p: sample_paths(work, next(draws), horizon, family, base + (p, 1), thin) for p in orders}
+            by_method: dict[MethodSpec, ForecastResult] = {}
+            for m in methods:
+                if m.order_rule == "bma":
+                    chosen = np.vstack([paths[p][rows] for p, rows in enumerate(mixture, 1) if rows is not None])
+                elif m.order_rule == "map":
+                    chosen = paths[ensemble.map_order]
+                else:
+                    chosen = paths[m.fixed_order]
+                result = ForecastResult(chosen, interval_level, scale_note, statistic)
+                by_method[m] = forecast_levels(result, float(y.values[-1])) if apply_diff else result
+            yield by_method
+
+    return results()
 
 
 def per_order_forecasts(
@@ -402,8 +406,8 @@ def fit_and_forecast(
     derive from ``config.seed``.
     """
     method = MethodSpec(family, order_rule, fixed_order)
-    return forecast_family(
+    return next(forecast_family(
         [(y, as_seed_tuple(config.seed))], [method], horizon, max_order, config,
         interval_level, apply_diff, statistic, thin,
-    )[0][method]
+    ))[method]
 

@@ -8,14 +8,14 @@ order study repeats the generation and records the BIC-selected order.
 The backtest walks a series of levels forward one period at a time: at each
 origin t it forecasts from the history up to t, seeded with (seed, t, family
 code), modelling the lag-1 changes unless differencing is off, and scores the
-point and density forecasts against the realized values.  Origins are
-grouped into contiguous units of at most 32 fits per family, as bounded by
-``_fits_per_origin`` (``_units``, which also groups the MSE study's
-replications), at least one unit per job; a unit hands all its histories to
-``forecast_family`` at once (one call per error family), which samples their
-fits in one batch.  All randomness derives from one master seed via per-fit
-seed tuples, so runs are reproducible and independent of evaluation order and
-of the units.  A numeric or configuration failure inside a unit is re-raised
+point and density forecasts against the realized values.  The origins, and
+the MSE study's replications, are split into one contiguous unit per job
+(``_units``); a unit hands all its histories to ``forecast_family`` at once
+(one call per error family), or all its replications to ``run_mh_batch``,
+and the sampler streams their draws in batches of its own size.  All
+randomness derives from one master seed via per-fit seed tuples, so runs are
+reproducible and independent of evaluation order, of the units and of the
+batches.  A numeric or configuration failure inside a unit is re-raised
 with its type, its message prefixed by the unit's origins or replications,
 error family and seed base.  The reports hold arrays only; the CLI turns them
 into tables.
@@ -48,12 +48,6 @@ __all__ = [
     "BacktestReport",
     "run_backtest",
 ]
-
-# Fits one unit samples in one batch (Laplace chains in lockstep, or Gaussian
-# draw sets): the cost per chain-iteration levels off by 32 chains, and a
-# unit's memory grows with its fits.
-_UNIT_FITS = 32
-
 
 @dataclass(frozen=True)
 class SimStudyConfig:
@@ -145,16 +139,13 @@ class MseStudyReport:
         return {m: self._sq_errors(m).std(axis=0, ddof=1) / np.sqrt(reps) for m in self.methods}
 
 
-def _units(n_items: int, fits_per_item: int, n_jobs: int) -> list[range]:
-    """Contiguous runs of items (replications or backtest origins), each
-    sampled as one batch per error family.
-
-    A run holds at most ``_UNIT_FITS`` fits and at least one item, and the
-    items are split at least ``n_jobs`` ways.  A fit's draws do not depend on
-    its batch, so no result depends on the split.
+def _units(n_items: int, n_jobs: int) -> list[range]:
+    """min(n_jobs, n_items) contiguous runs of items (replications or backtest
+    origins), one per job, whose lengths differ by at most 1, the longer first.
+    A fit's draws do not depend on its batch, so no result depends on the split.
     """
-    size = max(1, min(_UNIT_FITS // max(fits_per_item, 1), -(-n_items // max(n_jobs, 1))))
-    return [range(i, min(i + size, n_items)) for i in range(0, n_items, size)]
+    k = max(1, min(n_jobs, n_items))
+    return [range(-(-n_items * i // k), -(-n_items * (i + 1) // k)) for i in range(k)]
 
 
 def _mse_replications(args: tuple[SimStudyConfig, range]):
@@ -163,16 +154,13 @@ def _mse_replications(args: tuple[SimStudyConfig, range]):
     p = config.true_beta.order
     series = [_replication_series(config, i) for i in reps]
     fits = [(y, p, (config.seed, i, 1)) for y, i in zip(series, reps)]
+    # the draws stream, so a chain that fails in any batch is named here
     with _naming(f"MSE study replications {_span(reps)}, laplace chains seeded ({config.seed}, i, 1)"):
         draws = run_mh_batch(fits, ErrorFamily.LAPLACE, config.mcmc)
+        bayes = [(posterior_mean(d).beta, d.acceptance_rate) for d in draws]
     return [
-        (
-            posterior_mean(d).beta,
-            fit_l1(y, p, start=p + 1).coeff.beta,
-            fit_ols(y, p, start=p + 1).coeff.beta,
-            d.acceptance_rate,
-        )
-        for y, d in zip(series, draws)
+        (mean, fit_l1(y, p, start=p + 1).coeff.beta, fit_ols(y, p, start=p + 1).coeff.beta, rate)
+        for y, (mean, rate) in zip(series, bayes)
     ]
 
 
@@ -181,10 +169,10 @@ def run_mse_study(config: SimStudyConfig, n_jobs: int = 1) -> MseStudyReport:
 
     Methods: "BayesMAR" (posterior mean at the true order), "QAR" (the L1
     point fit, which at the median is the same estimator quantile regression
-    uses), "AR" (Gaussian least squares).  A unit of at most 32 replications
-    (``_units``) runs its BayesMAR chains in lockstep; rows stack in order.
+    uses), "AR" (Gaussian least squares).  Each job's replications (``_units``)
+    stream their BayesMAR chains through one ``run_mh_batch``; rows stack in order.
     """
-    tasks = [(config, reps) for reps in _units(config.replications, 1, n_jobs)]
+    tasks = [(config, reps) for reps in _units(config.replications, n_jobs)]
     rows = [row for unit in _run_units(_mse_replications, tasks, n_jobs) for row in unit]
     *estimates, acceptance = (np.array(column) for column in zip(*rows))
     return MseStudyReport(dict(zip(MseStudyReport.methods, estimates)), acceptance)
@@ -342,7 +330,7 @@ def _forecast_unit(args: tuple[BacktestSpec, range]) -> tuple[np.ndarray, np.nda
     """Level points and CRPS of every method at each origin of a unit, each
     (methods, origins, horizons) in ``spec.methods`` order; a target past the
     end of the series has NaN CRPS.  Each family's fits at all the unit's
-    origins are sampled in one batch.
+    origins go through one ``forecast_family`` call.
     """
     spec, origins = args
     values = spec.series.values
@@ -355,7 +343,7 @@ def _forecast_unit(args: tuple[BacktestSpec, range]) -> tuple[np.ndarray, np.nda
             f"backtest origins {_span(origins)}, {family.value} fits seeded "
             f"({spec.seed}, t, {_FAMILY_CODE[family]})"
         )
-        # only the loop holds the results, so they go before the next family's batch
+        # the results stream: a failure in any batch is named here, and none outlive the loop
         with _naming(unit):
             for i, by_method in enumerate(
                 forecast_family(
@@ -372,29 +360,15 @@ def _forecast_unit(args: tuple[BacktestSpec, range]) -> tuple[np.ndarray, np.nda
     return points, crps
 
 
-def _fits_per_origin(methods: Sequence[MethodSpec], max_order: int) -> int:
-    """The most fits one error family of ``methods`` samples at any backtest
-    origin, whose MAP order and mixture rows are not known yet: orders
-    1..max_order if one of its methods mixes, else one per MAP rule, plus each
-    fixed order."""
-    def fits(rules: list[MethodSpec]) -> int:
-        fixed = {m.fixed_order for m in rules if m.order_rule == "fixed"}
-        if any(m.order_rule == "bma" for m in rules):
-            return len(fixed.union(range(1, max_order + 1)))
-        return len(fixed) + sum(m.order_rule == "map" for m in rules)
-    return max(fits([m for m in methods if m.family is f]) for f in {m.family for m in methods})
-
-
 def run_backtest(spec: BacktestSpec, n_jobs: int = 1) -> BacktestReport:
     """Run the recursive backtest; the report aggregates RMSE, MAE, and CRPS per horizon.
 
-    The origins are split into contiguous units (``_units``) of at most 32
-    fits per family, at least ``n_jobs`` of them; each unit's points and CRPS
-    are stacked in origin order.
+    The origins are split into one contiguous unit per job (``_units``), and
+    each unit's points and CRPS are stacked in origin order.
     """
     values = spec.series.values
     origins = range(spec.t0 - 1, values.size)
-    units = _units(len(origins), _fits_per_origin(spec.methods, spec.max_order), n_jobs)
+    units = _units(len(origins), n_jobs)
     tasks = [(spec, origins[u.start : u.stop]) for u in units]
     points, crps = zip(*_run_units(_forecast_unit, tasks, n_jobs))
     padded = np.append(values, np.full(spec.horizons, np.nan))

@@ -26,21 +26,22 @@ time, at the end of each window, so the draws equal those of a chain that
 scores each proposal by its own residual unless an objective lands within
 rounding (about 1e-12 relative) of its accept threshold.
 
-All the Laplace chains of one ``run_mh_batch`` call run in lockstep
-(``_lockstep_chains``): the replications of an MSE-study unit, orders 1..K
-of one forecast, or orders 1..K at each origin of a backtest unit (at most
-32 chains in a study or backtest unit).  Each step forms the C proposals'
-residuals, their absolute values and their L1 norms N = 2 S in three reused
-arrays (``LAPLACE_MODEL.norm``), so it allocates no array.  A chain keeps
-everything a lone run has: its own generator, seeded with its fit's seed,
-its least-squares start and shape, its own n in S^(-n), and its own step a,
-tuned on its own acceptance.  So a fit's draws do not depend on the other
-fits in its batch.  Chains of different (n, p) are zero-padded: design rows
-and targets at the front, coefficients at the end.  A padded row has
-residual 0 and a padded coefficient steps by 0, so padding adds 0 to every
-norm and every state.  (The zeros can regroup numpy's pairwise row sum in
-its last bit, which, like the window shifts, moves a draw only if an
-objective lands within rounding of its threshold.)
+``run_mh_batch`` streams the draws of its fits (an MSE-study job's
+replications, orders 1..K of one forecast, or the planned orders at every
+origin of a backtest job) in near-equal batches of at most ``BATCH_FITS`` =
+32, whose Laplace chains run in lockstep (``_lockstep_chains``).  Each step
+forms the C proposals' residuals, their absolute values and their L1 norms
+N = 2 S in three reused arrays (``LAPLACE_MODEL.norm``), so it allocates no
+array.  A chain keeps everything a lone run has: its own generators, seeded
+with its fit's seed, its least-squares start and shape, its own n in S^(-n),
+and its own step a, tuned on its own acceptance.  So a fit's draws depend
+neither on the other fits in its batch nor on the batches.  Chains of
+different (n, p) are zero-padded: design rows and targets at the front,
+coefficients at the end.  A padded row has residual 0 and a padded
+coefficient steps by 0, so padding adds 0 to every norm and every state.
+(The zeros can regroup numpy's pairwise row sum in its last bit, which, like
+the window shifts, moves a draw only if an objective lands within rounding
+of its threshold.)
 
 A chain decides every accept with one comparison, and takes no log.  Its
 target is S^(-n), so the Metropolis rule log u < n log(S / S') holds iff
@@ -60,7 +61,7 @@ A chain draws its steps and log-uniforms one segment at a time, so while it
 runs it holds its kept states, never its whole run of random numbers.  A
 window's residual shifts are formed in row blocks of at most
 ``SHIFT_BLOCK_ROWS`` = 1600 (chains x steps), 8 chains' whole window: a
-batch of 40 backtest fits (n = 103) would otherwise form 6.6 MB of shifts at
+batch of 32 backtest fits (n = 103) would otherwise form 5.3 MB of shifts at
 once.  The steps' own product is never split, since the states are built
 from it.  Blocking changes only the shifts' rounding, which the window-shift
 argument above covers; on backtest-shaped batches of 17, 32 and 40 chains
@@ -70,13 +71,14 @@ arrays outlive it.  The scale draws' objectives S(beta) are formed as each
 segment is kept, as the norms of its residuals in a contiguous (m x n_c)
 view of one flat buffer, and halved once at the end, so no n_kept x n
 residual block exists (24 MB for a default MSE chain: n=198, p=2, 15,000
-kept).  That 40-fit batch peaks at 11.2 MiB (``tracemalloc``), 8.1 MiB of it
-the kept draws it returns.
+kept).  That 32-fit batch peaks at 9.3 MiB (``tracemalloc``).
 
 On 2 vCPUs a default MSE-study job's five chains cost 2.46 us per
-chain-iteration in one batch and 4.67 us as lone chains (2.26x); backtest
-batches of 8 and 32 chains cost 1.60 and 1.21 us.  A lone chain (the
-``fit`` command's) takes the 2-D path too: a 1-D one saved it only 8%.
+chain-iteration in one batch and 4.67 us as lone chains (2.26x); a
+chain-iteration costs 2.4 us at 6 lockstep chains and 0.92 us at 40,
+levelling off by 32, which is ``BATCH_FITS``, as a batch's memory grows with
+its chains.  A lone chain (the ``fit`` command's) takes the 2-D path too: a
+1-D one saved it only 8%.
 
 The Gaussian family's, RSS(beta)^(-n/2), is exactly a multivariate t with
 nu degrees of freedom, location beta_hat and scale matrix s^2 (X'X)^-1
@@ -95,10 +97,9 @@ returned ``PosteriorDraws`` keep a chain's accept flags; the CLI's
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -125,6 +126,7 @@ INITIAL_STEP = 16.0  # burn-in's first a; a L u is in least-squares standard err
 # Most rows (chains x steps) of residual shifts formed in one product: 8
 # chains' whole window.  A wider batch splits its window into row blocks.
 SHIFT_BLOCK_ROWS = 1600
+BATCH_FITS = 32  # most fits in one batch; the module docstring gives the cost curve
 
 
 @dataclass(frozen=True)
@@ -165,10 +167,10 @@ def tune_step(current_a: float, window_acceptance: float, band: tuple[float, flo
 
 
 def _lockstep_chains(
-    chains: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.random.Generator]],
+    chains: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.random.Generator, np.random.Generator]],
     config: McmcConfig,
 ) -> list[tuple[np.ndarray, np.ndarray, float, np.ndarray]]:
-    """Run one random-walk chain per (X, targets, beta0, shape, rng) in ``chains``
+    """Run one random-walk chain per (X, targets, beta0, shape, step_rng, rng) in ``chains``
     on the Laplace marginal S(beta)^(-n) of ``targets ~ X beta``, all in
     lockstep as the module docstring describes; returns (kept,
     kept_accept_flags, final_a, kept_objectives) per chain.
@@ -177,10 +179,10 @@ def _lockstep_chains(
     chains run in segments cut at every ``ADAPT_WINDOW`` boundary and at
     ``n_burn`` (which need not be a multiple of the window), so each a_c is
     fixed inside a segment and a segment is wholly burn-in or wholly
-    retained.  A segment draws its u_i from a copy of the chain's rng and
-    its log-uniforms from the rng advanced past all n_total (p+1) u_i: the
-    same numbers, and the same final rng, as drawing both up front.  It then
-    resyncs the residuals as targets - X beta, computes its proposals'
+    retained.  A segment draws its u_i from step_rng and its log-uniforms
+    from rng advanced past all n_total (p+1) u_i: as the two start in one
+    state, the numbers and final rng of drawing both from rng up front.  It
+    then resyncs the residuals as targets - X beta, computes its proposals'
     residual shifts in blocks of at most ``SHIFT_BLOCK_ROWS`` (chains x
     steps), steps by the norm rule 0 < N' < N q of the module docstring,
     rebuilds its states and, at the end of a full burn-in window, tunes each
@@ -190,8 +192,8 @@ def _lockstep_chains(
     backtest forecast differ by 4.4e-16 between one and two workers.)
     """
     n_chains = len(chains)
-    rows = [targets.size for _, targets, _, _, _ in chains]
-    dims = [beta0.size for _, _, beta0, _, _ in chains]
+    rows = [targets.size for _, targets, *_ in chains]
+    dims = [beta0.size for _, _, beta0, *_ in chains]
     n_max, dim_max = max(rows), max(dims)
     n_total, n_burn = config.n_total, config.n_burn
 
@@ -199,11 +201,10 @@ def _lockstep_chains(
     targets = np.zeros((n_chains, n_max))
     current = np.zeros((n_chains, dim_max))
     streams = []
-    for c, (X_c, targets_c, beta0, shape, rng) in enumerate(chains):
+    for c, (X_c, targets_c, beta0, shape, step_rng, rng) in enumerate(chains):
         X[c, n_max - rows[c] :, : dims[c]] = X_c
         targets[c, n_max - rows[c] :] = targets_c
         current[c, : dims[c]] = beta0
-        step_rng = copy.deepcopy(rng)
         rng.bit_generator.advance(n_total * dims[c])  # one 64-bit output per double
         streams.append((step_rng, shape.T, rng))
     Xt = np.ascontiguousarray(X.transpose(0, 2, 1))
@@ -292,23 +293,22 @@ def run_mh_batch(
     fits: Sequence[tuple[TimeSeries, int, int | tuple[int, ...]]],
     family: ErrorFamily,
     config: McmcConfig,
-) -> list[PosteriorDraws]:
-    """Sample the joint posterior of (beta, scale) for each (y, order, seed) in ``fits``.
+) -> Iterator[PosteriorDraws]:
+    """An iterator over the joint posterior draws of (beta, scale) for each (y, order, seed) in ``fits``.
 
     Fit i is an order-p_i fit of y_i on its full usable window t = p_i+1..T,
-    drawn from a generator seeded with seed_i (``config.seed`` is not read);
-    a rank-deficient design, an exact fit (see the module docstring) or an
-    intercept or scale draw that overflows in the data's units raises
-    ``DegenerateDataError``.
+    drawn from generators seeded with seed_i (``config.seed`` is not read).
+    Every fit is set up on the call, so a rank-deficient design or an exact
+    fit (see the module docstring) raises ``DegenerateDataError`` before any
+    chain runs; an intercept or scale draw that overflows in the data's units
+    raises it as its batch is sampled.
     Gaussian draws n_total - n_burn exact (beta, sigma) pairs per fit, each
-    sigma the mixing scale of its multivariate-t beta.  Laplace runs all the
+    sigma the mixing scale of its multivariate-t beta.  Laplace runs a batch's
     chains in lockstep, keeps each one's n_total - n_burn post-burn-in states,
     and gives each kept beta_i an exact conditional scale draw tau_i ~
     InvGamma(shape T-p, rate S(beta_i)), S(beta_i) as the chain formed it on
-    keeping beta_i.  A fit's draws do not depend on the other fits in the batch.
+    keeping beta_i.  A fit's draws do not depend on the other fits or batches.
     """
-    if not fits:
-        return []
     prepared = []
     for y, order, seed in fits:
         X, targets, e = fit_window(y.values, order, order + 1, f"series of length {len(y)}: ")
@@ -317,20 +317,40 @@ def run_mh_batch(
         if GAUSSIAN_MODEL.point_scale(rss, targets.size) <= SCALE_FLOOR:
             raise DegenerateDataError(f"data admit an exact order-{order} fit; the scale posterior is improper")
         nu = targets.size - order - 1
-        rng = np.random.default_rng(seed)
-        prepared.append((X, targets, beta_hat, np.linalg.inv(R), math.sqrt(rss / nu), nu, rng, order, e))
+        # a chain rebuilds its design when its batch samples, so set-up holds no n x (p+1) array per fit
+        prepared.append((y.values, order, seed, e, beta_hat, np.linalg.inv(R), math.sqrt(rss / nu), nu))
+    return _batches(prepared, family, config)
+
+
+def _batches(prepared: list, family: ErrorFamily, config: McmcConfig) -> Iterator[PosteriorDraws]:
+    """``prepared``'s draws in ceil(N / ``BATCH_FITS``) batches, larger first, whose sizes differ by at most 1."""
+    prepared.reverse()
+    for left in range(-(-len(prepared) // BATCH_FITS), 0, -1):  # batches left
+        batch = _sample_batch([prepared.pop() for _ in range(-(-len(prepared) // left))], family, config)[::-1]
+        while batch:  # nothing handed on is kept, so only one batch's draws are ever held
+            yield batch.pop()
+
+
+def _sample_batch(batch: list, family: ErrorFamily, config: McmcConfig) -> list[PosteriorDraws]:
+    """The draws of each fit in ``batch``: Gaussian ones exactly, one by one, and Laplace ones as
+    chains in lockstep, each on two generators seeded alike (its steps'; its log-uniforms' and scales')."""
     n_kept = config.n_total - config.n_burn
     samples, n_burn = [], 0
     if family is ErrorFamily.GAUSSIAN:
-        for _, _, beta_hat, R_inv, s_hat, nu, rng, *_ in prepared:
+        for _, _, seed, _, beta_hat, R_inv, s_hat, nu in batch:
+            rng = np.random.default_rng(seed)
             z = rng.standard_normal((n_kept, beta_hat.size))
             w = rng.chisquare(nu, n_kept)
             sigma = s_hat / np.sqrt(w / nu)  # sqrt(RSS / w): sigma^2 ~ InvGamma(nu/2, RSS/2)
             samples.append((beta_hat + (z @ R_inv.T) * sigma[:, None], sigma, None, None))
     else:
-        chains = [(X, t, b, R_inv * s_hat, rng) for X, t, b, R_inv, s_hat, _, rng, *_ in prepared]
-        for (_, targets, *_, rng, _, _), (kept, accepted, step_size, objectives) in zip(
-            prepared, _lockstep_chains(chains, config)
+        chains = [
+            (*fit_window(values, order, order + 1)[:2], beta_hat, R_inv * s_hat,
+             np.random.default_rng(seed), np.random.default_rng(seed))
+            for values, order, seed, _, beta_hat, R_inv, s_hat, _ in batch
+        ]
+        for (_, targets, *_, rng), (kept, accepted, step_size, objectives) in zip(
+            chains, _lockstep_chains(chains, config)
         ):
             if np.any(objectives <= 0.0):
                 raise DegenerateDataError("retained draw with zero residual objective")
@@ -338,7 +358,7 @@ def run_mh_batch(
             samples.append((kept, tau, accepted, step_size))
         n_burn = config.n_burn
     draws = []
-    for (*_, order, e), (beta, scale, accepted, step_size) in zip(prepared, samples):
+    for (_, order, _, e, *_), (beta, scale, accepted, step_size) in zip(batch, samples):
         # back to the data's units, one draw array at a time
         what = f"order-{order} fit: an intercept or scale draw"
         beta[:, 0] = unscale(beta[:, 0], e, what)
@@ -355,7 +375,7 @@ def run_mh(
 ) -> PosteriorDraws:
     """Sample the joint posterior of (beta, scale) for an order-p fit of ``y``
     seeded with ``config.seed``: ``run_mh_batch`` of one fit."""
-    return run_mh_batch([(y, order, config.seed)], family, config)[0]
+    return next(run_mh_batch([(y, order, config.seed)], family, config))
 
 
 def posterior_mean(draws: PosteriorDraws) -> Coefficients:

@@ -357,7 +357,7 @@ class TestPipeline:
     def test_no_orders_sample_nothing(self, family):
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 90, burn=200, seed=49)
         config = McmcConfig(n_total=400, n_burn=200)
-        assert forecast_module.run_mh_batch([], family, config) == []
+        assert list(forecast_module.run_mh_batch([], family, config)) == []
         assert per_order_forecasts(series, family, [], 2, config, 0.95, SCALE_LEVEL, (0,)) == {}
 
     def test_no_methods_rejected(self):

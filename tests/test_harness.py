@@ -29,7 +29,7 @@ from bayesmar import (
     run_order_study,
     simulate_series,
 )
-from bayesmar import forecast, harness
+from bayesmar import forecast, harness, mcmc
 from bayesmar.cli import _parse_methods, main
 
 AR2 = Coefficients.from_values([0.3, 0.75, -0.35])
@@ -47,6 +47,51 @@ def mixture_orders(series, t, family, spec, mixture_seed):
         frac = raw - counts
         counts += np.random.default_rng(mixture_seed).multinomial(leftover, frac / frac.sum())
     return sorted({p for p, count in enumerate(counts, 1) if count > 0} | {ensemble.map_order})
+
+
+class SerialPool:
+    """A serial stand-in for the process pool, so stubs see every unit."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def record_lockstep_batches(monkeypatch):
+    """The chain count of every lockstep loop run in this process, in order."""
+    sizes = []
+    run = mcmc._lockstep_chains
+    monkeypatch.setattr(
+        mcmc, "_lockstep_chains", lambda chains, config: sizes.append(len(chains)) or run(chains, config)
+    )
+    return sizes
+
+
+def record_sampled_batches(monkeypatch):
+    """(family, fit seeds, batch sizes) of every ``run_mh_batch`` call of the
+    forecast planner, in order; a call's batches are sampled before the next call."""
+    calls = []
+    run, sample = forecast.run_mh_batch, mcmc._sample_batch
+
+    def recording(fits, family, config):
+        calls.append((family, [seed for _, _, seed in fits], []))
+        return run(fits, family, config)
+
+    def sampling(batch, family, config):
+        calls[-1][2].append(len(batch))
+        return sample(batch, family, config)
+
+    monkeypatch.setattr(forecast, "run_mh_batch", recording)
+    monkeypatch.setattr(mcmc, "_sample_batch", sampling)
+    return calls
 
 
 def small_backtest_spec(series, methods, **kwargs):
@@ -131,22 +176,24 @@ class TestMseStudy:
         np.testing.assert_array_equal(serial.acceptance_rates, parallel.acceptance_rates)
 
     def test_report_does_not_depend_on_the_units(self, monkeypatch):
-        # a unit's replications run as one lockstep batch of at most 32
-        # chains, or fewer so that every job gets one; one batch of five,
-        # batches of two, and two processes all give the report of five lone
-        # chains
-        assert harness._units(70, 1, 1) == [range(0, 32), range(32, 64), range(64, 70)]
-        assert harness._units(70, 1, 3) == [range(0, 24), range(24, 48), range(48, 70)]
+        # each job gets one unit of replications, which the sampler streams in
+        # lockstep batches of at most BATCH_FITS chains; one batch of five,
+        # two units, and batches of two all give the report of five lone chains
+        assert harness._units(70, 1) == [range(0, 70)]
+        assert harness._units(70, 3) == [range(0, 24), range(24, 47), range(47, 70)]
+        assert harness._units(5, 2) == [range(0, 3), range(3, 5)]
+        assert harness._units(5, 64) == [range(i, i + 1) for i in range(5)]
         config = SimStudyConfig(
             replications=5, series_length=60, seed=6, mcmc=McmcConfig(n_total=300, n_burn=100)
         )
+        sizes = record_lockstep_batches(monkeypatch)
         whole = run_mse_study(config)
-        assert harness._units(5, 1, 1) == [range(0, 5)]
-        assert harness._units(5, 1, 2) == [range(0, 3), range(3, 5)]
+        assert sizes == [5]
         reports = [run_mse_study(config, n_jobs=2)]
-        monkeypatch.setattr(harness, "_UNIT_FITS", 2)
-        assert harness._units(5, 1, 1) == [range(0, 2), range(2, 4), range(4, 5)]
-        reports += [run_mse_study(config), run_mse_study(config, n_jobs=2)]
+        monkeypatch.setattr(mcmc, "BATCH_FITS", 2)
+        sizes.clear()
+        reports.append(run_mse_study(config))
+        assert sizes == [2, 2, 1]
         for report in reports:
             for m in whole.methods:
                 np.testing.assert_array_equal(report.estimates[m], whole.estimates[m])
@@ -156,6 +203,16 @@ class TestMseStudy:
             lone = run_mh(series, 2, ErrorFamily.LAPLACE, replace(config.mcmc, seed=(6, i, 1)))
             np.testing.assert_array_equal(whole.estimates["BayesMAR"][i], posterior_mean(lone).beta)
             assert whole.acceptance_rates[i] == lone.acceptance_rate
+
+    def test_seventy_replications_stream_in_three_near_equal_batches(self, monkeypatch):
+        # one job's 70 replications: ceil(70 / 32) = 3 lockstep batches whose
+        # sizes differ by at most 1, not units of 32, 32 and 6
+        sizes = record_lockstep_batches(monkeypatch)
+        config = SimStudyConfig(
+            replications=70, series_length=40, seed=7, mcmc=McmcConfig(n_total=200, n_burn=100)
+        )
+        assert run_mse_study(config).acceptance_rates.size == 70
+        assert sizes == [24, 23, 23]
 
     def test_csv_scaling(self, tmp_path):
         config = SimStudyConfig(
@@ -391,32 +448,12 @@ class TestBacktest:
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 7])
     def test_units_are_contiguous_batches_of_at_most_32_fits(self, monkeypatch, n_jobs):
-        # K=8 BMA and MAP may need 8 fits per family at each of 7 origins: a
-        # unit holds at most 4 origins, and each job gets one; a serial
-        # stand-in for the pool lets the stub see every batch.  Each origin
-        # samples only the orders its BMA mixture draws rows from, plus the
-        # MAP order
-        batches = []
-        run = forecast.run_mh_batch
-
-        def recording(fits, family, config):
-            batches.append((family, [seed for _, _, seed in fits]))
-            return run(fits, family, config)
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(forecast, "run_mh_batch", recording)
+        # K=8 BMA and MAP in both families at 7 origins: each job gets one
+        # unit of contiguous origins, and the sampler streams a unit's fits of
+        # each family in near-equal batches of at most 32; a serial stand-in
+        # for the pool lets the stubs see every batch.  Each origin samples
+        # only the orders its BMA mixture draws rows from, plus the MAP order
+        calls = record_sampled_batches(monkeypatch)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=16)
         methods = tuple(MethodSpec(f, rule) for f in ErrorFamily for rule in ("bma", "map"))
@@ -426,75 +463,117 @@ class TestBacktest:
         skipped = 0
         for family in ErrorFamily:
             code = harness._FAMILY_CODE[family]
-            seeds = [s for f, batch in batches if f is family for s in batch]
+            family_calls = [(seeds, sizes) for f, seeds, sizes in calls if f is family]
             want = []
             for t in report.origins:
                 orders = mixture_orders(series, t, family, spec, (spec.seed, t, code, 0, 2))
                 skipped += 8 - len(orders)
                 want += [(spec.seed, t, code, p) for p in orders]
-            assert seeds == want
-            family_units = [sorted({t for _, t, _, _ in batch}) for f, batch in batches if f is family]
-            assert all(len(batch) <= 32 for f, batch in batches if f is family)
+            assert [s for seeds, _ in family_calls for s in seeds] == want
+            for seeds, sizes in family_calls:
+                assert sum(sizes) == len(seeds) and len(sizes) == -(-len(seeds) // 32)
+                assert max(sizes) <= 32 and max(sizes) - min(sizes) <= 1
+            family_units = [sorted({t for _, t, _, _ in seeds}) for seeds, _ in family_calls]
             assert all(u == list(range(u[0], u[-1] + 1)) for u in family_units)
             units.append(family_units)
         assert units[0] == units[1]
         assert [t for u in units[0] for t in u] == list(report.origins)
-        assert len(units[0]) >= min(n_jobs, len(report.origins))
+        assert len(units[0]) == min(n_jobs, len(report.origins))
         assert skipped > 0
         np.testing.assert_array_equal(report.forecasts, run_backtest(spec).forecasts)
 
-    @pytest.mark.parametrize(
-        "methods, fits",
-        [("mar-map", 1), ("mar-fixed:2,mar-map", 2), ("mar-fixed:2,mar-fixed:3", 2),
-         ("mar-bma,mar-fixed:10", 9), ("mar-bma,mar-map", 8)],
-    )
-    def test_fits_per_origin_bounds_each_mix(self, methods, fits):
-        # at K=8: orders 1..K if a method mixes, else one per MAP rule, plus
-        # each fixed order
-        assert harness._fits_per_origin(_parse_methods(methods), 8) == fits
-
     @pytest.mark.parametrize("methods", ["mar-map", "mar-fixed:2,mar-map", "mar-bma,mar-map,ar-fixed:2"])
     def test_units_of_several_origins_sample_at_most_the_unit_fits(self, monkeypatch, methods):
-        # 4 fits per unit over 8 origins: each family's batch covers contiguous
-        # origins, a batch of several origins samples at most 4 fits, and one
-        # MAP rule packs 4 origins into each unit
-        batches = []
-        run = forecast.run_mh_batch
-
-        def recording(fits, family, config):
-            batches.append((family, [seed for _, _, seed in fits]))
-            return run(fits, family, config)
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
+        # batches of at most 4 fits over 8 origins in 2 jobs: each family's
+        # unit covers contiguous origins, its batches hold at most 4 fits and
+        # differ by at most 1, and one MAP rule packs 4 origins into each unit
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=16)
         spec = small_backtest_spec(series, _parse_methods(methods), t0=53)
         reference = run_backtest(spec)
-        monkeypatch.setattr(harness, "_UNIT_FITS", 4)
+        monkeypatch.setattr(mcmc, "BATCH_FITS", 4)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(forecast, "run_mh_batch", recording)
+        calls = record_sampled_batches(monkeypatch)
         report = run_backtest(spec, n_jobs=2)
         assert len(report.origins) == 8
         for family in {m.family for m in spec.methods}:
-            units = [(sorted({t for _, t, _, _ in batch}), len(batch)) for f, batch in batches if f is family]
-            assert [t for u, _ in units for t in u] == list(report.origins)
-            assert all(u == list(range(u[0], u[-1] + 1)) for u, _ in units)
-            assert all(fits <= 4 for u, fits in units if len(u) > 1)
+            family_calls = [(seeds, sizes) for f, seeds, sizes in calls if f is family]
+            units = [sorted({t for _, t, _, _ in seeds}) for seeds, _ in family_calls]
+            assert [t for u in units for t in u] == list(report.origins)
+            assert all(u == list(range(u[0], u[-1] + 1)) for u in units)
+            for seeds, sizes in family_calls:
+                assert sum(sizes) == len(seeds) and len(sizes) == -(-len(seeds) // 4)
+                assert max(sizes) <= 4 and max(sizes) - min(sizes) <= 1
             if methods == "mar-map":
-                assert [len(u) for u, _ in units] == [4, 4]
+                assert [len(u) for u in units] == [4, 4]
+                assert [sizes for _, sizes in family_calls] == [[4], [4]]
         np.testing.assert_array_equal(report.forecasts, reference.forecasts)
         np.testing.assert_array_equal(report.crps, reference.crps)
+
+    def test_a_five_origin_plan_of_at_most_32_fits_runs_one_loop(self, monkeypatch):
+        # K=8 BMA and MAP at 5 origins: the plan samples only the orders with
+        # mixture rows and the MAP order, at most 32 Laplace fits here, so its
+        # chains share one lockstep loop, not one per 4 origins
+        series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=16)
+        methods = (MethodSpec(ErrorFamily.LAPLACE, "bma"), MethodSpec(ErrorFamily.LAPLACE, "map"))
+        spec = small_backtest_spec(series, methods, t0=56, max_order=8)
+        sizes = record_lockstep_batches(monkeypatch)
+        report = run_backtest(spec)
+        assert len(report.origins) == 5
+        planned = sum(
+            len(mixture_orders(series, t, ErrorFamily.LAPLACE, spec, (spec.seed, t, 0, 0, 2)))
+            for t in report.origins
+        )
+        assert 8 < planned <= 32
+        assert sizes == [planned]
+
+    def test_reports_do_not_depend_on_the_batch_bound(self, monkeypatch):
+        # batches of at most 2 fits give the MSE study, order study and
+        # backtest reports of the default bound bit for bit
+        mse = SimStudyConfig(replications=5, series_length=60, seed=6, mcmc=McmcConfig(n_total=300, n_burn=100))
+        orders = SimStudyConfig(replications=3, series_length=48, max_order=4, seed=9)
+        series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=16)
+        methods = tuple(MethodSpec(f, rule) for f in ErrorFamily for rule in ("bma", "map"))
+        spec = small_backtest_spec(series, methods, t0=56)
+
+        def reports():
+            return run_mse_study(mse), run_order_study(orders), run_backtest(spec)
+
+        (mse_a, orders_a, backtest_a) = reports()
+        monkeypatch.setattr(mcmc, "BATCH_FITS", 2)
+        sizes = record_lockstep_batches(monkeypatch)
+        (mse_b, orders_b, backtest_b) = reports()
+        assert sizes and max(sizes) == 2
+        for m in mse_a.methods:
+            assert mse_b.estimates[m].tobytes() == mse_a.estimates[m].tobytes()
+        assert mse_b.acceptance_rates.tobytes() == mse_a.acceptance_rates.tobytes()
+        assert orders_b.map_orders.tobytes() == orders_a.map_orders.tobytes()
+        assert backtest_b.forecasts.tobytes() == backtest_a.forecasts.tobytes()
+        assert backtest_b.crps.tobytes() == backtest_a.crps.tobytes()
+
+    def test_a_failure_while_a_batch_samples_keeps_its_unit_name(self, monkeypatch, tmp_path, capsys):
+        # the draws stream, so a chain fails while its unit consumes them: the
+        # unit's name is still on the message, and the CLI still exits 4
+        def degenerate(chains, config):
+            raise DegenerateDataError("no scale")
+
+        monkeypatch.setattr(mcmc, "_lockstep_chains", degenerate)
+        config = SimStudyConfig(replications=5, series_length=40, seed=6, mcmc=McmcConfig(n_total=300, n_burn=100))
+        with pytest.raises(
+            DegenerateDataError,
+            match=r"^MSE study replications 0\.\.4, laplace chains seeded \(6, i, 1\): no scale$",
+        ):
+            run_mse_study(config)
+        series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=9)
+        spec = small_backtest_spec(series, (MethodSpec(ErrorFamily.LAPLACE, "map"),), t0=56)
+        with pytest.raises(
+            DegenerateDataError, match=r"^backtest origins 55\.\.59, laplace fits seeded \(5, t, 0\): no scale$"
+        ):
+            run_backtest(spec)
+        data = tmp_path / "in.csv"
+        data.write_text("".join(f"{float(v)!r}\n" for v in series.values))
+        code = main(["backtest", "--input", str(data), "--t0", "56", "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("numeric error: backtest origins 55..59, laplace fits")
 
     def test_deterministic_under_master_seed(self):
         series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=10)

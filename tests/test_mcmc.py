@@ -311,7 +311,8 @@ class TestRunMh:
 
         beta_hat, L = least_squares_shape(X, targets)
         rng = np.random.default_rng(as_seed_tuple(cfg.seed))
-        [(kept, accepted, step, _)] = _lockstep_chains([(X, targets, beta_hat, L, rng)], cfg)
+        step_rng = np.random.default_rng(as_seed_tuple(cfg.seed))
+        [(kept, accepted, step, _)] = _lockstep_chains([(X, targets, beta_hat, L, step_rng, rng)], cfg)
         scales = model.draw_scale(rng, retained_objectives(X, targets, kept, cfg), n)
         np.testing.assert_array_equal(draws.beta_draws, kept)
         np.testing.assert_array_equal(draws.tau_draws, scales)
@@ -415,6 +416,18 @@ class TestRunMh:
         with pytest.raises(DegenerateDataError, match="exact order-1 fit"):
             run_mh(y, 1, family, McmcConfig(n_total=200, n_burn=100))
 
+    @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
+    def test_exact_fit_raises_on_the_call_before_any_batch(self, monkeypatch, family):
+        # every fit is set up when run_mh_batch is called, so an exact fit
+        # among good ones raises before anything is iterated or sampled
+        sampled = []
+        monkeypatch.setattr(mcmc, "_sample_batch", lambda *args: sampled.append(args) or [])
+        good = laplace_series(60, seed=42)
+        fits = [(good, 2, 1), (TimeSeries(np.arange(1.0, 41.0)), 1, 2), (good, 1, 3)]
+        with pytest.raises(DegenerateDataError, match="exact order-1 fit"):
+            run_mh_batch(fits, family, McmcConfig(n_total=200, n_burn=100))
+        assert sampled == []
+
     def test_batch_equals_lone_runs(self):
         # five same-shape chains stepped together: each one's draws, accept
         # flags and final step are those of its own run
@@ -495,26 +508,29 @@ class TestRunMh:
         y = laplace_series(80, seed=34)
         tracemalloc.start()
         try:
-            run_mh_batch([(y, 20, 4)], ErrorFamily.LAPLACE, McmcConfig(n_total=10_000, n_burn=9_800))
+            for _ in run_mh_batch([(y, 20, 4)], ErrorFamily.LAPLACE, McmcConfig(n_total=10_000, n_burn=9_800)):
+                pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20
 
     def test_backtest_shaped_batch_memory_follows_its_kept_draws(self):
-        # orders 1..8 at five backtest origins, 8000/4000: the 40 chains' kept
-        # draws are 8.1 MiB.  The shifts of a whole window (40 x 200 x 103
-        # doubles, 6.6 MB) took the peak to 22.7 MiB; formed in row blocks in
-        # one buffer, it reads 11.1 MiB
+        # orders 1..8 at five backtest origins, 8000/4000, streamed as two
+        # batches of 20 chains, each with 4.0 MiB of kept draws: the peak
+        # reads 7.0 MiB.  One batch of all 40 read 11.3 MiB, and with each
+        # window's shifts formed whole rather than in row blocks the two
+        # batches read 8.9 MiB
         y = laplace_series(105, seed=35)
         fits = [(TimeSeries(y.values[:t]), p, (35, t, p)) for t in range(100, 105) for p in range(1, 9)]
         tracemalloc.start()
         try:
-            run_mh_batch(fits, ErrorFamily.LAPLACE, McmcConfig(n_total=8000, n_burn=4000))
+            for _ in run_mh_batch(fits, ErrorFamily.LAPLACE, McmcConfig(n_total=8000, n_burn=4000)):
+                pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 8 * 2**20
 
     def test_mse_shaped_batch_memory_holds_no_residual_block(self):
         # five default MSE-study fits (T=200, p=2, 40000/25000): the returned
@@ -523,7 +539,8 @@ class TestRunMh:
         fits = [(laplace_series(200, seed=(36, i)), 2, (36, i)) for i in range(5)]
         tracemalloc.start()
         try:
-            run_mh_batch(fits, ErrorFamily.LAPLACE, McmcConfig(n_total=40_000, n_burn=25_000))
+            for _ in run_mh_batch(fits, ErrorFamily.LAPLACE, McmcConfig(n_total=40_000, n_burn=25_000)):
+                pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -567,7 +584,8 @@ class TestProposalSymmetry:
         cfg = McmcConfig(n_total=500, n_burn=100, seed=1)
         rng = np.random.default_rng(0)
         X, targets = rng.normal(size=(30, 2)), rng.normal(size=30)
-        [(kept, kept_accepted, _, _)] = _lockstep_chains([(X, targets, np.zeros(2), np.eye(2), rng)], cfg)
+        chain = (X, targets, np.zeros(2), np.eye(2), copy.deepcopy(rng), rng)
+        [(kept, kept_accepted, _, _)] = _lockstep_chains([chain], cfg)
         assert kept_accepted.all()
         assert np.all(np.any(kept[1:] != kept[:-1], axis=1))
 
@@ -599,7 +617,8 @@ class TestAcceptScreen:
         u0 = np.random.default_rng(seed).uniform(-PROPOSAL_HALF_WIDTH, PROPOSAL_HALF_WIDTH)
         shape = np.array([[-1.0 / (32.0 * u0)]])
         assert INITIAL_STEP * (u0 * shape[0, 0]) == -0.5
-        chain = (np.ones((20, 1)), np.full(20, 3.0), np.array([3.5]), shape, np.random.default_rng(seed))
+        rngs = (np.random.default_rng(seed), np.random.default_rng(seed))
+        chain = (np.ones((20, 1)), np.full(20, 3.0), np.array([3.5]), shape, *rngs)
         with pytest.raises(DegenerateDataError, match="zero residual objective"):
             _lockstep_chains([chain], McmcConfig(n_total=400, n_burn=200))
 
@@ -615,8 +634,9 @@ class TestAcceptScreen:
             for p in (1, 3):
                 X, targets = lag_design(y.values, p, p + 1)
                 beta_hat, L = least_squares_shape(X, targets)
-                chains.append((X, targets, beta_hat, L, np.random.default_rng((40, p))))
-            cap = 1.02 * max(float(LAPLACE_MODEL.norm(t - X @ b)) for X, t, b, _, _ in chains)
+                rngs = (np.random.default_rng((40, p)), np.random.default_rng((40, p)))
+                chains.append((X, targets, beta_hat, L, *rngs))
+            cap = 1.02 * max(float(LAPLACE_MODEL.norm(t - X @ b)) for X, t, b, *_ in chains)
             model = _CappedModel(cap, fill)
             monkeypatch.setattr(mcmc, "LAPLACE_MODEL", model)
             runs.append((_lockstep_chains(chains, cfg), model))
@@ -667,7 +687,7 @@ class TestAcceptScreen:
         replay.bit_generator.advance(cfg.n_total * 3)
         assert replay.random() == 0.0
         with np.errstate(divide="ignore"):
-            [(kept, accepted, _, _)] = _lockstep_chains([(X, targets, beta_hat, L, rng)], cfg)
+            [(kept, accepted, _, _)] = _lockstep_chains([(X, targets, beta_hat, L, copy.deepcopy(rng), rng)], cfg)
         assert accepted[0]
         assert np.any(kept[0] != beta_hat)
         # any other draw would accept this proposal with probability exp(lr) < 1e-8
@@ -689,7 +709,8 @@ class TestExactGaussianDraws:
         rng = np.random.default_rng(as_seed_tuple(chain_cfg.seed))
         beta_hat, L = least_squares_shape(X, targets)
         monkeypatch.setattr(mcmc, "LAPLACE_MODEL", _RssMarginalModel())
-        [(chain, _, _, _)] = _lockstep_chains([(X, targets, beta_hat, L, rng)], chain_cfg)
+        step_rng = np.random.default_rng(as_seed_tuple(chain_cfg.seed))
+        [(chain, _, _, _)] = _lockstep_chains([(X, targets, beta_hat, L, step_rng, rng)], chain_cfg)
 
         sd = exact.beta_draws.std(axis=0)
         batch_means = chain.reshape(300, -1, 3).mean(axis=1)
@@ -725,18 +746,21 @@ class TestExactGaussianDraws:
         assert min(pvalues) > 0.01
 
     def test_backtest_shaped_batch_memory_holds_no_residual_block(self):
-        # orders 1..8 at five backtest origins, 8000/4000: the 40 fits' returned
-        # (beta, sigma) pairs are 7.9 MiB.  A second pass that formed each
-        # fit's 4000 x n residuals to redraw sigma took the peak to 11.7 MiB
+        # orders 1..8 at five backtest origins, 8000/4000, streamed as two
+        # batches of 20 fits: the peak reads 5.3 MiB, one batch's (beta, sigma)
+        # pairs and their draws.  One batch of all 40 read 8.9 MiB, and a
+        # second pass that formed each fit's 4000 x n residuals to redraw
+        # sigma took that to 11.7 MiB
         y = simulate_series(AR2, ErrorFamily.GAUSSIAN, 105, burn=200, seed=37)
         fits = [(TimeSeries(y.values[:t]), p, (37, t, p)) for t in range(100, 105) for p in range(1, 9)]
         tracemalloc.start()
         try:
-            run_mh_batch(fits, ErrorFamily.GAUSSIAN, McmcConfig(n_total=8000, n_burn=4000))
+            for _ in run_mh_batch(fits, ErrorFamily.GAUSSIAN, McmcConfig(n_total=8000, n_burn=4000)):
+                pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2**20
+        assert peak < 7 * 2**20
 
 
 class TestStationaryDistribution:
