@@ -74,10 +74,10 @@ residual block exists (24 MB for a default MSE chain: n=198, p=2, 15,000
 kept).  That 32-fit batch peaks at 9.3 MiB (``tracemalloc``).
 
 On 2 vCPUs a default MSE-study job's five chains cost 2.46 us per
-chain-iteration in one batch and 4.67 us as lone chains (2.26x); a
-chain-iteration costs 2.4 us at 6 lockstep chains and 0.92 us at 40,
-levelling off by 32, which is ``BATCH_FITS``, as a batch's memory grows with
-its chains.  A lone chain (the ``fit`` command's) takes the 2-D path too: a
+chain-iteration in one batch and 4.67 us as lone chains (2.26x); with
+backtest-shaped chains (orders 1..8, n ~ 100) one costs 1.20 us at 6, 0.93
+at 16, 0.86 at 32 and 0.91 at 40 chains, so ``BATCH_FITS`` = 32, as a
+batch's memory grows with its chains.  A lone chain (the ``fit`` command's) takes the 2-D path too: a
 1-D one saved it only 8%.
 
 The Gaussian family's, RSS(beta)^(-n/2), is exactly a multivariate t with
