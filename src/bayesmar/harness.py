@@ -9,10 +9,9 @@ The backtest walks a series of levels forward one period at a time: at each
 origin t it forecasts from the history up to t, seeded with (seed, t, family
 code), modelling the lag-1 changes unless differencing is off, and scores the
 point and density forecasts against the realized values.  The origins, and
-the MSE study's replications, are split into one contiguous unit per job
-(``_units``); a unit hands all its histories to ``forecast_family`` at once
-(one call per error family), or all its replications to ``run_mh_batch``,
-and the sampler streams their draws in batches of its own size.  All
+the MSE study's replications, go in contiguous units of at most 32, at least
+one per job (``_units``); a unit hands its histories to ``forecast_family``
+(one call per error family), or its replications to ``run_mh_batch``.  All
 randomness derives from one master seed via per-fit seed tuples, so runs are
 reproducible and independent of evaluation order, of the units and of the
 batches.  A numeric or configuration failure inside a unit is re-raised
@@ -139,12 +138,17 @@ class MseStudyReport:
         return {m: self._sq_errors(m).std(axis=0, ddof=1) / np.sqrt(reps) for m in self.methods}
 
 
+_UNIT_ITEMS = 32  # most items in one unit (``_units``)
+
+
 def _units(n_items: int, n_jobs: int) -> list[range]:
-    """min(n_jobs, n_items) contiguous runs of items (replications or backtest
-    origins), one per job, whose lengths differ by at most 1, the longer first.
-    A fit's draws do not depend on its batch, so no result depends on the split.
+    """Near-equal contiguous runs of items (replications or backtest origins),
+    the longer first.  There are at least min(n_jobs, n_items), which a pool
+    hands out as workers free up, each of at most ``_UNIT_ITEMS`` items: a unit
+    holds its items' plans and set-ups until its last batch samples, and a
+    failure names its span.  No result depends on the batches or the units.
     """
-    k = max(1, min(n_jobs, n_items))
+    k = max(1, min(n_items, max(n_jobs, -(-n_items // _UNIT_ITEMS))))
     return [range(-(-n_items * i // k), -(-n_items * (i + 1) // k)) for i in range(k)]
 
 
@@ -169,7 +173,7 @@ def run_mse_study(config: SimStudyConfig, n_jobs: int = 1) -> MseStudyReport:
 
     Methods: "BayesMAR" (posterior mean at the true order), "QAR" (the L1
     point fit, which at the median is the same estimator quantile regression
-    uses), "AR" (Gaussian least squares).  Each job's replications (``_units``)
+    uses), "AR" (Gaussian least squares).  Each unit's replications (``_units``)
     stream their BayesMAR chains through one ``run_mh_batch``; rows stack in order.
     """
     tasks = [(config, reps) for reps in _units(config.replications, n_jobs)]
@@ -337,21 +341,15 @@ def _forecast_unit(args: tuple[BacktestSpec, range]) -> tuple[np.ndarray, np.nda
     points = np.empty((len(spec.methods), len(origins), spec.horizons))
     crps = np.full(points.shape, np.nan)
     for family in dict.fromkeys(m.family for m in spec.methods):
-        windows = [(TimeSeries(values[:t]), (spec.seed, t, _FAMILY_CODE[family])) for t in origins]
+        code = _FAMILY_CODE[family]
+        windows = [(TimeSeries(values[:t]), (spec.seed, t, code)) for t in origins]
         methods = [m for m in spec.methods if m.family is family]
-        unit = (
-            f"backtest origins {_span(origins)}, {family.value} fits seeded "
-            f"({spec.seed}, t, {_FAMILY_CODE[family]})"
-        )
         # the results stream: a failure in any batch is named here, and none outlive the loop
-        with _naming(unit):
-            for i, by_method in enumerate(
-                forecast_family(
-                    windows, methods, spec.horizons, spec.max_order, spec.mcmc,
-                    apply_diff=spec.apply_diff, thin=spec.thin,
-                )
-            ):
-                t = origins[i]
+        with _naming(f"backtest origins {_span(origins)}, {family.value} fits seeded ({spec.seed}, t, {code})"):
+            results = forecast_family(
+                windows, methods, spec.horizons, spec.max_order, spec.mcmc, apply_diff=spec.apply_diff, thin=spec.thin
+            )
+            for i, (t, by_method) in enumerate(zip(origins, results)):
                 for m, result in by_method.items():
                     mi = spec.methods.index(m)
                     points[mi, i] = result.point
@@ -363,8 +361,8 @@ def _forecast_unit(args: tuple[BacktestSpec, range]) -> tuple[np.ndarray, np.nda
 def run_backtest(spec: BacktestSpec, n_jobs: int = 1) -> BacktestReport:
     """Run the recursive backtest; the report aggregates RMSE, MAE, and CRPS per horizon.
 
-    The origins are split into one contiguous unit per job (``_units``), and
-    each unit's points and CRPS are stacked in origin order.
+    The origins are split into contiguous units (``_units``), and each
+    unit's points and CRPS are stacked in origin order.
     """
     values = spec.series.values
     origins = range(spec.t0 - 1, values.size)

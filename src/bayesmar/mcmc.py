@@ -26,9 +26,9 @@ time, at the end of each window, so the draws equal those of a chain that
 scores each proposal by its own residual unless an objective lands within
 rounding (about 1e-12 relative) of its accept threshold.
 
-``run_mh_batch`` streams the draws of its fits (an MSE-study job's
+``run_mh_batch`` streams the draws of its fits (an MSE-study unit's
 replications, orders 1..K of one forecast, or the planned orders at every
-origin of a backtest job) in near-equal batches of at most ``BATCH_FITS`` =
+origin of a backtest unit) in near-equal batches of at most ``BATCH_FITS`` =
 32, whose Laplace chains run in lockstep (``_lockstep_chains``).  Each step
 forms the C proposals' residuals, their absolute values and their L1 norms
 N = 2 S in three reused arrays (``LAPLACE_MODEL.norm``), so it allocates no

@@ -176,11 +176,16 @@ class TestMseStudy:
         np.testing.assert_array_equal(serial.acceptance_rates, parallel.acceptance_rates)
 
     def test_report_does_not_depend_on_the_units(self, monkeypatch):
-        # each job gets one unit of replications, which the sampler streams in
-        # lockstep batches of at most BATCH_FITS chains; one batch of five,
-        # two units, and batches of two all give the report of five lone chains
-        assert harness._units(70, 1) == [range(0, 70)]
-        assert harness._units(70, 3) == [range(0, 24), range(24, 47), range(47, 70)]
+        # replications go in near-equal units of at most 32, at least one per
+        # job, which the sampler streams in lockstep batches of at most
+        # BATCH_FITS chains; one batch of five, two units, and batches of two
+        # all give the report of five lone chains
+        assert harness._units(5, 1) == [range(0, 5)]
+        assert harness._units(70, 1) == [range(0, 24), range(24, 47), range(47, 70)]
+        assert harness._units(70, 3) == harness._units(70, 1)
+        assert harness._units(100, 1) == [range(i, i + 25) for i in range(0, 100, 25)]
+        assert harness._units(300, 2) == [range(i, i + 30) for i in range(0, 300, 30)]
+        assert harness._units(35, 2) == [range(0, 18), range(18, 35)]
         assert harness._units(5, 2) == [range(0, 3), range(3, 5)]
         assert harness._units(5, 64) == [range(i, i + 1) for i in range(5)]
         config = SimStudyConfig(
@@ -205,8 +210,8 @@ class TestMseStudy:
             assert whole.acceptance_rates[i] == lone.acceptance_rate
 
     def test_seventy_replications_stream_in_three_near_equal_batches(self, monkeypatch):
-        # one job's 70 replications: ceil(70 / 32) = 3 lockstep batches whose
-        # sizes differ by at most 1, not units of 32, 32 and 6
+        # one job's 70 replications: ceil(70 / 32) = 3 units, each one
+        # lockstep batch, whose sizes differ by at most 1, not 32, 32 and 6
         sizes = record_lockstep_batches(monkeypatch)
         config = SimStudyConfig(
             replications=70, series_length=40, seed=7, mcmc=McmcConfig(n_total=200, n_burn=100)
@@ -449,7 +454,8 @@ class TestBacktest:
     @pytest.mark.parametrize("n_jobs", [1, 2, 7])
     def test_units_are_contiguous_batches_of_at_most_32_fits(self, monkeypatch, n_jobs):
         # K=8 BMA and MAP in both families at 7 origins: each job gets one
-        # unit of contiguous origins, and the sampler streams a unit's fits of
+        # unit of contiguous origins (7 is below the unit bound of 32
+        # origins), and the sampler streams a unit's fits of
         # each family in near-equal batches of at most 32; a serial stand-in
         # for the pool lets the stubs see every batch.  Each origin samples
         # only the orders its BMA mixture draws rows from, plus the MAP order
@@ -508,6 +514,27 @@ class TestBacktest:
                 assert [sizes for _, sizes in family_calls] == [[4], [4]]
         np.testing.assert_array_equal(report.forecasts, reference.forecasts)
         np.testing.assert_array_equal(report.crps, reference.crps)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_a_unit_holds_at_most_the_unit_items(self, monkeypatch, n_jobs):
+        # a unit plans and sets up all its origins before its last batch
+        # samples, so a long backtest is cut into units of at most
+        # _UNIT_ITEMS origins at any number of jobs: 8 origins at a bound
+        # of 3 make units of 3, 3 and 2, and the report does not move
+        series = simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=16)
+        methods = (MethodSpec(ErrorFamily.LAPLACE, "bma"), MethodSpec(ErrorFamily.GAUSSIAN, "map"))
+        spec = small_backtest_spec(series, methods, t0=53)
+        reference = run_backtest(spec)
+        monkeypatch.setattr(harness, "_UNIT_ITEMS", 3)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        calls = record_sampled_batches(monkeypatch)
+        report = run_backtest(spec, n_jobs=n_jobs)
+        assert len(report.origins) == 8
+        for family in ErrorFamily:
+            units = [sorted({t for _, t, _, _ in seeds}) for f, seeds, _ in calls if f is family]
+            assert units == [list(report.origins[i:j]) for i, j in ((0, 3), (3, 6), (6, 8))]
+        assert report.forecasts.tobytes() == reference.forecasts.tobytes()
+        assert report.crps.tobytes() == reference.crps.tobytes()
 
     def test_a_five_origin_plan_of_at_most_32_fits_runs_one_loop(self, monkeypatch):
         # K=8 BMA and MAP at 5 origins: the plan samples only the orders with
