@@ -306,9 +306,9 @@ def forecast_family(
     samples the orders with mixture rows, the MAP order if a method takes it,
     and each fixed order: an order with no mixture rows gets no chain and no
     paths, so an overflow or a degenerate fit at that order alone does not
-    fail the forecast.  The plans and one ``run_mh_batch`` call, which sets
-    up every window's fits, run on the call; the draws then stream in the
-    sampler's batches, and each window's fits become paths, their draws
+    fail the forecast.  The plans run on the call; the windows' fits then
+    go through one ``run_mh_batch``, set up and sampled batch by batch as
+    the results are drawn, and each window's fits become paths, their draws
     dropped, before its results are yielded.  Seeds are those of the module
     docstring.  BMA gathers the planned rows of orders 1..max_order, MAP
     takes the minimum-BIC order, and a fixed rule its own order.  Each method's result carries ``statistic``,

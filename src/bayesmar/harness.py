@@ -145,8 +145,8 @@ def _units(n_items: int, n_jobs: int) -> list[range]:
     """Near-equal contiguous runs of items (replications or backtest origins),
     the longer first.  There are at least min(n_jobs, n_items), which a pool
     hands out as workers free up, each of at most ``_UNIT_ITEMS`` items: a unit
-    holds its items' plans and set-ups until its last batch samples, and a
-    failure names its span.  No result depends on the batches or the units.
+    holds its items' plans until its last batch samples, and a failure names
+    its span.  No result depends on the batches or the units.
     """
     k = max(1, min(n_items, max(n_jobs, -(-n_items // _UNIT_ITEMS))))
     return [range(-(-n_items * i // k), -(-n_items * (i + 1) // k)) for i in range(k)]

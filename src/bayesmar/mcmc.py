@@ -294,14 +294,15 @@ def run_mh_batch(
     family: ErrorFamily,
     config: McmcConfig,
 ) -> Iterator[PosteriorDraws]:
-    """An iterator over the joint posterior draws of (beta, scale) for each (y, order, seed) in ``fits``.
+    """Yield the joint posterior draws of (beta, scale) for each (y, order, seed) in ``fits``.
 
     Fit i is an order-p_i fit of y_i on its full usable window t = p_i+1..T,
     drawn from generators seeded with seed_i (``config.seed`` is not read).
-    Every fit is set up on the call, so a rank-deficient design or an exact
-    fit (see the module docstring) raises ``DegenerateDataError`` before any
-    chain runs; an intercept or scale draw that overflows in the data's units
-    raises it as its batch is sampled.
+    The fits are sampled in ceil(N / ``BATCH_FITS``) batches, larger first,
+    whose sizes differ by at most 1, each set up only when it is reached: a
+    rank-deficient design or an exact fit (see the module docstring) raises
+    ``DegenerateDataError`` before its batch samples, an intercept or scale
+    draw that overflows in the data's units after.
     Gaussian draws n_total - n_burn exact (beta, sigma) pairs per fit, each
     sigma the mixing scale of its multivariate-t beta.  Laplace runs a batch's
     chains in lockstep, keeps each one's n_total - n_burn post-burn-in states,
@@ -309,35 +310,32 @@ def run_mh_batch(
     InvGamma(shape T-p, rate S(beta_i)), S(beta_i) as the chain formed it on
     keeping beta_i.  A fit's draws do not depend on the other fits or batches.
     """
-    prepared = []
-    for y, order, seed in fits:
+    done = 0
+    for left in range(-(-len(fits) // BATCH_FITS), 0, -1):  # batches left
+        size = -(-(len(fits) - done) // left)
+        batch = _sample_batch(fits[done : done + size], family, config)[::-1]
+        done += size
+        while batch:  # nothing handed on is kept, so only one batch's draws are ever held
+            yield batch.pop()
+
+
+def _sample_batch(batch: Sequence, family: ErrorFamily, config: McmcConfig) -> list[PosteriorDraws]:
+    """The draws of each fit in ``batch``, set up once here: its window, its least-squares fit and the
+    exact-fit screen.  Gaussian fits are drawn exactly, one by one, and Laplace ones as chains in
+    lockstep, each on two generators seeded alike (its steps'; its log-uniforms' and scales')."""
+    setups = []
+    for y, order, _ in batch:
         X, targets, e = fit_window(y.values, order, order + 1, f"series of length {len(y)}: ")
         beta_hat, R, rss = least_squares(X, targets)
         # a perfect fit anywhere in beta space makes the marginal posterior improper
         if GAUSSIAN_MODEL.point_scale(rss, targets.size) <= SCALE_FLOOR:
             raise DegenerateDataError(f"data admit an exact order-{order} fit; the scale posterior is improper")
         nu = targets.size - order - 1
-        # a chain rebuilds its design when its batch samples, so set-up holds no n x (p+1) array per fit
-        prepared.append((y.values, order, seed, e, beta_hat, np.linalg.inv(R), math.sqrt(rss / nu), nu))
-    return _batches(prepared, family, config)
-
-
-def _batches(prepared: list, family: ErrorFamily, config: McmcConfig) -> Iterator[PosteriorDraws]:
-    """``prepared``'s draws in ceil(N / ``BATCH_FITS``) batches, larger first, whose sizes differ by at most 1."""
-    prepared.reverse()
-    for left in range(-(-len(prepared) // BATCH_FITS), 0, -1):  # batches left
-        batch = _sample_batch([prepared.pop() for _ in range(-(-len(prepared) // left))], family, config)[::-1]
-        while batch:  # nothing handed on is kept, so only one batch's draws are ever held
-            yield batch.pop()
-
-
-def _sample_batch(batch: list, family: ErrorFamily, config: McmcConfig) -> list[PosteriorDraws]:
-    """The draws of each fit in ``batch``: Gaussian ones exactly, one by one, and Laplace ones as
-    chains in lockstep, each on two generators seeded alike (its steps'; its log-uniforms' and scales')."""
+        setups.append((X, targets, e, beta_hat, np.linalg.inv(R), math.sqrt(rss / nu), nu))
     n_kept = config.n_total - config.n_burn
     samples, n_burn = [], 0
     if family is ErrorFamily.GAUSSIAN:
-        for _, _, seed, _, beta_hat, R_inv, s_hat, nu in batch:
+        for (_, _, seed), (_, _, _, beta_hat, R_inv, s_hat, nu) in zip(batch, setups):
             rng = np.random.default_rng(seed)
             z = rng.standard_normal((n_kept, beta_hat.size))
             w = rng.chisquare(nu, n_kept)
@@ -345,9 +343,8 @@ def _sample_batch(batch: list, family: ErrorFamily, config: McmcConfig) -> list[
             samples.append((beta_hat + (z @ R_inv.T) * sigma[:, None], sigma, None, None))
     else:
         chains = [
-            (*fit_window(values, order, order + 1)[:2], beta_hat, R_inv * s_hat,
-             np.random.default_rng(seed), np.random.default_rng(seed))
-            for values, order, seed, _, beta_hat, R_inv, s_hat, _ in batch
+            (X, targets, beta_hat, R_inv * s_hat, np.random.default_rng(seed), np.random.default_rng(seed))
+            for (_, _, seed), (X, targets, _, beta_hat, R_inv, s_hat, _) in zip(batch, setups)
         ]
         for (_, targets, *_, rng), (kept, accepted, step_size, objectives) in zip(
             chains, _lockstep_chains(chains, config)
@@ -358,7 +355,7 @@ def _sample_batch(batch: list, family: ErrorFamily, config: McmcConfig) -> list[
             samples.append((kept, tau, accepted, step_size))
         n_burn = config.n_burn
     draws = []
-    for (_, order, _, e, *_), (beta, scale, accepted, step_size) in zip(batch, samples):
+    for (_, order, _), (_, _, e, *_), (beta, scale, accepted, step_size) in zip(batch, setups, samples):
         # back to the data's units, one draw array at a time
         what = f"order-{order} fit: an intercept or scale draw"
         beta[:, 0] = unscale(beta[:, 0], e, what)

@@ -156,6 +156,44 @@ def grid_marginal_quantiles(X, targets, q):
     return np.array(quantiles).T, sd
 
 
+def grid_posterior_moments(X, targets, half_width, points):
+    """The posterior mean and SD of beta, the mass share on the grid's outer
+    shell and E[S(beta)] under S(beta)^(-n), by quadrature on a points^3
+    grid of least-squares-whitened coordinates beta = beta_hat + L u, each u_i
+    in [-half_width, half_width] (p = 2).
+
+    The grid is filled one u_2 slice at a time, each point weighted by
+    (S(beta_hat) / S(beta))^n, and the moments of u come from its one- and
+    two-dimensional marginals."""
+    n = targets.size
+    beta_hat, L = least_squares_shape(X, targets)
+    Z = X @ L
+    resid = targets - X @ beta_hat
+    u = np.linspace(-half_width, half_width, points)
+    s_ref = LAPLACE_MODEL.objective(resid)
+    total = inner = expected_s = 0.0
+    m10 = np.zeros((points, points))  # (u_1, u_0) marginal
+    m21, m20 = np.zeros((points, points)), np.zeros((points, points))  # rows u_2
+    for k, u2 in enumerate(u):
+        rows = (resid - Z[:, 2] * u2) - u[:, None] * Z[:, 1]  # (u_1, n)
+        S = 0.5 * np.abs(rows[:, None, :] - u[None, :, None] * Z[:, 0]).sum(axis=-1)  # (u_1, u_0)
+        w = (s_ref / S) ** n
+        total += w.sum()
+        inner += w[1:-1, 1:-1].sum() if 0 < k < points - 1 else 0.0
+        expected_s += (w * S).sum()
+        m10 += w
+        m21[k], m20[k] = w.sum(axis=1), w.sum(axis=0)
+    m10, m21, m20 = m10 / total, m21 / total, m20 / total
+    marginals = [m10.sum(axis=0), m10.sum(axis=1), m21.sum(axis=1)]
+    mean_u = np.array([u @ m for m in marginals])
+    second = np.diag([u**2 @ m for m in marginals])
+    second[0, 1] = second[1, 0] = u @ m10.T @ u
+    second[1, 2] = second[2, 1] = u @ m21 @ u
+    second[0, 2] = second[2, 0] = u @ m20 @ u
+    cov = L @ (second - np.outer(mean_u, mean_u)) @ L.T
+    return beta_hat + L @ mean_u, np.sqrt(np.diag(cov)), 1.0 - inner / total, expected_s / total
+
+
 # Chain targets for ``monkeypatch.setattr(mcmc, "LAPLACE_MODEL", fake)``: the
 # chain reads only the model's L1 norm N = 2 S and samples N^(-n).
 
@@ -417,16 +455,35 @@ class TestRunMh:
             run_mh(y, 1, family, McmcConfig(n_total=200, n_burn=100))
 
     @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
-    def test_exact_fit_raises_on_the_call_before_any_batch(self, monkeypatch, family):
-        # every fit is set up when run_mh_batch is called, so an exact fit
-        # among good ones raises before anything is iterated or sampled
-        sampled = []
-        monkeypatch.setattr(mcmc, "_sample_batch", lambda *args: sampled.append(args) or [])
+    def test_exact_fit_raises_before_its_batch_samples(self, monkeypatch, family):
+        # each batch is set up when it is reached: in batches of two, the
+        # first batch's draws come out, and the exact fit in the second
+        # raises before that batch's chains run
+        monkeypatch.setattr(mcmc, "BATCH_FITS", 2)
+        run, lockstep = mcmc._lockstep_chains, []
+        monkeypatch.setattr(mcmc, "_lockstep_chains", lambda c, cfg: lockstep.append(len(c)) or run(c, cfg))
         good = laplace_series(60, seed=42)
-        fits = [(good, 2, 1), (TimeSeries(np.arange(1.0, 41.0)), 1, 2), (good, 1, 3)]
+        fits = [(good, 2, 1), (good, 1, 2), (TimeSeries(np.arange(1.0, 41.0)), 1, 3), (good, 3, 4)]
+        draws = run_mh_batch(fits, family, McmcConfig(n_total=200, n_burn=100))
+        assert [next(draws).order for _ in range(2)] == [2, 1]
         with pytest.raises(DegenerateDataError, match="exact order-1 fit"):
-            run_mh_batch(fits, family, McmcConfig(n_total=200, n_burn=100))
-        assert sampled == []
+            next(draws)
+        assert lockstep == ([2] if family is ErrorFamily.LAPLACE else [])
+
+    @pytest.mark.parametrize("family", list(ErrorFamily), ids=lambda f: f.value)
+    def test_each_sampled_fit_builds_its_window_once(self, monkeypatch, family):
+        # five fits in batches of 2, 2 and 1: one window per fit, built as its
+        # batch is set up, and none rebuilt when the batch samples
+        monkeypatch.setattr(mcmc, "BATCH_FITS", 2)
+        build, orders = mcmc.fit_window, []
+        monkeypatch.setattr(mcmc, "fit_window", lambda y, p, *args: orders.append(p) or build(y, p, *args))
+        sample, sizes = mcmc._sample_batch, []
+        monkeypatch.setattr(mcmc, "_sample_batch", lambda b, *args: sizes.append(len(b)) or sample(b, *args))
+        y = laplace_series(80, seed=43)
+        fits = [(y, p, (43, p)) for p in range(1, 6)]
+        draws = [d.order for d in run_mh_batch(fits, family, McmcConfig(n_total=300, n_burn=100))]
+        assert draws == orders == [1, 2, 3, 4, 5]
+        assert sizes == [2, 2, 1]
 
     def test_batch_equals_lone_runs(self):
         # five same-shape chains stepped together: each one's draws, accept
@@ -797,6 +854,58 @@ class TestQuadratureOracle:
         se = batches.std(axis=1, ddof=1) / math.sqrt(50)
         assert np.all(4 * se < 0.15 * sd)
         assert np.all(np.abs(np.quantile(draws, q, axis=0) - grid) <= 4 * se)
+
+
+class TestGridOracleP2:
+    # the chain against its real target integrated on a 101^3 grid at p = 2,
+    # in the whitened coordinates u of beta = beta_hat + L u, u_i in [-8, 8],
+    # on one T = 60 series.  A target of S^(-n/2) would widen every SD by
+    # about 40%, a padded coefficient that moves or a wrong tau shape would
+    # move the means, and the bounds are kept far below those
+    SERIES_SEED = (51, 1)
+    CONFIG = McmcConfig(n_total=110_000, n_burn=10_000)
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        return simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=self.SERIES_SEED)
+
+    @pytest.fixture(scope="class")
+    def grid(self, series):
+        return grid_posterior_moments(*lag_design(series.values, 2, 3), 8.0, 101)
+
+    def test_grid_holds_the_posterior(self, series, grid):
+        # under 1e-9 of the mass on the outer shell, and a 141^3 grid at
+        # +-10 moves no mean by 1e-4 SD (measured: 4.1e-10, and 3.2e-6 SD)
+        mean, sd, shell, _ = grid
+        assert shell < 1e-9
+        wide_mean, *_ = grid_posterior_moments(*lag_design(series.values, 2, 3), 10.0, 141)
+        assert np.all(np.abs(wide_mean - mean) < 1e-4 * sd)
+
+    @staticmethod
+    def assert_matches_grid(draws, grid, n):
+        # each coefficient's mean and E[tau] = E_grid[S] / (n - 1) within 4
+        # Monte Carlo SEs, each SE from the means of 50 batches of 2,000
+        # draws, and each SD ratio within 5% of 1: over three series, lone and
+        # lockstep chains gave |z| <= 2.4 and SD ratios 0.988-1.013
+        mean, sd, _, expected_s = grid
+        beta, tau = draws.beta_draws, draws.tau_draws
+        se = beta.reshape(50, -1, 3).mean(axis=1).std(axis=0, ddof=1) / math.sqrt(50)
+        assert np.all(np.abs(beta.mean(axis=0) - mean) <= 4 * se)
+        assert np.all(np.abs(beta.std(axis=0) / sd - 1.0) <= 0.05)
+        tau_se = tau.reshape(50, -1).mean(axis=1).std(ddof=1) / math.sqrt(50)
+        assert abs(tau.mean() - expected_s / (n - 1)) <= 4 * tau_se
+
+    def test_lone_chain_matches_the_grid(self, series, grid):
+        draws = run_mh(series, 2, ErrorFamily.LAPLACE, replace(self.CONFIG, seed=self.SERIES_SEED + (1,)))
+        self.assert_matches_grid(draws, grid, len(series) - 2)
+
+    def test_padded_lockstep_member_matches_the_grid(self, series, grid):
+        # order 2 between an order-1 and an order-3 chain on other series:
+        # padded by one design row and one coefficient, and on its own seed
+        others = [simulate_series(AR2, ErrorFamily.LAPLACE, 60, burn=200, seed=(52, k)) for k in (1, 3)]
+        fits = [(others[0], 1, (52, 1)), (series, 2, self.SERIES_SEED + (2,)), (others[1], 3, (52, 3))]
+        _, draws, _ = run_mh_batch(fits, ErrorFamily.LAPLACE, self.CONFIG)
+        self.assert_matches_grid(draws, grid, len(series) - 2)
 
 
 class TestMcmcConfig:
