@@ -301,8 +301,8 @@ def run_mh_batch(
     The fits are sampled in ceil(N / ``BATCH_FITS``) batches, larger first,
     whose sizes differ by at most 1, each set up only when it is reached: a
     rank-deficient design or an exact fit (see the module docstring) raises
-    ``DegenerateDataError`` before its batch samples, an intercept or scale
-    draw that overflows in the data's units after.
+    ``DegenerateDataError`` before its batch samples, and an intercept or
+    scale draw that overflows in the data's units once it has.
     Gaussian draws n_total - n_burn exact (beta, sigma) pairs per fit, each
     sigma the mixing scale of its multivariate-t beta.  Laplace runs a batch's
     chains in lockstep, keeps each one's n_total - n_burn post-burn-in states,
